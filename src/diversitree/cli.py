@@ -14,7 +14,7 @@ import sys
 
 import click
 
-from . import harness
+from . import __version__, harness
 from .diversity import dbin
 from .engine import EngineError
 from .harness import ExperimentSpec, HarnessError, SCHEMA_VERSION
@@ -39,22 +39,12 @@ def _load(instance_path):
 
 def _selector(rule, preset_name, alpha, beta, scut, dcut, rho, literal_score):
     try:
-        if preset_name:
-            base = preset_config(preset_name)
-            return SelectorConfig(
-                rule=rule if rule else base.rule,
-                alpha=base.alpha if alpha is None else alpha,
-                beta=base.beta if beta is None else beta,
-                sol_cutoff=base.sol_cutoff if scut is None else scut,
-                depth_cutoff=dcut if dcut is not None else 0,
-                rho=rho,
-                literal_score=literal_score,
-            )
+        base = preset_config(preset_name) if preset_name else SelectorConfig()
         return SelectorConfig(
-            rule=rule if rule else "bestfs",
-            alpha=alpha if alpha is not None else 0.0,
-            beta=beta if beta is not None else 0.0,
-            sol_cutoff=scut if scut is not None else 0.0,
+            rule=rule if rule else base.rule,
+            alpha=base.alpha if alpha is None else alpha,
+            beta=base.beta if beta is None else beta,
+            sol_cutoff=base.sol_cutoff if scut is None else scut,
             depth_cutoff=dcut if dcut is not None else 0,
             rho=rho,
             literal_score=literal_score,
@@ -120,7 +110,7 @@ pipeline_opts = [
 
 
 @click.group()
-@click.version_option(package_name="diversitree")
+@click.version_option(version=__version__)
 def main():
     """Enumerate diverse near-optimal solutions of mixed-integer programs."""
     _configure_logging()

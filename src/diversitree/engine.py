@@ -1,8 +1,10 @@
-"""Branch-and-count: enumerate near-optimal solutions into a bounded pool.
+"""Branch and bound over one node representation, in two modes.
 
-The search keeps a queue of open nodes, each carrying local bounds and its
-own LP relaxation solved at creation (warm-started from the parent basis).
-Dequeued nodes are classified:
+Each node carries local bounds and its own LP relaxation, solved when the
+node is created (warm-started from the parent basis). ``optimize`` finds
+the optimal value: best-first on the LP bound with incumbent pruning.
+``run`` enumerates near-optimal solutions into a bounded pool and
+classifies each dequeued node:
 
 * infeasible nodes are discarded,
 * *unrestricted* nodes, where every constraint holds for every assignment
@@ -13,9 +15,10 @@ Dequeued nodes are classified:
   exists, otherwise on a partitioning disjunction over an unfixed integer
   variable so each solution is reachable through exactly one leaf.
 
-The run stops when the queue empties, the pool reaches capacity, or a
-node/time limit trips. Everything is deterministic for a fixed instance
-and configuration; a trace hash over the dequeue sequence witnesses it.
+A child whose LP stalls is dropped at creation. The run stops when the
+queue empties, the pool reaches capacity, or a node/time limit trips.
+Everything is deterministic for a fixed instance and configuration; a
+trace hash over the dequeue sequence witnesses it.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +60,11 @@ class Node:
     local_bounds: dict  # column -> (lo, hi)
     fixed_binaries: dict  # column -> 0/1
     lp: LpResult = None
-    inherited_bound: float = -math.inf  # stand-in while the LP is unsolved
     estimate: float = math.nan  # bound plus fractionality repair
 
     @property
     def lp_bound(self) -> float:
-        if self.lp is not None and self.lp.objective is not None:
-            return self.lp.objective
-        return self.inherited_bound
+        return self.lp.objective
 
 
 class SolutionPool:
@@ -169,9 +169,6 @@ class TraceRecord:
     lp_bound: float
     classification: str
     pool_size: int
-    min_open: float = math.nan
-    max_open: float = math.nan
-    gated: bool = False
 
     def spec_fields(self) -> dict:
         bound = self.lp_bound
@@ -196,7 +193,15 @@ class CountResult:
     truncated: bool = False
     wall_time_s: float = 0.0
     trace_hash: str = ""
-    log: list = field(default_factory=list)
+
+
+@dataclass
+class OptimumResult:
+    status: str  # optimal | infeasible | unbounded | limit
+    objective: float = None  # internal minimization value
+    x: np.ndarray = None
+    nodes_processed: int = 0
+    wall_time_s: float = 0.0
 
 
 def most_fractional(lp: LpResult) -> int:
@@ -213,8 +218,15 @@ def most_fractional(lp: LpResult) -> int:
     return best
 
 
+def _limit_reached(deadline: float, nodes: int = 0, node_limit: int = None) -> bool:
+    """True once ``nodes`` reaches ``node_limit`` or the clock passes ``deadline``."""
+    if node_limit is not None and nodes >= node_limit:
+        return True
+    return deadline is not None and time.perf_counter() > deadline
+
+
 class BranchAndCount:
-    """Enumerator for one instance (cutoff row included by the caller)."""
+    """Branch and bound on one instance: ``optimize``, or ``run`` under the caller's cutoff."""
 
     def __init__(self, instance: MipInstance, selector: SelectorConfig = None,
                  dedup: bool = True, feas_tol: float = 1e-6, int_tol: float = 1e-6):
@@ -233,8 +245,7 @@ class BranchAndCount:
         for j in self.integer_index:
             if not (math.isfinite(self.root_lo[j]) and math.isfinite(self.root_hi[j])):
                 raise EngineError(
-                    f"integer variable {instance.variables[j].name} must have finite bounds "
-                    "for enumeration"
+                    f"integer variable {instance.variables[j].name} must have finite bounds"
                 )
             self.root_lo[j] = math.ceil(self.root_lo[j] - int_tol)
             self.root_hi[j] = math.floor(self.root_hi[j] + int_tol)
@@ -255,8 +266,6 @@ class BranchAndCount:
         return lo, hi
 
     def classify(self, node: Node, lo, hi) -> str:
-        if node.lp is None or node.lp.status == LpStatus.STALLED:
-            return STALLED
         if node.lp.status != LpStatus.OPTIMAL:
             return INFEASIBLE
         if self.is_unrestricted(lo, hi):
@@ -280,29 +289,38 @@ class BranchAndCount:
             est += min(f, 1.0 - f) * abs(self.solver.c[j])
         return est
 
-    def _child(self, node: Node, next_id: int, j: int, lo_j: float, hi_j: float) -> Node:
+    def _root(self) -> Node:
+        root = Node(id=0, parent_id=None, depth=0, local_bounds={},
+                    fixed_binaries={
+                        j: int(self.root_lo[j])
+                        for j in sorted(self.binary_set)
+                        if self.root_lo[j] == self.root_hi[j]
+                    })
+        root.lp = self.solver.solve(self.root_lo, self.root_hi)
+        if root.lp.status == LpStatus.STALLED:
+            raise EngineError("root relaxation stalled")
+        return root
+
+    def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
+        """Child with column j in [lo_j, hi_j], LP warm-solved; the caller sets its id."""
         bounds = dict(node.local_bounds)
         bounds[j] = (lo_j, hi_j)
         fixed = node.fixed_binaries
         if j in self.binary_set and lo_j == hi_j:
             fixed = dict(fixed)
             fixed[j] = int(lo_j)
-        return Node(
-            id=next_id,
-            parent_id=node.id,
-            depth=node.depth + 1,
-            local_bounds=bounds,
-            fixed_binaries=fixed,
-            inherited_bound=node.lp_bound,
-        )
+        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, local_bounds=bounds,
+                     fixed_binaries=fixed)
+        child.lp = self.solver.resolve(node.lp.basis, *self.materialize(child))
+        return child
 
     def branch(self, node: Node):
         """Two children on the most-fractional column: floor and ceil sides."""
         lo, hi = self.materialize(node)
         j = most_fractional(node.lp)
         v = node.lp.x[j]
-        down = self._child(node, -1, j, lo[j], math.floor(v))
-        up = self._child(node, -1, j, math.ceil(v), hi[j])
+        down = self._child(node, j, lo[j], math.floor(v))
+        up = self._child(node, j, math.ceil(v), hi[j])
         return [down, up]
 
     def partition_branch(self, node: Node, lo, hi):
@@ -315,14 +333,8 @@ class BranchAndCount:
         v = float(round(node.lp.x[j]))
         v = min(max(v, lo[j]), hi[j])
         if v >= hi[j]:
-            return [
-                self._child(node, -1, j, lo[j], v - 1.0),
-                self._child(node, -1, j, v, v),
-            ]
-        return [
-            self._child(node, -1, j, lo[j], v),
-            self._child(node, -1, j, v + 1.0, hi[j]),
-        ]
+            return [self._child(node, j, lo[j], v - 1.0), self._child(node, j, v, v)]
+        return [self._child(node, j, lo[j], v), self._child(node, j, v + 1.0, hi[j])]
 
     # -- solution extraction ---------------------------------------------------
 
@@ -341,13 +353,15 @@ class BranchAndCount:
             return res.x
         return None
 
-    def enumerate_unrestricted(self, node: Node, lo, hi, pool: SolutionPool):
+    def enumerate_unrestricted(self, node: Node, lo, hi, pool: SolutionPool,
+                               deadline: float = None):
         """Add every integer assignment of the local box to the pool.
 
         Assignments run in lexicographic order (ascending column, values
         ascending). Continuous columns keep the node LP values, which the
-        unrestricted test guarantees feasible. Returns (added, completed)
-        where completed is False when capacity cut the walk short.
+        unrestricted test guarantees feasible. Returns (added, infeasible,
+        completed) where completed is False when capacity or the clock
+        (``deadline``, a ``time.perf_counter`` value) cut the walk short.
         """
         free = [j for j in self.integer_index if hi[j] - lo[j] > 0.5]
         base = node.lp.x.copy()
@@ -358,7 +372,7 @@ class BranchAndCount:
         added = 0
         infeasible = 0
         for combo in itertools.product(*ranges):
-            if pool.is_full:
+            if pool.is_full or _limit_reached(deadline):
                 return added, infeasible, False
             x = base.copy()
             for j, v in zip(free, combo):
@@ -371,11 +385,12 @@ class BranchAndCount:
                 added += 1
         return added, infeasible, True
 
-    # -- main loop ---------------------------------------------------------------
+    # -- count mode --------------------------------------------------------------
 
     def run(self, p1: int = None, node_limit: int = None, time_limit: float = None,
             trace_path: str = None) -> CountResult:
         t0 = time.perf_counter()
+        deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup, int_tol=self.int_tol)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
         queue = OpenNodeQueue()
@@ -391,22 +406,11 @@ class BranchAndCount:
             hasher.update(b"\n")
             if trace_fh:
                 trace_fh.write(line + "\n")
-            result.log.append(record)
 
         try:
-            root = Node(id=0, parent_id=None, depth=0, local_bounds={},
-                        fixed_binaries={
-                            j: int(self.root_lo[j])
-                            for j in sorted(self.binary_set)
-                            if self.root_lo[j] == self.root_hi[j]
-                        })
-            root.lp = self.solver.solve(self.root_lo, self.root_hi)
-            if root.lp.status == LpStatus.STALLED:
-                root.lp = self.solver.solve(self.root_lo, self.root_hi)
+            root = self._root()
             if root.lp.status == LpStatus.UNBOUNDED:
                 raise EngineError("root relaxation is unbounded; add bounds or a cutoff")
-            if root.lp.status == LpStatus.STALLED:
-                raise EngineError("root relaxation stalled")
             if root.lp.status == LpStatus.INFEASIBLE:
                 result.nodes_processed = 1
                 result.nodes_pruned = 1
@@ -418,10 +422,7 @@ class BranchAndCount:
             selector.on_enqueue(root)
 
             while len(queue) and not pool.is_full:
-                if node_limit is not None and result.nodes_processed >= node_limit:
-                    result.truncated = True
-                    break
-                if time_limit is not None and time.perf_counter() - t0 > time_limit:
+                if _limit_reached(deadline, result.nodes_processed, node_limit):
                     result.truncated = True
                     break
                 ctx = ScoreContext(
@@ -431,31 +432,24 @@ class BranchAndCount:
                     solutions_found=len(pool),
                     p1=p1,
                 )
-                gated = selector.gated(ctx)
-                nid = selector.select(queue, ctx)
-                node = queue.pop(nid)
+                node = queue.pop(selector.select(queue, ctx))
                 selector.on_dequeue(node)
                 result.nodes_processed += 1
                 lo, hi = self.materialize(node)
-
-                if node.lp is None:  # the creation-time LP stalled; retry cold once
-                    node.lp = self.solver.solve(lo, hi)
                 cls = self.classify(node, lo, hi)
-                emit(TraceRecord(node.id, node.depth, node.lp_bound if node.lp else None,
-                                 cls, len(pool), ctx.min_bound, ctx.max_bound, gated))
+                emit(TraceRecord(node.id, node.depth, node.lp_bound, cls, len(pool)))
 
-                if cls == STALLED:
-                    result.stalled_dropped += 1
-                    log.warning("node %d dropped after a second LP stall", node.id)
-                    continue
                 if cls == INFEASIBLE:
                     result.nodes_pruned += 1
                     continue
                 if cls == UNRESTRICTED:
                     result.unrestricted_subtrees += 1
-                    _, bad, completed = self.enumerate_unrestricted(node, lo, hi, pool)
+                    _, bad, completed = self.enumerate_unrestricted(node, lo, hi, pool, deadline)
                     result.infeasible_completions += bad
                     if not completed:
+                        if not pool.is_full:  # the clock ran out mid-walk
+                            result.truncated = True
+                            break
                         truncated_enum = True
                     continue
                 if cls == INTEGER_FEASIBLE:
@@ -474,17 +468,16 @@ class BranchAndCount:
                 for child in children:
                     child.id = next_id
                     next_id += 1
-                    clo, chi = self.materialize(child)
-                    child.lp = self.solver.resolve(node.lp.basis, clo, chi)
                     if child.lp.status == LpStatus.INFEASIBLE:
                         result.nodes_pruned += 1
                         emit(TraceRecord(child.id, child.depth, None, INFEASIBLE, len(pool)))
                         continue
                     if child.lp.status == LpStatus.STALLED:
-                        child.lp = None  # re-queued once on the inherited bound
-                        child.estimate = child.inherited_bound
-                    else:
-                        child.estimate = self._estimate(child.lp)
+                        result.stalled_dropped += 1
+                        log.warning("node %d dropped: its LP stalled", child.id)
+                        emit(TraceRecord(child.id, child.depth, None, STALLED, len(pool)))
+                        continue
+                    child.estimate = self._estimate(child.lp)
                     queue.push(child)
                     selector.on_enqueue(child)
 
@@ -495,3 +488,63 @@ class BranchAndCount:
             result.wall_time_s = time.perf_counter() - t0
             if trace_fh:
                 trace_fh.close()
+
+    # -- optimize mode -----------------------------------------------------------
+
+    def optimize(self, node_limit: int = None, time_limit: float = None) -> OptimumResult:
+        """Optimal value by best-first branch and bound with incumbent pruning.
+
+        Nodes leave a heap in (LP bound, node id) order; a node or child
+        whose bound is not below the incumbent by 1e-9 is pruned, and an
+        integral LP becomes the incumbent. Stops with status ``limit`` when
+        a node or time limit trips.
+        """
+        t0 = time.perf_counter()
+        deadline = None if time_limit is None else t0 + time_limit
+        nodes = 0
+
+        def result(status, objective=None, x=None):
+            return OptimumResult(status, objective, x, nodes, time.perf_counter() - t0)
+
+        ints = self.integer_index
+        if np.any(self.root_lo[ints] > self.root_hi[ints]):
+            return result("infeasible")  # integer bounds rounded to an empty box
+        root = self._root()
+        if root.lp.status != LpStatus.OPTIMAL:
+            nodes = 1
+            return result(root.lp.status.value)
+
+        inc_val, inc_x = math.inf, None
+        status = "optimal"
+        next_id = 1
+        heap = [(root.lp_bound, root.id, root)]
+        while heap:
+            if _limit_reached(deadline, nodes, node_limit):
+                status = "limit"
+                break
+            bound, _, node = heapq.heappop(heap)
+            if bound >= inc_val - 1e-9:
+                continue
+            nodes += 1
+            if not node.lp.fractional:
+                if node.lp.objective < inc_val:
+                    inc_val, inc_x = node.lp.objective, node.lp.x.copy()
+                continue
+            for child in self.branch(node):
+                child.id = next_id
+                next_id += 1
+                if child.lp.status == LpStatus.INFEASIBLE:
+                    continue
+                if child.lp.status == LpStatus.STALLED:
+                    raise EngineError("LP stalled during optimization")
+                if child.lp.status == LpStatus.UNBOUNDED:
+                    return result("unbounded")
+                if child.lp_bound >= inc_val - 1e-9:
+                    continue
+                heapq.heappush(heap, (child.lp_bound, child.id, child))
+
+        if inc_x is None:
+            return result("limit" if status == "limit" else "infeasible")
+        for j in ints:
+            inc_x[j] = round(inc_x[j])
+        return result(status, float(inc_val), inc_x)

@@ -1,27 +1,23 @@
-"""Experiment pipeline around the enumeration engine.
+"""Experiment pipeline around the branch-and-bound engine.
 
-Phase one finds the optimal value, adds the near-optimality cutoff, and
-enumerates a pool of solutions under a chosen node-selection rule. Phase
-two picks a maximum-diversity subset of the pool and scores it. The
-pipeline has no internal randomness: the recorded seed only labels runs,
-and repeated runs with one config produce byte-identical result files.
+Phase one finds the optimal value with the engine's optimize mode, adds
+the near-optimality cutoff, and enumerates a pool of solutions with its
+count mode under a chosen node-selection rule. Phase two picks a
+maximum-diversity subset of the pool and scores it. The pipeline has no
+internal randomness: the recorded seed only labels runs, and repeated runs
+with one config produce byte-identical result files.
 """
 
 import csv
-import heapq
 import json
 import logging
-import math
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, replace
 
 from .diversity import dall, dbin
-from .engine import BranchAndCount, EngineError, most_fractional
+from .engine import BranchAndCount, EngineError, OptimumResult
 from .model import MipInstance, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
-from .simplex import LpStatus, SimplexSolver
 from .subset import select_diverse_subset
 
 log = logging.getLogger(__name__)
@@ -36,98 +32,11 @@ class HarnessError(RuntimeError):
     """Pipeline failure, message prefixed with the stage that raised it."""
 
 
-@dataclass
-class OptimumResult:
-    status: str  # optimal | infeasible | unbounded | limit
-    objective: float = None  # internal minimization value
-    x: np.ndarray = None
-    nodes_processed: int = 0
-    wall_time_s: float = 0.0
-
-
 def find_optimum(instance: MipInstance, node_limit: int = None, time_limit: float = None,
                  feas_tol: float = 1e-6, int_tol: float = 1e-6) -> OptimumResult:
-    """Optimal value by plain best-first branch-and-bound with incumbent pruning."""
-    t0 = time.perf_counter()
-    solver = SimplexSolver(instance, feas_tol=feas_tol, int_tol=int_tol)
-    lo_list, hi_list = instance.bounds()
-    lo = np.asarray(lo_list, dtype=float)
-    hi = np.asarray(hi_list, dtype=float)
-    for j in instance.integer_index:
-        if not (math.isfinite(lo[j]) and math.isfinite(hi[j])):
-            raise EngineError(
-                f"integer variable {instance.variables[j].name} must have finite bounds"
-            )
-        lo[j] = math.ceil(lo[j] - int_tol)
-        hi[j] = math.floor(hi[j] + int_tol)
-        if lo[j] > hi[j]:
-            return OptimumResult("infeasible", wall_time_s=time.perf_counter() - t0)
-
-    root = solver.solve(lo, hi)
-    if root.status == LpStatus.STALLED:
-        root = solver.solve(lo, hi)
-    if root.status == LpStatus.STALLED:
-        raise EngineError("root relaxation stalled")
-    if root.status == LpStatus.UNBOUNDED:
-        return OptimumResult("unbounded", nodes_processed=1,
-                             wall_time_s=time.perf_counter() - t0)
-    if root.status == LpStatus.INFEASIBLE:
-        return OptimumResult("infeasible", nodes_processed=1,
-                             wall_time_s=time.perf_counter() - t0)
-
-    inc_val = math.inf
-    inc_x = None
-    nodes = 0
-    status = "optimal"
-    counter = 1
-    heap = [(root.objective, 0, lo, hi, root)]
-    while heap:
-        if node_limit is not None and nodes >= node_limit:
-            status = "limit"
-            break
-        if time_limit is not None and time.perf_counter() - t0 > time_limit:
-            status = "limit"
-            break
-        bound, _, nlo, nhi, lp = heapq.heappop(heap)
-        if bound >= inc_val - 1e-9:
-            continue
-        nodes += 1
-        if not lp.fractional:
-            if lp.objective < inc_val:
-                inc_val = lp.objective
-                inc_x = lp.x.copy()
-            continue
-        j = most_fractional(lp)
-        split = math.floor(lp.x[j])
-        for child_lo, child_hi in ((nlo[j], float(split)), (float(split + 1), nhi[j])):
-            clo = nlo.copy()
-            chi = nhi.copy()
-            clo[j], chi[j] = child_lo, child_hi
-            child = solver.resolve(lp.basis, clo, chi) if lp.basis else solver.solve(clo, chi)
-            if child.status == LpStatus.STALLED:
-                child = solver.solve(clo, chi)
-            if child.status == LpStatus.INFEASIBLE:
-                continue
-            if child.status == LpStatus.STALLED:
-                raise EngineError("LP stalled during optimization")
-            if child.status == LpStatus.UNBOUNDED:
-                return OptimumResult("unbounded", nodes_processed=nodes,
-                                     wall_time_s=time.perf_counter() - t0)
-            if child.objective >= inc_val - 1e-9:
-                continue
-            heapq.heappush(heap, (child.objective, counter, clo, chi, child))
-            counter += 1
-
-    if inc_x is None:
-        if status == "limit":
-            return OptimumResult("limit", nodes_processed=nodes,
-                                 wall_time_s=time.perf_counter() - t0)
-        return OptimumResult("infeasible", nodes_processed=nodes,
-                             wall_time_s=time.perf_counter() - t0)
-    for j in instance.integer_index:
-        inc_x[j] = round(inc_x[j])
-    return OptimumResult(status, objective=float(inc_val), x=inc_x,
-                         nodes_processed=nodes, wall_time_s=time.perf_counter() - t0)
+    """Optimal value by the engine's optimize mode (best-first, incumbent pruning)."""
+    engine = BranchAndCount(instance, feas_tol=feas_tol, int_tol=int_tol)
+    return engine.optimize(node_limit=node_limit, time_limit=time_limit)
 
 
 @dataclass
@@ -258,22 +167,8 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
     """Optimize, enumerate the near-optimal pool, then pick a diverse subset."""
     spec = spec if spec is not None else ExperimentSpec()
     t0 = time.perf_counter()
-    try:
-        opt = find_optimum(instance, node_limit=spec.node_limit, time_limit=spec.time_limit)
-    except EngineError as exc:
-        raise HarnessError(f"optimize stage: {exc}") from exc
-    if opt.status != "optimal":
-        raise HarnessError(f"optimize stage: instance is {opt.status}")
+    opt, count = run_phase_one(instance, spec, trace_path=trace_path)
     t1 = time.perf_counter()
-
-    cut = add_objective_cutoff(instance, opt.objective, spec.q)
-    try:
-        engine = BranchAndCount(cut, selector=spec.selector, dedup=spec.dedup)
-        count = engine.run(p1=spec.p1, node_limit=spec.node_limit,
-                           time_limit=spec.time_limit, trace_path=trace_path)
-    except EngineError as exc:
-        raise HarnessError(f"count stage: {exc}") from exc
-    t2 = time.perf_counter()
 
     pool = count.pool
     proj = pool.projection_matrix()
@@ -302,7 +197,7 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
             dall_subset = dall(sols, ranges)
         except ValueError:
             dall_subset = None
-    t3 = time.perf_counter()
+    t2 = time.perf_counter()
 
     cfg = spec.selector
     return ExperimentResult(
@@ -328,10 +223,10 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
         subset_indices=list(idx),
         subset_objectives=[instance.reported_objective(pool.objectives[i]) for i in idx],
         trace_hash=count.trace_hash,
-        wall_time_ms=(t3 - t0) * 1000.0,
-        optimize_ms=(t1 - t0) * 1000.0,
-        count_ms=(t2 - t1) * 1000.0,
-        subset_ms=(t3 - t2) * 1000.0,
+        wall_time_ms=(t2 - t0) * 1000.0,
+        optimize_ms=opt.wall_time_s * 1000.0,
+        count_ms=count.wall_time_s * 1000.0,
+        subset_ms=(t2 - t1) * 1000.0,
     )
 
 
@@ -405,16 +300,7 @@ def compare_selectors(instance: MipInstance, spec: ExperimentSpec = None,
     rows = []
     by_rule = {}
     for name in names:
-        tpl = spec.selector
-        cfg = SelectorConfig(rule=name, alpha=tpl.alpha, beta=tpl.beta,
-                             sol_cutoff=tpl.sol_cutoff, depth_cutoff=tpl.depth_cutoff,
-                             rho=tpl.rho, min_plunge_depth=tpl.min_plunge_depth,
-                             max_plunge_depth=tpl.max_plunge_depth,
-                             literal_score=tpl.literal_score)
-        run_spec = ExperimentSpec(q=spec.q, p1=spec.p1, p=spec.p, selector=cfg,
-                                  subset_method=spec.subset_method, dedup=spec.dedup,
-                                  seed=spec.seed, node_limit=spec.node_limit,
-                                  time_limit=spec.time_limit, compute_dall=spec.compute_dall)
+        run_spec = replace(spec, selector=replace(spec.selector, rule=name))
         row = {"rule": name, "dbinSubset": None, "improvementPct": None, "dbinPool": None,
                "poolSize": None, "exhausted": None, "nodesProcessed": None,
                "traceHash": "", "error": ""}

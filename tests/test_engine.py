@@ -32,6 +32,7 @@ from diversitree.generators import (
     mixed_small_instance,
     random_binary_instance,
 )
+from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
 
 
 def binary_inst(n, rows, objective, name="t"):
@@ -41,6 +42,10 @@ def binary_inst(n, rows, objective, name="t"):
         constraints=[LinearConstraint(c, s, b, f"r{k}") for k, (c, s, b) in enumerate(rows)],
         objective=objective,
     )
+
+
+def optimal_lp(bound):
+    return LpResult(LpStatus.OPTIMAL, objective=bound)
 
 
 def pool_tuples(result):
@@ -293,6 +298,67 @@ class TestLimitsAndTruncation:
         res = BranchAndCount(cut).run(time_limit=0.0)
         assert res.truncated and res.nodes_processed == 0
 
+    def test_time_limit_stops_the_wholesale_walk(self):
+        # no rows: the root is unrestricted and the whole run is one walk over
+        # 65,536 points, which takes seconds untimed
+        inst = binary_inst(16, [], {j: 1.0 for j in range(16)})
+        res = BranchAndCount(inst).run(time_limit=0.05)
+        assert res.unrestricted_subtrees == 1
+        assert res.truncated and not res.exhausted
+        assert len(res.pool) < 2 ** 16
+        assert res.wall_time_s < 1.0
+
+
+class TestLpStalls:
+    """A child LP that stalls: dropped by the count mode, fatal to optimize."""
+
+    def stall_first_down_child(self, monkeypatch, instance):
+        """Make the warm start give up and the cold solve stall on one box:
+        the root's floor child on its most-fractional column."""
+        bc = BranchAndCount(instance)
+        root = bc.solver.solve(bc.root_lo, bc.root_hi)
+        j = most_fractional(root)
+        box_lo, box_hi = bc.root_lo.copy(), bc.root_hi.copy()
+        box_hi[j] = math.floor(root.x[j])
+        d = instance.num_vars
+
+        def is_box(lo, hi):
+            return np.array_equal(lo[:d], box_lo) and np.array_equal(hi[:d], box_hi)
+
+        real_cold, real_dual = SimplexSolver._cold, SimplexSolver._dual
+
+        def cold(self, lo, hi):
+            if is_box(lo, hi):
+                return LpResult(status=LpStatus.STALLED)
+            return real_cold(self, lo, hi)
+
+        def dual(self, snapshot, lo, hi):
+            if is_box(lo, hi):
+                raise _Stalled()
+            return real_dual(self, snapshot, lo, hi)
+
+        monkeypatch.setattr(SimplexSolver, "_cold", cold)
+        monkeypatch.setattr(SimplexSolver, "_dual", dual)
+
+    def test_count_drops_the_stalled_child_at_creation(self, monkeypatch, tmp_path):
+        inst = random_binary_instance(3)
+        z, admitted = enum_pure_integer(inst, 0.05)
+        cut = add_objective_cutoff(inst, z, 0.05)
+        self.stall_first_down_child(monkeypatch, cut)
+        path = tmp_path / "trace.jsonl"
+        res = BranchAndCount(cut).run(trace_path=str(path))
+        assert res.stalled_dropped == 1
+        assert pool_tuples(res) <= admitted
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        stalled = [r for r in records if r["classification"] == "stalled"]
+        assert len(stalled) == 1 and stalled[0]["lpBound"] is None
+
+    def test_optimize_raises(self, monkeypatch):
+        inst = random_binary_instance(3)
+        self.stall_first_down_child(monkeypatch, inst)
+        with pytest.raises(EngineError, match="stalled"):
+            BranchAndCount(inst).optimize()
+
 
 class TestDeterminismAndTrace:
     def test_repeat_runs_are_identical(self):
@@ -315,9 +381,7 @@ class TestDeterminismAndTrace:
         res = BranchAndCount(cut).run(trace_path=str(path))
         raw = path.read_bytes()
         assert hashlib.sha256(raw).hexdigest() == res.trace_hash
-        lines = raw.decode().splitlines()
-        assert len(lines) == len(res.log)
-        for line in lines:
+        for line in raw.decode().splitlines():
             rec = json.loads(line)
             assert set(rec) == {"id", "depth", "lpBound", "classification", "poolSize"}
             assert rec["lpBound"] is None or isinstance(rec["lpBound"], float)
@@ -338,7 +402,7 @@ class TestOpenNodeQueue:
         q = OpenNodeQueue()
         for k, b in enumerate(bounds):
             q.push(Node(id=k, parent_id=None, depth=0, local_bounds={},
-                        fixed_binaries={}, inherited_bound=b))
+                        fixed_binaries={}, lp=optimal_lp(b)))
         return q
 
     def test_extrema_track_pops(self):
@@ -361,7 +425,8 @@ class TestOpenNodeQueue:
                 q.pop(rng.choice(sorted(q.nodes)))
             else:
                 q.push(Node(id=nid, parent_id=None, depth=0, local_bounds={},
-                            fixed_binaries={}, inherited_bound=float(rng.integers(-9, 9))))
+                            fixed_binaries={},
+                            lp=optimal_lp(float(rng.integers(-9, 9)))))
                 nid += 1
             if len(q.nodes):
                 bounds = [n.lp_bound for n in q]

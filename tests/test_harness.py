@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from diversitree import (
     compare_selectors,
     find_optimum,
     grid_search,
+    parse_mps,
     preset,
     run_phase_one,
     run_two_phase,
@@ -85,6 +87,62 @@ class TestFindOptimum:
         inst = mixed_small_instance()
         z, _ = enum_mixed_projections(inst, 0.0)
         assert find_optimum(inst).objective == pytest.approx(z, abs=1e-6)
+
+
+    def test_integer_bounds_rounding_to_an_empty_box(self):
+        inst = MipInstance(
+            name="gap",
+            variables=[VariableDef(0, 0.2, 0.8, True, "u")],
+            constraints=[LinearConstraint({0: 1.0}, LE, 5.0, "cap")],
+            objective={0: 1.0},
+        )
+        res = find_optimum(inst)
+        assert (res.status, res.nodes_processed) == ("infeasible", 0)
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+# (status, repr(objective), x, nodes_processed) of the best-first search
+GOLDEN_OPTIMA = {
+    "cluster_n10_r2.mps": ("optimal", "-200.0", [0.0] * 11 + [1.0], 1),
+    "cluster_n8_r1.mps": ("optimal", "-160.0", [0.0] * 9 + [1.0], 1),
+    "genint.mps": ("optimal", "1.0", [0.0, 2.0, 1.0], 1),
+    "knap3.mps": ("optimal", "-10.0", [1.0, 0.0, 1.0], 2),
+    "mixed4.mps": ("optimal", "1.0", [1.0, 0.0, 0.0, 0.0, 0.0], 1),
+    "rand0.mps": ("optimal", "-34.0", [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0], 3),
+    "rand1.mps": ("optimal", "-26.0", [1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], 1),
+    "rand2.mps": ("optimal", "-30.0", [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0], 1),
+    "random_binary_instance(5, 30, 12)": (
+        "optimal", "-46.0",
+        [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0,
+         1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        11,
+    ),
+    "random_binary_instance(3)": (
+        "optimal", "-23.0", [0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], 12,
+    ),
+}
+
+
+def golden_instance(name):
+    if name == "random_binary_instance(5, 30, 12)":
+        return random_binary_instance(5, 30, 12)
+    if name == "random_binary_instance(3)":
+        return random_binary_instance(3)
+    return parse_mps(str(INSTANCES / name))
+
+
+class TestFindOptimumGolden:
+    def test_every_shipped_instance_is_pinned(self):
+        assert sorted(p.name for p in INSTANCES.glob("*.mps")) == sorted(
+            k for k in GOLDEN_OPTIMA if k.endswith(".mps")
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OPTIMA))
+    def test_status_objective_point_and_node_count(self, name):
+        res = find_optimum(golden_instance(name))
+        got = (res.status, repr(res.objective), [float(v) for v in res.x], res.nodes_processed)
+        assert got == GOLDEN_OPTIMA[name]
 
 
 class TestExperimentSpec:

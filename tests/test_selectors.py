@@ -22,11 +22,12 @@ from diversitree.selectors import (
     scaled_bound,
     scaled_depth,
 )
+from diversitree.simplex import LpResult, LpStatus
 
 
 def make_node(nid, bound=0.0, depth=0, fixed=None, parent=None, estimate=None):
     n = Node(id=nid, parent_id=parent, depth=depth, local_bounds={},
-             fixed_binaries=fixed or {}, inherited_bound=bound)
+             fixed_binaries=fixed or {}, lp=LpResult(LpStatus.OPTIMAL, objective=bound))
     n.estimate = bound if estimate is None else estimate
     return n
 
