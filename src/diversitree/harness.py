@@ -181,7 +181,7 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
     p_eff = min(spec.p, len(pool))
     if p_eff >= 2 and has_bits:
         try:
-            idx = select_diverse_subset(pool, p_eff, spec.subset_method)
+            idx = select_diverse_subset(proj, p_eff, spec.subset_method)
         except ValueError as exc:
             raise HarnessError(f"subset stage: {exc}") from exc
         dbin_subset = dbin(proj[idx])

@@ -1,21 +1,32 @@
 """Pick a maximally diverse p-subset of a solution pool.
 
-The objective is the pair-sum of normalized Hamming distances, whose argmax
-coincides with maximizing the mean pairwise distance of the subset.
+The objective is the pair-sum of Hamming distances, whose argmax coincides
+with maximizing the mean pairwise distance (DBin) of the subset. Every
+method works on one n x n matrix of integer Hamming counts, built once per
+call (exact integers, held in float64), so all comparisons are exact and
+ties are real ties.
 
 Methods:
 
-* ``greedy``: seed with a farthest pair, then repeatedly add the solution
-  with the largest summed distance to the chosen set.
+* ``greedy``: seed with the farthest pair (the first in row-major order;
+  (0, 1) when every distance is 0), then repeatedly add the solution with
+  the largest summed distance to the chosen set.
 * ``greedy_swap``: best-improvement single swaps to a local optimum
   (iteration cap 50 * p per start), restarted from the greedy pick, a
   greedy-drop pick, and one farthest-partner pick per pool member; the
-  best local optimum wins.
+  best local optimum wins. Each move scores every (out, in) swap at once
+  from the running distance sums of the chosen set; a start whose set was
+  already searched is skipped, since its local optimum is the same.
 * ``exact``: brute force over all combinations, permitted only while
   C(n, p) stays at or below two million.
 
-Greedy variants break ties toward the lowest solution index; exact breaks
-ties on canonical content so pool order cannot change the answer.
+Greedy variants break ties toward the lowest solution index: the lowest
+added index, the lowest (out, in) swap in that order, the lowest dropped
+index, and the earliest start. Exact breaks ties on canonical content so
+pool order cannot change the answer.
+
+The distance matrix takes n * n * 8 bytes; a pool that would need more than
+``DENSE_LIMIT_BYTES`` is refused before anything n x n is allocated.
 """
 
 import itertools
@@ -26,6 +37,7 @@ import numpy as np
 from .diversity import pairwise_ham
 
 EXACT_LIMIT = 2_000_000
+DENSE_LIMIT_BYTES = 1 << 30
 SWAP_CAP_FACTOR = 50
 METHODS = ("greedy", "greedy_swap", "exact")
 
@@ -34,6 +46,18 @@ def _projection_matrix(pool_or_projections) -> np.ndarray:
     if hasattr(pool_or_projections, "projection_matrix"):
         return np.asarray(pool_or_projections.projection_matrix(), dtype=float)
     return np.asarray(pool_or_projections, dtype=float)
+
+
+def _hamming_counts(proj: np.ndarray) -> np.ndarray:
+    """Hamming counts as exact integers in float64, rounded in place.
+
+    pairwise_ham's numerator is an exact integer; keeping its buffer saves
+    the n x n copy an integer dtype would cost. Every sum the search forms
+    stays far below 2**53, so all arithmetic on the counts is exact.
+    """
+    dist = pairwise_ham(proj)
+    dist *= proj.shape[1]
+    return np.rint(dist, out=dist)
 
 
 def pair_sum(dist: np.ndarray, chosen) -> float:
@@ -52,73 +76,65 @@ def dbin_delta(dist: np.ndarray, chosen, out: int, incoming: int) -> float:
     return delta
 
 
-def _greedy(dist: np.ndarray, p: int) -> list:
-    n = dist.shape[0]
-    bestdist = -1.0
-    seed = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] > bestdist:
-                bestdist = dist[i, j]
-                seed = (i, j)
-    chosen = [seed[0], seed[1]]
+def _extend(dist: np.ndarray, chosen: list, p: int) -> list:
+    """Add the member farthest in sum from the chosen set until p are chosen."""
+    chosen = list(chosen)
+    sums = dist[:, chosen].sum(axis=1)
+    taken = np.zeros(len(sums), dtype=bool)
+    taken[chosen] = True
     while len(chosen) < p:
-        sums = dist[:, chosen].sum(axis=1)
-        sums[chosen] = -np.inf
-        nxt = int(np.argmax(sums))  # argmax keeps the lowest index on ties
+        nxt = int(np.argmax(np.where(taken, -1, sums)))  # lowest index on ties
         chosen.append(nxt)
+        taken[nxt] = True
+        sums += dist[:, nxt]
     return chosen
 
 
+def _greedy(dist: np.ndarray, p: int) -> list:
+    # the farthest pair first in row-major order over i < j: by symmetry its
+    # row is the first row holding the maximum, and its partner lies right of it
+    rowmax = dist.max(axis=1)
+    far = rowmax.max()
+    if far == 0:  # every distance is 0
+        return _extend(dist, [0, 1], p)
+    i = int(np.argmax(rowmax == far))
+    return _extend(dist, [i, int(np.argmax(dist[i] == far))], p)
+
+
 def _swap_to_local_optimum(dist: np.ndarray, chosen: list) -> list:
-    chosen = list(chosen)
-    in_set = set(chosen)
-    n = dist.shape[0]
+    chosen = sorted(chosen)
+    sums = dist[:, chosen].sum(axis=1)
     for _ in range(SWAP_CAP_FACTOR * len(chosen)):
-        best_gain = 1e-12
-        best_move = None
-        for out in sorted(chosen):
-            for inc in range(n):
-                if inc in in_set:
-                    continue
-                gain = dbin_delta(dist, chosen, out, inc)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (out, inc)
-        if best_move is None:
+        outs = np.asarray(chosen)
+        # gain[r, inc] = pair-sum change from swapping chosen[r] for inc
+        gain = sums[None, :] - dist[outs, :] - sums[outs][:, None]
+        gain[:, outs] = 0  # never accepted: a move must gain more than 0
+        r, inc = divmod(int(np.argmax(gain)), gain.shape[1])  # lowest out, then in
+        if gain[r, inc] <= 0:
             break
-        out, inc = best_move
-        chosen[chosen.index(out)] = inc
-        in_set.discard(out)
-        in_set.add(inc)
-    return sorted(chosen)
+        sums += dist[:, inc] - dist[:, chosen[r]]
+        chosen[r] = inc
+        chosen.sort()
+    return chosen
 
 
 def _greedy_drop(dist: np.ndarray, p: int) -> list:
     """Peel the least-contributing member off the full pool until p remain."""
-    chosen = list(range(dist.shape[0]))
-    contrib = dist.sum(axis=1).astype(float)
-    while len(chosen) > p:
-        worst = min(chosen, key=lambda i: (contrib[i], i))
-        chosen.remove(worst)
-        for i in chosen:
-            contrib[i] -= dist[i, worst]
-    return chosen
+    n = dist.shape[0]
+    contrib = dist.sum(axis=1)
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - p):
+        worst = int(np.argmin(np.where(alive, contrib, np.inf)))  # lowest index on ties
+        alive[worst] = False
+        contrib -= dist[:, worst]
+    return np.flatnonzero(alive).tolist()
 
 
 def _greedy_from(dist: np.ndarray, first: int, p: int) -> list:
     j = int(np.argmax(dist[first]))
     if j == first:
         j = (first + 1) % dist.shape[0]
-    chosen = [first, j]
-    sums = dist[:, chosen].sum(axis=1)
-    sums[chosen] = -np.inf
-    while len(chosen) < p:
-        nxt = int(np.argmax(sums))
-        chosen.append(nxt)
-        sums += dist[:, nxt]
-        sums[nxt] = -np.inf
-    return chosen
+    return _extend(dist, [first, j], p)
 
 
 def _greedy_swap(dist: np.ndarray, p: int) -> list:
@@ -126,11 +142,16 @@ def _greedy_swap(dist: np.ndarray, p: int) -> list:
     starts = [_greedy(dist, p), _greedy_drop(dist, p)]
     starts.extend(_greedy_from(dist, i, p) for i in range(n))
     best = None
-    best_sum = -math.inf
+    best_sum = -1
+    seen = set()
     for start in starts:  # fixed order keeps ties, and so output, deterministic
+        key = frozenset(start)
+        if key in seen:
+            continue
+        seen.add(key)
         cand = _swap_to_local_optimum(dist, start)
         val = pair_sum(dist, cand)
-        if val > best_sum + 1e-12:
+        if val > best_sum:
             best_sum = val
             best = cand
     return best
@@ -138,14 +159,14 @@ def _greedy_swap(dist: np.ndarray, p: int) -> list:
 
 def _exact(dist: np.ndarray, p: int, projections: np.ndarray) -> list:
     n = dist.shape[0]
-    best_sum = -math.inf
+    best_sum = -1
     best = None
     best_key = None
     for combo in itertools.combinations(range(n), p):
         s = pair_sum(dist, combo)
-        if s > best_sum + 1e-12:
+        if s > best_sum:
             best_sum, best, best_key = s, combo, None
-        elif s > best_sum - 1e-12:
+        elif s == best_sum:
             # tie: prefer canonically smallest content, not pool position
             if best_key is None:
                 best_key = _content_key(projections, best)
@@ -174,7 +195,12 @@ def select_diverse_subset(pool_or_projections, p: int, method: str = "greedy_swa
             f"exact search over C({n}, {p}) = {math.comb(n, p)} subsets exceeds "
             f"the {EXACT_LIMIT} limit"
         )
-    dist = pairwise_ham(proj)
+    if n * n * 8 > DENSE_LIMIT_BYTES:
+        raise ValueError(
+            f"a pool of {n} solutions needs {n * n * 8} bytes for its distance "
+            f"matrix, above the {DENSE_LIMIT_BYTES}-byte limit; cap the pool with --p1"
+        )
+    dist = _hamming_counts(proj)
     if method == "greedy":
         return sorted(_greedy(dist, p))
     if method == "greedy_swap":

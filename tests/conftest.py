@@ -70,6 +70,96 @@ def oracle_pair_sum(projections, chosen):
     return total
 
 
+# -- subset search oracles (plain loops over integer Hamming counts) ----------
+
+def oracle_ham_counts(projections):
+    rows = [[int(v) for v in r] for r in projections]
+    return [[sum(1 for x, y in zip(a, b) if x != y) for b in rows] for a in rows]
+
+
+def _oracle_extend(dist, chosen, p):
+    chosen = list(chosen)
+    while len(chosen) < p:
+        best, nxt = -1, None
+        for i in range(len(dist)):
+            if i in chosen:
+                continue
+            total = sum(dist[i][k] for k in chosen)
+            if total > best:
+                best, nxt = total, i
+        chosen.append(nxt)
+    return chosen
+
+
+def oracle_greedy(dist, p):
+    """Farthest pair (first in row-major order), then farthest-in-sum additions."""
+    best, seed = -1, (0, 1)
+    for i in range(len(dist)):
+        for j in range(i + 1, len(dist)):
+            if dist[i][j] > best:
+                best, seed = dist[i][j], (i, j)
+    return _oracle_extend(dist, seed, p)
+
+
+def oracle_greedy_drop(dist, p):
+    chosen = list(range(len(dist)))
+    contrib = [sum(row) for row in dist]
+    while len(chosen) > p:
+        worst = min(chosen, key=lambda i: (contrib[i], i))
+        chosen.remove(worst)
+        for i in chosen:
+            contrib[i] -= dist[i][worst]
+    return chosen
+
+
+def oracle_greedy_from(dist, first, p):
+    j = dist[first].index(max(dist[first]))
+    if j == first:
+        j = (first + 1) % len(dist)
+    return _oracle_extend(dist, [first, j], p)
+
+
+def oracle_swap(dist, chosen, cap_factor=50):
+    """Best-improvement swaps, visiting (out, in) in ascending order."""
+    chosen = list(chosen)
+    for _ in range(cap_factor * len(chosen)):
+        best_gain, best_move = 0, None
+        for out in sorted(chosen):
+            for inc in range(len(dist)):
+                if inc in chosen:
+                    continue
+                gain = 0
+                for k in chosen:
+                    if k != out:
+                        gain += dist[inc][k] - dist[out][k]
+                if gain > best_gain:
+                    best_gain, best_move = gain, (out, inc)
+        if best_move is None:
+            break
+        out, inc = best_move
+        chosen[chosen.index(out)] = inc
+    return sorted(chosen)
+
+
+def oracle_int_pair_sum(dist, chosen):
+    chosen = list(chosen)
+    return sum(dist[chosen[a]][chosen[b]]
+               for a in range(len(chosen)) for b in range(a + 1, len(chosen)))
+
+
+def oracle_greedy_swap(dist, p):
+    """Swap search from every start; the first strictly best optimum wins."""
+    starts = [oracle_greedy(dist, p), oracle_greedy_drop(dist, p)]
+    starts += [oracle_greedy_from(dist, i, p) for i in range(len(dist))]
+    best, best_sum = None, -1
+    for start in starts:
+        cand = oracle_swap(dist, start)
+        val = oracle_int_pair_sum(dist, cand)
+        if val > best_sum:
+            best, best_sum = cand, val
+    return best
+
+
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------
 
 def scipy_lp(instance, lo=None, hi=None):

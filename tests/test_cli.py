@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import diversitree
 from conftest import enum_pure_integer
 from diversitree.cli import main
 from diversitree.generators import knapsack_instance, random_binary_instance
@@ -253,6 +258,16 @@ class TestFlagValidation:
         res = invoke(runner, ["--version"])
         assert res.exit_code == 0
         assert "0.1.0" in res.output
+
+    def test_module_entry_point_version(self):
+        # python -m diversitree must work from a checkout that is not installed
+        src = str(Path(diversitree.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-m", "diversitree", "--version"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"diversitree, version {diversitree.__version__}\n"
 
     def test_log_env_smoke(self, runner, paths):
         for value in ("DEBUG", "purple"):

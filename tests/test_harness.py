@@ -251,17 +251,29 @@ class TestRunTwoPhase:
         with pytest.raises(HarnessError, match="optimize stage"):
             run_phase_one(inst, ExperimentSpec(q=0.05, p1=10, p=2))
 
-    def test_subset_stage_errors_are_labelled(self):
-        # 64 admitted solutions and p = 12 push exact search past its guard
-        inst = MipInstance(
+    @staticmethod
+    def all_free_instance():
+        # q = 1.0 admits all 64 points of the 6-binary box
+        return MipInstance(
             name="allfree",
             variables=[VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(6)],
             constraints=[LinearConstraint({j: 1.0 for j in range(6)}, GE, 0.0, "r0")],
             objective={j: -1.0 for j in range(6)},
         )
+
+    def test_subset_stage_errors_are_labelled(self):
+        # 64 admitted solutions and p = 12 push exact search past its guard
         spec = ExperimentSpec(q=1.0, p1=None, p=12, subset_method="exact")
         with pytest.raises(HarnessError, match="subset stage"):
-            run_two_phase(inst, spec)
+            run_two_phase(self.all_free_instance(), spec)
+
+    def test_dense_memory_guard_is_a_subset_stage_error(self, monkeypatch):
+        from diversitree import subset
+
+        monkeypatch.setattr(subset, "DENSE_LIMIT_BYTES", 64 * 64 * 8 - 1)
+        spec = ExperimentSpec(q=1.0, p1=None, p=4)
+        with pytest.raises(HarnessError, match=r"subset stage: a pool of 64 solutions"):
+            run_two_phase(self.all_free_instance(), spec)
 
 
 class TestGridSearch:

@@ -5,7 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import oracle_pair_sum
+from conftest import (
+    oracle_greedy,
+    oracle_greedy_swap,
+    oracle_ham_counts,
+    oracle_pair_sum,
+)
+from diversitree import subset
 from diversitree.diversity import pairwise_ham
 from diversitree.subset import (
     EXACT_LIMIT,
@@ -134,6 +140,45 @@ class TestMethodChain:
         assert select_diverse_subset(pool, 2) == [0, 1]
 
 
+class TestExactTies:
+    @staticmethod
+    def differential_pools(count=150):
+        rng = np.random.default_rng(4)
+        for k in range(count):
+            n = int(rng.integers(12, 91))
+            bits = int(rng.integers(4, 31))
+            p = int(rng.integers(2, 10))
+            proj = rng.integers(0, 2, size=(n, bits))
+            if k % 3 == 0:  # copy a quarter of the rows over others
+                proj[rng.integers(0, n, size=n // 4)] = proj[rng.integers(0, n, size=n // 4)]
+            yield proj, p
+
+    def test_greedy_methods_match_the_plain_loop_search(self):
+        checked = 0
+        for proj, p in self.differential_pools():
+            dist = oracle_ham_counts(proj)
+            assert select_diverse_subset(proj, p, "greedy") == sorted(oracle_greedy(dist, p))
+            assert select_diverse_subset(proj, p, "greedy_swap") == oracle_greedy_swap(dist, p)
+            checked += 1
+        assert checked == 150
+
+    def test_equal_swap_gains_go_to_the_lowest_index(self):
+        # from the greedy start {0, 1, 2, 5}, swapping 1 for 3 or for 4 both
+        # gain one differing bit (pair-sum 11 either way); summed as float
+        # thirds, the swap to 4 came out larger and won
+        proj = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1], [0, 0, 0]])
+        dist = oracle_ham_counts(proj)
+        assert oracle_pair_sum(proj, [0, 2, 3, 5]) * 3 == pytest.approx(11)
+        assert oracle_pair_sum(proj, [0, 2, 4, 5]) * 3 == pytest.approx(11)
+        assert oracle_greedy_swap(dist, 4) == [0, 2, 3, 5]
+        assert select_diverse_subset(proj, 4, "greedy_swap") == [0, 2, 3, 5]
+
+    @pytest.mark.parametrize("method", ["greedy", "greedy_swap"])
+    def test_identical_rows_give_the_lowest_indices(self, method):
+        proj = np.tile([1, 0, 1, 1], (7, 1))
+        assert select_diverse_subset(proj, 4, method) == [0, 1, 2, 3]
+
+
 class TestValidation:
     PROJ = np.array([[0, 0], [0, 1], [1, 1]])
 
@@ -152,3 +197,19 @@ class TestValidation:
         assert __import__("math").comb(40, 12) > EXACT_LIMIT
         with pytest.raises(ValueError, match="exceeds"):
             select_diverse_subset(big, 12, "exact")
+
+    def test_dense_memory_guard_fires_before_any_n_by_n_array(self, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(subset, "DENSE_LIMIT_BYTES", 50 * 50 * 8 - 1)
+        monkeypatch.setattr(subset, "pairwise_ham", no_matrix)
+        proj = np.random.default_rng(5).integers(0, 2, size=(50, 6))
+        for method in ("greedy", "greedy_swap", "exact"):
+            with pytest.raises(ValueError, match=r"50 solutions needs 20000 bytes.*--p1"):
+                select_diverse_subset(proj, 2, method)
+
+    def test_dense_memory_guard_admits_the_limit(self, monkeypatch):
+        monkeypatch.setattr(subset, "DENSE_LIMIT_BYTES", 50 * 50 * 8)
+        proj = np.random.default_rng(5).integers(0, 2, size=(50, 6))
+        assert len(select_diverse_subset(proj, 3)) == 3
