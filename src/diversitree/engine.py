@@ -124,7 +124,11 @@ class SolutionPool:
 
 
 class OpenNodeQueue:
-    """Open nodes by id with lazily maintained lpBound extrema."""
+    """Open nodes by id with lazily maintained lpBound extrema.
+
+    The min-heap holds (bound, id) pairs, so its front is also the least
+    bound with the lowest id among equal bounds.
+    """
 
     def __init__(self):
         self.nodes = {}
@@ -157,6 +161,11 @@ class OpenNodeQueue:
 
     def min_bound(self) -> float:
         return self._front(self._min_heap, 1.0)
+
+    def min_id(self) -> int:
+        """Id of the open node with the least bound, lowest id on ties."""
+        self._front(self._min_heap, 1.0)
+        return self._min_heap[0][1]
 
     def max_bound(self) -> float:
         return self._front(self._max_heap, -1.0)
@@ -432,7 +441,10 @@ class BranchAndCount:
                     solutions_found=len(pool),
                     p1=p1,
                 )
-                node = queue.pop(selector.select(queue, ctx))
+                if selector.bound_order(ctx):
+                    node = queue.pop(queue.min_id())
+                else:
+                    node = queue.pop(selector.select(queue, ctx))
                 selector.on_dequeue(node)
                 result.nodes_processed += 1
                 lo, hi = self.materialize(node)

@@ -1,7 +1,10 @@
 """Node-selection rules for branch-and-count.
 
 Every rule scores the open nodes and dequeues the argmin, ties going to the
-lowest node id. Classic rules: best-first (bound), depth-first (LIFO),
+lowest node id. Where that argmin is pure bound order (best-first, or a rule
+whose gate is still closed) the engine skips the scan and dequeues the least
+(bound, id) from the open set's heap instead; ``Selector.bound_order`` says
+when, and the pick is the same node. Classic rules: best-first (bound), depth-first (LIFO),
 breadth-first (FIFO), a visit-ratio rule (bound plus rho * V/v over the
 node's and parent's dequeue counts) and a best-estimate rule blending the
 bound with a fractionality-repair estimate.
@@ -224,6 +227,18 @@ class Selector:
         if rule == Rule.DBFS_AD:
             return not self.depth_gate_open
         return False
+
+    def bound_order(self, ctx: ScoreContext) -> bool:
+        """True when :meth:`select` would return the least (bound, id) open node.
+
+        Under best-first or a closed gate every score is the scaled bound,
+        which is 0 at the least bound and positive above it while the spread
+        is finite (a gap scores 0 only below about 1e-323 times the spread,
+        where the division underflows), and 0 everywhere when the spread is 0.
+        """
+        if not math.isfinite(ctx.max_bound - ctx.min_bound):
+            return False  # every scaled bound is 0: select takes the lowest id
+        return self.config.rule == Rule.BESTFS or self.gated(ctx)
 
     def score(self, node, ctx: ScoreContext, gated: bool = None) -> float:
         cfg = self.config

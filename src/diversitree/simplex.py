@@ -11,6 +11,16 @@ Pivoting is deterministic: Dantzig pricing with lowest-index tie-breaks,
 switching to Bland's rule after a run of degenerate pivots. Every optimal
 solve carries a reconstructed dual objective so callers can verify weak
 duality.
+
+Pricing and ratio tests run over numpy masks: one vectorized pass marks the
+eligible columns or rows and computes their scores, ratios or step limits,
+and only the few survivors go through the sequential tie loop (ties within
+PIVOT_TOL go to the lowest column). Every comparison and every value is the
+one a plain loop over all columns would make, so pivots, iteration counts and
+result bits do not depend on the vectorization; each basis is still solved
+afresh with ``np.linalg.solve``. A nonbasic column always sits exactly at its
+lower bound, at its upper bound, or at 0 when free, which is what lets
+"parked at upper" be read as ``x == hi``.
 """
 
 import logging
@@ -109,7 +119,7 @@ class SimplexSolver:
     def solve(self, lo=None, hi=None) -> LpResult:
         """Cold two-phase solve under optional structural bound overrides."""
         full_lo, full_hi = self._bounds(lo, hi)
-        if np.any(full_lo > full_hi + self.feas_tol):
+        if (full_lo > full_hi + self.feas_tol).any():
             return LpResult(status=LpStatus.INFEASIBLE)
         return self._cold(full_lo, full_hi)
 
@@ -120,7 +130,7 @@ class SimplexSolver:
         :meth:`solve`, and any numerical trouble falls back to a cold solve.
         """
         full_lo, full_hi = self._bounds(lo, hi)
-        if np.any(full_lo > full_hi + self.feas_tol):
+        if (full_lo > full_hi + self.feas_tol).any():
             return LpResult(status=LpStatus.INFEASIBLE)
         if snapshot is None:
             return self._cold(full_lo, full_hi)
@@ -141,52 +151,43 @@ class SimplexSolver:
             full_hi[: self.d] = hi
         return full_lo, full_hi
 
-    @staticmethod
-    def _parked(j, lo, hi, at_upper):
-        if j in at_upper:
-            return hi[j]
-        if np.isfinite(lo[j]):
-            return lo[j]
-        if np.isfinite(hi[j]):
-            return hi[j]
-        return 0.0
+    def _basic_values(self, A, B, nonbasic, x):
+        """Values of the basic columns (B = A[:, basis]) with the rest held at x."""
+        rhs = self.b - A[:, nonbasic] @ x[nonbasic]
+        return np.linalg.solve(B, rhs)
 
-    def _basic_values(self, A, basis, x):
-        mask = np.ones(A.shape[1], dtype=bool)
-        mask[basis] = False
-        rhs = self.b - A[:, mask] @ x[mask]
-        return np.linalg.solve(A[:, basis], rhs)
-
-    def _result(self, A, basis, x, lo, hi, iterations) -> LpResult:
+    def _result(self, A, basis, x, lo, hi, iterations, priced=None) -> LpResult:
+        """Optimal result; ``priced`` may pass (y, reduced costs) already solved
+        for this exact basis."""
         xs = x[: self.d]
         obj = float(self.c[: self.d] @ xs)
-        c_ext = np.zeros(A.shape[1])
-        c_ext[: self.n] = self.c
-        y = np.linalg.solve(A[:, basis].T, c_ext[basis])
-        red = c_ext - A.T @ y
+        if priced is None:
+            c_ext = np.zeros(A.shape[1])
+            c_ext[: self.n] = self.c
+            y = np.linalg.solve(A[:, basis].T, c_ext[basis])
+            red = c_ext - A.T @ y
+        else:
+            y, red = priced
+        nonbasic = np.ones(A.shape[1], dtype=bool)
+        nonbasic[basis] = False
+        # each nonbasic column's reduced cost times the bound its sign prices,
+        # added to y @ b in column order
+        r, lo_n, hi_n = red[nonbasic], lo[nonbasic], hi[nonbasic]
+        at = np.where((r > DUAL_FEAS_TOL) & np.isfinite(lo_n), lo_n,
+                      np.where((r < -DUAL_FEAS_TOL) & np.isfinite(hi_n), hi_n, x[nonbasic]))
         dual_obj = float(y @ self.b)
-        basic = np.zeros(A.shape[1], dtype=bool)
-        basic[basis] = True
-        for j in np.nonzero(~basic)[0]:
-            if red[j] > DUAL_FEAS_TOL and np.isfinite(lo[j]):
-                dual_obj += red[j] * lo[j]
-            elif red[j] < -DUAL_FEAS_TOL and np.isfinite(hi[j]):
-                dual_obj += red[j] * hi[j]
-            else:
-                dual_obj += red[j] * x[j]
-        frac = [
-            int(j)
-            for j in self.integer_index
-            if abs(xs[j] - round(xs[j])) > self.int_tol
-        ]
+        for term in (r * at).tolist():
+            dual_obj += term
+        ints = self.integer_index
+        vals = xs[ints]
+        frac = ints[np.abs(vals - np.rint(vals)) > self.int_tol].tolist()
         snapshot = None
-        if all(k < self.n for k in basis):
-            at_upper = frozenset(
-                int(j)
-                for j in np.nonzero(~basic[: self.n])[0]
-                if np.isfinite(hi[j]) and abs(x[j] - hi[j]) < abs(x[j] - lo[j])
-            )
-            snapshot = BasisSnapshot(basis=tuple(int(k) for k in basis), at_upper=at_upper)
+        cols = np.asarray(basis)
+        if (cols < self.n).all():
+            n = self.n
+            up = nonbasic[:n] & (x[:n] == hi[:n]) & (lo[:n] != hi[:n])  # parked at upper
+            snapshot = BasisSnapshot(basis=tuple(cols.tolist()),
+                                     at_upper=frozenset(up.nonzero()[0].tolist()))
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
@@ -205,6 +206,10 @@ class SimplexSolver:
         Returns (status, iterations); basis and x are updated in place.
         """
         n_cols = A.shape[1]
+        movable = lo != hi
+        finite_lo = np.isfinite(lo)
+        finite_hi = np.isfinite(hi)
+        free = ~finite_lo & ~finite_hi
         bland = False
         degenerate = 0
         it = 0
@@ -213,59 +218,52 @@ class SimplexSolver:
                 raise _Stalled()
             it += 1
             B = A[:, basis]
-            xb = self._basic_values(A, basis, x)
+            nonbasic = np.ones(n_cols, dtype=bool)
+            nonbasic[basis] = False
+            xb = self._basic_values(A, B, nonbasic, x)
             x[basis] = xb
             y = np.linalg.solve(B.T, c[basis])
             red = c - A.T @ y
 
-            basic = np.zeros(n_cols, dtype=bool)
-            basic[basis] = True
-            enter = -1
-            direction = 0.0
-            best = DUAL_FEAS_TOL
-            for j in range(n_cols):
-                if basic[j] or lo[j] == hi[j]:
-                    continue
-                if not np.isfinite(lo[j]) and not np.isfinite(hi[j]):
-                    score = abs(red[j])  # free: move against the cost sign
-                    dirn = 1.0 if red[j] < 0 else -1.0
-                elif np.isfinite(hi[j]) and abs(x[j] - hi[j]) < abs(x[j] - lo[j]):
-                    score = red[j]  # leaving an upper bound pays when cost is positive
-                    dirn = -1.0
-                else:
-                    score = -red[j]
-                    dirn = 1.0
-                if score > best:
-                    enter, direction, best = j, dirn, score
-                    if bland:
-                        break
-            if enter < 0:
+            # pricing: a free column moves against its cost sign, one parked
+            # at upper pays when its cost is positive, any other when negative
+            at_up = finite_hi & (np.abs(x - hi) < np.abs(x - lo))
+            score = np.where(free, np.abs(red), np.where(at_up, red, -red))
+            eligible = nonbasic & movable & (score > DUAL_FEAS_TOL)
+            if not eligible.any():
                 return LpStatus.OPTIMAL, it
+            if bland:  # first improving column
+                enter = int(np.argmax(eligible))
+            else:  # Dantzig: first column of the largest score
+                enter = int(np.argmax(np.where(eligible, score, -np.inf)))
+            if free[enter]:
+                direction = 1.0 if red[enter] < 0 else -1.0
+            else:
+                direction = -1.0 if at_up[enter] else 1.0
 
             w = np.linalg.solve(B, A[:, enter])
             step = np.inf
             leave_pos = -1
             leave_to_upper = False
-            if np.isfinite(lo[enter]) and np.isfinite(hi[enter]):
+            if finite_lo[enter] and finite_hi[enter]:
                 step = hi[enter] - lo[enter]  # bound flip
-            for k in range(self.m):
-                rate = direction * w[k]
+            # rows whose basic variable the move drives toward a finite bound
+            rate = direction * w
+            lo_b, hi_b, x_b = lo[basis], hi[basis], x[basis]
+            falls = (rate > PIVOT_TOL) & np.isfinite(lo_b)
+            rises = (rate < -PIVOT_TOL) & np.isfinite(hi_b)
+            rows = (falls | rises).nonzero()[0]
+            limit = (x_b[rows] - np.where(falls, lo_b, hi_b)[rows]) / rate[rows]
+            limit = np.where(0.0 > limit, 0.0, limit)  # max(limit, 0.0)
+            # sequential pass: ties within PIVOT_TOL go to the lowest basic column
+            for k, lim, to_upper in zip(rows.tolist(), limit.tolist(), rises[rows].tolist()):
                 bk = basis[k]
-                if rate > PIVOT_TOL and np.isfinite(lo[bk]):
-                    limit = (x[bk] - lo[bk]) / rate
-                    to_upper = False
-                elif rate < -PIVOT_TOL and np.isfinite(hi[bk]):
-                    limit = (x[bk] - hi[bk]) / rate
-                    to_upper = True
-                else:
-                    continue
-                limit = max(limit, 0.0)
-                if limit < step - PIVOT_TOL or (
-                    limit < step + PIVOT_TOL
+                if lim < step - PIVOT_TOL or (
+                    lim < step + PIVOT_TOL
                     and leave_pos >= 0
                     and bk < basis[leave_pos]
                 ):
-                    step = limit
+                    step = lim
                     leave_pos = k
                     leave_to_upper = to_upper
             if not np.isfinite(step):
@@ -288,12 +286,11 @@ class SimplexSolver:
         A = np.zeros((self.m, n_cols))
         A[:, : self.n] = self.A
         x = np.zeros(n_cols)
-        for j in range(self.n):
-            x[j] = lo[j] if np.isfinite(lo[j]) else (hi[j] if np.isfinite(hi[j]) else 0.0)
+        x[: self.n] = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = self.b - A[:, : self.n] @ x[: self.n]
-        for i in range(self.m):
-            A[i, self.n + i] = 1.0 if resid[i] >= 0 else -1.0
-            x[self.n + i] = abs(resid[i])
+        rows = np.arange(self.m)
+        A[rows, self.n + rows] = np.where(resid >= 0, 1.0, -1.0)
+        x[self.n :] = np.abs(resid)
         lo_ext = np.concatenate([lo, np.zeros(self.m)])
         hi_ext = np.concatenate([hi, np.full(self.m, np.inf)])
         basis = list(range(self.n, n_cols))
@@ -347,93 +344,100 @@ class SimplexSolver:
             return LpResult(status=LpStatus.STALLED)
         if status == LpStatus.UNBOUNDED:
             return LpResult(status=LpStatus.UNBOUNDED, iterations=it1 + it2)
-        x[basis] = self._basic_values(A, basis, x)
+        nonbasic = np.ones(n_cols, dtype=bool)
+        nonbasic[basis] = False
+        x[basis] = self._basic_values(A, A[:, basis], nonbasic, x)
         return self._result(A, basis, x, lo_ext, hi_ext, it1 + it2)
 
     # -- dual simplex (warm start) -------------------------------------------
 
     def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
         A = self.A
-        basis = list(snapshot.basis)
-        if len(basis) != self.m or len(set(basis)) != self.m:
+        basis = np.asarray(snapshot.basis, dtype=np.intp)
+        if len(basis) != self.m or len(set(snapshot.basis)) != self.m:
             raise _Singular()
-        basic = np.zeros(self.n, dtype=bool)
-        basic[basis] = True
-        x = np.zeros(self.n)
-        for j in range(self.n):
-            if not basic[j]:
-                x[j] = self._parked(j, lo, hi, snapshot.at_upper)
-                if not np.isfinite(x[j]):
-                    raise _Singular()
+        nonbasic = np.ones(self.n, dtype=bool)
+        nonbasic[basis] = False
+        at_upper = np.zeros(self.n, dtype=bool)
+        at_upper[list(snapshot.at_upper)] = True
+        finite_lo = np.isfinite(lo)
+        movable = lo != hi
+        free = ~finite_lo & ~np.isfinite(hi)
+        # nonbasic columns park at upper when the snapshot says so, else at a
+        # finite bound, else at 0
+        x = np.where(at_upper, hi, np.where(finite_lo, lo, np.where(free, 0.0, hi)))
+        x[basis] = 0.0
+        if not np.isfinite(x).all():
+            raise _Singular()
 
         B = A[:, basis]
         y = np.linalg.solve(B.T, self.c[basis])
         red = self.c - A.T @ y
-        for j in range(self.n):
-            if basic[j] or lo[j] == hi[j]:
-                continue
-            if j in snapshot.at_upper:
-                if red[j] > DUAL_FEAS_TOL:
-                    raise _Singular()  # parent basis is not dual feasible here
-            elif np.isfinite(lo[j]):
-                if red[j] < -DUAL_FEAS_TOL:
-                    raise _Singular()
-            elif abs(red[j]) > DUAL_FEAS_TOL:
-                raise _Singular()
+        wrong_sign = np.where(at_upper, red > DUAL_FEAS_TOL,
+                              np.where(finite_lo, red < -DUAL_FEAS_TOL,
+                                       np.abs(red) > DUAL_FEAS_TOL))
+        if (wrong_sign & nonbasic & movable).any():
+            raise _Singular()  # parent basis is not dual feasible here
 
+        # A position is chosen only if its violation beats the running worst
+        # (which starts at feas_tol) or comes within PIVOT_TOL of it; each of
+        # at most 2m choices lowers the worst by under PIVOT_TOL, so no chosen
+        # violation is at or below this floor.
+        floor = self.feas_tol - 2 * self.m * PIVOT_TOL
         it = 0
         while True:
             if it > self.max_iter:
                 raise _Stalled()
             it += 1
             B = A[:, basis]
-            xb = self._basic_values(A, basis, x)
+            xb = self._basic_values(A, B, nonbasic, x)
             x[basis] = xb
 
+            under = lo[basis] - xb
+            over = xb - hi[basis]
             leave_pos = -1
             worst = self.feas_tol
             below = False
-            for k in range(self.m):
+            for k in ((under > floor) | (over > floor)).nonzero()[0].tolist():
                 bk = basis[k]
-                if lo[bk] - x[bk] > worst or (
-                    lo[bk] - x[bk] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
+                if under[k] > worst or (
+                    under[k] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
                 ):
-                    worst = lo[bk] - x[bk]
+                    worst = under[k]
                     leave_pos, below = k, True
-                if x[bk] - hi[bk] > worst or (
-                    x[bk] - hi[bk] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
+                if over[k] > worst or (
+                    over[k] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
                 ):
-                    worst = x[bk] - hi[bk]
+                    worst = over[k]
                     leave_pos, below = k, False
             if leave_pos < 0:
-                return self._result(A, basis, x, lo, hi, it)
+                # without a pivot the basis is still the one priced above
+                return self._result(A, basis, x, lo, hi, it, (y, red) if it == 1 else None)
 
-            y = np.linalg.solve(B.T, self.c[basis])
-            red = self.c - A.T @ y
+            if it > 1:
+                y = np.linalg.solve(B.T, self.c[basis])
+                red = self.c - A.T @ y
             e_k = np.zeros(self.m)
             e_k[leave_pos] = 1.0
             v = np.linalg.solve(B.T, e_k)
             alpha = v @ A
 
-            basic = np.zeros(self.n, dtype=bool)
-            basic[basis] = True
+            # columns whose move pushes the leaving value back toward its bound
+            at_up = x == hi
+            pos = alpha > PIVOT_TOL
+            neg = alpha < -PIVOT_TOL
+            if below:  # basic value must rise
+                ok = np.where(at_up, pos, neg) | (free & pos)
+            else:  # basic value must fall
+                ok = np.where(at_up, neg, pos) | (free & neg)
+            cols = (ok & nonbasic & movable).nonzero()[0]
+            ratios = np.abs(red[cols]) / np.abs(alpha[cols])
+            # sequential pass in column order: a ratio must undercut the best
+            # by more than PIVOT_TOL, so near-ties keep the lower column
             enter = -1
             best = np.inf
-            for j in range(self.n):
-                if basic[j] or lo[j] == hi[j]:
-                    continue
-                if not np.isfinite(lo[j]) and not np.isfinite(hi[j]):
-                    ok = abs(alpha[j]) > PIVOT_TOL  # free: either direction works
-                else:
-                    at_up = np.isfinite(hi[j]) and abs(x[j] - hi[j]) < abs(x[j] - lo[j])
-                    if below:  # basic value must rise
-                        ok = (not at_up and alpha[j] < -PIVOT_TOL) or (at_up and alpha[j] > PIVOT_TOL)
-                    else:  # basic value must fall
-                        ok = (not at_up and alpha[j] > PIVOT_TOL) or (at_up and alpha[j] < -PIVOT_TOL)
-                if not ok:
-                    continue
-                ratio = abs(red[j]) / abs(alpha[j])
-                if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and (enter < 0 or j < enter)):
+            for j, ratio in zip(cols.tolist(), ratios.tolist()):
+                if ratio < best - PIVOT_TOL:
                     best = ratio
                     enter = j
             if enter < 0:
@@ -442,5 +446,5 @@ class SimplexSolver:
             leaving = basis[leave_pos]
             x[leaving] = lo[leaving] if below else hi[leaving]
             basis[leave_pos] = enter
-            basic[leaving] = False
-            basic[enter] = True
+            nonbasic[leaving] = True
+            nonbasic[enter] = False

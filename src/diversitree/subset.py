@@ -18,7 +18,8 @@ Methods:
   from the running distance sums of the chosen set; a start whose set was
   already searched is skipped, since its local optimum is the same.
 * ``exact``: brute force over all combinations, permitted only while
-  C(n, p) stays at or below two million.
+  C(n, p) stays at or below two million. Combinations are scored in
+  blocks of ``EXACT_CHUNK`` rows, each pair-sum a sum of exact counts.
 
 Greedy variants break ties toward the lowest solution index: the lowest
 added index, the lowest (out, in) swap in that order, the lowest dropped
@@ -37,6 +38,7 @@ import numpy as np
 from .diversity import pairwise_ham
 
 EXACT_LIMIT = 2_000_000
+EXACT_CHUNK = 65_536
 DENSE_LIMIT_BYTES = 1 << 30
 SWAP_CAP_FACTOR = 50
 METHODS = ("greedy", "greedy_swap", "exact")
@@ -159,21 +161,34 @@ def _greedy_swap(dist: np.ndarray, p: int) -> list:
 
 def _exact(dist: np.ndarray, p: int, projections: np.ndarray) -> list:
     n = dist.shape[0]
-    best_sum = -1
+    pairs = list(itertools.combinations(range(p), 2))
+    combos = itertools.combinations(range(n), p)
+    best_sum = -1.0
     best = None
     best_key = None
-    for combo in itertools.combinations(range(n), p):
-        s = pair_sum(dist, combo)
-        if s > best_sum:
-            best_sum, best, best_key = s, combo, None
-        elif s == best_sum:
+    while True:  # score EXACT_CHUNK combinations (rows) at a time
+        block = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, EXACT_CHUNK)),
+                            dtype=np.intp).reshape(-1, p)
+        if not len(block):
+            return list(best)
+        sums = np.zeros(len(block))
+        for a, b in pairs:
+            sums += dist[block[:, a], block[:, b]]
+        top = sums.max()
+        if top < best_sum:
+            continue
+        rows = np.flatnonzero(sums == top)
+        if top > best_sum:
+            best_sum, best, best_key = top, tuple(block[rows[0]].tolist()), None
+            rows = rows[1:]
+        for r in rows:
             # tie: prefer canonically smallest content, not pool position
+            combo = tuple(block[r].tolist())
             if best_key is None:
                 best_key = _content_key(projections, best)
             key = _content_key(projections, combo)
             if key < best_key:
                 best, best_key = combo, key
-    return list(best)
 
 
 def _content_key(projections: np.ndarray, combo) -> tuple:

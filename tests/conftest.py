@@ -160,6 +160,20 @@ def oracle_greedy_swap(dist, p):
     return best
 
 
+def oracle_exact(projections, p):
+    """Every p-combination in order: the largest integer pair-sum wins, ties
+    go to the smallest sorted row content, equal content to the earliest."""
+    rows = [tuple(int(v) for v in r) for r in projections]
+    dist = oracle_ham_counts(projections)
+    best, best_sum, best_key = None, -1, None
+    for combo in itertools.combinations(range(len(rows)), p):
+        val = oracle_int_pair_sum(dist, combo)
+        key = sorted(rows[i] for i in combo)
+        if val > best_sum or (val == best_sum and key < best_key):
+            best, best_sum, best_key = list(combo), val, key
+    return best
+
+
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------
 
 def scipy_lp(instance, lo=None, hi=None):

@@ -432,3 +432,4 @@ class TestOpenNodeQueue:
                 bounds = [n.lp_bound for n in q]
                 assert q.min_bound() == min(bounds)
                 assert q.max_bound() == max(bounds)
+                assert q.min_id() == min((n.lp_bound, n.id) for n in q)[1]

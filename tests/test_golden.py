@@ -1,0 +1,322 @@
+"""Golden count-phase fingerprints.
+
+The values below were computed by the loop-based simplex and the rescanning
+node selector that preceded the masked pricing and the heap dequeue. Those
+two rewrites promise to change no pivot, no bound bit and no dequeue, so
+every trace hash, pool, objective repr and warm-solve result must stay
+exactly as pinned. A change that moves one of them on purpose must update
+the value here and say why.
+
+``python tests/test_golden.py`` prints the current values in the form they
+are pinned in.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import make_lp
+from diversitree import (
+    ExperimentSpec,
+    SelectorConfig,
+    SimplexSolver,
+    parse_mps,
+    preset,
+    random_binary_instance,
+    run_phase_one,
+    two_cluster_instance,
+)
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+SHIPPED = sorted(p.name for p in INSTANCES.glob("*.mps"))
+
+RAND_CFG = SelectorConfig(rule="diversitree", alpha=0.94, beta=0.06, sol_cutoff=0.2)
+SHIPPED_RULES = {
+    "bestfs": SelectorConfig(rule="bestfs"),
+    "dbfs-ad": SelectorConfig(rule="dbfs-ad", alpha=0.6, depth_cutoff=2),
+}
+
+
+def count_cases():
+    """name -> (instance factory, spec) for every pinned count-phase run."""
+    cases = {
+        "two_cluster_instance(14, 2) hhl": (
+            lambda: two_cluster_instance(14, 2),
+            ExperimentSpec(q=0.05, p1=None, selector=preset("hhl"))),
+    }
+    for k in range(3):
+        cases[f"random_binary_instance({k}, 30, 12) diversitree"] = (
+            lambda k=k: random_binary_instance(k, 30, 12),
+            ExperimentSpec(q=0.1, p1=60, selector=RAND_CFG))
+    for name in SHIPPED:
+        for rule, cfg in SHIPPED_RULES.items():
+            cases[f"{name} {rule}"] = (
+                lambda name=name: parse_mps(str(INSTANCES / name)),
+                ExperimentSpec(q=0.3, p1=None, selector=cfg))
+    return cases
+
+
+def count_fingerprint(name):
+    """(trace hash, pool size, sha256 of repr(pool objectives)) of one run."""
+    factory, spec = count_cases()[name]
+    _, count = run_phase_one(factory(), spec)
+    objectives = repr(count.pool.objectives).encode()
+    return count.trace_hash, len(count.pool), hashlib.sha256(objectives).hexdigest()
+
+
+def _bits(value):
+    return None if value is None else repr(float(value))
+
+
+def lp_fingerprint(res):
+    """Every field of an LpResult, floats by repr and x by its bytes."""
+    snap = res.basis
+    return (
+        res.status.value,
+        _bits(res.objective),
+        _bits(res.dual_objective),
+        None if res.x is None else hashlib.sha256(res.x.tobytes()).hexdigest()[:16],
+        res.fractional,
+        None if snap is None else list(snap.basis),
+        None if snap is None else sorted(snap.at_upper),
+        res.iterations,
+    )
+
+
+def warm_sequence(instance, calls):
+    """The root's cold solve, then ``calls`` warm resolves down a
+    breadth-first tree. A node splits on its lowest fractional column, or,
+    when its LP is integral, on its lowest unfixed integer column."""
+    solver = SimplexSolver(instance)
+    lo0, hi0 = (np.asarray(b, dtype=float) for b in instance.bounds())
+    root = solver.solve(lo0, hi0)
+    out = [lp_fingerprint(root)]
+    frontier = [(root, lo0, hi0)]
+    while frontier and len(out) <= calls:
+        lp, lo, hi = frontier.pop(0)
+        unfixed = [j for j in instance.integer_index if hi[j] > lo[j]]
+        if not lp.is_optimal or not unfixed:
+            continue
+        j = lp.fractional[0] if lp.fractional else unfixed[0]
+        v = lp.x[j] if lp.fractional else min(round(lp.x[j]), hi[j] - 1)
+        down_hi, up_lo = hi.copy(), lo.copy()
+        down_hi[j] = math.floor(v)
+        up_lo[j] = math.floor(v) + 1
+        for clo, chi in ((lo, down_hi), (up_lo, hi)):
+            child = solver.resolve(lp.basis, clo, chi)
+            out.append(lp_fingerprint(child))
+            frontier.append((child, clo, chi))
+    return out[: calls + 1]
+
+
+def random_lp_digest(seeds=range(150)):
+    """sha256 over the cold solve and two warm children of many random LPs."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        inst = make_lp(seed, n=3 + seed % 8, m=2 + seed % 9)
+        solver = SimplexSolver(inst)
+        parent = solver.solve()
+        h.update(repr(lp_fingerprint(parent)).encode())
+        if not parent.is_optimal:
+            continue
+        lo0, hi0 = (np.asarray(b, dtype=float) for b in inst.bounds())
+        j = seed % inst.num_vars
+        hi, lo = hi0.copy(), lo0.copy()
+        hi[j] = max(lo0[j], math.floor(parent.x[j] - 0.5))
+        lo[j] = min(hi0[j], math.ceil(parent.x[j] + 0.5))
+        for clo, chi in ((lo0, hi), (lo, hi0)):
+            h.update(repr(lp_fingerprint(solver.resolve(parent.basis, clo, chi))).encode())
+    return h.hexdigest()
+
+
+# (trace hash, pool size, sha256 of repr(pool objectives))
+GOLDEN_COUNT = {
+    'cluster_n10_r2.mps bestfs': (
+        'dca452303f76b0301b0d8ba243fb8c06ec0f3ff1bad3a6bd675cb2e83243cf0a',
+        112, '290631a8bdbdec6ed0ec727ee1568fabe6e3f5147d83c1f38566c89da77bd9fc'),
+    'cluster_n10_r2.mps dbfs-ad': (
+        '65a34bce8d9f3bc27ce6f4cbe46d49c824f0269ce93c066b3c7c0b3e32b143ae',
+        112, '4e1edddc2d8a01ffe1449f791db9cfa6026cb619b8f2a840cc0fde889fbd6f4c'),
+    'cluster_n8_r1.mps bestfs': (
+        'e32cdb2af9da7bc2387db5aedcc31ed44c7fa9377600ae8377cb17e02887f089',
+        18, '2199ebfad456614410c560beb7e956f95df5d4f906abb15ed8164bf8e7db4d54'),
+    'cluster_n8_r1.mps dbfs-ad': (
+        'de45ef18a6673d938c892fadf98c981cef101a43f7b742c134a257832d4e099c',
+        18, '5e35be78b0b8ffecdaffd009c3767751c06dbad3d216a02ac626ba23bed5237d'),
+    'genint.mps bestfs': (
+        'ec0fe7d324044226b48db9f29b6e54e47279adc6187a5544b1d57a6de7aa8cba',
+        1, 'c2272c0a862f11de35da66ec8be34349001ddebae43b85ab1dafb188f8ad7b30'),
+    'genint.mps dbfs-ad': (
+        'ec0fe7d324044226b48db9f29b6e54e47279adc6187a5544b1d57a6de7aa8cba',
+        1, 'c2272c0a862f11de35da66ec8be34349001ddebae43b85ab1dafb188f8ad7b30'),
+    'knap3.mps bestfs': (
+        'da0f16cf338c9b37c0effc1c8d3959426bfb17e38b9c3d62b27b6737c356fa57',
+        2, '25fd6ac30c9ef7ffb15bab018fac08f44252855f5ba70b9bfe71adb376e26289'),
+    'knap3.mps dbfs-ad': (
+        'da0f16cf338c9b37c0effc1c8d3959426bfb17e38b9c3d62b27b6737c356fa57',
+        2, '25fd6ac30c9ef7ffb15bab018fac08f44252855f5ba70b9bfe71adb376e26289'),
+    'mixed4.mps bestfs': (
+        '44f01963062f20a22bb142bc031929c049101057496bce92ac7854b7f29d9415',
+        2, '37bcad8d91fccc9a466323420a6184a34c9d942fb9251285cec4301f60452bdc'),
+    'mixed4.mps dbfs-ad': (
+        '44f01963062f20a22bb142bc031929c049101057496bce92ac7854b7f29d9415',
+        2, '37bcad8d91fccc9a466323420a6184a34c9d942fb9251285cec4301f60452bdc'),
+    'rand0.mps bestfs': (
+        '4d58244e6a3eb2ef092fac42219200892dd90a0842889abcab45cfe8e00305b6',
+        23, 'b59063d8127ac145ccdfd03dceceb72b90dbeb8e5736cc3562559968e7ea254c'),
+    'rand0.mps dbfs-ad': (
+        'a01552a647054c214661fea3b0a60c9fe7c279e6f0f9a02218ad50b886e8030c',
+        23, '861d7a22799f830f221c93d46dfe00e4de0e2831614013202861db0b9501a7df'),
+    'rand1.mps bestfs': (
+        'f05385c6194d82f608e9d6542f62613f42db47198b282764a50273ce1711f963',
+        22, '215c3e2956b839a010a2b77b7610e147ff22c1060c54cd805ed4129adc69d8d0'),
+    'rand1.mps dbfs-ad': (
+        '0c255d5cf8ae2b68249fe1ab5b7987059578409a50519be111c8e312703b3704',
+        22, 'b36bb9ac87715a13965fb0f0e79d91d5ef164a78dd3252e610c7c30f023e6788'),
+    'rand2.mps bestfs': (
+        'dfd2d7dc4fd233df9666d44ea67435f43c0bce35ebc537e8419581aa02ccb1b5',
+        22, 'b2a0253a81b21a7d6cbad8ac2252f36490c67f04307a03ea646d41d5aa8da93a'),
+    'rand2.mps dbfs-ad': (
+        'd7cbf7a73e831815f03b922b04807379542a854a913545ffbbaaa4eb8e222f12',
+        22, 'b2a0253a81b21a7d6cbad8ac2252f36490c67f04307a03ea646d41d5aa8da93a'),
+    'random_binary_instance(0, 30, 12) diversitree': (
+        '5a3d2bc2966536d08934f36ae5df284973fbc5538d497d9672e39b8380809acf',
+        60, '76b20aab83d1514457653f8dc94c30e072b2e85a257c089391df88a5448fe226'),
+    'random_binary_instance(1, 30, 12) diversitree': (
+        '852370aee438801b81bdfc4137d7dc2afdd0f8c053acb26b18a4bb765c1c9b3a',
+        60, '0ecf11f0a5c50cc7a63e82383f2e31f04cad880d6085d1455cb61967c594e046'),
+    'random_binary_instance(2, 30, 12) diversitree': (
+        '520cb4ecc05ff29216abe8ac9e4bf121676cc2bf0e40a5cd80165ddfdf3c11b1',
+        60, 'def0d47a2b0a073280587d8f9f6e56b0a6a94a9299a4ece0a7ce66917b6ea6f9'),
+    'two_cluster_instance(14, 2) hhl': (
+        'd6cdff9adce69185db47e03678e3c6a1ffe3c88294c786f27a7cb2a0c2601c93',
+        212, '659d030ca8e30d3100f8c005430113e46b21d7ce2564f5a3744177047568f41b'),
+}
+
+# lp_fingerprint of the root solve, then of each warm resolve
+GOLDEN_WARM_RAND0 = [
+    ('optimal', '-35.8', '-35.8', '23382131ee227916',
+     [0, 2], [2, 11, 0], [3, 4, 5, 6, 7, 8, 12], 18),
+    ('optimal', '-34.0', '-34.0', '429cedd55d725a6a',
+     [2], [2, 11, 8], [3, 4, 5, 6, 7, 12], 2),
+    ('optimal', '-31.5', '-31.5', '8124c226dc69089c',
+     [1], [1, 11, 10], [2, 3, 4, 5, 6, 7, 8, 12], 3),
+    ('optimal', '-31.0', '-31.0', '0deb53b6eeb04ee7',
+     [], [1, 11, 8], [3, 4, 5, 6, 7, 12], 2),
+    ('optimal', '-34.0', '-34.0', '163b156c9b8f4a31',
+     [], [12, 11, 8], [3, 4, 5, 6, 7], 2),
+    ('infeasible', None, None, None,
+     None, None, None, 1),
+    ('optimal', '-30.0', '-30.0', '6f814e71bc5d03aa',
+     [2], [2, 11, 10], [3, 4, 5, 6, 7, 8, 12], 2),
+    ('infeasible', None, None, None,
+     None, None, None, 2),
+    ('optimal', '-31.0', '-31.0', '0deb53b6eeb04ee7',
+     [], [1, 11, 8], [3, 4, 5, 6, 7, 12], 1),
+    ('optimal', '-34.0', '-34.0', '163b156c9b8f4a31',
+     [], [12, 11, 8], [3, 4, 5, 6, 7], 1),
+    ('optimal', '-31.0', '-31.0', '3ae97face0e3e434',
+     [], [12, 11, 8], [3, 4, 5, 6, 7], 1),
+    ('infeasible', None, None, None,
+     None, None, None, 1),
+    ('optimal', '-30.0', '-30.0', 'bae940babf649712',
+     [], [12, 11, 10], [3, 4, 5, 6, 7, 8], 2),
+    ('optimal', '-27.0', '-27.0', 'e6e674c1563238de',
+     [], [1, 11, 8], [4, 5, 6, 7, 12], 1),
+    ('optimal', '-31.0', '-31.0', '0deb53b6eeb04ee7',
+     [], [1, 11, 8], [4, 5, 6, 7, 12], 1),
+    ('optimal', '-30.0', '-30.0', '61d74ddd4a65764d',
+     [], [12, 11, 8], [4, 5, 6, 7], 1),
+    ('optimal', '-34.0', '-34.0', '163b156c9b8f4a31',
+     [], [12, 11, 8], [4, 5, 6, 7], 1),
+    ('optimal', '-27.0', '-27.0', '56075e59e5d9e763',
+     [], [12, 11, 8], [4, 5, 6, 7], 1),
+    ('optimal', '-31.0', '-31.0', '3ae97face0e3e434',
+     [], [12, 11, 8], [4, 5, 6, 7], 1),
+    ('optimal', '-26.0', '-26.0', '84f7e0f68435074b',
+     [], [12, 11, 10], [4, 5, 6, 7, 8], 1),
+    ('optimal', '-30.0', '-30.0', 'bae940babf649712',
+     [], [12, 11, 10], [4, 5, 6, 7, 8], 1),
+    ('optimal', '-23.0', '-23.0', 'adcae6169c5912dd',
+     [], [1, 11, 8], [5, 6, 7, 12], 1),
+    ('optimal', '-27.0', '-27.0', 'e6e674c1563238de',
+     [], [1, 11, 8], [5, 6, 7, 12], 1),
+    ('optimal', '-27.0', '-27.0', '374767d9981214c1',
+     [], [1, 11, 8], [5, 6, 7, 12], 1),
+    ('optimal', '-31.0', '-31.0', '0deb53b6eeb04ee7',
+     [], [1, 11, 8], [5, 6, 7, 12], 1),
+    ('optimal', '-26.0', '-26.0', 'b26e7a22d4c6098f',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-30.0', '-30.0', '61d74ddd4a65764d',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-30.0', '-30.0', '2db09576bb78e649',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-34.0', '-34.0', '163b156c9b8f4a31',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-23.0', '-23.0', '75aed4ae85f7697c',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-27.0', '-27.0', '56075e59e5d9e763',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-27.0', '-27.0', '7f44275a1dfa4825',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-31.0', '-31.0', '3ae97face0e3e434',
+     [], [12, 11, 8], [5, 6, 7], 1),
+    ('optimal', '-22.0', '-22.0', '9dc7e687a2045fc6',
+     [], [12, 11, 10], [5, 6, 7, 8], 1),
+    ('optimal', '-26.0', '-26.0', '84f7e0f68435074b',
+     [], [12, 11, 10], [5, 6, 7, 8], 1),
+    ('optimal', '-26.0', '-26.0', '60243f4d3d0ccffd',
+     [], [12, 11, 10], [5, 6, 7, 8], 1),
+    ('optimal', '-30.0', '-30.0', 'bae940babf649712',
+     [], [12, 11, 10], [5, 6, 7, 8], 1),
+    ('optimal', '-14.0', '-14.0', 'fba46c0953aac506',
+     [], [1, 11, 8], [6, 7, 12], 1),
+    ('optimal', '-23.0', '-23.0', 'adcae6169c5912dd',
+     [], [1, 11, 8], [6, 7, 12], 1),
+    ('optimal', '-18.0', '-18.0', 'fff464db6cd55bc3',
+     [], [1, 11, 8], [6, 7, 12], 1),
+    ('optimal', '-27.0', '-27.0', 'e6e674c1563238de',
+     [], [1, 11, 8], [6, 7, 12], 1),
+]
+
+GOLDEN_RANDOM_LP_DIGEST = '9bd06fdf02e8c48e461707deccb421c145f5e15cb221e1007d17b4d55ed39156'
+
+
+class TestCountPhaseGolden:
+    def test_every_case_is_pinned(self):
+        assert sorted(GOLDEN_COUNT) == sorted(count_cases())
+
+    @pytest.mark.parametrize("name", sorted(count_cases()))
+    def test_trace_hash_pool_and_objectives(self, name):
+        assert count_fingerprint(name) == GOLDEN_COUNT[name]
+
+
+class TestSimplexGolden:
+    def test_warm_resolves_on_rand0(self):
+        got = warm_sequence(parse_mps(str(INSTANCES / "rand0.mps")), len(GOLDEN_WARM_RAND0) - 1)
+        assert got == GOLDEN_WARM_RAND0
+
+    def test_random_lp_cold_and_warm_digest(self):
+        assert random_lp_digest() == GOLDEN_RANDOM_LP_DIGEST
+
+
+def _pinned_source():
+    """The three pinned values, as Python source."""
+    lines = ["# (trace hash, pool size, sha256 of repr(pool objectives))", "GOLDEN_COUNT = {"]
+    for name in sorted(count_cases()):
+        trace, size, objectives = count_fingerprint(name)
+        lines += [f"    {name!r}: (", f"        {trace!r},", f"        {size}, {objectives!r}),"]
+    lines += ["}", "", "# lp_fingerprint of the root solve, then of each warm resolve",
+              "GOLDEN_WARM_RAND0 = ["]
+    for fp in warm_sequence(parse_mps(str(INSTANCES / "rand0.mps")), 40):
+        lines += [f"    ({', '.join(map(repr, fp[:4]))},",
+                  f"     {', '.join(map(repr, fp[4:]))}),"]
+    lines += ["]", "", f"GOLDEN_RANDOM_LP_DIGEST = {random_lp_digest()!r}"]
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(_pinned_source())

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import enum_pure_integer
 from diversitree import BranchAndCount, add_objective_cutoff
-from diversitree.engine import Node, SolutionPool
+from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.generators import knapsack_instance, random_binary_instance
 from diversitree.model import LE, LinearConstraint, MipInstance, VariableDef
 from diversitree.selectors import (
@@ -238,6 +238,92 @@ class TestBestFirstReduction:
             cfg = SelectorConfig(rule=rule, alpha=0.0, beta=0.0, sol_cutoff=0.0)
             res = BranchAndCount(cut, selector=cfg).run()
             assert res.trace_hash == base.trace_hash, (rule, inst.name)
+
+
+class TestBoundOrderDequeue:
+    """Where every score is the scaled bound, the (bound, id) heap front is the scan's pick."""
+
+    GATED = {
+        "bestfs": (SelectorConfig(rule="bestfs"), {}),
+        "diversitree": (SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
+                                       sol_cutoff=0.5), {"p1": None}),
+        "dbfs-as": (SelectorConfig(rule="dbfs-as", alpha=0.9, sol_cutoff=0.5),
+                    {"p1": 40, "found": 19}),
+        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=99), {}),
+    }
+    OPEN = {
+        "dbfs-a": (SelectorConfig(rule="dbfs-a", alpha=0.9), {}),
+        "diversitree": (SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
+                                       sol_cutoff=0.5), {"p1": 40, "found": 20}),
+        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=0), {}),
+        "dfs": (SelectorConfig(rule="dfs"), {}),
+        "he": (SelectorConfig(rule="he"), {}),
+    }
+
+    @staticmethod
+    def random_traffic(seed, steps=300):
+        """Open sets under random pushes and pops, bounds drawn from five values."""
+        rng = np.random.default_rng(seed)
+        q = OpenNodeQueue()
+        for nid in range(steps):
+            if len(q) and rng.random() < 0.45:
+                q.pop(int(rng.choice(sorted(q.nodes))))
+            else:
+                fixed = {int(j): int(rng.integers(0, 2))
+                         for j in rng.choice(4, size=int(rng.integers(0, 5)), replace=False)}
+                q.push(make_node(nid, bound=float(rng.integers(-2, 3)) / 4,
+                                 depth=int(rng.integers(0, 8)), fixed=fixed))
+            if len(q):
+                yield q
+
+    @pytest.mark.parametrize("rule", sorted(GATED))
+    def test_heap_front_equals_the_scan(self, rule):
+        cfg, kw = self.GATED[rule]
+        pool = make_pool([[0, 1, 1, 0], [1, 1, 0, 0]])
+        sel = Selector(cfg, num_integer_vars=4)
+        checked = 0
+        for seed in range(4):
+            for q in self.random_traffic(seed):
+                ctx = ctx_for(pool, q.min_bound(), q.max_bound(), **kw)
+                assert sel.bound_order(ctx)
+                assert q.min_id() == sel.select(q, ctx)
+                checked += 1
+        assert checked > 600
+
+    @pytest.mark.parametrize("rule", sorted(OPEN))
+    def test_ungated_rules_keep_the_scan(self, rule):
+        cfg, kw = self.OPEN[rule]
+        ctx = ctx_for(make_pool([[0, 1, 1, 0]]), 0.0, 1.0, **kw)
+        assert not Selector(cfg, num_integer_vars=4).bound_order(ctx)
+
+    def test_an_infinite_spread_keeps_the_scan(self):
+        # every scaled bound is 0, so the scan takes the lowest id, not the least bound
+        q = OpenNodeQueue()
+        q.push(make_node(0, bound=1e308))
+        q.push(make_node(1, bound=-1e308))
+        sel = Selector(SelectorConfig(rule="bestfs"))
+        ctx = ctx_for(EMPTY, q.min_bound(), q.max_bound())
+        assert not sel.bound_order(ctx)
+        assert (sel.select(q, ctx), q.min_id()) == (0, 1)
+
+    def test_depth_gated_run_leaves_the_heap_once_the_gate_latches(self, monkeypatch):
+        inst = random_binary_instance(1)
+        z, _ = enum_pure_integer(inst, 0.1)
+        cut = add_objective_cutoff(inst, z, 0.1)
+        cfg = SelectorConfig(rule="dbfs-ad", alpha=0.6, depth_cutoff=3)
+        used = []
+        min_id, select = OpenNodeQueue.min_id, Selector.select
+        monkeypatch.setattr(OpenNodeQueue, "min_id",
+                            lambda q: used.append("heap") or min_id(q))
+        monkeypatch.setattr(Selector, "select",
+                            lambda s, q, ctx: used.append("scan") or select(s, q, ctx))
+        fast = BranchAndCount(cut, selector=cfg).run()
+        first_scan = used.index("scan")
+        assert first_scan > 0 and "heap" not in used[first_scan:]
+
+        monkeypatch.setattr(Selector, "bound_order", lambda s, ctx: False)
+        scanned = BranchAndCount(cut, selector=cfg).run()
+        assert scanned.trace_hash == fast.trace_hash
 
 
 class TestPresets:

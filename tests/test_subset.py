@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    oracle_exact,
     oracle_greedy,
     oracle_greedy_swap,
     oracle_ham_counts,
@@ -172,6 +173,19 @@ class TestExactTies:
         assert oracle_pair_sum(proj, [0, 2, 4, 5]) * 3 == pytest.approx(11)
         assert oracle_greedy_swap(dist, 4) == [0, 2, 3, 5]
         assert select_diverse_subset(proj, 4, "greedy_swap") == [0, 2, 3, 5]
+
+    @pytest.mark.parametrize("chunk", [subset.EXACT_CHUNK, 7])
+    def test_exact_matches_the_plain_loop_search(self, monkeypatch, chunk):
+        # a 7-row chunk splits most searches, and their ties, across blocks
+        monkeypatch.setattr(subset, "EXACT_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        for k in range(50):
+            n = int(rng.integers(4, 13))
+            proj = rng.integers(0, 2, size=(n, int(rng.integers(2, 7))))
+            if k % 3 == 0:  # copy a third of the rows over others
+                proj[rng.integers(0, n, size=n // 3)] = proj[rng.integers(0, n, size=n // 3)]
+            p = int(rng.integers(2, min(n, 5) + 1))
+            assert select_diverse_subset(proj, p, "exact") == oracle_exact(proj, p), k
 
     @pytest.mark.parametrize("method", ["greedy", "greedy_swap"])
     def test_identical_rows_give_the_lowest_indices(self, method):
