@@ -1,10 +1,10 @@
 """Golden count-phase fingerprints.
 
 The values below were computed by the loop-based simplex and the rescanning
-node selector that preceded the masked pricing and the heap dequeue. Those
-two rewrites promise to change no pivot, no bound bit and no dequeue, so
-every trace hash, pool, objective repr and warm-solve result must stay
-exactly as pinned. A change that moves one of them on purpose must update
+node selector that preceded the masked pricing, the heap dequeue and the
+array-scored open set. Those rewrites promise to change no pivot, no bound
+bit and no dequeue, so every trace hash, pool, objective repr and
+warm-solve result must stay exactly as pinned. A change that moves one of them on purpose must update
 the value here and say why.
 
 ``python tests/test_golden.py`` prints the current values in the form they
@@ -38,6 +38,9 @@ SHIPPED_RULES = {
     "bestfs": SelectorConfig(rule="bestfs"),
     "dbfs-ad": SelectorConfig(rule="dbfs-ad", alpha=0.6, depth_cutoff=2),
 }
+# every other rule, once as published (bonus D/H) and once with literal +D/+H
+RAND_RULES = ["dbfs-a", "dbfs-ab", "dbfs-as", "dbfs-min", "dbfs-max", "dbfs-prod",
+              "uct", "he", "dfs", "brfs"]
 
 
 def count_cases():
@@ -51,6 +54,15 @@ def count_cases():
         cases[f"random_binary_instance({k}, 30, 12) diversitree"] = (
             lambda k=k: random_binary_instance(k, 30, 12),
             ExperimentSpec(q=0.1, p1=60, selector=RAND_CFG))
+    for k in range(2):
+        for rule in RAND_RULES:
+            for literal in (False, True):
+                cfg = SelectorConfig(rule=rule, alpha=0.6, beta=0.3, sol_cutoff=0.2,
+                                     literal_score=literal)
+                suffix = " literal" if literal else ""
+                cases[f"random_binary_instance({k}, 30, 12) {rule}{suffix}"] = (
+                    lambda k=k: random_binary_instance(k, 30, 12),
+                    ExperimentSpec(q=0.1, p1=60, selector=cfg))
     for name in SHIPPED:
         for rule, cfg in SHIPPED_RULES.items():
             cases[f"{name} {rule}"] = (
@@ -182,12 +194,132 @@ GOLDEN_COUNT = {
     'rand2.mps dbfs-ad': (
         'd7cbf7a73e831815f03b922b04807379542a854a913545ffbbaaa4eb8e222f12',
         22, 'b2a0253a81b21a7d6cbad8ac2252f36490c67f04307a03ea646d41d5aa8da93a'),
+    'random_binary_instance(0, 30, 12) brfs': (
+        '0e967b77731172b9f0faa7c38958830b6968a6a97da0e117b93e6e8e4d408242',
+        60, 'e05ee8e9c7257ab2156ac5753e64d38546058fa734a3bd2dd406d3f595a47db4'),
+    'random_binary_instance(0, 30, 12) brfs literal': (
+        '0e967b77731172b9f0faa7c38958830b6968a6a97da0e117b93e6e8e4d408242',
+        60, 'e05ee8e9c7257ab2156ac5753e64d38546058fa734a3bd2dd406d3f595a47db4'),
+    'random_binary_instance(0, 30, 12) dbfs-a': (
+        'd9501f3c13cf0dfd319f84bfcc839bd0c489d4f8f88369aad2110d035158024f',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-a literal': (
+        'a56e592ad2557a4c58d07d34174c4a5b1f08db141957661290e294a1fc856648',
+        60, '015cd65476684981d12e7a76cfdf48bdd589fc480ac760d4f69429344ff20ac6'),
+    'random_binary_instance(0, 30, 12) dbfs-ab': (
+        '69640d3d588e83a75cf64be4f2d10c5c4c49432d3d4f57c6385c650a6dffaaed',
+        60, '0802d889f02405f08f9caf3180da26e948c80441f9a3ac5dff6feccf88cebbf0'),
+    'random_binary_instance(0, 30, 12) dbfs-ab literal': (
+        '2fec579556f70b92cdc2bb1efe652a1070599028490fd99a9bb06e7912bbd219',
+        60, '7eb3c04880408263d41c88908463cb59fa512e650a8a111a07d447342f139822'),
+    'random_binary_instance(0, 30, 12) dbfs-as': (
+        '93be95ad946e9523dbe5c1f9886a0a26e435465247a11153f8879c8dc1289845',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-as literal': (
+        '925a3f167b07188df671846521b77b9fba56bc54cbfa44a428af5e9d3ba3a100',
+        60, '015cd65476684981d12e7a76cfdf48bdd589fc480ac760d4f69429344ff20ac6'),
+    'random_binary_instance(0, 30, 12) dbfs-max': (
+        '9789d75d566351be7651606e03c535fcd09f5290666a367455aa4d2770e49b48',
+        60, '7f5de5ccf0cfe29115d342afe92e897b401761c72e2aa958bf85265e2888ab8d'),
+    'random_binary_instance(0, 30, 12) dbfs-max literal': (
+        '05c1be1cce0ddf5b6d3848d235cf829d17153981eae34b3f122bae89e29a6839',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-min': (
+        '7021e8fbceb6ec858a8e2add412a2f0e4d3d1b4edc03ebb15fb7036f815d75cf',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-min literal': (
+        '8de0f966c495f6c9b7a8ffd03012b35edacdcbeb5fa5cab71bd04a7176b9ae19',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-prod': (
+        '628fb70cfc491718dc98e4da1e102b554a935fba20a268b89f8170a704245b02',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dbfs-prod literal': (
+        '80ca5995e09837453f0741ba6edea7df2de3a7fbd34ac03d130b6c6b86363fd3',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) dfs': (
+        '798ecde78a0b157cae2a98ed78fbb02921a3e1e35b8c5bb7e6390797405b81dc',
+        60, 'ec1d053d451efdfdf31d7f6189e700255f415357e97288a09c7ed6928f1ebf9e'),
+    'random_binary_instance(0, 30, 12) dfs literal': (
+        '798ecde78a0b157cae2a98ed78fbb02921a3e1e35b8c5bb7e6390797405b81dc',
+        60, 'ec1d053d451efdfdf31d7f6189e700255f415357e97288a09c7ed6928f1ebf9e'),
     'random_binary_instance(0, 30, 12) diversitree': (
         '5a3d2bc2966536d08934f36ae5df284973fbc5538d497d9672e39b8380809acf',
         60, '76b20aab83d1514457653f8dc94c30e072b2e85a257c089391df88a5448fe226'),
+    'random_binary_instance(0, 30, 12) he': (
+        '13329fda19ec45fef7726cc7601524ad230bd1e5b9b87c37304aaa85dd2697ae',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) he literal': (
+        '13329fda19ec45fef7726cc7601524ad230bd1e5b9b87c37304aaa85dd2697ae',
+        60, '360ae7e3b8c6b1442748e01aded4f438cc33c7b5a3896723d24a6e40df9147a7'),
+    'random_binary_instance(0, 30, 12) uct': (
+        'c51d43666c574f7bef43822ccaadc2ffe801ab61c88581ef48296ccb9c12e15f',
+        60, '3eef6ab5f01fa04e832a6d469048a9d28289c8172804bd547b5c6629fdb29a60'),
+    'random_binary_instance(0, 30, 12) uct literal': (
+        'c51d43666c574f7bef43822ccaadc2ffe801ab61c88581ef48296ccb9c12e15f',
+        60, '3eef6ab5f01fa04e832a6d469048a9d28289c8172804bd547b5c6629fdb29a60'),
+    'random_binary_instance(1, 30, 12) brfs': (
+        '046141e2fd1607b583700f6dbc6f3542dfeec7c08e12d8e9109572396af9fb5a',
+        60, 'c17b976c5acddcdc0de1dd9dc2342e3b06a779ff6d4e08a9f33b3880049a58df'),
+    'random_binary_instance(1, 30, 12) brfs literal': (
+        '046141e2fd1607b583700f6dbc6f3542dfeec7c08e12d8e9109572396af9fb5a',
+        60, 'c17b976c5acddcdc0de1dd9dc2342e3b06a779ff6d4e08a9f33b3880049a58df'),
+    'random_binary_instance(1, 30, 12) dbfs-a': (
+        '32281243a150295d6b09f18355ce7f57a3b69daf5864ebe4b356bd1bdbf0a53b',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-a literal': (
+        '1c651367604c4121868179e1d311572dd8be386dfd291e1c7029a186e98963a5',
+        60, '8b6555d7b9f40d70ce7bbd6d637077447d93f25125e0c666da670da73dd8f04d'),
+    'random_binary_instance(1, 30, 12) dbfs-ab': (
+        '4855670eb28a35e4b93f7e803c1fb17e5a0a53dab8628d5768dc2efb2f22c58c',
+        60, 'c95a780676cfeb7dda2ae8d441313abf09868ac6dbcfed21df6510b13eb740fa'),
+    'random_binary_instance(1, 30, 12) dbfs-ab literal': (
+        'b114d68c061945e8912d80bd9f4fd300a1d93a84866a62072f373442a6ec3c0a',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-as': (
+        '5bcb4062e5cd0ba3cda7be8d48343072b8db4f7f305f98d8c2a97d52a8b2c33c',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-as literal': (
+        '6d3219066b32f6a0fe2b795a44630e55eaaa0c6c93d16e29a907da839e16cc42',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-max': (
+        'b54be2ba69f41ab6aa32618a24b453ff9ff5364a60c61bbf1fa367c32364148b',
+        60, '66425b8b9bf879107431877cecd388298eb43dbb2d37a97c039f81845eafec3f'),
+    'random_binary_instance(1, 30, 12) dbfs-max literal': (
+        '181cef297bc19af2301354c0608c8a317dd1c2e2232b1ba01546f97152573ac3',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-min': (
+        'ea68713a047407250fc814c78555a70293d058270110643472aa2f5b358d1130',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-min literal': (
+        '92d390c54146b6dd4a8b11dc9292e66c891a23b242b1217021a6bf7af714654f',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-prod': (
+        'd28bf0be61f980336dad92e5970de60a06e648cd9c70fd0b6d4f760f4afc3bb2',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dbfs-prod literal': (
+        'ad192af58a66fe58c5c10a4771797483dea7df973e002c6c3c2498b330c210d4',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) dfs': (
+        'e5f8d9d87a6081acfea0f4f867c982c93192f02790d392bcfb81b5e293112772',
+        60, 'a47ab727c4a7493c95d2c1aa4df4b7822b104a9bc1620ebb7cfa2fac2a34246b'),
+    'random_binary_instance(1, 30, 12) dfs literal': (
+        'e5f8d9d87a6081acfea0f4f867c982c93192f02790d392bcfb81b5e293112772',
+        60, 'a47ab727c4a7493c95d2c1aa4df4b7822b104a9bc1620ebb7cfa2fac2a34246b'),
     'random_binary_instance(1, 30, 12) diversitree': (
         '852370aee438801b81bdfc4137d7dc2afdd0f8c053acb26b18a4bb765c1c9b3a',
         60, '0ecf11f0a5c50cc7a63e82383f2e31f04cad880d6085d1455cb61967c594e046'),
+    'random_binary_instance(1, 30, 12) he': (
+        '60ec906a69b157a1ec69aefba416e59c22f4a71874c3f98a1b31b9a62b2bd2bb',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) he literal': (
+        '60ec906a69b157a1ec69aefba416e59c22f4a71874c3f98a1b31b9a62b2bd2bb',
+        60, '8b347a6125c4c2f8d5a9abdf78e7fe1452ab881fe0edf5c89a97294d00e0c537'),
+    'random_binary_instance(1, 30, 12) uct': (
+        '8718d1705b08ca5574fc89171094b977fe1b47fbd473c20af8dce42655c0d99d',
+        60, '0fa29ef75c830bf2c44c421ce9824d6ac793ac04c68e72009ffdecff3278d776'),
+    'random_binary_instance(1, 30, 12) uct literal': (
+        '8718d1705b08ca5574fc89171094b977fe1b47fbd473c20af8dce42655c0d99d',
+        60, '0fa29ef75c830bf2c44c421ce9824d6ac793ac04c68e72009ffdecff3278d776'),
     'random_binary_instance(2, 30, 12) diversitree': (
         '520cb4ecc05ff29216abe8ac9e4bf121676cc2bf0e40a5cd80165ddfdf3c11b1',
         60, 'def0d47a2b0a073280587d8f9f6e56b0a6a94a9299a4ece0a7ce66917b6ea6f9'),
