@@ -34,7 +34,7 @@ import numpy as np
 
 from .diversity import project_binary
 from .model import MipInstance
-from .selectors import ScoreContext, Selector, SelectorConfig
+from .selectors import ScoreContext, Selector, SelectorConfig, fixing_path
 from .simplex import LpResult, LpStatus, SimplexSolver
 
 log = logging.getLogger("diversitree.engine")
@@ -57,8 +57,7 @@ class Node:
     id: int
     parent_id: int
     depth: int
-    local_bounds: dict  # column -> (lo, hi)
-    fixed_binaries: dict  # column -> 0/1
+    local_bounds: dict  # column -> (lo, hi), in the order first bounded
     lp: LpResult = None
     estimate: float = math.nan  # bound plus fractionality repair
 
@@ -124,16 +123,39 @@ class SolutionPool:
 
 
 class OpenNodeQueue:
-    """Open nodes by id with lazily maintained lpBound extrema.
+    """Open nodes by id, their scoring columns, and lazily maintained lpBound extrema.
+
+    After :meth:`sync`, rows ``[:len(self)]`` of the numpy columns ``bound``,
+    ``depth``, ``ids``, ``estimate``, ``path`` and ``path_len`` describe the
+    open nodes, in no particular order: a pop moves the last row into the
+    hole, and the columns double when full. A node gets its row at the first
+    ``sync`` after its push, so a run that only dequeues from the heap never
+    writes one. A node's ``path`` row holds its binary fixings in the order
+    they were made, as indices 2k + value over the positions k in
+    ``binary_index`` (see ``selectors.fixing_path``), padded with
+    2 * len(binary_index), the index of the term vector's 0.0.
 
     The min-heap holds (bound, id) pairs, so its front is also the least
     bound with the lowest id among equal bounds.
     """
 
-    def __init__(self):
+    _COLUMNS = ("bound", "depth", "ids", "estimate", "path", "path_len")
+
+    def __init__(self, binary_index=()):
         self.nodes = {}
         self._min_heap = []
         self._max_heap = []
+        self.binary_pos = {j: k for k, j in enumerate(binary_index)}
+        self.pad = 2 * len(self.binary_pos)
+        self._row = {}  # node id -> row, for the nodes synced so far
+        self._unsynced = {}  # node id -> node pushed since the last sync
+        capacity = 16
+        self.bound = np.empty(capacity)
+        self.depth = np.empty(capacity, dtype=np.int64)
+        self.ids = np.empty(capacity, dtype=np.int64)
+        self.estimate = np.empty(capacity)
+        self.path = np.full((capacity, 1), self.pad, dtype=np.intp)
+        self.path_len = np.empty(capacity, dtype=np.int64)
 
     def __len__(self):
         return len(self.nodes)
@@ -143,11 +165,49 @@ class OpenNodeQueue:
 
     def push(self, node: Node):
         self.nodes[node.id] = node
+        self._unsynced[node.id] = node
         heapq.heappush(self._min_heap, (node.lp_bound, node.id))
         heapq.heappush(self._max_heap, (-node.lp_bound, node.id))
 
     def pop(self, node_id: int) -> Node:
+        if self._unsynced.pop(node_id, None) is None:
+            last = len(self._row) - 1
+            row = self._row.pop(node_id)
+            if row != last:
+                for name in self._COLUMNS:
+                    col = getattr(self, name)
+                    col[row] = col[last]
+                self._row[int(self.ids[row])] = row
         return self.nodes.pop(node_id)
+
+    def sync(self) -> int:
+        """Give every node pushed since the last call its row; returns ``len(self)``."""
+        for node in self._unsynced.values():
+            self._append(node)
+        self._unsynced.clear()
+        return len(self.nodes)
+
+    def _append(self, node: Node):
+        path = fixing_path(node.local_bounds, self.binary_pos)
+        row = len(self._row)
+        if row == len(self.ids):
+            for name in self._COLUMNS:
+                col = getattr(self, name)
+                grown = np.empty((2 * len(col),) + col.shape[1:], dtype=col.dtype)
+                grown[:row] = col
+                setattr(self, name, grown)
+        if len(path) > self.path.shape[1]:
+            wide = np.full((len(self.path), 2 * len(path)), self.pad, dtype=np.intp)
+            wide[:row, :self.path.shape[1]] = self.path[:row]
+            self.path = wide
+        self._row[node.id] = row
+        self.bound[row] = node.lp_bound
+        self.depth[row] = node.depth
+        self.ids[row] = node.id
+        self.estimate[row] = node.estimate
+        self.path[row, :len(path)] = path
+        self.path[row, len(path):] = self.pad
+        self.path_len[row] = len(path)
 
     def _front(self, heap, sign: float) -> float:
         while heap:
@@ -247,7 +307,6 @@ class BranchAndCount:
         self.solver = SimplexSolver(instance, feas_tol=feas_tol, int_tol=int_tol)
 
         self.integer_index = instance.integer_index
-        self.binary_set = set(instance.binary_index)
         lo, hi = instance.bounds()
         self.root_lo = np.asarray(lo, dtype=float)
         self.root_hi = np.asarray(hi, dtype=float)
@@ -299,12 +358,7 @@ class BranchAndCount:
         return est
 
     def _root(self) -> Node:
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={},
-                    fixed_binaries={
-                        j: int(self.root_lo[j])
-                        for j in sorted(self.binary_set)
-                        if self.root_lo[j] == self.root_hi[j]
-                    })
+        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
         root.lp = self.solver.solve(self.root_lo, self.root_hi)
         if root.lp.status == LpStatus.STALLED:
             raise EngineError("root relaxation stalled")
@@ -313,13 +367,8 @@ class BranchAndCount:
     def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
         """Child with column j in [lo_j, hi_j], LP warm-solved; the caller sets its id."""
         bounds = dict(node.local_bounds)
-        bounds[j] = (lo_j, hi_j)
-        fixed = node.fixed_binaries
-        if j in self.binary_set and lo_j == hi_j:
-            fixed = dict(fixed)
-            fixed[j] = int(lo_j)
-        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, local_bounds=bounds,
-                     fixed_binaries=fixed)
+        bounds[j] = (float(lo_j), float(hi_j))  # plain floats: cheap to compare in fixing_path
+        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, local_bounds=bounds)
         child.lp = self.solver.resolve(node.lp.basis, *self.materialize(child))
         return child
 
@@ -402,7 +451,7 @@ class BranchAndCount:
         deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup, int_tol=self.int_tol)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
-        queue = OpenNodeQueue()
+        queue = OpenNodeQueue(self.instance.binary_index)
         result = CountResult(pool=pool)
         hasher = hashlib.sha256()
         trace_fh = open(trace_path, "w") if trace_path else None

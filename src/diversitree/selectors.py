@@ -1,13 +1,16 @@
 """Node-selection rules for branch-and-count.
 
 Every rule scores the open nodes and dequeues the argmin, ties going to the
-lowest node id. Where that argmin is pure bound order (best-first, or a rule
-whose gate is still closed) the engine skips the scan and dequeues the least
-(bound, id) from the open set's heap instead; ``Selector.bound_order`` says
-when, and the pick is the same node. Classic rules: best-first (bound), depth-first (LIFO),
-breadth-first (FIFO), a visit-ratio rule (bound plus rho * V/v over the
-node's and parent's dequeue counts) and a best-estimate rule blending the
-bound with a fractionality-repair estimate.
+lowest node id. Scoring is one vectorized pass per dequeue: ``Selector.scores``
+computes the whole score vector from the open set's numpy columns
+(``engine.OpenNodeQueue``), and ``Selector.score`` runs the same code on a
+one-node open set. Where the argmin is pure bound order (best-first, or a
+rule whose gate is still closed) the engine skips the scores and dequeues the
+least (bound, id) from the open set's heap instead; ``Selector.bound_order``
+says when, and the pick is the same node. Classic rules: best-first (bound),
+depth-first (LIFO), breadth-first (FIFO), a visit-ratio rule (bound plus
+rho * V/v over the node's and parent's dequeue counts) and a best-estimate
+rule blending the bound with a fractionality-repair estimate.
 
 The diversity family blends three scaled quantities over the open set:
 
@@ -25,8 +28,10 @@ deep.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 log = logging.getLogger("diversitree.selectors")
 
@@ -144,45 +149,73 @@ class ScoreContext:
     p1: int = None  # None means unlimited
 
 
-def scaled_bound(lp_bound: float, ctx: ScoreContext) -> float:
-    """Min-max scaled bound over the open set; 0 when all bounds agree."""
+def scaled_bound(lp_bound, ctx: ScoreContext):
+    """Min-max scaled bound over the open set, of one bound or an array of
+    them; 0 when all bounds agree."""
     spread = ctx.max_bound - ctx.min_bound
     if spread <= 0.0 or not math.isfinite(spread):
-        return 0.0
-    val = (lp_bound - ctx.min_bound) / spread
-    return min(1.0, max(0.0, val))
+        return np.zeros_like(lp_bound, dtype=float)
+    return np.minimum(1.0, np.maximum(0.0, (lp_bound - ctx.min_bound) / spread))
 
 
-def scaled_depth(depth: int, min_plunge: int, max_plunge: int) -> float:
-    """Depth scaled between the plunge limits, clamped to [0, 1]."""
+def scaled_depth(depth, min_plunge: int, max_plunge: int):
+    """Depth (or an array of depths) scaled between the plunge limits,
+    clamped to [0, 1]."""
     span = max_plunge - min_plunge
     if span <= 0:
-        return 0.0
-    return min(1.0, max(0.0, (depth - min_plunge) / span))
+        return np.zeros_like(depth, dtype=float)
+    return np.minimum(1.0, np.maximum(0.0, (depth - min_plunge) / span))
 
 
-def partial_diversity(fixed_binaries: dict, pool) -> float:
-    """Mean disagreement between a node's fixed binaries and the pool.
+def fixing_path(local_bounds: dict, binary_pos: dict) -> list:
+    """A node's binary fixings in the order they were made, as term indices.
+
+    A binary column is fixed where its local bounds meet; fixing the one at
+    pool position k to v gives index 2k + v into :func:`term_vector`.
+    Columns without a pool position are skipped.
+    """
+    return [2 * binary_pos[j] + int(lo) for j, (lo, hi) in local_bounds.items()
+            if lo == hi and j in binary_pos]
+
+
+def term_vector(pool) -> np.ndarray:
+    """Disagreement of each possible fixing with the pool, then a 0.0 pad.
+
+    Entry 2k is ones_k/n (bit k fixed to 0) and 2k+1 is (n - ones_k)/n
+    (fixed to 1), from the pool's per-bit ones counts; all zero while the
+    pool is empty.
+    """
+    n = len(pool)
+    terms = np.zeros(2 * len(pool.ones) + 1)
+    if n:
+        terms[0:-1:2] = pool.ones / n
+        terms[1::2] = (n - pool.ones) / n
+    return terms
+
+
+def path_diversity(paths: np.ndarray, lengths: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Mean term along each padded path row; 0 for an empty path.
+
+    Each row's terms are summed in fixing order (a running sum along the
+    row, never numpy's pairwise reduction), so the value is the same bits
+    as adding them one at a time: the pads add 0.0.
+    """
+    if paths.shape[1] == 0:
+        return np.zeros(len(lengths))
+    total = terms[paths].cumsum(axis=1)[:, -1]
+    return total / np.maximum(lengths, 1)  # an empty row sums its pads to 0.0
+
+
+def partial_diversity(local_bounds: dict, pool) -> float:
+    """Mean disagreement between the binaries fixed in a node's box and the pool.
 
     Zero when the pool or the fixed set is empty. Uses the pool's per-bit
     ones counts, which equals averaging |fixed_j - x_j| over pool members
     and fixed columns.
     """
-    n = len(pool)
-    if n == 0 or not fixed_binaries:
-        return 0.0
-    total = 0.0
-    width = 0
-    for j, val in fixed_binaries.items():
-        pos = pool.binary_pos.get(j)
-        if pos is None:
-            continue
-        ones = pool.ones[pos]
-        total += (n - ones) / n if val >= 0.5 else ones / n
-        width += 1
-    if width == 0:
-        return 0.0
-    return total / width
+    path = fixing_path(local_bounds, pool.binary_pos)
+    return float(path_diversity(np.array([path], dtype=np.intp), np.array([len(path)]),
+                                term_vector(pool))[0])
 
 
 class Selector:
@@ -198,13 +231,15 @@ class Selector:
             else max(1, num_integer_vars)
         )
         self.visits = {}  # node id -> dequeues within its subtree
-        self.parents = {}
+        self.parents = {}  # node id -> parent id, kept for the visit-ratio rule
         self.depth_gate_open = config.depth_cutoff == 0
+        self._terms = (None, 0, None)  # (pool, its size, term_vector(pool))
 
     # -- lifecycle hooks ------------------------------------------------------
 
     def on_enqueue(self, node):
-        self.parents[node.id] = node.parent_id
+        if self.config.rule == Rule.UCT:
+            self.parents[node.id] = node.parent_id
 
     def on_dequeue(self, node):
         if self.config.rule == Rule.UCT:
@@ -240,28 +275,34 @@ class Selector:
             return False  # every scaled bound is 0: select takes the lowest id
         return self.config.rule == Rule.BESTFS or self.gated(ctx)
 
-    def score(self, node, ctx: ScoreContext, gated: bool = None) -> float:
+    def scores(self, queue, ctx: ScoreContext, gated: bool = None) -> np.ndarray:
+        """Score of every open node of ``queue`` (an ``OpenNodeQueue``), in its row order."""
         cfg = self.config
         rule = cfg.rule
+        n = queue.sync()
+        ids = queue.ids[:n]
         if rule == Rule.DFS:
-            return -float(node.id)
+            return -ids.astype(float)
         if rule == Rule.BRFS:
-            return float(node.id)
+            return ids.astype(float)
+        bound = queue.bound[:n]
         if rule == Rule.UCT:
-            v = self.visits.get(node.id, 0) or 1
-            parent_visits = self.visits.get(node.parent_id, 0) if node.parent_id is not None else 0
-            return node.lp_bound + self.rho * parent_visits / v
+            visits = self.visits
+            nodes = [queue.nodes[nid] for nid in ids.tolist()]
+            v = np.array([visits.get(nd.id, 0) or 1 for nd in nodes], dtype=float)
+            parent_visits = np.array([visits.get(nd.parent_id, 0) for nd in nodes], dtype=float)
+            return bound + self.rho * parent_visits / v
         if rule == Rule.HE:
-            return (1.0 - self.rho) * node.lp_bound + self.rho * node.estimate
-        lscore = scaled_bound(node.lp_bound, ctx)
+            return (1.0 - self.rho) * bound + self.rho * queue.estimate[:n]
+        lscore = scaled_bound(bound, ctx)
         if rule == Rule.BESTFS:
             return lscore
         if gated is None:
             gated = self.gated(ctx)
         if gated:
             return lscore
-        dval = partial_diversity(node.fixed_binaries, ctx.pool)
-        hval = scaled_depth(node.depth, self.min_plunge, self.max_plunge)
+        dval = path_diversity(queue.path[:n], queue.path_len[:n], self._pool_terms(ctx.pool))
+        hval = scaled_depth(queue.depth[:n], self.min_plunge, self.max_plunge)
         if not cfg.literal_score:
             dterm, hterm = 1.0 - dval, 1.0 - hval
         else:
@@ -272,9 +313,9 @@ class Selector:
         if rule in (Rule.DBFS_A, Rule.DBFS_AS, Rule.DBFS_AD):
             return (1.0 - a) * lscore + a * dterm
         if rule == Rule.DBFS_MIN:
-            combo = min(dval, hval)
+            combo = np.minimum(dval, hval)
         elif rule == Rule.DBFS_MAX:
-            combo = max(dval, hval)
+            combo = np.maximum(dval, hval)
         elif rule == Rule.DBFS_PROD:
             combo = dval * hval
         else:  # pragma: no cover
@@ -282,16 +323,23 @@ class Selector:
         term = combo if cfg.literal_score else 1.0 - combo
         return (1.0 - a) * lscore + a * term
 
-    def select(self, open_nodes, ctx: ScoreContext) -> int:
-        """Id of the argmin-scored node; lowest id wins ties."""
-        gated = self.gated(ctx)
-        best_id = None
-        best_score = math.inf
-        for node in open_nodes:
-            s = self.score(node, ctx, gated)
-            if s < best_score or (s == best_score and node.id < best_id):
-                best_score = s
-                best_id = node.id
-        if best_id is None:
+    def _pool_terms(self, pool) -> np.ndarray:
+        """``term_vector(pool)``, recomputed only when the pool has grown."""
+        if self._terms[0] is not pool or self._terms[1] != len(pool):
+            self._terms = (pool, len(pool), term_vector(pool))
+        return self._terms[2]
+
+    def score(self, node, ctx: ScoreContext, gated: bool = None) -> float:
+        """Score of one node: :meth:`scores` over an open set holding only it."""
+        from .engine import OpenNodeQueue  # engine imports this module
+
+        queue = OpenNodeQueue(ctx.pool.binary_index)
+        queue.push(node)
+        return float(self.scores(queue, ctx, gated)[0])
+
+    def select(self, queue, ctx: ScoreContext) -> int:
+        """Id of the argmin-scored open node of ``queue``; lowest id wins ties."""
+        if not len(queue):
             raise ValueError("select called with no open nodes")
-        return best_id
+        s = self.scores(queue, ctx)
+        return int(queue.ids[:len(queue)][s == s.min()].min())

@@ -70,6 +70,92 @@ def oracle_pair_sum(projections, chosen):
     return total
 
 
+# -- node-selection oracles (the scalar scorer, one node at a time) -----------
+
+def oracle_partial_diversity(fixed, pool):
+    """Mean disagreement of {column: 0/1} fixings (in fixing order) with the pool."""
+    n = len(pool)
+    if n == 0 or not fixed:
+        return 0.0
+    total = 0.0
+    width = 0
+    for j, val in fixed.items():
+        pos = pool.binary_pos.get(j)
+        if pos is None:
+            continue
+        ones = pool.ones[pos]
+        total += (n - ones) / n if val >= 0.5 else ones / n
+        width += 1
+    if width == 0:
+        return 0.0
+    return total / width
+
+
+def _oracle_clamp(val):
+    return min(1.0, max(0.0, val))
+
+
+def oracle_score(selector, node, ctx, gated=None):
+    """The score of one node under ``selector``, by scalar arithmetic.
+
+    The node's fixings are the binary entries of its local bounds whose
+    bounds meet, in insertion order. ``gated`` defaults to the selector's gate.
+    """
+    cfg = selector.config
+    rule = cfg.rule.value
+    if rule == "dfs":
+        return -float(node.id)
+    if rule == "brfs":
+        return float(node.id)
+    if rule == "uct":
+        v = selector.visits.get(node.id, 0) or 1
+        parent_visits = (selector.visits.get(node.parent_id, 0)
+                         if node.parent_id is not None else 0)
+        return node.lp_bound + selector.rho * parent_visits / v
+    if rule == "he":
+        return (1.0 - selector.rho) * node.lp_bound + selector.rho * node.estimate
+    spread = ctx.max_bound - ctx.min_bound
+    if spread <= 0.0 or not math.isfinite(spread):
+        lscore = 0.0
+    else:
+        lscore = _oracle_clamp((node.lp_bound - ctx.min_bound) / spread)
+    if rule == "bestfs":
+        return lscore
+    if gated is None:
+        gated = selector.gated(ctx)
+    if gated:
+        return lscore
+    fixed = {j: int(lo) for j, (lo, hi) in node.local_bounds.items()
+             if lo == hi and j in ctx.pool.binary_pos}
+    dval = oracle_partial_diversity(fixed, ctx.pool)
+    span = selector.max_plunge - selector.min_plunge
+    hval = 0.0 if span <= 0 else _oracle_clamp((node.depth - selector.min_plunge) / span)
+    if not cfg.literal_score:
+        dterm, hterm = 1.0 - dval, 1.0 - hval
+    else:
+        dterm, hterm = dval, hval
+    a, b = cfg.alpha, cfg.beta
+    if rule in ("dbfs-ab", "diversitree"):
+        return (1.0 - a - b) * lscore + a * dterm + b * hterm
+    if rule in ("dbfs-a", "dbfs-as", "dbfs-ad"):
+        return (1.0 - a) * lscore + a * dterm
+    combo = {"dbfs-min": min, "dbfs-max": max,
+             "dbfs-prod": lambda d, h: d * h}[rule](dval, hval)
+    term = combo if cfg.literal_score else 1.0 - combo
+    return (1.0 - a) * lscore + a * term
+
+
+def oracle_select(selector, nodes, ctx):
+    """Id of the least ``oracle_score``, lowest id on ties, by a plain scan."""
+    gated = selector.gated(ctx)
+    best_id, best_score = None, math.inf
+    for node in nodes:
+        s = oracle_score(selector, node, ctx, gated)
+        if s < best_score or (s == best_score and node.id < best_id):
+            best_score, best_id = s, node.id
+    return best_id
+
+
 # -- subset search oracles (plain loops over integer Hamming counts) ----------
 
 def oracle_ham_counts(projections):

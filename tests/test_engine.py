@@ -32,6 +32,7 @@ from diversitree.generators import (
     mixed_small_instance,
     random_binary_instance,
 )
+from diversitree.selectors import fixing_path
 from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
 
 
@@ -171,7 +172,7 @@ class TestEnumerateUnrestricted:
         inst = MipInstance(name="enum", variables=variables, constraints=rows,
                            objective=objective)
         bc = BranchAndCount(inst)
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={}, fixed_binaries={})
+        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
         root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
         assert root.lp.is_optimal
         return bc, root
@@ -227,12 +228,12 @@ class TestBranching:
 
     def test_binary_split_fixes_both_sides(self):
         bc = BranchAndCount(knapsack_instance())
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={}, fixed_binaries={})
+        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
         root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
         assert root.lp.fractional == [0]
         down, up = bc.branch(root)
-        assert down.local_bounds[0] == (0.0, 0.0) and down.fixed_binaries == {0: 0}
-        assert up.local_bounds[0] == (1.0, 1.0) and up.fixed_binaries == {0: 1}
+        assert down.local_bounds == {0: (0.0, 0.0)}
+        assert up.local_bounds == {0: (1.0, 1.0)}
         assert down.depth == up.depth == 1
 
 
@@ -402,7 +403,7 @@ class TestOpenNodeQueue:
         q = OpenNodeQueue()
         for k, b in enumerate(bounds):
             q.push(Node(id=k, parent_id=None, depth=0, local_bounds={},
-                        fixed_binaries={}, lp=optimal_lp(b)))
+                        lp=optimal_lp(b)))
         return q
 
     def test_extrema_track_pops(self):
@@ -425,7 +426,6 @@ class TestOpenNodeQueue:
                 q.pop(rng.choice(sorted(q.nodes)))
             else:
                 q.push(Node(id=nid, parent_id=None, depth=0, local_bounds={},
-                            fixed_binaries={},
                             lp=optimal_lp(float(rng.integers(-9, 9)))))
                 nid += 1
             if len(q.nodes):
@@ -433,3 +433,63 @@ class TestOpenNodeQueue:
                 assert q.min_bound() == min(bounds)
                 assert q.max_bound() == max(bounds)
                 assert q.min_id() == min((n.lp_bound, n.id) for n in q)[1]
+
+    def test_rows_mirror_the_open_nodes_on_random_traffic(self):
+        # binary columns 0-5 and a general column 6; rows grow past 16, paths past 1
+        rng = np.random.default_rng(5)
+        q = OpenNodeQueue(range(6))
+        for nid in range(300):
+            if len(q) and rng.random() < 0.45:
+                q.pop(int(rng.choice(sorted(q.nodes))))
+            else:
+                bounds = {}
+                for j in rng.choice(7, size=int(rng.integers(0, 7)), replace=False).tolist():
+                    v = float(rng.integers(0, 2))
+                    bounds[j] = (v, v) if j < 6 else (0.0, 3.0)
+                node = Node(id=nid, parent_id=None, depth=int(rng.integers(0, 9)),
+                            local_bounds=bounds, lp=optimal_lp(float(rng.integers(-4, 4))))
+                node.estimate = float(rng.uniform(-5, 5))
+                q.push(node)
+            if rng.random() < 0.5:
+                continue  # leave the latest pushes unsynced; pops must cope
+            n = q.sync()
+            assert sorted(q.ids[:n].tolist()) == sorted(q.nodes)
+            for row in range(n):
+                node = q.nodes[int(q.ids[row])]
+                path = fixing_path(node.local_bounds, q.binary_pos)
+                assert (q.bound[row], q.depth[row], q.estimate[row]) == (
+                    node.lp_bound, node.depth, node.estimate)
+                assert q.path_len[row] == len(path)
+                assert q.path[row].tolist() == path + [q.pad] * (q.path.shape[1] - len(path))
+        assert len(q.ids) > 16
+
+    @pytest.mark.parametrize("make", [general_integer_instance, knapsack_instance,
+                                      lambda: random_binary_instance(1, 30, 12)])
+    def test_paths_list_the_binary_fixings_in_the_order_made(self, make, monkeypatch):
+        inst = make()
+        pos = {j: k for k, j in enumerate(inst.binary_index)}
+        made = {0: []}  # node id -> term indices of its fixings, in branching order
+        seen = []
+        child_of = BranchAndCount._child
+
+        def child(self, node, j, lo_j, hi_j):
+            c = child_of(self, node, j, lo_j, hi_j)
+            extra = [2 * pos[j] + int(lo_j)] if j in pos and lo_j == hi_j else []
+            c.made = made[node.id] + extra
+            seen.append(c)
+            return c
+
+        push = OpenNodeQueue.push
+
+        def push_and_record(q, node):
+            made[node.id] = getattr(node, "made", [])
+            push(q, node)
+
+        monkeypatch.setattr(BranchAndCount, "_child", child)
+        monkeypatch.setattr(OpenNodeQueue, "push", push_and_record)
+        cut = add_objective_cutoff(inst, BranchAndCount(inst).optimize().objective, 0.3)
+        BranchAndCount(cut, selector=SelectorConfig(rule="dbfs-a", alpha=0.5)).run(p1=40)
+        assert seen
+        for c in seen:
+            assert fixing_path(c.local_bounds, pos) == c.made
+        assert any(len(c.made) < c.depth for c in seen) == (make is general_integer_instance)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enum_pure_integer
+from conftest import enum_pure_integer, oracle_partial_diversity, oracle_score, oracle_select
 from diversitree import BranchAndCount, add_objective_cutoff
 from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.generators import knapsack_instance, random_binary_instance
@@ -25,11 +25,24 @@ from diversitree.selectors import (
 from diversitree.simplex import LpResult, LpStatus
 
 
+def fixings(fixed):
+    """Local bounds fixing each binary column j of ``fixed`` to its value."""
+    return {j: (float(v), float(v)) for j, v in fixed.items()}
+
+
 def make_node(nid, bound=0.0, depth=0, fixed=None, parent=None, estimate=None):
-    n = Node(id=nid, parent_id=parent, depth=depth, local_bounds={},
-             fixed_binaries=fixed or {}, lp=LpResult(LpStatus.OPTIMAL, objective=bound))
+    n = Node(id=nid, parent_id=parent, depth=depth, local_bounds=fixings(fixed or {}),
+             lp=LpResult(LpStatus.OPTIMAL, objective=bound))
     n.estimate = bound if estimate is None else estimate
     return n
+
+
+def open_set(nodes, n_bits=4):
+    """An open-node queue over ``n_bits`` binary columns holding ``nodes``."""
+    q = OpenNodeQueue(range(n_bits))
+    for n in nodes:
+        q.push(n)
+    return q
 
 
 def make_pool(rows, n_bits=4):
@@ -80,16 +93,17 @@ class TestScaledScores:
     def test_partial_diversity_hand_value(self):
         pool = make_pool([[0, 0, 0, 0]])
         # bit 1 disagrees with the pool, bit 2 agrees
-        assert partial_diversity({1: 1, 2: 0}, pool) == 0.5
+        assert partial_diversity(fixings({1: 1, 2: 0}), pool) == 0.5
 
     def test_partial_diversity_empty_cases(self):
         assert partial_diversity({}, make_pool([[1, 0, 1, 0]])) == 0.0
-        assert partial_diversity({0: 1}, EMPTY) == 0.0
+        assert partial_diversity(fixings({0: 1}), EMPTY) == 0.0
+        assert partial_diversity({0: (0.0, 1.0)}, make_pool([[1, 0, 1, 0]])) == 0.0
 
     def test_partial_diversity_skips_unknown_columns(self):
         pool = make_pool([[1, 1, 1, 1]])
-        assert partial_diversity({9: 1}, pool) == 0.0
-        assert partial_diversity({9: 1, 0: 0}, pool) == 1.0
+        assert partial_diversity(fixings({9: 1}), pool) == 0.0
+        assert partial_diversity(fixings({9: 1, 0: 0}), pool) == 1.0
 
     def test_partial_diversity_matches_double_loop(self):
         rng = np.random.default_rng(3)
@@ -101,12 +115,12 @@ class TestScaledScores:
             want = np.mean([
                 np.mean([abs(v - row[j]) for row in rows]) for j, v in fixed.items()
             ])
-            assert partial_diversity(fixed, pool) == pytest.approx(want, abs=1e-12)
+            assert partial_diversity(fixings(fixed), pool) == pytest.approx(want, abs=1e-12)
 
 
 class TestRuleScores:
     def test_dfs_prefers_newest_and_brfs_oldest(self):
-        nodes = [make_node(i, bound=1.0) for i in range(3)]
+        nodes = open_set([make_node(i, bound=1.0) for i in range(3)])
         ctx = ctx_for(EMPTY)
         assert Selector(SelectorConfig(rule="dfs")).select(nodes, ctx) == 2
         assert Selector(SelectorConfig(rule="brfs")).select(nodes, ctx) == 0
@@ -144,7 +158,7 @@ class TestRuleScores:
         near = make_node(6, bound=0.1, depth=1, fixed={0: 0, 1: 0})  # D = 0.0
         ctx = ctx_for(pool, p1=10, found=9)  # gate open
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0), num_integer_vars=4)
-        assert sel.select([far, near], ctx) == 5
+        assert sel.select(open_set([far, near]), ctx) == 5
 
     def test_literal_score_flips_the_preference(self):
         pool = make_pool([[0, 0, 0, 0]])
@@ -153,7 +167,7 @@ class TestRuleScores:
         ctx = ctx_for(pool, p1=10, found=9)
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0, literal_score=True),
                        num_integer_vars=4)
-        assert sel.select([far, near], ctx) == 6
+        assert sel.select(open_set([far, near]), ctx) == 6
 
     @pytest.mark.parametrize("rule", ["dbfs-min", "dbfs-max", "dbfs-prod", "dbfs-ab",
                                       "diversitree", "dbfs-a", "dbfs-as", "dbfs-ad"])
@@ -164,7 +178,7 @@ class TestRuleScores:
         node = make_node(7, bound=0.25, depth=2, fixed={0: 1, 2: 0})
         ctx = ctx_for(pool, min_bound=0.0, max_bound=1.0, p1=100, found=50)
         L = scaled_bound(node.lp_bound, ctx)
-        D = partial_diversity(node.fixed_binaries, pool)
+        D = partial_diversity(node.local_bounds, pool)
         H = scaled_depth(node.depth, 0, 4)
         want = {
             "dbfs-a": 0.4 * L + 0.6 * (1 - D),
@@ -179,13 +193,85 @@ class TestRuleScores:
         assert sel.score(node, ctx, gated=False) == pytest.approx(want, abs=1e-12)
 
     def test_tie_break_takes_lowest_id(self):
-        nodes = [make_node(4, bound=1.0), make_node(2, bound=1.0)]
+        nodes = open_set([make_node(4, bound=1.0), make_node(2, bound=1.0)])
         ctx = ctx_for(EMPTY, min_bound=1.0, max_bound=1.0)
         assert Selector(SelectorConfig(rule="bestfs")).select(nodes, ctx) == 2
 
     def test_select_requires_nodes(self):
         with pytest.raises(ValueError):
-            Selector(SelectorConfig()).select([], ctx_for(EMPTY))
+            Selector(SelectorConfig()).select(open_set([]), ctx_for(EMPTY))
+
+
+class TestScoresMatchTheScalarOracle:
+    """The vectorized scores equal the scalar scorer bit for bit, pick included."""
+
+    N_BITS = 16
+
+    @classmethod
+    def random_open_set(cls, rng):
+        """Open set, context and selector settings, with tied bounds and 0-14
+        fixings per node."""
+        n_bits = cls.N_BITS
+        pool = make_pool(rng.integers(0, 2, size=(int(rng.integers(0, 51)), n_bits)), n_bits)
+        levels = np.concatenate([rng.uniform(-3, 3, size=int(rng.integers(1, 4))),
+                                 rng.integers(-8, 9, size=2) / 4])
+        q = OpenNodeQueue(range(n_bits))
+        ids = rng.choice(400, size=int(rng.integers(2, 30)), replace=False)
+        for nid in ids.tolist():
+            # fixings in random order, mixed with an unfixed general column (n_bits)
+            cols = rng.choice(n_bits, size=int(rng.integers(0, 15)), replace=False).tolist()
+            vals = rng.integers(0, 2, size=len(cols)).tolist()
+            general = rng.integers(0, len(cols) + 3)
+            bounds = {}
+            for k, (j, v) in enumerate(zip(cols, vals)):
+                if k == general:
+                    bounds[n_bits] = (0.0, 2.0)
+                bounds[j] = (float(v), float(v))
+            bound = float(rng.choice(levels))
+            node = Node(id=nid, parent_id=int(rng.integers(0, 400)) if nid else None,
+                        depth=int(rng.integers(0, 22)), local_bounds=bounds,
+                        lp=LpResult(LpStatus.OPTIMAL, objective=bound))
+            node.estimate = bound + float(rng.uniform(0, 2))
+            q.push(node)
+        q.sync()
+        for nid in rng.choice(ids, size=len(ids) // 3, replace=False).tolist():
+            q.pop(nid)  # scramble the rows
+        ctx = ctx_for(pool, q.min_bound(), q.max_bound(), p1=int(rng.integers(1, 80)))
+        alpha = float(rng.uniform(0, 1))
+        settings = {"alpha": alpha, "beta": float(rng.uniform(0, 1 - alpha)),
+                    "sol_cutoff": float(rng.uniform(0, 1)),
+                    "depth_cutoff": int(rng.integers(0, 2))}
+        visits = {int(k): int(rng.integers(1, 9))
+                  for k in rng.choice(400, size=60, replace=False)}
+        return q, ctx, settings, visits
+
+    @pytest.fixture(scope="class")
+    def open_sets(self):
+        rng = np.random.default_rng(2024)
+        return [self.random_open_set(rng) for _ in range(500)]
+
+    @pytest.mark.parametrize("rule", [r.value for r in Rule])
+    def test_every_score_and_pick_equal_the_oracle(self, rule, open_sets):
+        for q, ctx, settings, visits in open_sets:
+            nodes = [q.nodes[nid] for nid in q.ids[:q.sync()].tolist()]
+            for literal in (False, True):
+                cfg = SelectorConfig(rule=rule, literal_score=literal, **settings)
+                sel = Selector(cfg, num_integer_vars=self.N_BITS)
+                sel.visits = visits
+                want = [oracle_score(sel, node, ctx) for node in nodes]
+                assert sel.scores(q, ctx).tolist() == want
+                assert sel.select(q, ctx) == oracle_select(sel, nodes, ctx)
+                assert sel.score(nodes[0], ctx) == want[0]
+                assert sel.score(nodes[0], ctx, gated=False) == oracle_score(
+                    sel, nodes[0], ctx, gated=False)
+
+    def test_partial_diversity_equals_the_oracle_past_eight_fixings(self):
+        rng = np.random.default_rng(8)
+        pool = make_pool(rng.integers(0, 2, size=(37, 16)), 16)
+        for size in range(17):
+            fixed = {int(j): int(rng.integers(0, 2))
+                     for j in rng.choice(16, size=size, replace=False)}
+            assert partial_diversity(fixings(fixed), pool) == oracle_partial_diversity(fixed, pool)
 
 
 class TestGating:
@@ -264,7 +350,7 @@ class TestBoundOrderDequeue:
     def random_traffic(seed, steps=300):
         """Open sets under random pushes and pops, bounds drawn from five values."""
         rng = np.random.default_rng(seed)
-        q = OpenNodeQueue()
+        q = OpenNodeQueue(range(4))
         for nid in range(steps):
             if len(q) and rng.random() < 0.45:
                 q.pop(int(rng.choice(sorted(q.nodes))))
