@@ -16,10 +16,11 @@ def project_binary(x, binary_index, int_tol: float = 1e-6):
     Values are rounded to the nearest integer first; LP noise up to int_tol
     is expected, larger deviations raise.
     """
-    vals = np.asarray([x[j] for j in binary_index], dtype=float)
+    vals = np.asarray(x, dtype=float)[binary_index]
     bits = np.rint(vals)
-    if np.any(np.abs(vals - bits) > int_tol):
-        worst = int(np.argmax(np.abs(vals - bits)))
+    dev = np.abs(vals - bits)
+    if (dev > int_tol).any():
+        worst = int(np.argmax(dev))
         raise ValueError(
             f"binary column {binary_index[worst]} has non-integral value {vals[worst]!r}"
         )
@@ -43,14 +44,16 @@ def dbin(projections) -> float:
     Undefined for fewer than two solutions (callers report singleton
     diversity as 0 where a number is needed).
     """
-    p = np.asarray(projections, dtype=float)
+    p = np.asarray(projections)
     if p.ndim != 2 or p.shape[0] < 2:
         raise ValueError("dbin needs at least two solutions")
     n, width = p.shape
     if width == 0:
         raise ValueError("dbin is undefined for zero-length projections")
-    # sum over pairs of mean |a - b| equals, per bit, ones * (n - ones)
-    ones = p.sum(axis=0)
+    # sum over pairs of mean |a - b| equals, per bit, ones * (n - ones);
+    # integer bits are counted in int64, with no float copy of the matrix:
+    # every count and product is an exact integer below 2**53 either way
+    ones = p.sum(axis=0, dtype=np.int64 if p.dtype.kind in "biu" else float)
     pair_total = float((ones * (n - ones)).sum()) / width
     return 2.0 * pair_total / (n * (n - 1))
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diversity import project_binary
-from .model import MipInstance
+from .model import GE, LE, MipInstance
 from .selectors import ScoreContext, Selector, SelectorConfig, fixing_path
 from .simplex import LpResult, LpStatus, SimplexSolver
 
@@ -69,9 +69,12 @@ class Node:
 class SolutionPool:
     """Capacity-bounded solution store with binary-projection dedup.
 
-    The dedup key is the rounded binary projection; instances without
-    binary variables fall back to the full integer projection so distinct
-    solutions are not collapsed.
+    Solutions and their int8 binary projections are rows of two matrices
+    that double when full; ``solutions`` and ``projections`` are read-only
+    views of the rows filled so far, in insertion order. The dedup key is
+    the projection row's bytes; instances without binary variables fall
+    back to the rounded integer columns as int64, so distinct solutions are
+    not collapsed.
     """
 
     def __init__(self, instance: MipInstance, capacity: int = None, dedup: bool = True,
@@ -81,45 +84,77 @@ class SolutionPool:
         self.int_tol = int_tol
         self.binary_index = instance.binary_index
         self.binary_pos = {j: k for k, j in enumerate(self.binary_index)}
-        self._key_cols = self.binary_index if self.binary_index else instance.integer_index
-        self.solutions = []
+        self._bin = np.asarray(self.binary_index, dtype=np.intp)
+        self._int = np.asarray(instance.integer_index, dtype=np.intp)
         self.objectives = []
-        self.projections = []
         self.ones = np.zeros(len(self.binary_index))
         self._keys = set()
+        self._n = 0
+        self._x = np.empty((16, instance.num_vars))
+        self._proj = np.empty((16, len(self._bin)), dtype=np.int8)
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return self._n
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self.solutions) >= self.capacity
+        return self.capacity is not None and self._n >= self.capacity
 
     def add(self, x, objective: float) -> bool:
         if self.is_full:
             return False
-        x = np.asarray(x, dtype=float)
-        key = np.rint([x[j] for j in self._key_cols]).astype(np.int64).tobytes()
-        if self.dedup and key in self._keys:
-            return False
-        proj = project_binary(x, self.binary_index, self.int_tol)
-        self._keys.add(key)
-        self.solutions.append(x)
+        n = self._n
+        if n == len(self._x):
+            for name in ("_x", "_proj"):
+                col = getattr(self, name)
+                grown = np.empty((2 * n, col.shape[1]), dtype=col.dtype)
+                grown[:n] = col
+                setattr(self, name, grown)
+        row = self._x[n]  # written in place; only counted once accepted
+        row[:] = x
+        try:
+            proj = project_binary(row, self._bin, self.int_tol)
+        except ValueError:
+            # the dedup test comes first: a duplicate key is refused, not raised
+            if self.dedup and self._rounded_key(row) in self._keys:
+                return False
+            raise
+        key = proj.tobytes() if len(self._bin) else self._rounded_key(row)
+        if self.dedup:
+            if key in self._keys:
+                return False
+            self._keys.add(key)
+        self._proj[n] = proj
         self.objectives.append(float(objective))
-        self.projections.append(proj)
-        if len(self.binary_index):
-            self.ones += proj
+        self.ones += proj
+        self._n = n + 1
         return True
 
-    def projection_matrix(self):
-        if not self.projections:
-            return np.zeros((0, len(self.binary_index)), dtype=np.int8)
-        return np.vstack(self.projections)
+    def _rounded_key(self, row) -> bytes:
+        if len(self._bin):
+            return np.rint(row[self._bin]).astype(np.int8).tobytes()
+        return np.rint(row[self._int]).astype(np.int64).tobytes()
 
-    def solution_matrix(self):
-        if not self.solutions:
-            return np.zeros((0, 0))
-        return np.vstack(self.solutions)
+    def _filled(self, matrix):
+        view = matrix[:self._n]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def solutions(self) -> np.ndarray:
+        """Read-only (len, num_vars) float64 view of the pooled solutions."""
+        return self._filled(self._x)
+
+    @property
+    def projections(self) -> np.ndarray:
+        """Read-only (len, num_binaries) int8 view of their binary projections."""
+        return self._filled(self._proj)
+
+    def projection_matrix(self) -> np.ndarray:
+        return self.projections
+
+    def solution_matrix(self) -> np.ndarray:
+        return self.solutions
 
 
 class OpenNodeQueue:
@@ -287,6 +322,18 @@ def most_fractional(lp: LpResult) -> int:
     return best
 
 
+def _dot(terms, x) -> float:
+    """Sum of a * x[j] over (j, a) in terms, added left to right.
+
+    The builtin ``sum`` does the same over numpy scalars, but from Python
+    3.12 on it compensates over Python floats, which would move bits.
+    """
+    total = 0.0
+    for j, a in terms:
+        total += a * x[j]
+    return total
+
+
 def _limit_reached(deadline: float, nodes: int = 0, node_limit: int = None) -> bool:
     """True once ``nodes`` reaches ``node_limit`` or the clock passes ``deadline``."""
     if node_limit is not None and nodes >= node_limit:
@@ -323,6 +370,11 @@ class BranchAndCount:
             idx = np.asarray(sorted(coeffs), dtype=int)
             coef = np.asarray([coeffs[j] for j in idx], dtype=float)
             self.ge_rows.append((idx, coef, rhs))
+        # every constraint as (terms, sense, rhs) for point checks, terms in
+        # the order of its coefficient dict, the order LinearConstraint adds
+        self.row_table = [(list(con.coeffs.items()), con.sense, con.rhs)
+                          for con in instance.constraints]
+        self.objective_terms = list(instance.objective.items())
 
     # -- node geometry --------------------------------------------------------
 
@@ -397,10 +449,27 @@ class BranchAndCount:
     # -- solution extraction ---------------------------------------------------
 
     def _rows_hold(self, x) -> bool:
-        return all(con.satisfied(x, self.feas_tol) for con in self.instance.constraints)
+        """Every constraint holds at x, tested as ``LinearConstraint.satisfied`` does."""
+        tol = self.feas_tol
+        for terms, sense, rhs in self.row_table:
+            act = _dot(terms, x)
+            if sense == GE:
+                ok = act >= rhs - tol
+            elif sense == LE:
+                ok = act <= rhs + tol
+            else:
+                ok = abs(act - rhs) <= tol
+            if not ok:
+                return False
+        return True
+
+    def _objective(self, x) -> float:
+        """``MipInstance.objective_value``, bit for bit."""
+        return _dot(self.objective_terms, x)
 
     def _complete(self, x, lo, hi):
-        """Validate a candidate; re-solve the continuous completion if needed."""
+        """Validate a candidate (a list of floats); re-solve the continuous
+        completion if a row fails. Returns a list of floats, or None."""
         if self._rows_hold(x):
             return x
         lo2, hi2 = lo.copy(), hi.copy()
@@ -408,7 +477,7 @@ class BranchAndCount:
             lo2[j] = hi2[j] = x[j]
         res = self.solver.solve(lo2, hi2)
         if res.is_optimal:
-            return res.x
+            return res.x.tolist()
         return None
 
     def enumerate_unrestricted(self, node: Node, lo, hi, pool: SolutionPool,
@@ -426,20 +495,21 @@ class BranchAndCount:
         for j in self.integer_index:
             if j not in free:
                 base[j] = round(lo[j])
-        ranges = [range(int(lo[j]), int(hi[j]) + 1) for j in free]
+        base = base.tolist()  # Python floats: cheaper per point than numpy scalars
+        values = [[float(v) for v in range(int(lo[j]), int(hi[j]) + 1)] for j in free]
         added = 0
         infeasible = 0
-        for combo in itertools.product(*ranges):
+        for combo in itertools.product(*values):
             if pool.is_full or _limit_reached(deadline):
                 return added, infeasible, False
             x = base.copy()
             for j, v in zip(free, combo):
-                x[j] = float(v)
+                x[j] = v
             x = self._complete(x, lo, hi)
             if x is None:
                 infeasible += 1
                 continue
-            if pool.add(x, self.instance.objective_value(x)):
+            if pool.add(x, self._objective(x)):
                 added += 1
         return added, infeasible, True
 
@@ -517,11 +587,11 @@ class BranchAndCount:
                     if any(hi[k] - lo[k] > 0.5 for k in self.integer_index):
                         children = self.partition_branch(node, lo, hi)
                     else:
-                        x = self._complete(node.lp.x.copy(), lo, hi)
+                        x = self._complete(node.lp.x.tolist(), lo, hi)
                         if x is None:
                             result.infeasible_completions += 1
                         else:
-                            pool.add(x, self.instance.objective_value(x))
+                            pool.add(x, self._objective(x))
                         continue
                 else:
                     children = self.branch(node)

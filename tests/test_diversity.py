@@ -63,6 +63,15 @@ class TestDbin:
             perm = rng.permutation(7)
             assert dbin(rows[perm]) == pytest.approx(base, abs=1e-12)
 
+    def test_integer_counts_equal_the_float_path_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(2, 400))
+            rows = (rng.random((n, int(rng.integers(1, 70)))) < rng.random()).astype(np.int8)
+            want = dbin(rows.astype(float))
+            assert dbin(rows) == want
+            assert dbin(rows.astype(bool)) == want
+
     def test_complementary_pair_is_one(self):
         assert dbin([(0, 0, 0), (1, 1, 1)]) == 1.0
 

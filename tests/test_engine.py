@@ -1,9 +1,11 @@
-"""Branch-and-count engine: completeness, classification, limits, determinism."""
+"""Branch-and-count engine: completeness, classification, walk, pool, limits, determinism."""
 
+import gc
 import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +34,7 @@ from diversitree.generators import (
     mixed_small_instance,
     random_binary_instance,
 )
+from diversitree.engine import SolutionPool
 from diversitree.selectors import fixing_path
 from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
 
@@ -178,8 +181,6 @@ class TestEnumerateUnrestricted:
         return bc, root
 
     def test_lexicographic_order_and_budget(self):
-        from diversitree.engine import SolutionPool
-
         bc, root = self.make_engine(
             [VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(3)],
             [LinearConstraint({0: 1.0}, LE, 10.0, "r0")],
@@ -198,8 +199,6 @@ class TestEnumerateUnrestricted:
         assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
 
     def test_general_integer_range_walk(self):
-        from diversitree.engine import SolutionPool
-
         bc, root = self.make_engine(
             [VariableDef(0, 2.0, 4.0, True, "u")],
             [LinearConstraint({0: 1.0}, LE, 10.0, "r0")],
@@ -209,6 +208,226 @@ class TestEnumerateUnrestricted:
         added, _, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, pool)
         assert (added, done) == (3, True)
         assert sorted(int(round(x[0])) for x in pool.solutions) == [2, 3, 4]
+
+
+    @staticmethod
+    def reference_walk(bc, node, lo, hi):
+        """Per-point walk over numpy points with ``con.satisfied`` and
+        ``objective_value``: (pool as (x, objective) pairs, infeasible count,
+        LP completions)."""
+        inst = bc.instance
+        free = [j for j in bc.integer_index if hi[j] - lo[j] > 0.5]
+        base = node.lp.x.copy()
+        for j in bc.integer_index:
+            if j not in free:
+                base[j] = round(lo[j])
+        pool, infeasible, completions = [], 0, 0
+        for combo in itertools.product(*(range(int(lo[j]), int(hi[j]) + 1) for j in free)):
+            x = base.copy()
+            for j, v in zip(free, combo):
+                x[j] = float(v)
+            if not all(con.satisfied(x, bc.feas_tol) for con in inst.constraints):
+                lo2, hi2 = lo.copy(), hi.copy()
+                for j in bc.integer_index:
+                    lo2[j] = hi2[j] = x[j]
+                res = bc.solver.solve(lo2, hi2)
+                if not res.is_optimal:
+                    infeasible += 1
+                    continue
+                x = res.x
+                completions += 1
+            pool.append((x, inst.objective_value(x)))
+        return pool, infeasible, completions
+
+    def random_box(self, rng):
+        """Binaries, a general integer and a continuous column under random
+        >=, <= and = rows with unrounded coefficients."""
+        nb = int(rng.integers(1, 5))
+        d = nb + 2
+        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(nb)]
+        variables.append(VariableDef(nb, float(rng.integers(-2, 1)), float(rng.integers(1, 3)),
+                                     True, "u"))
+        variables.append(VariableDef(nb + 1, 0.0, 3.0, False, "y"))
+        rows = []
+        for k, sense in enumerate(rng.permutation([GE, LE, EQ])[:int(rng.integers(1, 4))]):
+            cols = rng.permutation(d)[:int(rng.integers(1, d + 1))]
+            coeffs = {int(j): float(rng.uniform(0.1, 2.0) * rng.choice([-1, 1])) for j in cols}
+            if sense == EQ:
+                coeffs[nb + 1] = float(rng.uniform(0.5, 2.0))  # y completes the row
+            rows.append(LinearConstraint(coeffs, sense, float(rng.uniform(-0.5, 2.5)), f"r{k}"))
+        objective = {int(j): float(rng.normal()) for j in rng.permutation(d)}
+        inst = MipInstance(name="box", variables=variables, constraints=rows, objective=objective)
+        bc = BranchAndCount(inst)
+        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
+        root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
+        return bc, root
+
+    def test_walk_matches_the_per_point_reference_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        walked = completed = infeasible = 0
+        for _ in range(60):
+            bc, root = self.random_box(rng)
+            if not root.lp.is_optimal:
+                continue
+            want, want_bad, completions = self.reference_walk(bc, root, bc.root_lo, bc.root_hi)
+            pool = SolutionPool(bc.instance, dedup=False)
+            added, bad, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, pool)
+            assert (added, bad, done) == (len(want), want_bad, True)
+            assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
+            assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+            walked += 1
+            completed += completions
+            infeasible += bad
+        assert walked >= 30 and completed > 0 and infeasible > 0
+
+    def test_sums_run_left_to_right(self):
+        # left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0;
+        # a compensated sum (builtin sum over floats, Python >= 3.12) gives 1.0
+        terms = {0: 1e16, 1: 1.0, 2: -1e16}
+        bc = BranchAndCount(binary_inst(3, [(terms, LE, 0.5)], terms))
+        node = Node(id=0, parent_id=None, depth=0, local_bounds={},
+                    lp=SimpleNamespace(x=np.zeros(3)))
+        pool = SolutionPool(bc.instance)
+        # the row fails at (0,1,0), (1,0,0) and (1,1,0); a compensated sum
+        # would also reject (1,1,1)
+        assert bc.enumerate_unrestricted(node, bc.root_lo, bc.root_hi, pool) == (5, 3, True)
+        assert pool.solutions[-1].tolist() == [1.0, 1.0, 1.0]
+        assert repr(pool.objectives[-1]) == "0.0"
+
+
+class ListPool:
+    """The pool as plain lists, one array per solution: the columnar pool's oracle."""
+
+    def __init__(self, instance, capacity=None, dedup=True, int_tol=1e-6):
+        self.capacity, self.dedup, self.int_tol = capacity, dedup, int_tol
+        self.binary_index = instance.binary_index
+        self.key_cols = self.binary_index or instance.integer_index
+        self.solutions, self.objectives, self.projections = [], [], []
+        self.ones = np.zeros(len(self.binary_index))
+        self.keys = set()
+
+    def add(self, x, objective):
+        if self.capacity is not None and len(self.solutions) >= self.capacity:
+            return False
+        x = np.array(x, dtype=float)
+        key = tuple(round(float(x[j])) for j in self.key_cols)
+        if self.dedup and key in self.keys:
+            return False
+        bits = [round(float(x[j])) for j in self.binary_index]
+        gaps = [abs(x[j] - b) for j, b in zip(self.binary_index, bits)]
+        if gaps and max(gaps) > self.int_tol:
+            j = self.binary_index[gaps.index(max(gaps))]
+            raise ValueError(f"binary column {j} has non-integral value {x[j]!r}")
+        self.keys.add(key)
+        self.solutions.append(x)
+        self.objectives.append(float(objective))
+        self.projections.append(bits)
+        self.ones += bits
+        return True
+
+
+class TestSolutionPool:
+    @staticmethod
+    def instance(nb, ni, nc):
+        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(nb)]
+        variables += [VariableDef(nb + j, -1.0, 2.0, True, f"u{j}") for j in range(ni)]
+        variables += [VariableDef(nb + ni + j, 0.0, 5.0, False, f"y{j}") for j in range(nc)]
+        return MipInstance(name="pool", variables=variables, constraints=[], objective={})
+
+    @staticmethod
+    def outcome(pool, x, objective):
+        try:
+            return pool.add(x, objective)
+        except ValueError as exc:
+            return str(exc)
+
+    def test_matches_the_list_pool_on_random_add_sequences(self):
+        rng = np.random.default_rng(5)
+        raised = 0
+        for trial in range(300):
+            nb, ni, nc = (int(v) for v in rng.integers(0, 4, size=3))
+            inst = self.instance(nb, ni, nc)
+            d = inst.num_vars
+            capacity = None if trial % 3 else int(rng.integers(1, 30))
+            dedup = bool(trial % 4)
+            # a small bank of points, so that keys repeat
+            bank = np.empty((int(rng.integers(1, 12)), d))
+            bank[:, :nb] = rng.integers(0, 2, size=(len(bank), nb))
+            bank[:, nb:nb + ni] = rng.integers(-1, 3, size=(len(bank), ni))
+            bank[:, nb + ni:] = rng.uniform(0.0, 5.0, size=(len(bank), nc))
+            pool = SolutionPool(inst, capacity=capacity, dedup=dedup)
+            ref = ListPool(inst, capacity=capacity, dedup=dedup)
+            for _ in range(int(rng.integers(0, 60))):
+                x = bank[rng.integers(len(bank))].copy()
+                if d and rng.random() < 0.3:
+                    x[rng.integers(d)] += rng.choice([1e-8, -1e-8, 0.4, 0.5, 0.75])
+                objective = float(rng.normal())
+                got = self.outcome(pool, x, objective)
+                assert got == self.outcome(ref, x, objective)
+                raised += isinstance(got, str)
+                assert len(pool) == len(ref.solutions)
+                assert pool.is_full == (capacity is not None and len(pool) >= capacity)
+            n = len(pool)
+            assert pool.solutions.shape == (n, d)
+            assert pool.projections.shape == (n, nb)
+            assert pool.projections.dtype == np.int8
+            assert pool.solutions.tobytes() == b"".join(x.tobytes() for x in ref.solutions)
+            assert pool.projections.tolist() == ref.projections
+            assert pool.projection_matrix().tolist() == ref.projections
+            assert pool.solution_matrix().tobytes() == pool.solutions.tobytes()
+            assert [repr(v) for v in pool.objectives] == [repr(v) for v in ref.objectives]
+            assert pool.ones.tobytes() == ref.ones.tobytes()
+        assert raised > 0
+
+    def test_non_integral_binary_raises_unless_its_key_is_taken(self):
+        pool = SolutionPool(self.instance(2, 0, 1))
+        with pytest.raises(ValueError, match=r"binary column 1 has non-integral value .*0\.4"):
+            pool.add([0.0, 0.4, 1.0], 0.0)
+        assert len(pool) == 0 and pool.solutions.shape == (0, 3)
+        assert pool.add([0.0, 0.0, 1.0], 0.0)
+        assert not pool.add([0.0, 0.4, 2.0], 0.0)  # rounds onto the pooled key
+        assert pool.solutions.tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_without_binaries_the_integer_columns_are_the_key(self):
+        pool = SolutionPool(self.instance(0, 2, 1))
+        assert pool.add([1.0, -1.0, 0.5], 1.0)
+        assert not pool.add([1.0, -1.0, 2.5], 2.0)  # differs in y only
+        assert pool.add([1.0, 0.0, 0.5], 3.0)
+        assert pool.projections.shape == (2, 0) and pool.ones.shape == (0,)
+        assert pool.objectives == [1.0, 3.0]
+
+    def test_empty_shapes_and_read_only_views(self):
+        pool = SolutionPool(self.instance(5, 0, 1))
+        assert pool.solutions.shape == pool.solution_matrix().shape == (0, 6)
+        assert pool.projections.shape == pool.projection_matrix().shape == (0, 5)
+        for k in range(40):  # 32 distinct keys: past the first doubling
+            pool.add([k >> b & 1 for b in range(5)] + [0.5], float(k))
+        assert len(pool) == 32
+        for view in (pool.solutions, pool.projections, pool.solution_matrix(),
+                     pool.projection_matrix()):
+            assert len(view) == 32
+            with pytest.raises(ValueError):
+                view[0, 0] = 1
+
+    def test_memory_per_pooled_solution(self):
+        # 14 free binaries and a fixed shift column, no rows: the root is
+        # unrestricted and its walk pools all 2**14 points
+        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(14)]
+        variables.append(VariableDef(14, 1.0, 1.0, False, "shift"))
+        objective = {j: 1.0 for j in range(14)}
+        objective[14] = -320.0
+        bc = BranchAndCount(MipInstance(name="box14", variables=variables, constraints=[],
+                                        objective=objective))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = bc.run()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(res.pool) == 2 ** 14
+        assert held / len(res.pool) <= 320, f"{held / len(res.pool):.0f} bytes per solution"
 
 
 class TestBranching:
@@ -308,6 +527,12 @@ class TestLimitsAndTruncation:
         assert res.truncated and not res.exhausted
         assert len(res.pool) < 2 ** 16
         assert res.wall_time_s < 1.0
+        # the clock cuts the walk short but does not reorder it
+        full = BranchAndCount(inst).run()
+        assert full.exhausted and len(full.pool) == 2 ** 16
+        n = len(res.pool)
+        assert res.pool.solutions.tobytes() == full.pool.solutions[:n].tobytes()
+        assert res.pool.objectives == full.pool.objectives[:n]
 
 
 class TestLpStalls:
