@@ -16,7 +16,7 @@ def project_binary(x, binary_index, int_tol: float = 1e-6):
     Values are rounded to the nearest integer first; LP noise up to int_tol
     is expected, larger deviations raise.
     """
-    vals = np.asarray(x, dtype=float)[binary_index]
+    vals = np.asarray(x, dtype=float)[np.asarray(binary_index, dtype=np.intp)]
     bits = np.rint(vals)
     dev = np.abs(vals - bits)
     if (dev > int_tol).any():

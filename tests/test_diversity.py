@@ -129,6 +129,7 @@ class TestProjection:
         proj = project_binary(x, [0, 2])
         assert proj.tolist() == [1, 0]
         assert proj.dtype == np.int8
+        assert project_binary(list(x), (0, 2)).tolist() == [1, 0]
 
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
