@@ -6,7 +6,7 @@ trade the LP bound against solution diversity and tree depth, then picks
 a maximum-diversity subset of the collected pool.
 """
 
-from .diversity import DiversityReport, dall, dbin, ham, pairwise_ham, project_binary
+from .diversity import dall, dbin, ham, pairwise_ham, project_binary
 from .engine import (
     BranchAndCount,
     CountResult,
@@ -78,7 +78,6 @@ __all__ = [
     "CutoffSpec",
     "CUTOFF_ROW",
     "DEFAULT_COMPARE_RULES",
-    "DiversityReport",
     "EngineError",
     "EQ",
     "ExperimentResult",

@@ -9,17 +9,19 @@ per-variable variances.
 
 import numpy as np
 
+from .model import INT_TOL
 
-def project_binary(x, binary_index, int_tol: float = 1e-6):
+
+def project_binary(x, binary_index):
     """0/1 vector of x restricted to the binary columns, in index order.
 
-    Values are rounded to the nearest integer first; LP noise up to int_tol
+    Values are rounded to the nearest integer first; LP noise up to INT_TOL
     is expected, larger deviations raise.
     """
     vals = np.asarray(x, dtype=float)[np.asarray(binary_index, dtype=np.intp)]
     bits = np.rint(vals)
     dev = np.abs(vals - bits)
-    if (dev > int_tol).any():
+    if (dev > INT_TOL).any():
         worst = int(np.argmax(dev))
         raise ValueError(
             f"binary column {binary_index[worst]} has non-integral value {vals[worst]!r}"
@@ -58,13 +60,12 @@ def dbin(projections) -> float:
     return 2.0 * pair_total / (n * (n - 1))
 
 
-def dall(solutions, ranges, per_variable: bool = True) -> float:
+def dall(solutions, ranges) -> float:
     """Range-scaled population-variance diversity of full solution vectors.
 
     ``ranges`` gives the scaling R per variable; variables with R <= 0 are
-    skipped (an error if none remain). The default normalizes by the number
-    of included variables; ``per_variable=False`` keeps the literal
-    sum-over-variables divided by the set size.
+    skipped (an error if none remain). The value is the mean of var / R
+    over the included variables.
     """
     s = np.asarray(solutions, dtype=float)
     if s.ndim != 2 or s.shape[0] < 2:
@@ -76,10 +77,7 @@ def dall(solutions, ranges, per_variable: bool = True) -> float:
     if not np.any(keep):
         raise ValueError("all variables have zero range")
     var = s[:, keep].var(axis=0)  # population variance, ddof=0
-    scaled = var / r[keep]
-    if per_variable:
-        return float(scaled.mean())
-    return float(scaled.sum() / s.shape[0])
+    return float((var / r[keep]).mean())
 
 
 def pairwise_ham(projections):
@@ -95,22 +93,3 @@ def pairwise_ham(projections):
     np.fill_diagonal(d, 0.0)
     return d
 
-
-class DiversityReport:
-    """DBin/DAll summary of a solution set."""
-
-    def __init__(self, set_size: int, dbin_value, dall_value=None):
-        self.set_size = set_size
-        self.pair_count = set_size * (set_size - 1) // 2
-        self.dbin = dbin_value
-        self.dall = dall_value
-
-    @classmethod
-    def compute(cls, projections, solutions=None, ranges=None):
-        p = np.asarray(projections)
-        n = p.shape[0]
-        d = dbin(p) if n >= 2 else 0.0
-        a = None
-        if solutions is not None and ranges is not None and n >= 2:
-            a = dall(solutions, ranges)
-        return cls(n, d, a)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diversity import project_binary
-from .model import GE, LE, MipInstance
+from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance
 from .selectors import ScoreContext, Selector, SelectorConfig, fixing_path
 from .simplex import LpResult, LpStatus, SimplexSolver
 
@@ -77,11 +77,9 @@ class SolutionPool:
     not collapsed.
     """
 
-    def __init__(self, instance: MipInstance, capacity: int = None, dedup: bool = True,
-                 int_tol: float = 1e-6):
+    def __init__(self, instance: MipInstance, capacity: int = None, dedup: bool = True):
         self.capacity = capacity
         self.dedup = dedup
-        self.int_tol = int_tol
         self.binary_index = instance.binary_index
         self.binary_pos = {j: k for k, j in enumerate(self.binary_index)}
         self._bin = np.asarray(self.binary_index, dtype=np.intp)
@@ -113,7 +111,7 @@ class SolutionPool:
         row = self._x[n]  # written in place; only counted once accepted
         row[:] = x
         try:
-            proj = project_binary(row, self._bin, self.int_tol)
+            proj = project_binary(row, self._bin)
         except ValueError:
             # the dedup test comes first: a duplicate key is refused, not raised
             if self.dedup and self._rounded_key(row) in self._keys:
@@ -289,10 +287,8 @@ class TraceRecord:
 class CountResult:
     pool: SolutionPool
     nodes_processed: int = 0
-    nodes_pruned: int = 0
     unrestricted_subtrees: int = 0
     stalled_dropped: int = 0
-    infeasible_completions: int = 0
     exhausted: bool = False
     truncated: bool = False
     wall_time_s: float = 0.0
@@ -345,13 +341,11 @@ class BranchAndCount:
     """Branch and bound on one instance: ``optimize``, or ``run`` under the caller's cutoff."""
 
     def __init__(self, instance: MipInstance, selector: SelectorConfig = None,
-                 dedup: bool = True, feas_tol: float = 1e-6, int_tol: float = 1e-6):
+                 dedup: bool = True):
         self.instance = instance
         self.selector_config = selector if selector is not None else SelectorConfig()
         self.dedup = dedup
-        self.feas_tol = feas_tol
-        self.int_tol = int_tol
-        self.solver = SimplexSolver(instance, feas_tol=feas_tol, int_tol=int_tol)
+        self.solver = SimplexSolver(instance)
 
         self.integer_index = instance.integer_index
         lo, hi = instance.bounds()
@@ -362,18 +356,19 @@ class BranchAndCount:
                 raise EngineError(
                     f"integer variable {instance.variables[j].name} must have finite bounds"
                 )
-            self.root_lo[j] = math.ceil(self.root_lo[j] - int_tol)
-            self.root_hi[j] = math.floor(self.root_hi[j] + int_tol)
-        # constraints in >= form (one row per <=/>=, two per equality)
-        self.ge_rows = []
-        for coeffs, rhs in instance.ge_rows():
-            idx = np.asarray(sorted(coeffs), dtype=int)
-            coef = np.asarray([coeffs[j] for j in idx], dtype=float)
-            self.ge_rows.append((idx, coef, rhs))
+            self.root_lo[j] = math.ceil(self.root_lo[j] - INT_TOL)
+            self.root_hi[j] = math.floor(self.root_hi[j] + INT_TOL)
         # every constraint as (terms, sense, rhs) for point checks, terms in
         # the order of its coefficient dict, the order LinearConstraint adds
         self.row_table = [(list(con.coeffs.items()), con.sense, con.rhs)
                           for con in instance.constraints]
+        # the same rows for the box test, as (columns, coefficients, sense,
+        # rhs) with the terms in ascending column order
+        self.box_rows = []
+        for terms, sense, rhs in self.row_table:
+            terms = sorted(terms)
+            self.box_rows.append((np.asarray([j for j, _ in terms], dtype=int),
+                                  np.asarray([a for _, a in terms], dtype=float), sense, rhs))
         self.objective_terms = list(instance.objective.items())
 
     # -- node geometry --------------------------------------------------------
@@ -395,11 +390,19 @@ class BranchAndCount:
         return BRANCHABLE
 
     def is_unrestricted(self, lo, hi) -> bool:
-        """True when every row holds at its worst point of the local box."""
-        for idx, coef, rhs in self.ge_rows:
-            worst = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
-            if not worst >= rhs - self.feas_tol:  # NaN-safe: unbounded box fails
-                return False
+        """True when every row holds at its worst point of the local box:
+        the least activity over the box for a ``>=`` row, the greatest for
+        a ``<=`` row, and both for an equality. The comparisons are written
+        so that a NaN activity (an unbounded box) fails them."""
+        for idx, coef, sense, rhs in self.box_rows:
+            if sense != LE:
+                least = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
+                if not least >= rhs - FEAS_TOL:
+                    return False
+            if sense != GE:
+                most = np.where(coef > 0, coef * hi[idx], coef * lo[idx]).sum()
+                if not most <= rhs + FEAS_TOL:
+                    return False
         return True
 
     def _estimate(self, lp: LpResult) -> float:
@@ -450,15 +453,14 @@ class BranchAndCount:
 
     def _rows_hold(self, x) -> bool:
         """Every constraint holds at x, tested as ``LinearConstraint.satisfied`` does."""
-        tol = self.feas_tol
         for terms, sense, rhs in self.row_table:
             act = _dot(terms, x)
             if sense == GE:
-                ok = act >= rhs - tol
+                ok = act >= rhs - FEAS_TOL
             elif sense == LE:
-                ok = act <= rhs + tol
+                ok = act <= rhs + FEAS_TOL
             else:
-                ok = abs(act - rhs) <= tol
+                ok = abs(act - rhs) <= FEAS_TOL
             if not ok:
                 return False
         return True
@@ -519,7 +521,7 @@ class BranchAndCount:
             trace_path: str = None) -> CountResult:
         t0 = time.perf_counter()
         deadline = None if time_limit is None else t0 + time_limit
-        pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup, int_tol=self.int_tol)
+        pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
         queue = OpenNodeQueue(self.instance.binary_index)
         result = CountResult(pool=pool)
@@ -541,7 +543,6 @@ class BranchAndCount:
                 raise EngineError("root relaxation is unbounded; add bounds or a cutoff")
             if root.lp.status == LpStatus.INFEASIBLE:
                 result.nodes_processed = 1
-                result.nodes_pruned = 1
                 emit(TraceRecord(0, 0, None, INFEASIBLE, 0))
                 result.exhausted = True
                 return result
@@ -553,13 +554,8 @@ class BranchAndCount:
                 if _limit_reached(deadline, result.nodes_processed, node_limit):
                     result.truncated = True
                     break
-                ctx = ScoreContext(
-                    min_bound=queue.min_bound(),
-                    max_bound=queue.max_bound(),
-                    pool=pool,
-                    solutions_found=len(pool),
-                    p1=p1,
-                )
+                ctx = ScoreContext(min_bound=queue.min_bound(), max_bound=queue.max_bound(),
+                                   pool=pool)
                 if selector.bound_order(ctx):
                     node = queue.pop(queue.min_id())
                 else:
@@ -571,12 +567,10 @@ class BranchAndCount:
                 emit(TraceRecord(node.id, node.depth, node.lp_bound, cls, len(pool)))
 
                 if cls == INFEASIBLE:
-                    result.nodes_pruned += 1
                     continue
                 if cls == UNRESTRICTED:
                     result.unrestricted_subtrees += 1
-                    _, bad, completed = self.enumerate_unrestricted(node, lo, hi, pool, deadline)
-                    result.infeasible_completions += bad
+                    _, _, completed = self.enumerate_unrestricted(node, lo, hi, pool, deadline)
                     if not completed:
                         if not pool.is_full:  # the clock ran out mid-walk
                             result.truncated = True
@@ -588,9 +582,7 @@ class BranchAndCount:
                         children = self.partition_branch(node, lo, hi)
                     else:
                         x = self._complete(node.lp.x.tolist(), lo, hi)
-                        if x is None:
-                            result.infeasible_completions += 1
-                        else:
+                        if x is not None:
                             pool.add(x, self._objective(x))
                         continue
                 else:
@@ -600,7 +592,6 @@ class BranchAndCount:
                     child.id = next_id
                     next_id += 1
                     if child.lp.status == LpStatus.INFEASIBLE:
-                        result.nodes_pruned += 1
                         emit(TraceRecord(child.id, child.depth, None, INFEASIBLE, len(pool)))
                         continue
                     if child.lp.status == LpStatus.STALLED:

@@ -6,7 +6,7 @@ bounded instances with integer data so brute-force checks stay exact.
 
 import numpy as np
 
-from .model import EQ, GE, LE, LinearConstraint, MipInstance, VariableDef
+from .model import EQ, GE, LE, CutoffSpec, LinearConstraint, MipInstance, VariableDef
 
 
 def knapsack_instance(name: str = "knap3") -> MipInstance:
@@ -157,7 +157,9 @@ def brute_force_near_optimal(instance: MipInstance, q: float, tol: float = 1e-9)
     """(z_star, sorted tuple set of integer assignments) by full enumeration.
 
     Exact oracle for pure-integer instances (continuous columns must be
-    fixed). Returns (None, None) when infeasible.
+    fixed): rows are tested by ``LinearConstraint.satisfied``, and a member's
+    objective may exceed the cutoff by ``tol``. Returns (None, None) when
+    infeasible.
     """
     import itertools
 
@@ -174,13 +176,13 @@ def brute_force_near_optimal(instance: MipInstance, q: float, tol: float = 1e-9)
     feasible = []
     for combo in itertools.product(*ranges):
         x = np.asarray(combo, dtype=float)
-        if all(con.satisfied(x, tol) for con in instance.constraints):
+        if all(con.satisfied(x) for con in instance.constraints):
             val = instance.objective_value(x)
             feasible.append((val, combo))
             if best is None or val < best:
                 best = val
     if best is None:
         return None, None
-    cutoff = best + q * abs(best)
+    cutoff = CutoffSpec(best, q).cutoff_value
     members = sorted(combo for val, combo in feasible if val <= cutoff + tol)
     return best, members

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .diversity import dall, dbin
 from .engine import BranchAndCount, EngineError, OptimumResult
-from .model import MipInstance, add_objective_cutoff
+from .model import CutoffSpec, MipInstance, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
 from .subset import select_diverse_subset
 
@@ -32,11 +32,10 @@ class HarnessError(RuntimeError):
     """Pipeline failure, message prefixed with the stage that raised it."""
 
 
-def find_optimum(instance: MipInstance, node_limit: int = None, time_limit: float = None,
-                 feas_tol: float = 1e-6, int_tol: float = 1e-6) -> OptimumResult:
+def find_optimum(instance: MipInstance, node_limit: int = None,
+                 time_limit: float = None) -> OptimumResult:
     """Optimal value by the engine's optimize mode (best-first, incumbent pruning)."""
-    engine = BranchAndCount(instance, feas_tol=feas_tol, int_tol=int_tol)
-    return engine.optimize(node_limit=node_limit, time_limit=time_limit)
+    return BranchAndCount(instance).optimize(node_limit=node_limit, time_limit=time_limit)
 
 
 @dataclass
@@ -212,7 +211,7 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
         p=spec.p,
         seed=spec.seed,
         z_star=instance.reported_objective(opt.objective),
-        cutoff_value=opt.objective + spec.q * abs(opt.objective),
+        cutoff_value=CutoffSpec(opt.objective, spec.q).cutoff_value,
         pool_size=len(pool),
         exhausted=count.exhausted,
         truncated=count.truncated,

@@ -19,6 +19,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 INF = float("inf")
+# a row holds within FEAS_TOL of its rhs; an integer column's value is
+# integral within INT_TOL of the nearest integer
+FEAS_TOL = 1e-6
+INT_TOL = 1e-6
 
 GE = ">="
 LE = "<="
@@ -74,27 +78,17 @@ class LinearConstraint:
             if a == 0.0:
                 raise ModelError(f"constraint {self.name!r}: zero coefficient on column {j}")
 
-    def ge_rows(self):
-        """The row as a list of equivalent >= rows (one for >=/<=, two for =)."""
-        if self.sense == GE:
-            return [(self.coeffs, self.rhs)]
-        if self.sense == LE:
-            return [({j: -a for j, a in self.coeffs.items()}, -self.rhs)]
-        return [
-            (self.coeffs, self.rhs),
-            ({j: -a for j, a in self.coeffs.items()}, -self.rhs),
-        ]
-
     def activity(self, x) -> float:
         return sum(a * x[j] for j, a in self.coeffs.items())
 
-    def satisfied(self, x, tol: float = 1e-6) -> bool:
+    def satisfied(self, x) -> bool:
+        """The row holds at x within FEAS_TOL."""
         act = self.activity(x)
         if self.sense == GE:
-            return act >= self.rhs - tol
+            return act >= self.rhs - FEAS_TOL
         if self.sense == LE:
-            return act <= self.rhs + tol
-        return abs(act - self.rhs) <= tol
+            return act <= self.rhs + FEAS_TOL
+        return abs(act - self.rhs) <= FEAS_TOL
 
 
 @dataclass
@@ -150,13 +144,6 @@ class MipInstance:
     def reported_objective(self, value: float) -> float:
         """Objective in the sense of the source model (un-negated)."""
         return -value if self.objective_negated else value
-
-    def ge_rows(self):
-        """All constraints normalized to >= form, in declaration order."""
-        rows = []
-        for con in self.constraints:
-            rows.extend(con.ge_rows())
-        return rows
 
     def bounds(self):
         """(lower, upper) bound lists over all columns."""

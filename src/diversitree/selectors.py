@@ -16,7 +16,8 @@ The diversity family blends three scaled quantities over the open set:
 
 * L: the node bound min-max scaled over open nodes (0 when degenerate),
 * D: mean disagreement of the node's fixed binaries against the pool,
-* H: depth scaled between the plunge limits, clamped to [0, 1].
+* H: depth over the plunge window, the instance's integer count (at least
+  1), clamped to 1.
 
 High diversity and depth are desirable, so by default D and H enter the
 argmin as bonuses (1 - D, 1 - H); ``literal_score`` keeps the raw +D/+H
@@ -76,7 +77,6 @@ class SelectorConfig:
     ``sol_cutoff`` is the gate fraction s of pool capacity,
     ``depth_cutoff`` the gate depth d, ``rho`` the classic-rule weight
     (defaults 0.1 for the visit-ratio rule, 0.5 for best-estimate).
-    Plunge limits default to 0 and the instance's integer count.
     """
 
     rule: Rule = Rule.BESTFS
@@ -85,8 +85,6 @@ class SelectorConfig:
     sol_cutoff: float = 0.0
     depth_cutoff: int = 0
     rho: float = None
-    min_plunge_depth: int = 0
-    max_plunge_depth: int = None
     literal_score: bool = False
 
     def __post_init__(self):
@@ -108,10 +106,6 @@ class SelectorConfig:
             raise ValueError(f"depth_cutoff must be >= 0, got {self.depth_cutoff}")
         if self.rho is not None and self.rho < 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if self.min_plunge_depth < 0:
-            raise ValueError("min_plunge_depth must be >= 0")
-        if self.max_plunge_depth is not None and self.max_plunge_depth <= self.min_plunge_depth:
-            raise ValueError("max_plunge_depth must exceed min_plunge_depth")
 
     def resolved_rho(self) -> float:
         if self.rho is not None:
@@ -139,14 +133,12 @@ def preset(name: str) -> SelectorConfig:
 
 @dataclass
 class ScoreContext:
-    """Shared state a scoring pass needs: bound extrema over the open set,
-    the solution pool, and the capacity gate inputs."""
+    """Shared state a scoring pass needs: bound extrema over the open set
+    and the solution pool, whose size and capacity drive the solution gate."""
 
     min_bound: float
     max_bound: float
     pool: object
-    solutions_found: int
-    p1: int = None  # None means unlimited
 
 
 def scaled_bound(lp_bound, ctx: ScoreContext):
@@ -158,13 +150,10 @@ def scaled_bound(lp_bound, ctx: ScoreContext):
     return np.minimum(1.0, np.maximum(0.0, (lp_bound - ctx.min_bound) / spread))
 
 
-def scaled_depth(depth, min_plunge: int, max_plunge: int):
-    """Depth (or an array of depths) scaled between the plunge limits,
-    clamped to [0, 1]."""
-    span = max_plunge - min_plunge
-    if span <= 0:
-        return np.zeros_like(depth, dtype=float)
-    return np.minimum(1.0, np.maximum(0.0, (depth - min_plunge) / span))
+def scaled_depth(depth, max_plunge: int):
+    """Depth (or an array of depths) over the plunge window ``max_plunge``
+    (at least 1), clamped to 1."""
+    return np.minimum(1.0, depth / max_plunge)
 
 
 def fixing_path(local_bounds: dict, binary_pos: dict) -> list:
@@ -224,12 +213,7 @@ class Selector:
     def __init__(self, config: SelectorConfig, num_integer_vars: int = 0):
         self.config = config
         self.rho = config.resolved_rho()
-        self.min_plunge = config.min_plunge_depth
-        self.max_plunge = (
-            config.max_plunge_depth
-            if config.max_plunge_depth is not None
-            else max(1, num_integer_vars)
-        )
+        self.max_plunge = max(1, num_integer_vars)
         self.visits = {}  # node id -> dequeues within its subtree
         self.parents = {}  # node id -> parent id, kept for the visit-ratio rule
         self.depth_gate_open = config.depth_cutoff == 0
@@ -256,9 +240,10 @@ class Selector:
         """True while the rule must behave as pure best-first."""
         rule = self.config.rule
         if rule in _SOLUTION_GATED:
-            if ctx.p1 is None:
+            capacity = ctx.pool.capacity
+            if capacity is None:
                 return True  # unlimited capacity: the fraction gate never fills
-            return ctx.solutions_found < self.config.sol_cutoff * ctx.p1
+            return len(ctx.pool) < self.config.sol_cutoff * capacity
         if rule == Rule.DBFS_AD:
             return not self.depth_gate_open
         return False
@@ -302,7 +287,7 @@ class Selector:
         if gated:
             return lscore
         dval = path_diversity(queue.path[:n], queue.path_len[:n], self._pool_terms(ctx.pool))
-        hval = scaled_depth(queue.depth[:n], self.min_plunge, self.max_plunge)
+        hval = scaled_depth(queue.depth[:n], self.max_plunge)
         if not cfg.literal_score:
             dterm, hterm = 1.0 - dval, 1.0 - hval
         else:

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import EQ, GE, LE, MipInstance
+from .model import EQ, FEAS_TOL, GE, INT_TOL, LE, MipInstance
 
 log = logging.getLogger("diversitree.simplex")
 
@@ -57,7 +57,7 @@ class LpResult:
     status: LpStatus
     objective: float = None
     x: np.ndarray = None  # structural values only
-    fractional: list = None  # integer columns off the grid at int_tol
+    fractional: list = None  # integer columns off the grid at INT_TOL
     dual_objective: float = None
     basis: BasisSnapshot = None
     iterations: int = 0
@@ -78,17 +78,14 @@ class _Singular(Exception):
 class SimplexSolver:
     """Reusable solver for one instance's LP relaxation."""
 
-    def __init__(self, instance: MipInstance, feas_tol: float = 1e-6, int_tol: float = 1e-6,
-                 max_iter: int = None):
+    def __init__(self, instance: MipInstance):
         self.instance = instance
-        self.feas_tol = feas_tol
-        self.int_tol = int_tol
         d = instance.num_vars
         m = len(instance.constraints)
         self.d = d
         self.m = m
         self.n = d + m  # structural + slack columns
-        self.max_iter = max_iter if max_iter is not None else 500 + 100 * self.n
+        self._iter_cap = 500 + 100 * self.n  # more pivots than this is a stall
 
         self.A = np.zeros((m, self.n))
         self.b = np.zeros(m)
@@ -119,7 +116,7 @@ class SimplexSolver:
     def solve(self, lo=None, hi=None) -> LpResult:
         """Cold two-phase solve under optional structural bound overrides."""
         full_lo, full_hi = self._bounds(lo, hi)
-        if (full_lo > full_hi + self.feas_tol).any():
+        if (full_lo > full_hi + FEAS_TOL).any():
             return LpResult(status=LpStatus.INFEASIBLE)
         return self._cold(full_lo, full_hi)
 
@@ -130,7 +127,7 @@ class SimplexSolver:
         :meth:`solve`, and any numerical trouble falls back to a cold solve.
         """
         full_lo, full_hi = self._bounds(lo, hi)
-        if (full_lo > full_hi + self.feas_tol).any():
+        if (full_lo > full_hi + FEAS_TOL).any():
             return LpResult(status=LpStatus.INFEASIBLE)
         if snapshot is None:
             return self._cold(full_lo, full_hi)
@@ -180,7 +177,7 @@ class SimplexSolver:
             dual_obj += term
         ints = self.integer_index
         vals = xs[ints]
-        frac = ints[np.abs(vals - np.rint(vals)) > self.int_tol].tolist()
+        frac = ints[np.abs(vals - np.rint(vals)) > INT_TOL].tolist()
         snapshot = None
         cols = np.asarray(basis)
         if (cols < self.n).all():
@@ -214,7 +211,7 @@ class SimplexSolver:
         degenerate = 0
         it = 0
         while True:
-            if it > self.max_iter:
+            if it > self._iter_cap:
                 raise _Stalled()
             it += 1
             B = A[:, basis]
@@ -306,7 +303,7 @@ class SimplexSolver:
         if status != LpStatus.OPTIMAL:  # phase 1 is bounded below by zero
             return LpResult(status=LpStatus.STALLED, iterations=it1)
         scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
-        if float(c1 @ x) > self.feas_tol * scale:
+        if float(c1 @ x) > FEAS_TOL * scale:
             return LpResult(status=LpStatus.INFEASIBLE, iterations=it1)
 
         # Pivot leftover artificials out where a real column can replace them.
@@ -380,13 +377,13 @@ class SimplexSolver:
             raise _Singular()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst
-        # (which starts at feas_tol) or comes within PIVOT_TOL of it; each of
+        # (which starts at FEAS_TOL) or comes within PIVOT_TOL of it; each of
         # at most 2m choices lowers the worst by under PIVOT_TOL, so no chosen
         # violation is at or below this floor.
-        floor = self.feas_tol - 2 * self.m * PIVOT_TOL
+        floor = FEAS_TOL - 2 * self.m * PIVOT_TOL
         it = 0
         while True:
-            if it > self.max_iter:
+            if it > self._iter_cap:
                 raise _Stalled()
             it += 1
             B = A[:, basis]
@@ -396,7 +393,7 @@ class SimplexSolver:
             under = lo[basis] - xb
             over = xb - hi[basis]
             leave_pos = -1
-            worst = self.feas_tol
+            worst = FEAS_TOL
             below = False
             for k in ((under > floor) | (over > floor)).nonzero()[0].tolist():
                 bk = basis[k]

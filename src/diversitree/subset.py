@@ -44,12 +44,6 @@ SWAP_CAP_FACTOR = 50
 METHODS = ("greedy", "greedy_swap", "exact")
 
 
-def _projection_matrix(pool_or_projections) -> np.ndarray:
-    if hasattr(pool_or_projections, "projection_matrix"):
-        return np.asarray(pool_or_projections.projection_matrix(), dtype=float)
-    return np.asarray(pool_or_projections, dtype=float)
-
-
 def _hamming_counts(proj: np.ndarray) -> np.ndarray:
     """Hamming counts as exact integers in float64, rounded in place.
 
@@ -195,9 +189,10 @@ def _content_key(projections: np.ndarray, combo) -> tuple:
     return tuple(sorted(projections[i].tobytes() for i in combo))
 
 
-def select_diverse_subset(pool_or_projections, p: int, method: str = "greedy_swap") -> list:
-    """Indices of a diverse p-subset of the pool, per the chosen method."""
-    proj = _projection_matrix(pool_or_projections)
+def select_diverse_subset(projections, p: int, method: str = "greedy_swap") -> list:
+    """Indices of a diverse p-subset of the rows of a 0/1 projection matrix
+    (a pool's ``projections``), per the chosen method."""
+    proj = np.asarray(projections, dtype=float)
     n = proj.shape[0]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

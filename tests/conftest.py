@@ -43,7 +43,7 @@ def oracle_dbin(projections):
     return 2.0 * total / (n * (n - 1))
 
 
-def oracle_dall(solutions, ranges, per_variable=True):
+def oracle_dall(solutions, ranges):
     sols = [list(r) for r in solutions]
     n = len(sols)
     d = len(sols[0])
@@ -56,9 +56,7 @@ def oracle_dall(solutions, ranges, per_variable=True):
         var = sum((v - mean) ** 2 for v in col) / n
         scaled.append(var / ranges[i])
     assert scaled, "all ranges zero"
-    if per_variable:
-        return sum(scaled) / len(scaled)
-    return sum(scaled) / n
+    return sum(scaled) / len(scaled)
 
 
 def oracle_pair_sum(projections, chosen):
@@ -128,8 +126,7 @@ def oracle_score(selector, node, ctx, gated=None):
     fixed = {j: int(lo) for j, (lo, hi) in node.local_bounds.items()
              if lo == hi and j in ctx.pool.binary_pos}
     dval = oracle_partial_diversity(fixed, ctx.pool)
-    span = selector.max_plunge - selector.min_plunge
-    hval = 0.0 if span <= 0 else _oracle_clamp((node.depth - selector.min_plunge) / span)
+    hval = _oracle_clamp(node.depth / selector.max_plunge)
     if not cfg.literal_score:
         dterm, hterm = 1.0 - dval, 1.0 - hval
     else:
@@ -260,6 +257,27 @@ def oracle_exact(projections, p):
     return best
 
 
+# -- box test oracle (every row rewritten in >= form) ------------------------
+
+def oracle_is_unrestricted(instance, lo, hi, tol):
+    """Every row holds at the worst point of the box [lo, hi], each row
+    tested in >= form: a <= row negated, an equality as both.
+
+    Terms run in ascending column order and each form is one numpy sum.
+    """
+    for con in instance.constraints:
+        negated = ({j: -a for j, a in con.coeffs.items()}, -con.rhs)
+        forms = {GE: [(con.coeffs, con.rhs)], LE: [negated],
+                 EQ: [(con.coeffs, con.rhs), negated]}[con.sense]
+        for coeffs, rhs in forms:
+            idx = np.asarray(sorted(coeffs), dtype=int)
+            coef = np.asarray([coeffs[j] for j in idx], dtype=float)
+            worst = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
+            if not worst >= rhs - tol:  # NaN-safe: an unbounded box fails
+                return False
+    return True
+
+
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------
 
 def scipy_lp(instance, lo=None, hi=None):
@@ -306,6 +324,18 @@ def scipy_lp(instance, lo=None, hi=None):
 
 # -- exhaustive near-optimal enumeration --------------------------------------
 
+def oracle_row_holds(con, x, tol):
+    """Row ``con`` holds at x within ``tol``, by a plain left-to-right loop."""
+    act = 0.0
+    for j, a in con.coeffs.items():
+        act += a * x[j]
+    if con.sense == GE:
+        return act >= con.rhs - tol
+    if con.sense == LE:
+        return act <= con.rhs + tol
+    return abs(act - con.rhs) <= tol
+
+
 def enum_pure_integer(instance, q, tol=1e-9):
     """(z_star, set of integer tuples) for instances whose continuous
     variables are all fixed; returns (None, set()) when infeasible."""
@@ -321,7 +351,7 @@ def enum_pure_integer(instance, q, tol=1e-9):
     best = None
     for combo in itertools.product(*ranges):
         x = np.asarray(combo, dtype=float)
-        if all(con.satisfied(x, tol) for con in instance.constraints):
+        if all(oracle_row_holds(con, x, tol) for con in instance.constraints):
             val = instance.objective_value(x)
             feasible.append((val, combo))
             if best is None or val < best:

@@ -21,6 +21,7 @@ from conftest import (
     oracle_dall,
     oracle_dbin,
     oracle_ham,
+    oracle_row_holds,
     scipy_lp,
 )
 from diversitree import (
@@ -238,7 +239,7 @@ def test_criterion_08_reformulation_round_trips():
                 x[j] = v
             val = entry.decode(x)
             x[0] = val  # the linking equality forces the original column
-            if all(c.satisfied(x, 1e-9) for c in new.constraints):
+            if all(oracle_row_holds(c, x, 1e-9) for c in new.constraints):
                 decoded.append(val)
         assert sorted(decoded) == list(range(u + 1))  # bijection onto [0, u]
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import enum_mixed_projections, enum_pure_integer
+from conftest import enum_mixed_projections, enum_pure_integer, oracle_is_unrestricted
 from diversitree import (
     EQ,
     GE,
@@ -35,6 +35,7 @@ from diversitree.generators import (
     random_binary_instance,
 )
 from diversitree.engine import SolutionPool
+from diversitree.model import FEAS_TOL, INT_TOL
 from diversitree.selectors import fixing_path
 from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
 
@@ -149,10 +150,67 @@ class TestClassification:
                 for combo in itertools.product((0.0, 1.0), repeat=len(free)):
                     x = lo.copy()
                     x[free] = combo
-                    if not all(c.satisfied(x, 1e-6) for c in inst.constraints):
+                    if not all(c.satisfied(x) for c in inst.constraints):
                         all_ok = False
                         break
                 assert bc.is_unrestricted(lo, hi) == all_ok
+
+    def test_box_test_equals_the_ge_form_oracle(self):
+        """Random float rows and boxes, some bounds infinite and many rhs on
+        the tolerance edge: the per-sense test classifies every box as the
+        >= form does."""
+        rng = np.random.default_rng(19)
+        outcomes = []
+        for _ in range(3000):
+            d = int(rng.integers(1, 7))
+            lo = rng.uniform(-3, 3, d)
+            hi = lo + rng.uniform(0, 3, d) * (rng.random(d) < 0.8)  # some columns fixed
+            lo[rng.random(d) < 0.08] = -math.inf
+            hi[rng.random(d) < 0.08] = math.inf
+            rows = []
+            for k in range(int(rng.integers(1, 4))):
+                cols = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()
+                coeffs = {j: float(rng.choice([-1, 1]) * rng.uniform(0.1, 5)) for j in cols}
+                sense = [GE, LE, EQ][int(rng.integers(0, 3))]
+                idx = sorted(coeffs)
+                coef = np.array([coeffs[j] for j in idx])
+                least = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
+                most = np.where(coef > 0, coef * hi[idx], coef * lo[idx]).sum()
+                edge = {GE: least + FEAS_TOL, LE: most - FEAS_TOL,
+                        EQ: [least + FEAS_TOL, most - FEAS_TOL][int(rng.integers(0, 2))]}[sense]
+                rhs = [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
+                       rng.uniform(-10, 10)][int(rng.integers(0, 4))]
+                if not math.isfinite(rhs):
+                    rhs = rng.uniform(-10, 10)
+                rows.append(LinearConstraint(coeffs, sense, float(rhs), f"r{k}"))
+            inst = MipInstance(
+                name="box",
+                variables=[VariableDef(j, -math.inf, math.inf) for j in range(d)],
+                constraints=rows,
+                objective={0: 1.0},
+            )
+            got = BranchAndCount(inst).is_unrestricted(lo, hi)
+            assert got == oracle_is_unrestricted(inst, lo, hi, FEAS_TOL)
+            outcomes.append(got)
+        assert 300 < sum(outcomes) < 2700  # both verdicts are exercised
+
+    @pytest.mark.parametrize("sense", [GE, LE, EQ])
+    def test_point_checks_agree_at_the_tolerance_edge(self, sense):
+        """A row holds at exactly FEAS_TOL past its rhs and fails one ulp beyond,
+        in ``LinearConstraint.satisfied`` and the engine's ``_rows_hold`` alike."""
+        con = LinearConstraint({0: 1.0, 1: 2.0}, sense, 0.0, "r")
+        inst = MipInstance(name="edge", variables=[VariableDef(0, -1.0, 1.0),
+                                                   VariableDef(1, -1.0, 1.0)],
+                           constraints=[con], objective={0: 1.0})
+        bc = BranchAndCount(inst)
+        for side in {GE: [-1.0], LE: [1.0], EQ: [-1.0, 1.0]}[sense]:
+            edge = side * FEAS_TOL
+            beyond = float(np.nextafter(edge, side * math.inf))
+            for x0, holds in ((edge, True), (beyond, False)):
+                x = [x0, 0.0]
+                assert con.satisfied(x) == holds
+                assert con.satisfied(np.array(x)) == holds
+                assert bc._rows_hold(x) == holds
 
     def test_partition_branch_splits_integral_lp(self):
         # LP parks u at an integral value while its box still has slack
@@ -226,7 +284,7 @@ class TestEnumerateUnrestricted:
             x = base.copy()
             for j, v in zip(free, combo):
                 x[j] = float(v)
-            if not all(con.satisfied(x, bc.feas_tol) for con in inst.constraints):
+            if not all(con.satisfied(x) for con in inst.constraints):
                 lo2, hi2 = lo.copy(), hi.copy()
                 for j in bc.integer_index:
                     lo2[j] = hi2[j] = x[j]
@@ -298,8 +356,8 @@ class TestEnumerateUnrestricted:
 class ListPool:
     """The pool as plain lists, one array per solution: the columnar pool's oracle."""
 
-    def __init__(self, instance, capacity=None, dedup=True, int_tol=1e-6):
-        self.capacity, self.dedup, self.int_tol = capacity, dedup, int_tol
+    def __init__(self, instance, capacity=None, dedup=True):
+        self.capacity, self.dedup = capacity, dedup
         self.binary_index = instance.binary_index
         self.key_cols = self.binary_index or instance.integer_index
         self.solutions, self.objectives, self.projections = [], [], []
@@ -315,7 +373,7 @@ class ListPool:
             return False
         bits = [round(float(x[j])) for j in self.binary_index]
         gaps = [abs(x[j] - b) for j, b in zip(self.binary_index, bits)]
-        if gaps and max(gaps) > self.int_tol:
+        if gaps and max(gaps) > INT_TOL:
             j = self.binary_index[gaps.index(max(gaps))]
             raise ValueError(f"binary column {j} has non-integral value {x[j]!r}")
         self.keys.add(key)

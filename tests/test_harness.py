@@ -75,7 +75,7 @@ class TestFindOptimum:
             res = find_optimum(inst)
             assert res.status == "optimal"
             assert res.objective == pytest.approx(z, abs=1e-9)
-            assert all(c.satisfied(res.x, 1e-6) for c in inst.constraints)
+            assert all(c.satisfied(res.x) for c in inst.constraints)
             assert inst.objective_value(res.x) == pytest.approx(res.objective)
 
     def test_general_integer_optimum(self):

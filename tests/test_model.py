@@ -8,7 +8,6 @@ import pytest
 
 from diversitree import (
     CUTOFF_ROW,
-    EQ,
     GE,
     INF,
     LE,
@@ -83,14 +82,6 @@ class TestContainers:
         assert inst.integer_index == [0, 1]
         assert inst.binary_index == [0, 1]
         assert inst.num_vars == 3
-
-    def test_ge_normalization(self):
-        le = LinearConstraint({0: 2.0}, LE, 4.0, "r")
-        assert le.ge_rows() == [({0: -2.0}, -4.0)]
-        ge = LinearConstraint({0: 2.0}, GE, 4.0, "r")
-        assert ge.ge_rows() == [({0: 2.0}, 4.0)]
-        eq = LinearConstraint({0: 2.0}, EQ, 4.0, "r")
-        assert eq.ge_rows() == [({0: 2.0}, 4.0), ({0: -2.0}, -4.0)]
 
     def test_json_dump_stable(self):
         inst = simple_instance()

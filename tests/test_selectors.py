@@ -45,27 +45,26 @@ def open_set(nodes, n_bits=4):
     return q
 
 
-def make_pool(rows, n_bits=4):
+def make_pool(rows, n_bits=4, capacity=None):
     inst = MipInstance(
         name="pool",
         variables=[VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(n_bits)],
         constraints=[LinearConstraint({0: 1.0}, LE, float(n_bits), "r0")],
         objective={0: 1.0},
     )
-    pool = SolutionPool(inst)
+    pool = SolutionPool(inst, capacity=capacity)
     for row in rows:
         pool.add(np.asarray(row, dtype=float), 0.0)
     return pool
 
 
-def ctx_for(pool, min_bound=0.0, max_bound=1.0, p1=None, found=None):
-    return ScoreContext(
-        min_bound=min_bound,
-        max_bound=max_bound,
-        pool=pool,
-        solutions_found=len(pool) if found is None else found,
-        p1=p1,
-    )
+def pool_of_size(n, capacity, n_bits=4):
+    """A pool of ``n`` distinct ``n_bits``-bit solutions under ``capacity``."""
+    return make_pool([[(k >> b) & 1 for b in range(n_bits)] for k in range(n)], n_bits, capacity)
+
+
+def ctx_for(pool, min_bound=0.0, max_bound=1.0):
+    return ScoreContext(min_bound=min_bound, max_bound=max_bound, pool=pool)
 
 
 EMPTY = make_pool([])
@@ -84,11 +83,9 @@ class TestScaledScores:
         assert scaled_bound(3.0, ctx_for(EMPTY, min_bound=math.nan, max_bound=math.nan)) == 0.0
 
     def test_scaled_depth_window(self):
-        assert scaled_depth(10, 0, 20) == 0.5
-        assert scaled_depth(0, 0, 20) == 0.0
-        assert scaled_depth(25, 0, 20) == 1.0  # clamps past the window
-        assert scaled_depth(5, 10, 20) == 0.0  # clamps before it
-        assert scaled_depth(7, 7, 7) == 0.0  # empty window
+        assert scaled_depth(10, 20) == 0.5
+        assert scaled_depth(0, 20) == 0.0
+        assert scaled_depth(25, 20) == 1.0  # clamps past the window
 
     def test_partial_diversity_hand_value(self):
         pool = make_pool([[0, 0, 0, 0]])
@@ -156,7 +153,7 @@ class TestRuleScores:
         pool = make_pool([[0, 0, 0, 0]])
         far = make_node(5, bound=0.9, depth=1, fixed={0: 1, 1: 1})  # D = 1.0
         near = make_node(6, bound=0.1, depth=1, fixed={0: 0, 1: 0})  # D = 0.0
-        ctx = ctx_for(pool, p1=10, found=9)  # gate open
+        ctx = ctx_for(pool)  # dbfs-a has no gate
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0), num_integer_vars=4)
         assert sel.select(open_set([far, near]), ctx) == 5
 
@@ -164,7 +161,7 @@ class TestRuleScores:
         pool = make_pool([[0, 0, 0, 0]])
         far = make_node(5, bound=0.9, depth=1, fixed={0: 1, 1: 1})
         near = make_node(6, bound=0.1, depth=1, fixed={0: 0, 1: 0})
-        ctx = ctx_for(pool, p1=10, found=9)
+        ctx = ctx_for(pool)
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0, literal_score=True),
                        num_integer_vars=4)
         assert sel.select(open_set([far, near]), ctx) == 6
@@ -176,10 +173,10 @@ class TestRuleScores:
         cfg = SelectorConfig(rule=rule, alpha=0.6, beta=0.3, sol_cutoff=0.0)
         sel = Selector(cfg, num_integer_vars=4)
         node = make_node(7, bound=0.25, depth=2, fixed={0: 1, 2: 0})
-        ctx = ctx_for(pool, min_bound=0.0, max_bound=1.0, p1=100, found=50)
+        ctx = ctx_for(pool, min_bound=0.0, max_bound=1.0)
         L = scaled_bound(node.lp_bound, ctx)
         D = partial_diversity(node.local_bounds, pool)
-        H = scaled_depth(node.depth, 0, 4)
+        H = scaled_depth(node.depth, 4)
         want = {
             "dbfs-a": 0.4 * L + 0.6 * (1 - D),
             "dbfs-as": 0.4 * L + 0.6 * (1 - D),
@@ -236,7 +233,8 @@ class TestScoresMatchTheScalarOracle:
         q.sync()
         for nid in rng.choice(ids, size=len(ids) // 3, replace=False).tolist():
             q.pop(nid)  # scramble the rows
-        ctx = ctx_for(pool, q.min_bound(), q.max_bound(), p1=int(rng.integers(1, 80)))
+        pool.capacity = int(rng.integers(1, 80))  # drawn after the rows, so may sit below them
+        ctx = ctx_for(pool, q.min_bound(), q.max_bound())
         alpha = float(rng.uniform(0, 1))
         settings = {"alpha": alpha, "beta": float(rng.uniform(0, 1 - alpha)),
                     "sol_cutoff": float(rng.uniform(0, 1)),
@@ -277,12 +275,12 @@ class TestScoresMatchTheScalarOracle:
 class TestGating:
     def test_solution_gate_opens_at_the_fraction(self):
         sel = Selector(SelectorConfig(rule="diversitree", sol_cutoff=0.5))
-        assert sel.gated(ctx_for(EMPTY, p1=10, found=4))
-        assert not sel.gated(ctx_for(EMPTY, p1=10, found=5))
+        assert sel.gated(ctx_for(pool_of_size(4, capacity=10)))
+        assert not sel.gated(ctx_for(pool_of_size(5, capacity=10)))
 
     def test_unlimited_capacity_keeps_the_gate_shut(self):
         sel = Selector(SelectorConfig(rule="dbfs-as", sol_cutoff=0.1))
-        assert sel.gated(ctx_for(EMPTY, p1=None, found=10 ** 6))
+        assert sel.gated(ctx_for(pool_of_size(16, capacity=None)))
 
     def test_depth_gate_latches_open(self):
         sel = Selector(SelectorConfig(rule="dbfs-ad", depth_cutoff=3))
@@ -302,14 +300,14 @@ class TestGating:
     def test_plain_rules_are_never_gated(self):
         for rule in ("bestfs", "dfs", "brfs", "uct", "he", "dbfs-a", "dbfs-ab"):
             sel = Selector(SelectorConfig(rule=rule, sol_cutoff=0.9))
-            assert not sel.gated(ctx_for(EMPTY, p1=10, found=0))
+            assert not sel.gated(ctx_for(pool_of_size(0, capacity=10)))
 
     def test_gated_score_is_pure_best_first(self):
-        pool = make_pool([[0, 0, 0, 0]])
+        pool = make_pool([[0, 0, 0, 0]], capacity=10)
         sel = Selector(SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
                                       sol_cutoff=1.0), num_integer_vars=4)
         node = make_node(3, bound=0.75, depth=5, fixed={0: 1})
-        ctx = ctx_for(pool, p1=10, found=0)
+        ctx = ctx_for(pool)
         assert sel.score(node, ctx) == scaled_bound(node.lp_bound, ctx)
 
 
@@ -329,21 +327,23 @@ class TestBestFirstReduction:
 class TestBoundOrderDequeue:
     """Where every score is the scaled bound, the (bound, id) heap front is the scan's pick."""
 
+    TWO = make_pool([[0, 1, 1, 0], [1, 1, 0, 0]])  # unlimited capacity
     GATED = {
-        "bestfs": (SelectorConfig(rule="bestfs"), {}),
+        "bestfs": (SelectorConfig(rule="bestfs"), TWO),
         "diversitree": (SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
-                                       sol_cutoff=0.5), {"p1": None}),
+                                       sol_cutoff=0.5), TWO),
         "dbfs-as": (SelectorConfig(rule="dbfs-as", alpha=0.9, sol_cutoff=0.5),
-                    {"p1": 40, "found": 19}),
-        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=99), {}),
+                    pool_of_size(15, capacity=32)),  # one short of the gate
+        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=99), TWO),
     }
+    ONE = make_pool([[0, 1, 1, 0]])
     OPEN = {
-        "dbfs-a": (SelectorConfig(rule="dbfs-a", alpha=0.9), {}),
+        "dbfs-a": (SelectorConfig(rule="dbfs-a", alpha=0.9), ONE),
         "diversitree": (SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
-                                       sol_cutoff=0.5), {"p1": 40, "found": 20}),
-        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=0), {}),
-        "dfs": (SelectorConfig(rule="dfs"), {}),
-        "he": (SelectorConfig(rule="he"), {}),
+                                       sol_cutoff=0.5), pool_of_size(10, capacity=20)),
+        "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=0), ONE),
+        "dfs": (SelectorConfig(rule="dfs"), ONE),
+        "he": (SelectorConfig(rule="he"), ONE),
     }
 
     @staticmethod
@@ -364,13 +364,12 @@ class TestBoundOrderDequeue:
 
     @pytest.mark.parametrize("rule", sorted(GATED))
     def test_heap_front_equals_the_scan(self, rule):
-        cfg, kw = self.GATED[rule]
-        pool = make_pool([[0, 1, 1, 0], [1, 1, 0, 0]])
+        cfg, pool = self.GATED[rule]
         sel = Selector(cfg, num_integer_vars=4)
         checked = 0
         for seed in range(4):
             for q in self.random_traffic(seed):
-                ctx = ctx_for(pool, q.min_bound(), q.max_bound(), **kw)
+                ctx = ctx_for(pool, q.min_bound(), q.max_bound())
                 assert sel.bound_order(ctx)
                 assert q.min_id() == sel.select(q, ctx)
                 checked += 1
@@ -378,8 +377,8 @@ class TestBoundOrderDequeue:
 
     @pytest.mark.parametrize("rule", sorted(OPEN))
     def test_ungated_rules_keep_the_scan(self, rule):
-        cfg, kw = self.OPEN[rule]
-        ctx = ctx_for(make_pool([[0, 1, 1, 0]]), 0.0, 1.0, **kw)
+        cfg, pool = self.OPEN[rule]
+        ctx = ctx_for(pool, 0.0, 1.0)
         assert not Selector(cfg, num_integer_vars=4).bound_order(ctx)
 
     def test_an_infinite_spread_keeps_the_scan(self):
@@ -447,8 +446,6 @@ class TestConfigValidation:
         {"sol_cutoff": 1.5},
         {"depth_cutoff": -1},
         {"rho": -1.0},
-        {"min_plunge_depth": -2},
-        {"min_plunge_depth": 5, "max_plunge_depth": 5},
     ])
     def test_out_of_range_parameters(self, kw):
         with pytest.raises(ValueError):
@@ -470,7 +467,5 @@ class TestConfigValidation:
 
     def test_plunge_window_defaults_to_integer_count(self):
         sel = Selector(SelectorConfig(rule="diversitree"), num_integer_vars=12)
-        assert (sel.min_plunge, sel.max_plunge) == (0, 12)
-        wide = Selector(SelectorConfig(rule="diversitree", min_plunge_depth=2,
-                                       max_plunge_depth=9), num_integer_vars=12)
-        assert (wide.min_plunge, wide.max_plunge) == (2, 9)
+        assert sel.max_plunge == 12
+        assert Selector(SelectorConfig(rule="diversitree")).max_plunge == 1  # never empty

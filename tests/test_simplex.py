@@ -140,7 +140,7 @@ class TestAgainstOracle:
             res = SimplexSolver(inst).solve()
             if res.status == LpStatus.OPTIMAL:
                 for con in inst.constraints:
-                    assert con.satisfied(res.x, tol=1e-6), f"seed {seed} row {con.name}"
+                    assert con.satisfied(res.x), f"seed {seed} row {con.name}"
                 lo, hi = inst.bounds()
                 assert np.all(res.x >= np.asarray(lo) - 1e-9)
                 assert np.all(res.x <= np.asarray(hi) + 1e-9)

@@ -138,7 +138,7 @@ class TestMethodChain:
         pool = SolutionPool(inst)
         for row in ([0, 0, 0], [1, 1, 1], [1, 1, 0]):
             pool.add(np.asarray(row, dtype=float), 0.0)
-        assert select_diverse_subset(pool, 2) == [0, 1]
+        assert select_diverse_subset(pool.projections, 2) == [0, 1]
 
 
 class TestExactTies:
