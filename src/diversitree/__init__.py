@@ -11,10 +11,7 @@ from .engine import (
     BranchAndCount,
     CountResult,
     EngineError,
-    Node,
-    OpenNodeQueue,
     SolutionPool,
-    TraceRecord,
     most_fractional,
 )
 from .generators import (
@@ -94,8 +91,6 @@ __all__ = [
     "MipInstance",
     "ModelError",
     "MpsParseError",
-    "Node",
-    "OpenNodeQueue",
     "OptimumResult",
     "PRESETS",
     "Rule",
@@ -104,7 +99,6 @@ __all__ = [
     "SelectorConfig",
     "SimplexSolver",
     "SolutionPool",
-    "TraceRecord",
     "VariableDef",
     "add_objective_cutoff",
     "binary_expand",

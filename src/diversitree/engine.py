@@ -1,7 +1,7 @@
 """Branch and bound over one node representation, in two modes.
 
-Each node carries local bounds and its own LP relaxation, solved when the
-node is created (warm-started from the parent basis). ``optimize`` finds
+Each node carries its box and its own LP relaxation, solved when the node
+is created (warm-started from the parent basis). ``optimize`` finds
 the optimal value: best-first on the LP bound with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
@@ -34,7 +34,7 @@ import numpy as np
 
 from .diversity import project_binary
 from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance
-from .selectors import ScoreContext, Selector, SelectorConfig, fixing_path
+from .selectors import ScoreContext, Selector, SelectorConfig
 from .simplex import LpResult, LpStatus, SimplexSolver
 
 log = logging.getLogger("diversitree.engine")
@@ -52,12 +52,20 @@ class EngineError(RuntimeError):
 
 @dataclass
 class Node:
-    """One open subproblem: bound overrides relative to the root box."""
+    """One open subproblem: its box and its binary fixings.
+
+    ``lo`` and ``hi`` are the box, a copy of the parent's with the branched
+    column changed. ``path`` lists the binary fixings in the order they were
+    made, as term indices 2k + value over the positions k in
+    ``binary_index`` (see ``selectors.term_vector``).
+    """
 
     id: int
     parent_id: int
     depth: int
-    local_bounds: dict  # column -> (lo, hi), in the order first bounded
+    lo: np.ndarray
+    hi: np.ndarray
+    path: tuple = ()
     lp: LpResult = None
     estimate: float = math.nan  # bound plus fractionality repair
 
@@ -81,7 +89,6 @@ class SolutionPool:
         self.capacity = capacity
         self.dedup = dedup
         self.binary_index = instance.binary_index
-        self.binary_pos = {j: k for k, j in enumerate(self.binary_index)}
         self._bin = np.asarray(self.binary_index, dtype=np.intp)
         self._int = np.asarray(instance.integer_index, dtype=np.intp)
         self.objectives = []
@@ -151,9 +158,6 @@ class SolutionPool:
     def projection_matrix(self) -> np.ndarray:
         return self.projections
 
-    def solution_matrix(self) -> np.ndarray:
-        return self.solutions
-
 
 class OpenNodeQueue:
     """Open nodes by id, their scoring columns, and lazily maintained lpBound extrema.
@@ -163,10 +167,8 @@ class OpenNodeQueue:
     open nodes, in no particular order: a pop moves the last row into the
     hole, and the columns double when full. A node gets its row at the first
     ``sync`` after its push, so a run that only dequeues from the heap never
-    writes one. A node's ``path`` row holds its binary fixings in the order
-    they were made, as indices 2k + value over the positions k in
-    ``binary_index`` (see ``selectors.fixing_path``), padded with
-    2 * len(binary_index), the index of the term vector's 0.0.
+    writes one. A node's ``path`` row is a copy of ``Node.path``, padded with
+    2 * num_binaries, the index of the term vector's 0.0.
 
     The min-heap holds (bound, id) pairs, so its front is also the least
     bound with the lowest id among equal bounds.
@@ -174,12 +176,11 @@ class OpenNodeQueue:
 
     _COLUMNS = ("bound", "depth", "ids", "estimate", "path", "path_len")
 
-    def __init__(self, binary_index=()):
+    def __init__(self, num_binaries: int = 0):
         self.nodes = {}
         self._min_heap = []
         self._max_heap = []
-        self.binary_pos = {j: k for k, j in enumerate(binary_index)}
-        self.pad = 2 * len(self.binary_pos)
+        self.pad = 2 * num_binaries
         self._row = {}  # node id -> row, for the nodes synced so far
         self._unsynced = {}  # node id -> node pushed since the last sync
         capacity = 16
@@ -221,7 +222,7 @@ class OpenNodeQueue:
         return len(self.nodes)
 
     def _append(self, node: Node):
-        path = fixing_path(node.local_bounds, self.binary_pos)
+        path = node.path
         row = len(self._row)
         if row == len(self.ids):
             for name in self._COLUMNS:
@@ -262,25 +263,6 @@ class OpenNodeQueue:
 
     def max_bound(self) -> float:
         return self._front(self._max_heap, -1.0)
-
-
-@dataclass
-class TraceRecord:
-    id: int
-    depth: int
-    lp_bound: float
-    classification: str
-    pool_size: int
-
-    def spec_fields(self) -> dict:
-        bound = self.lp_bound
-        return {
-            "id": self.id,
-            "depth": self.depth,
-            "lpBound": None if bound is None or not math.isfinite(bound) else bound,
-            "classification": self.classification,
-            "poolSize": self.pool_size,
-        }
 
 
 @dataclass
@@ -370,20 +352,15 @@ class BranchAndCount:
             self.box_rows.append((np.asarray([j for j, _ in terms], dtype=int),
                                   np.asarray([a for _, a in terms], dtype=float), sense, rhs))
         self.objective_terms = list(instance.objective.items())
+        # pool position of each binary column, for the term indices of Node.path
+        self.binary_pos = {j: k for k, j in enumerate(instance.binary_index)}
 
     # -- node geometry --------------------------------------------------------
 
-    def materialize(self, node: Node):
-        lo = self.root_lo.copy()
-        hi = self.root_hi.copy()
-        for j, (a, b) in node.local_bounds.items():
-            lo[j], hi[j] = a, b
-        return lo, hi
-
-    def classify(self, node: Node, lo, hi) -> str:
+    def classify(self, node: Node) -> str:
         if node.lp.status != LpStatus.OPTIMAL:
             return INFEASIBLE
-        if self.is_unrestricted(lo, hi):
+        if self.is_unrestricted(node.lo, node.hi):
             return UNRESTRICTED
         if not node.lp.fractional:
             return INTEGER_FEASIBLE
@@ -413,35 +390,42 @@ class BranchAndCount:
         return est
 
     def _root(self) -> Node:
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
-        root.lp = self.solver.solve(self.root_lo, self.root_hi)
+        root = Node(id=0, parent_id=None, depth=0, lo=self.root_lo, hi=self.root_hi)
+        root.lp = self.solver.solve(root.lo, root.hi)
         if root.lp.status == LpStatus.STALLED:
             raise EngineError("root relaxation stalled")
         return root
 
     def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
-        """Child with column j in [lo_j, hi_j], LP warm-solved; the caller sets its id."""
-        bounds = dict(node.local_bounds)
-        bounds[j] = (float(lo_j), float(hi_j))  # plain floats: cheap to compare in fixing_path
-        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, local_bounds=bounds)
-        child.lp = self.solver.resolve(node.lp.basis, *self.materialize(child))
+        """Child with column j in [lo_j, hi_j], LP warm-solved; the caller sets its id.
+
+        Its box copies the parent's, and its path gains a term when the split
+        fixes a binary column.
+        """
+        lo, hi = node.lo.copy(), node.hi.copy()
+        lo[j], hi[j] = lo_j, hi_j
+        path = node.path
+        if lo_j == hi_j and j in self.binary_pos:
+            path += (2 * self.binary_pos[j] + int(lo_j),)
+        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, lo=lo, hi=hi, path=path)
+        child.lp = self.solver.resolve(node.lp.basis, lo, hi)
         return child
 
     def branch(self, node: Node):
         """Two children on the most-fractional column: floor and ceil sides."""
-        lo, hi = self.materialize(node)
         j = most_fractional(node.lp)
         v = node.lp.x[j]
-        down = self._child(node, j, lo[j], math.floor(v))
-        up = self._child(node, j, math.ceil(v), hi[j])
+        down = self._child(node, j, node.lo[j], math.floor(v))
+        up = self._child(node, j, math.ceil(v), node.hi[j])
         return [down, up]
 
-    def partition_branch(self, node: Node, lo, hi):
+    def partition_branch(self, node: Node):
         """Split on the lowest unfixed integer column when the LP is integral.
 
         Children [lo, v] / [v+1, hi] partition the box, so the solution at
         this node is counted by exactly one descendant leaf.
         """
+        lo, hi = node.lo, node.hi
         j = next(k for k in self.integer_index if hi[k] - lo[k] > 0.5)
         v = float(round(node.lp.x[j]))
         v = min(max(v, lo[j]), hi[j])
@@ -482,9 +466,8 @@ class BranchAndCount:
             return res.x.tolist()
         return None
 
-    def enumerate_unrestricted(self, node: Node, lo, hi, pool: SolutionPool,
-                               deadline: float = None):
-        """Add every integer assignment of the local box to the pool.
+    def enumerate_unrestricted(self, node: Node, pool: SolutionPool, deadline: float = None):
+        """Add every integer assignment of the node's box to the pool.
 
         Assignments run in lexicographic order (ascending column, values
         ascending). Continuous columns keep the node LP values, which the
@@ -492,6 +475,7 @@ class BranchAndCount:
         completed) where completed is False when capacity or the clock
         (``deadline``, a ``time.perf_counter`` value) cut the walk short.
         """
+        lo, hi = node.lo, node.hi
         free = [j for j in self.integer_index if hi[j] - lo[j] > 0.5]
         base = node.lp.x.copy()
         for j in self.integer_index:
@@ -523,15 +507,21 @@ class BranchAndCount:
         deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
-        queue = OpenNodeQueue(self.instance.binary_index)
+        queue = OpenNodeQueue(len(self.binary_pos))
         result = CountResult(pool=pool)
         hasher = hashlib.sha256()
         trace_fh = open(trace_path, "w") if trace_path else None
         truncated_enum = False
         next_id = 1
 
-        def emit(record: TraceRecord):
-            line = json.dumps(record.spec_fields(), sort_keys=True)
+        def emit(node_id: int, depth: int, bound: float, classification: str):
+            line = json.dumps({
+                "id": node_id,
+                "depth": depth,
+                "lpBound": None if bound is None or not math.isfinite(bound) else bound,
+                "classification": classification,
+                "poolSize": len(pool),
+            }, sort_keys=True)
             hasher.update(line.encode())
             hasher.update(b"\n")
             if trace_fh:
@@ -543,7 +533,7 @@ class BranchAndCount:
                 raise EngineError("root relaxation is unbounded; add bounds or a cutoff")
             if root.lp.status == LpStatus.INFEASIBLE:
                 result.nodes_processed = 1
-                emit(TraceRecord(0, 0, None, INFEASIBLE, 0))
+                emit(0, 0, None, INFEASIBLE)
                 result.exhausted = True
                 return result
             root.estimate = self._estimate(root.lp)
@@ -562,15 +552,14 @@ class BranchAndCount:
                     node = queue.pop(selector.select(queue, ctx))
                 selector.on_dequeue(node)
                 result.nodes_processed += 1
-                lo, hi = self.materialize(node)
-                cls = self.classify(node, lo, hi)
-                emit(TraceRecord(node.id, node.depth, node.lp_bound, cls, len(pool)))
+                cls = self.classify(node)
+                emit(node.id, node.depth, node.lp_bound, cls)
 
                 if cls == INFEASIBLE:
                     continue
                 if cls == UNRESTRICTED:
                     result.unrestricted_subtrees += 1
-                    _, _, completed = self.enumerate_unrestricted(node, lo, hi, pool, deadline)
+                    _, _, completed = self.enumerate_unrestricted(node, pool, deadline)
                     if not completed:
                         if not pool.is_full:  # the clock ran out mid-walk
                             result.truncated = True
@@ -578,10 +567,10 @@ class BranchAndCount:
                         truncated_enum = True
                     continue
                 if cls == INTEGER_FEASIBLE:
-                    if any(hi[k] - lo[k] > 0.5 for k in self.integer_index):
-                        children = self.partition_branch(node, lo, hi)
+                    if any(node.hi[k] - node.lo[k] > 0.5 for k in self.integer_index):
+                        children = self.partition_branch(node)
                     else:
-                        x = self._complete(node.lp.x.tolist(), lo, hi)
+                        x = self._complete(node.lp.x.tolist(), node.lo, node.hi)
                         if x is not None:
                             pool.add(x, self._objective(x))
                         continue
@@ -592,12 +581,12 @@ class BranchAndCount:
                     child.id = next_id
                     next_id += 1
                     if child.lp.status == LpStatus.INFEASIBLE:
-                        emit(TraceRecord(child.id, child.depth, None, INFEASIBLE, len(pool)))
+                        emit(child.id, child.depth, None, INFEASIBLE)
                         continue
                     if child.lp.status == LpStatus.STALLED:
                         result.stalled_dropped += 1
                         log.warning("node %d dropped: its LP stalled", child.id)
-                        emit(TraceRecord(child.id, child.depth, None, STALLED, len(pool)))
+                        emit(child.id, child.depth, None, STALLED)
                         continue
                     child.estimate = self._estimate(child.lp)
                     queue.push(child)

@@ -8,6 +8,11 @@ import numpy as np
 
 from .model import EQ, GE, LE, CutoffSpec, LinearConstraint, MipInstance, VariableDef
 
+# how far a brute-force member's objective may exceed the cutoff
+CUTOFF_TOL = 1e-9
+# near-optimality fraction at which random_binary_instance checks max_sq
+CHECK_Q = 0.05
+
 
 def knapsack_instance(name: str = "knap3") -> MipInstance:
     """Tiny 3-item knapsack: max value under one weight row (stored negated)."""
@@ -29,12 +34,12 @@ def knapsack_instance(name: str = "knap3") -> MipInstance:
 
 
 def random_binary_instance(seed: int, n_vars: int = 10, n_cons: int = 3,
-                           max_sq: int = None, q_check: float = 0.05) -> MipInstance:
+                           max_sq: int = None) -> MipInstance:
     """Random feasible pure-binary MIP with small integer data.
 
     Constraints are anchored on a random reference point so the instance is
     never empty. When ``max_sq`` is given, seeds are advanced until the
-    near-optimal set at ``q_check`` stays within that size, keeping
+    near-optimal set at ``CHECK_Q`` stays within that size, keeping
     exhaustive runs fast.
     """
     attempt = seed
@@ -73,7 +78,7 @@ def random_binary_instance(seed: int, n_vars: int = 10, n_cons: int = 3,
         )
         if max_sq is None:
             return inst
-        z, members = brute_force_near_optimal(inst, q_check)
+        z, members = brute_force_near_optimal(inst, CHECK_Q)
         if members is not None and 1 <= len(members) <= max_sq:
             return inst
         attempt += 1000003  # jump far so retries stay independent
@@ -153,13 +158,13 @@ def general_integer_instance(name: str = "genint") -> MipInstance:
     )
 
 
-def brute_force_near_optimal(instance: MipInstance, q: float, tol: float = 1e-9):
+def brute_force_near_optimal(instance: MipInstance, q: float):
     """(z_star, sorted tuple set of integer assignments) by full enumeration.
 
     Exact oracle for pure-integer instances (continuous columns must be
     fixed): rows are tested by ``LinearConstraint.satisfied``, and a member's
-    objective may exceed the cutoff by ``tol``. Returns (None, None) when
-    infeasible.
+    objective may exceed the cutoff by ``CUTOFF_TOL``. Returns (None, None)
+    when infeasible.
     """
     import itertools
 
@@ -184,5 +189,5 @@ def brute_force_near_optimal(instance: MipInstance, q: float, tol: float = 1e-9)
     if best is None:
         return None, None
     cutoff = CutoffSpec(best, q).cutoff_value
-    members = sorted(combo for val, combo in feasible if val <= cutoff + tol)
+    members = sorted(combo for val, combo in feasible if val <= cutoff + CUTOFF_TOL)
     return best, members

@@ -10,7 +10,6 @@ with one config produce byte-identical result files.
 
 import csv
 import json
-import logging
 import time
 from dataclasses import dataclass, field, replace
 
@@ -19,8 +18,6 @@ from .engine import BranchAndCount, EngineError, OptimumResult
 from .model import CutoffSpec, MipInstance, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
 from .subset import select_diverse_subset
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -190,7 +187,7 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
 
     dall_subset = None
     if spec.compute_dall and len(idx) >= 2:
-        sols = pool.solution_matrix()[idx]
+        sols = pool.solutions[idx]
         ranges = sols.max(axis=0) - sols.min(axis=0)
         try:
             dall_subset = dall(sols, ranges)

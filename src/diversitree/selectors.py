@@ -15,7 +15,8 @@ rule blending the bound with a fractionality-repair estimate.
 The diversity family blends three scaled quantities over the open set:
 
 * L: the node bound min-max scaled over open nodes (0 when degenerate),
-* D: mean disagreement of the node's fixed binaries against the pool,
+* D: mean disagreement of the node's binary fixings (``Node.path``, built
+  once when the node is made) against the pool,
 * H: depth over the plunge window, the instance's integer count (at least
   1), clamped to 1.
 
@@ -156,23 +157,13 @@ def scaled_depth(depth, max_plunge: int):
     return np.minimum(1.0, depth / max_plunge)
 
 
-def fixing_path(local_bounds: dict, binary_pos: dict) -> list:
-    """A node's binary fixings in the order they were made, as term indices.
-
-    A binary column is fixed where its local bounds meet; fixing the one at
-    pool position k to v gives index 2k + v into :func:`term_vector`.
-    Columns without a pool position are skipped.
-    """
-    return [2 * binary_pos[j] + int(lo) for j, (lo, hi) in local_bounds.items()
-            if lo == hi and j in binary_pos]
-
-
 def term_vector(pool) -> np.ndarray:
     """Disagreement of each possible fixing with the pool, then a 0.0 pad.
 
-    Entry 2k is ones_k/n (bit k fixed to 0) and 2k+1 is (n - ones_k)/n
-    (fixed to 1), from the pool's per-bit ones counts; all zero while the
-    pool is empty.
+    Fixing the binary at pool position k to v is term index 2k + v, the
+    encoding of ``engine.Node.path``. Entry 2k is ones_k/n (bit k fixed to
+    0) and 2k+1 is (n - ones_k)/n (fixed to 1), from the pool's per-bit ones
+    counts; all zero while the pool is empty.
     """
     n = len(pool)
     terms = np.zeros(2 * len(pool.ones) + 1)
@@ -195,14 +186,14 @@ def path_diversity(paths: np.ndarray, lengths: np.ndarray, terms: np.ndarray) ->
     return total / np.maximum(lengths, 1)  # an empty row sums its pads to 0.0
 
 
-def partial_diversity(local_bounds: dict, pool) -> float:
-    """Mean disagreement between the binaries fixed in a node's box and the pool.
+def partial_diversity(path, pool) -> float:
+    """Mean disagreement between a node's binary fixings and the pool.
 
-    Zero when the pool or the fixed set is empty. Uses the pool's per-bit
-    ones counts, which equals averaging |fixed_j - x_j| over pool members
-    and fixed columns.
+    ``path`` holds the fixings as term indices (``engine.Node.path``). Zero
+    when the pool or the path is empty. Uses the pool's per-bit ones counts,
+    which equals averaging |fixed_j - x_j| over pool members and fixed
+    columns.
     """
-    path = fixing_path(local_bounds, pool.binary_pos)
     return float(path_diversity(np.array([path], dtype=np.intp), np.array([len(path)]),
                                 term_vector(pool))[0])
 
@@ -318,7 +309,7 @@ class Selector:
         """Score of one node: :meth:`scores` over an open set holding only it."""
         from .engine import OpenNodeQueue  # engine imports this module
 
-        queue = OpenNodeQueue(ctx.pool.binary_index)
+        queue = OpenNodeQueue(len(ctx.pool.binary_index))
         queue.push(node)
         return float(self.scores(queue, ctx, gated)[0])
 

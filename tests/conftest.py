@@ -71,14 +71,16 @@ def oracle_pair_sum(projections, chosen):
 # -- node-selection oracles (the scalar scorer, one node at a time) -----------
 
 def oracle_partial_diversity(fixed, pool):
-    """Mean disagreement of {column: 0/1} fixings (in fixing order) with the pool."""
+    """Mean disagreement of {column: 0/1} fixings (in fixing order) with the
+    pool; columns outside ``pool.binary_index`` are skipped."""
     n = len(pool)
     if n == 0 or not fixed:
         return 0.0
+    position = {j: k for k, j in enumerate(pool.binary_index)}
     total = 0.0
     width = 0
     for j, val in fixed.items():
-        pos = pool.binary_pos.get(j)
+        pos = position.get(j)
         if pos is None:
             continue
         ones = pool.ones[pos]
@@ -96,8 +98,9 @@ def _oracle_clamp(val):
 def oracle_score(selector, node, ctx, gated=None):
     """The score of one node under ``selector``, by scalar arithmetic.
 
-    The node's fixings are the binary entries of its local bounds whose
-    bounds meet, in insertion order. ``gated`` defaults to the selector's gate.
+    The node's fixings are its path decoded to {column: value} through
+    ``pool.binary_index``, in path order. ``gated`` defaults to the
+    selector's gate.
     """
     cfg = selector.config
     rule = cfg.rule.value
@@ -123,8 +126,7 @@ def oracle_score(selector, node, ctx, gated=None):
         gated = selector.gated(ctx)
     if gated:
         return lscore
-    fixed = {j: int(lo) for j, (lo, hi) in node.local_bounds.items()
-             if lo == hi and j in ctx.pool.binary_pos}
+    fixed = {ctx.pool.binary_index[t // 2]: t % 2 for t in node.path}
     dval = oracle_partial_diversity(fixed, ctx.pool)
     hval = _oracle_clamp(node.depth / selector.max_plunge)
     if not cfg.literal_score:
@@ -257,7 +259,16 @@ def oracle_exact(projections, p):
     return best
 
 
-# -- box test oracle (every row rewritten in >= form) ------------------------
+# -- node box oracles ---------------------------------------------------------
+
+def oracle_materialize(root_lo, root_hi, overrides):
+    """The root box with {column: (lo, hi)} overrides applied, in fresh arrays."""
+    lo = root_lo.copy()
+    hi = root_hi.copy()
+    for j, (a, b) in overrides.items():
+        lo[j], hi[j] = a, b
+    return lo, hi
+
 
 def oracle_is_unrestricted(instance, lo, hi, tol):
     """Every row holds at the worst point of the box [lo, hi], each row
@@ -324,6 +335,12 @@ def scipy_lp(instance, lo=None, hi=None):
 
 # -- exhaustive near-optimal enumeration --------------------------------------
 
+# tolerance of enum_pure_integer on rows and the cutoff, and of
+# enum_mixed_projections on the cutoff, where values come from scipy's solver
+PURE_TOL = 1e-9
+MIXED_TOL = 1e-6
+
+
 def oracle_row_holds(con, x, tol):
     """Row ``con`` holds at x within ``tol``, by a plain left-to-right loop."""
     act = 0.0
@@ -336,7 +353,7 @@ def oracle_row_holds(con, x, tol):
     return abs(act - con.rhs) <= tol
 
 
-def enum_pure_integer(instance, q, tol=1e-9):
+def enum_pure_integer(instance, q):
     """(z_star, set of integer tuples) for instances whose continuous
     variables are all fixed; returns (None, set()) when infeasible."""
     lo, hi = instance.bounds()
@@ -351,7 +368,7 @@ def enum_pure_integer(instance, q, tol=1e-9):
     best = None
     for combo in itertools.product(*ranges):
         x = np.asarray(combo, dtype=float)
-        if all(oracle_row_holds(con, x, tol) for con in instance.constraints):
+        if all(oracle_row_holds(con, x, PURE_TOL) for con in instance.constraints):
             val = instance.objective_value(x)
             feasible.append((val, combo))
             if best is None or val < best:
@@ -359,10 +376,10 @@ def enum_pure_integer(instance, q, tol=1e-9):
     if best is None:
         return None, set()
     cutoff = best + q * abs(best)
-    return best, {combo for val, combo in feasible if val <= cutoff + tol}
+    return best, {combo for val, combo in feasible if val <= cutoff + PURE_TOL}
 
 
-def enum_mixed_projections(instance, q, tol=1e-6):
+def enum_mixed_projections(instance, q):
     """(z_star, set of integer-projection tuples admitting a feasible
     continuous completion under the cutoff). Uses scipy for completions."""
     lo, hi = instance.bounds()
@@ -392,7 +409,7 @@ def enum_mixed_projections(instance, q, tol=1e-6):
     if best is None:
         return None, set()
     cutoff = best + q * abs(best)
-    return best, {combo for combo, val in vals.items() if val <= cutoff + tol}
+    return best, {combo for combo, val in vals.items() if val <= cutoff + MIXED_TOL}
 
 
 # -- shared fixtures -----------------------------------------------------------

@@ -11,7 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import enum_mixed_projections, enum_pure_integer, oracle_is_unrestricted
+from conftest import (
+    enum_mixed_projections,
+    enum_pure_integer,
+    oracle_is_unrestricted,
+    oracle_materialize,
+)
 from diversitree import (
     EQ,
     GE,
@@ -20,8 +25,6 @@ from diversitree import (
     EngineError,
     LinearConstraint,
     MipInstance,
-    Node,
-    OpenNodeQueue,
     Rule,
     SelectorConfig,
     VariableDef,
@@ -34,9 +37,8 @@ from diversitree.generators import (
     mixed_small_instance,
     random_binary_instance,
 )
-from diversitree.engine import SolutionPool
+from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.model import FEAS_TOL, INT_TOL
-from diversitree.selectors import fixing_path
 from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
 
 
@@ -51,6 +53,13 @@ def binary_inst(n, rows, objective, name="t"):
 
 def optimal_lp(bound):
     return LpResult(LpStatus.OPTIMAL, objective=bound)
+
+
+def root_node(bc):
+    """The root box of ``bc`` as a node, its LP cold-solved whatever the status."""
+    root = Node(id=0, parent_id=None, depth=0, lo=bc.root_lo.copy(), hi=bc.root_hi.copy())
+    root.lp = bc.solver.solve(root.lo, root.hi)
+    return root
 
 
 def pool_tuples(result):
@@ -233,8 +242,7 @@ class TestEnumerateUnrestricted:
         inst = MipInstance(name="enum", variables=variables, constraints=rows,
                            objective=objective)
         bc = BranchAndCount(inst)
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
-        root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
+        root = root_node(bc)
         assert root.lp.is_optimal
         return bc, root
 
@@ -245,13 +253,13 @@ class TestEnumerateUnrestricted:
             {0: 1.0, 1: 1.0, 2: 1.0},
         )
         pool = SolutionPool(bc.instance)
-        added, bad, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, pool)
+        added, bad, done = bc.enumerate_unrestricted(root, pool)
         assert (added, bad, done) == (8, 0, True)
         got = [tuple(int(v) for v in row) for row in pool.projection_matrix()]
         assert got == sorted(itertools.product((0, 1), repeat=3))
 
         capped = SolutionPool(bc.instance, capacity=3)
-        added, _, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, capped)
+        added, _, done = bc.enumerate_unrestricted(root, capped)
         assert (added, done) == (3, False)
         got = [tuple(int(v) for v in row) for row in capped.projection_matrix()]
         assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
@@ -263,17 +271,18 @@ class TestEnumerateUnrestricted:
             {0: 1.0},
         )
         pool = SolutionPool(bc.instance)
-        added, _, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, pool)
+        added, _, done = bc.enumerate_unrestricted(root, pool)
         assert (added, done) == (3, True)
         assert sorted(int(round(x[0])) for x in pool.solutions) == [2, 3, 4]
 
 
     @staticmethod
-    def reference_walk(bc, node, lo, hi):
+    def reference_walk(bc, node):
         """Per-point walk over numpy points with ``con.satisfied`` and
         ``objective_value``: (pool as (x, objective) pairs, infeasible count,
         LP completions)."""
         inst = bc.instance
+        lo, hi = node.lo, node.hi
         free = [j for j in bc.integer_index if hi[j] - lo[j] > 0.5]
         base = node.lp.x.copy()
         for j in bc.integer_index:
@@ -316,9 +325,7 @@ class TestEnumerateUnrestricted:
         objective = {int(j): float(rng.normal()) for j in rng.permutation(d)}
         inst = MipInstance(name="box", variables=variables, constraints=rows, objective=objective)
         bc = BranchAndCount(inst)
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
-        root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
-        return bc, root
+        return bc, root_node(bc)
 
     def test_walk_matches_the_per_point_reference_bit_for_bit(self):
         rng = np.random.default_rng(31)
@@ -327,9 +334,9 @@ class TestEnumerateUnrestricted:
             bc, root = self.random_box(rng)
             if not root.lp.is_optimal:
                 continue
-            want, want_bad, completions = self.reference_walk(bc, root, bc.root_lo, bc.root_hi)
+            want, want_bad, completions = self.reference_walk(bc, root)
             pool = SolutionPool(bc.instance, dedup=False)
-            added, bad, done = bc.enumerate_unrestricted(root, bc.root_lo, bc.root_hi, pool)
+            added, bad, done = bc.enumerate_unrestricted(root, pool)
             assert (added, bad, done) == (len(want), want_bad, True)
             assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
             assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
@@ -343,12 +350,12 @@ class TestEnumerateUnrestricted:
         # a compensated sum (builtin sum over floats, Python >= 3.12) gives 1.0
         terms = {0: 1e16, 1: 1.0, 2: -1e16}
         bc = BranchAndCount(binary_inst(3, [(terms, LE, 0.5)], terms))
-        node = Node(id=0, parent_id=None, depth=0, local_bounds={},
+        node = Node(id=0, parent_id=None, depth=0, lo=bc.root_lo, hi=bc.root_hi,
                     lp=SimpleNamespace(x=np.zeros(3)))
         pool = SolutionPool(bc.instance)
         # the row fails at (0,1,0), (1,0,0) and (1,1,0); a compensated sum
         # would also reject (1,1,1)
-        assert bc.enumerate_unrestricted(node, bc.root_lo, bc.root_hi, pool) == (5, 3, True)
+        assert bc.enumerate_unrestricted(node, pool) == (5, 3, True)
         assert pool.solutions[-1].tolist() == [1.0, 1.0, 1.0]
         assert repr(pool.objectives[-1]) == "0.0"
 
@@ -432,7 +439,6 @@ class TestSolutionPool:
             assert pool.solutions.tobytes() == b"".join(x.tobytes() for x in ref.solutions)
             assert pool.projections.tolist() == ref.projections
             assert pool.projection_matrix().tolist() == ref.projections
-            assert pool.solution_matrix().tobytes() == pool.solutions.tobytes()
             assert [repr(v) for v in pool.objectives] == [repr(v) for v in ref.objectives]
             assert pool.ones.tobytes() == ref.ones.tobytes()
         assert raised > 0
@@ -456,13 +462,12 @@ class TestSolutionPool:
 
     def test_empty_shapes_and_read_only_views(self):
         pool = SolutionPool(self.instance(5, 0, 1))
-        assert pool.solutions.shape == pool.solution_matrix().shape == (0, 6)
+        assert pool.solutions.shape == (0, 6)
         assert pool.projections.shape == pool.projection_matrix().shape == (0, 5)
         for k in range(40):  # 32 distinct keys: past the first doubling
             pool.add([k >> b & 1 for b in range(5)] + [0.5], float(k))
         assert len(pool) == 32
-        for view in (pool.solutions, pool.projections, pool.solution_matrix(),
-                     pool.projection_matrix()):
+        for view in (pool.solutions, pool.projections, pool.projection_matrix()):
             assert len(view) == 32
             with pytest.raises(ValueError):
                 view[0, 0] = 1
@@ -505,12 +510,12 @@ class TestBranching:
 
     def test_binary_split_fixes_both_sides(self):
         bc = BranchAndCount(knapsack_instance())
-        root = Node(id=0, parent_id=None, depth=0, local_bounds={})
-        root.lp = bc.solver.solve(bc.root_lo, bc.root_hi)
+        root = root_node(bc)
         assert root.lp.fractional == [0]
         down, up = bc.branch(root)
-        assert down.local_bounds == {0: (0.0, 0.0)}
-        assert up.local_bounds == {0: (1.0, 1.0)}
+        assert (down.lo.tolist(), down.hi.tolist()) == ([0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+        assert (up.lo.tolist(), up.hi.tolist()) == ([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert (down.path, up.path) == ((0,), (1,))
         assert down.depth == up.depth == 1
 
 
@@ -681,12 +686,17 @@ class TestDeterminismAndTrace:
         assert pool_tuples(res) == admitted
 
 
+def open_node(nid, bound, depth=0, path=()):
+    """An open node with an optimal LP at ``bound``; the queue reads no box."""
+    return Node(id=nid, parent_id=None, depth=depth, lo=None, hi=None, path=path,
+                lp=optimal_lp(bound))
+
+
 class TestOpenNodeQueue:
     def make(self, bounds):
         q = OpenNodeQueue()
         for k, b in enumerate(bounds):
-            q.push(Node(id=k, parent_id=None, depth=0, local_bounds={},
-                        lp=optimal_lp(b)))
+            q.push(open_node(k, b))
         return q
 
     def test_extrema_track_pops(self):
@@ -708,8 +718,7 @@ class TestOpenNodeQueue:
             if len(q.nodes) and rng.random() < 0.4:
                 q.pop(rng.choice(sorted(q.nodes)))
             else:
-                q.push(Node(id=nid, parent_id=None, depth=0, local_bounds={},
-                            lp=optimal_lp(float(rng.integers(-9, 9)))))
+                q.push(open_node(nid, float(rng.integers(-9, 9))))
                 nid += 1
             if len(q.nodes):
                 bounds = [n.lp_bound for n in q]
@@ -718,19 +727,17 @@ class TestOpenNodeQueue:
                 assert q.min_id() == min((n.lp_bound, n.id) for n in q)[1]
 
     def test_rows_mirror_the_open_nodes_on_random_traffic(self):
-        # binary columns 0-5 and a general column 6; rows grow past 16, paths past 1
+        # six binaries; rows grow past 16, paths past 1
         rng = np.random.default_rng(5)
-        q = OpenNodeQueue(range(6))
+        q = OpenNodeQueue(6)
         for nid in range(300):
             if len(q) and rng.random() < 0.45:
                 q.pop(int(rng.choice(sorted(q.nodes))))
             else:
-                bounds = {}
-                for j in rng.choice(7, size=int(rng.integers(0, 7)), replace=False).tolist():
-                    v = float(rng.integers(0, 2))
-                    bounds[j] = (v, v) if j < 6 else (0.0, 3.0)
-                node = Node(id=nid, parent_id=None, depth=int(rng.integers(0, 9)),
-                            local_bounds=bounds, lp=optimal_lp(float(rng.integers(-4, 4))))
+                cols = rng.choice(6, size=int(rng.integers(0, 7)), replace=False).tolist()
+                path = tuple(2 * j + int(rng.integers(0, 2)) for j in cols)
+                node = open_node(nid, float(rng.integers(-4, 4)),
+                                 depth=int(rng.integers(0, 9)), path=path)
                 node.estimate = float(rng.uniform(-5, 5))
                 q.push(node)
             if rng.random() < 0.5:
@@ -739,19 +746,25 @@ class TestOpenNodeQueue:
             assert sorted(q.ids[:n].tolist()) == sorted(q.nodes)
             for row in range(n):
                 node = q.nodes[int(q.ids[row])]
-                path = fixing_path(node.local_bounds, q.binary_pos)
+                path = list(node.path)
                 assert (q.bound[row], q.depth[row], q.estimate[row]) == (
                     node.lp_bound, node.depth, node.estimate)
                 assert q.path_len[row] == len(path)
                 assert q.path[row].tolist() == path + [q.pad] * (q.path.shape[1] - len(path))
         assert len(q.ids) > 16
 
-    @pytest.mark.parametrize("make", [general_integer_instance, knapsack_instance,
-                                      lambda: random_binary_instance(1, 30, 12)])
-    def test_paths_list_the_binary_fixings_in_the_order_made(self, make, monkeypatch):
-        inst = make()
+    MAKERS = [general_integer_instance, knapsack_instance,
+              lambda: random_binary_instance(1, 30, 12)]
+
+    @staticmethod
+    def record_children(inst, monkeypatch):
+        """Every child a count run on ``inst`` makes, each with ``made`` (term
+        indices of its fixings, in branching order), ``overrides`` (column ->
+        (lo, hi) as branched, in the order first bounded), ``parent`` and
+        ``engine``."""
         pos = {j: k for k, j in enumerate(inst.binary_index)}
-        made = {0: []}  # node id -> term indices of its fixings, in branching order
+        made = {0: []}  # node id -> the recorded fields of its child object
+        overrides = {0: {}}
         seen = []
         child_of = BranchAndCount._child
 
@@ -759,6 +772,8 @@ class TestOpenNodeQueue:
             c = child_of(self, node, j, lo_j, hi_j)
             extra = [2 * pos[j] + int(lo_j)] if j in pos and lo_j == hi_j else []
             c.made = made[node.id] + extra
+            c.overrides = {**overrides[node.id], j: (float(lo_j), float(hi_j))}
+            c.parent, c.engine = node, self
             seen.append(c)
             return c
 
@@ -766,6 +781,7 @@ class TestOpenNodeQueue:
 
         def push_and_record(q, node):
             made[node.id] = getattr(node, "made", [])
+            overrides[node.id] = getattr(node, "overrides", {})
             push(q, node)
 
         monkeypatch.setattr(BranchAndCount, "_child", child)
@@ -773,6 +789,31 @@ class TestOpenNodeQueue:
         cut = add_objective_cutoff(inst, BranchAndCount(inst).optimize().objective, 0.3)
         BranchAndCount(cut, selector=SelectorConfig(rule="dbfs-a", alpha=0.5)).run(p1=40)
         assert seen
+        return seen
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_paths_list_the_binary_fixings_in_the_order_made(self, make, monkeypatch):
+        seen = self.record_children(make(), monkeypatch)
         for c in seen:
-            assert fixing_path(c.local_bounds, pos) == c.made
+            assert c.path == tuple(c.made)
         assert any(len(c.made) < c.depth for c in seen) == (make is general_integer_instance)
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_boxes_are_the_root_box_with_the_branching_overrides(self, make, monkeypatch):
+        seen = self.record_children(make(), monkeypatch)
+        for c in seen:
+            lo, hi = oracle_materialize(c.engine.root_lo, c.engine.root_hi, c.overrides)
+            assert (c.lo.tobytes(), c.hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+        # each split bounds one column: a chain shorter than the depth
+        # re-bounded a general integer column it had bounded before
+        rebounded = any(len(c.overrides) < c.depth for c in seen)
+        assert rebounded == (make is general_integer_instance)
+
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_child_boxes_alias_neither_parent_nor_root(self, make, monkeypatch):
+        seen = self.record_children(make(), monkeypatch)
+        for c in seen:
+            root_box = (c.engine.root_lo, c.engine.root_hi)
+            for box in (c.parent.lo, c.parent.hi) + root_box:
+                assert not np.shares_memory(c.lo, box) and not np.shares_memory(c.hi, box)
+            assert not np.shares_memory(c.lo, c.hi)

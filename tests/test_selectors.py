@@ -25,21 +25,23 @@ from diversitree.selectors import (
 from diversitree.simplex import LpResult, LpStatus
 
 
-def fixings(fixed):
-    """Local bounds fixing each binary column j of ``fixed`` to its value."""
-    return {j: (float(v), float(v)) for j, v in fixed.items()}
+def path_of(fixed):
+    """The fixing path of {binary column: value} in ``fixed``'s order; column j
+    of the pools below sits at pool position j."""
+    return tuple(2 * j + v for j, v in fixed.items())
 
 
 def make_node(nid, bound=0.0, depth=0, fixed=None, parent=None, estimate=None):
-    n = Node(id=nid, parent_id=parent, depth=depth, local_bounds=fixings(fixed or {}),
-             lp=LpResult(LpStatus.OPTIMAL, objective=bound))
+    # scoring reads no box, so the node carries none
+    n = Node(id=nid, parent_id=parent, depth=depth, lo=None, hi=None,
+             path=path_of(fixed or {}), lp=LpResult(LpStatus.OPTIMAL, objective=bound))
     n.estimate = bound if estimate is None else estimate
     return n
 
 
 def open_set(nodes, n_bits=4):
     """An open-node queue over ``n_bits`` binary columns holding ``nodes``."""
-    q = OpenNodeQueue(range(n_bits))
+    q = OpenNodeQueue(n_bits)
     for n in nodes:
         q.push(n)
     return q
@@ -90,17 +92,25 @@ class TestScaledScores:
     def test_partial_diversity_hand_value(self):
         pool = make_pool([[0, 0, 0, 0]])
         # bit 1 disagrees with the pool, bit 2 agrees
-        assert partial_diversity(fixings({1: 1, 2: 0}), pool) == 0.5
+        assert partial_diversity(path_of({1: 1, 2: 0}), pool) == 0.5
 
     def test_partial_diversity_empty_cases(self):
-        assert partial_diversity({}, make_pool([[1, 0, 1, 0]])) == 0.0
-        assert partial_diversity(fixings({0: 1}), EMPTY) == 0.0
-        assert partial_diversity({0: (0.0, 1.0)}, make_pool([[1, 0, 1, 0]])) == 0.0
+        assert partial_diversity((), make_pool([[1, 0, 1, 0]])) == 0.0
+        assert partial_diversity(path_of({0: 1}), EMPTY) == 0.0
 
-    def test_partial_diversity_skips_unknown_columns(self):
+    def test_partial_diversity_skips_general_columns(self):
+        # binaries 0-3 and a general column 4: fixing column 4 adds no term
+        variables = [VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(4)]
+        variables.append(VariableDef(4, 0.0, 2.0, True, "u"))
+        bc = BranchAndCount(MipInstance(name="mixed", variables=variables,
+                                        constraints=[LinearConstraint({4: 1.0}, LE, 2.0, "r0")],
+                                        objective={0: 1.0, 4: 1.0}))
+        general = bc._child(bc._root(), 4, 1.0, 1.0)
+        both = bc._child(general, 0, 0.0, 0.0)
+        assert (general.path, both.path) == ((), (0,))
         pool = make_pool([[1, 1, 1, 1]])
-        assert partial_diversity(fixings({9: 1}), pool) == 0.0
-        assert partial_diversity(fixings({9: 1, 0: 0}), pool) == 1.0
+        assert partial_diversity(general.path, pool) == 0.0
+        assert partial_diversity(both.path, pool) == 1.0
 
     def test_partial_diversity_matches_double_loop(self):
         rng = np.random.default_rng(3)
@@ -112,7 +122,7 @@ class TestScaledScores:
             want = np.mean([
                 np.mean([abs(v - row[j]) for row in rows]) for j, v in fixed.items()
             ])
-            assert partial_diversity(fixings(fixed), pool) == pytest.approx(want, abs=1e-12)
+            assert partial_diversity(path_of(fixed), pool) == pytest.approx(want, abs=1e-12)
 
 
 class TestRuleScores:
@@ -175,7 +185,7 @@ class TestRuleScores:
         node = make_node(7, bound=0.25, depth=2, fixed={0: 1, 2: 0})
         ctx = ctx_for(pool, min_bound=0.0, max_bound=1.0)
         L = scaled_bound(node.lp_bound, ctx)
-        D = partial_diversity(node.local_bounds, pool)
+        D = partial_diversity(node.path, pool)
         H = scaled_depth(node.depth, 4)
         want = {
             "dbfs-a": 0.4 * L + 0.6 * (1 - D),
@@ -207,26 +217,20 @@ class TestScoresMatchTheScalarOracle:
     @classmethod
     def random_open_set(cls, rng):
         """Open set, context and selector settings, with tied bounds and 0-14
-        fixings per node."""
+        fixings per node, made in random order."""
         n_bits = cls.N_BITS
         pool = make_pool(rng.integers(0, 2, size=(int(rng.integers(0, 51)), n_bits)), n_bits)
         levels = np.concatenate([rng.uniform(-3, 3, size=int(rng.integers(1, 4))),
                                  rng.integers(-8, 9, size=2) / 4])
-        q = OpenNodeQueue(range(n_bits))
+        q = OpenNodeQueue(n_bits)
         ids = rng.choice(400, size=int(rng.integers(2, 30)), replace=False)
         for nid in ids.tolist():
-            # fixings in random order, mixed with an unfixed general column (n_bits)
             cols = rng.choice(n_bits, size=int(rng.integers(0, 15)), replace=False).tolist()
             vals = rng.integers(0, 2, size=len(cols)).tolist()
-            general = rng.integers(0, len(cols) + 3)
-            bounds = {}
-            for k, (j, v) in enumerate(zip(cols, vals)):
-                if k == general:
-                    bounds[n_bits] = (0.0, 2.0)
-                bounds[j] = (float(v), float(v))
             bound = float(rng.choice(levels))
             node = Node(id=nid, parent_id=int(rng.integers(0, 400)) if nid else None,
-                        depth=int(rng.integers(0, 22)), local_bounds=bounds,
+                        depth=int(rng.integers(0, 22)), lo=None, hi=None,
+                        path=path_of(dict(zip(cols, vals))),
                         lp=LpResult(LpStatus.OPTIMAL, objective=bound))
             node.estimate = bound + float(rng.uniform(0, 2))
             q.push(node)
@@ -269,7 +273,7 @@ class TestScoresMatchTheScalarOracle:
         for size in range(17):
             fixed = {int(j): int(rng.integers(0, 2))
                      for j in rng.choice(16, size=size, replace=False)}
-            assert partial_diversity(fixings(fixed), pool) == oracle_partial_diversity(fixed, pool)
+            assert partial_diversity(path_of(fixed), pool) == oracle_partial_diversity(fixed, pool)
 
 
 class TestGating:
@@ -350,7 +354,7 @@ class TestBoundOrderDequeue:
     def random_traffic(seed, steps=300):
         """Open sets under random pushes and pops, bounds drawn from five values."""
         rng = np.random.default_rng(seed)
-        q = OpenNodeQueue(range(4))
+        q = OpenNodeQueue(4)
         for nid in range(steps):
             if len(q) and rng.random() < 0.45:
                 q.pop(int(rng.choice(sorted(q.nodes))))
