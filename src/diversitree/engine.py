@@ -45,6 +45,8 @@ INTEGER_FEASIBLE = "integer_feasible"
 BRANCHABLE = "branchable"
 STALLED = "stalled"
 
+WALK_CHUNK = 1024  # most points the wholesale walk hands the pool at once
+
 
 class EngineError(RuntimeError):
     pass
@@ -82,7 +84,9 @@ class SolutionPool:
     views of the rows filled so far, in insertion order. The dedup key is
     the projection row's bytes; instances without binary variables fall
     back to the rounded integer columns as int64, so distinct solutions are
-    not collapsed.
+    not collapsed. ``add_rows`` inserts a batch as ``add`` would one row at
+    a time, with one projection and one write per batch; ``add`` is its
+    one-row case.
     """
 
     def __init__(self, instance: MipInstance, capacity: int = None, dedup: bool = True):
@@ -105,40 +109,73 @@ class SolutionPool:
     def is_full(self) -> bool:
         return self.capacity is not None and self._n >= self.capacity
 
+    @property
+    def room(self) -> float:
+        """How many more solutions fit: ``math.inf`` without a capacity."""
+        return math.inf if self.capacity is None else max(self.capacity - self._n, 0)
+
     def add(self, x, objective: float) -> bool:
-        if self.is_full:
-            return False
+        return self.add_rows([x], [objective]) == 1
+
+    def add_rows(self, xs, objectives) -> int:
+        """Add the solutions ``xs`` in order, with their objectives; return
+        how many were accepted.
+
+        A row is refused when its key is pooled already, including by an
+        earlier row of the same batch, and the batch stops once the pool is
+        full. A non-integral binary raises ``project_binary``'s
+        ``ValueError`` after the rows before it are stored, unless the row's
+        rounded key is taken, which refuses it.
+        """
+        room = min(len(xs), self.room)
+        if not room:
+            return 0
         n = self._n
-        if n == len(self._x):
+        self._reserve(n + room)  # before the batch's temporaries, to keep the peak low
+        xs = np.asarray(xs, dtype=float)
+        vals = xs[:, self._bin]
+        bits = np.rint(vals)
+        bad = (np.abs(vals - bits) > INT_TOL).any(axis=1).tolist()
+        proj = bits.astype(np.int8)
+        keyed = proj if len(self._bin) else np.rint(xs[:, self._int]).astype(np.int64)
+        width = keyed.shape[1] * keyed.itemsize
+        buf = keyed.tobytes()
+        keys = self._keys
+        take = []
+        try:
+            for i in range(len(xs)):
+                if len(take) == room:
+                    break
+                if self.dedup:
+                    key = buf[i * width:(i + 1) * width]
+                    if key in keys:
+                        continue
+                if bad[i]:
+                    project_binary(xs[i], self._bin)  # raises, naming the column
+                if self.dedup:
+                    keys.add(key)
+                take.append(i)
+        finally:
+            k = len(take)
+            self._x[n:n + k] = xs[take]
+            accepted = proj[take]
+            self._proj[n:n + k] = accepted
+            self.objectives.extend([float(objectives[i]) for i in take])
+            self.ones += accepted.sum(axis=0, dtype=float)
+            self._n = n + k
+        return k
+
+    def _reserve(self, rows: int):
+        """Double both matrices until they hold ``rows`` rows."""
+        size = len(self._x)
+        while size < rows:
+            size *= 2
+        if size > len(self._x):
             for name in ("_x", "_proj"):
                 col = getattr(self, name)
-                grown = np.empty((2 * n, col.shape[1]), dtype=col.dtype)
-                grown[:n] = col
+                grown = np.empty((size, col.shape[1]), dtype=col.dtype)
+                grown[:self._n] = col[:self._n]
                 setattr(self, name, grown)
-        row = self._x[n]  # written in place; only counted once accepted
-        row[:] = x
-        try:
-            proj = project_binary(row, self._bin)
-        except ValueError:
-            # the dedup test comes first: a duplicate key is refused, not raised
-            if self.dedup and self._rounded_key(row) in self._keys:
-                return False
-            raise
-        key = proj.tobytes() if len(self._bin) else self._rounded_key(row)
-        if self.dedup:
-            if key in self._keys:
-                return False
-            self._keys.add(key)
-        self._proj[n] = proj
-        self.objectives.append(float(objective))
-        self.ones += proj
-        self._n = n + 1
-        return True
-
-    def _rounded_key(self, row) -> bytes:
-        if len(self._bin):
-            return np.rint(row[self._bin]).astype(np.int8).tobytes()
-        return np.rint(row[self._int]).astype(np.int64).tobytes()
 
     def _filled(self, matrix):
         view = matrix[:self._n]
@@ -471,9 +508,13 @@ class BranchAndCount:
 
         Assignments run in lexicographic order (ascending column, values
         ascending). Continuous columns keep the node LP values, which the
-        unrestricted test guarantees feasible. Returns (added, infeasible,
-        completed) where completed is False when capacity or the clock
-        (``deadline``, a ``time.perf_counter`` value) cut the walk short.
+        unrestricted test guarantees feasible. Completed points go to the
+        pool in batches of at most ``WALK_CHUNK``, and never more than the
+        pool has room for, so the pool cannot fill inside a batch; a batch
+        is handed over when it is full, when the clock (``deadline``, a
+        ``time.perf_counter`` value, checked before every point) runs out,
+        and at the end. Returns (added, infeasible, completed) where
+        completed is False when capacity or the clock cut the walk short.
         """
         lo, hi = node.lo, node.hi
         free = [j for j in self.integer_index if hi[j] - lo[j] > 0.5]
@@ -485,9 +526,15 @@ class BranchAndCount:
         values = [[float(v) for v in range(int(lo[j]), int(hi[j]) + 1)] for j in free]
         added = 0
         infeasible = 0
+        xs, objectives = [], []
+        batch = 0
         for combo in itertools.product(*values):
+            if len(xs) == batch:
+                added += pool.add_rows(xs, objectives)
+                xs, objectives = [], []
+                batch = min(WALK_CHUNK, pool.room)
             if pool.is_full or _limit_reached(deadline):
-                return added, infeasible, False
+                return added + pool.add_rows(xs, objectives), infeasible, False
             x = base.copy()
             for j, v in zip(free, combo):
                 x[j] = v
@@ -495,9 +542,9 @@ class BranchAndCount:
             if x is None:
                 infeasible += 1
                 continue
-            if pool.add(x, self._objective(x)):
-                added += 1
-        return added, infeasible, True
+            xs.append(x)
+            objectives.append(self._objective(x))
+        return added + pool.add_rows(xs, objectives), infeasible, True
 
     # -- count mode --------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from diversitree.generators import (
     mixed_small_instance,
     random_binary_instance,
 )
+from diversitree import engine
 from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.model import FEAS_TOL, INT_TOL
 from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
@@ -277,10 +278,11 @@ class TestEnumerateUnrestricted:
 
 
     @staticmethod
-    def reference_walk(bc, node):
+    def reference_walk(bc, node, capacity=None):
         """Per-point walk over numpy points with ``con.satisfied`` and
-        ``objective_value``: (pool as (x, objective) pairs, infeasible count,
-        LP completions)."""
+        ``objective_value``, stopping before a point once ``capacity`` points
+        are pooled: (pool as (x, objective) pairs, infeasible count, LP
+        completions, completed)."""
         inst = bc.instance
         lo, hi = node.lo, node.hi
         free = [j for j in bc.integer_index if hi[j] - lo[j] > 0.5]
@@ -290,6 +292,8 @@ class TestEnumerateUnrestricted:
                 base[j] = round(lo[j])
         pool, infeasible, completions = [], 0, 0
         for combo in itertools.product(*(range(int(lo[j]), int(hi[j]) + 1) for j in free)):
+            if capacity is not None and len(pool) >= capacity:
+                return pool, infeasible, completions, False
             x = base.copy()
             for j, v in zip(free, combo):
                 x[j] = float(v)
@@ -304,7 +308,7 @@ class TestEnumerateUnrestricted:
                 x = res.x
                 completions += 1
             pool.append((x, inst.objective_value(x)))
-        return pool, infeasible, completions
+        return pool, infeasible, completions, True
 
     def random_box(self, rng):
         """Binaries, a general integer and a continuous column under random
@@ -334,7 +338,7 @@ class TestEnumerateUnrestricted:
             bc, root = self.random_box(rng)
             if not root.lp.is_optimal:
                 continue
-            want, want_bad, completions = self.reference_walk(bc, root)
+            want, want_bad, completions, _ = self.reference_walk(bc, root)
             pool = SolutionPool(bc.instance, dedup=False)
             added, bad, done = bc.enumerate_unrestricted(root, pool)
             assert (added, bad, done) == (len(want), want_bad, True)
@@ -344,6 +348,29 @@ class TestEnumerateUnrestricted:
             completed += completions
             infeasible += bad
         assert walked >= 30 and completed > 0 and infeasible > 0
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunk_boundaries_move_nothing(self, chunk, monkeypatch):
+        # capacities just below, at and just above a chunk, and one inside
+        # the box, so that the pool fills at every position of a chunk
+        monkeypatch.setattr(engine, "WALK_CHUNK", chunk)
+        rng = np.random.default_rng(47)
+        walked = capped = 0
+        for _ in range(40):
+            bc, root = self.random_box(rng)
+            if not root.lp.is_optimal:
+                continue
+            points = len(self.reference_walk(bc, root)[0])
+            for capacity in (None, chunk - 1, chunk, chunk + 1, int(rng.integers(1, points + 2))):
+                want, want_bad, _, want_done = self.reference_walk(bc, root, capacity)
+                pool = SolutionPool(bc.instance, capacity=capacity, dedup=False)
+                got = bc.enumerate_unrestricted(root, pool)
+                assert got == (len(want), want_bad, want_done)
+                assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
+                assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+                capped += not want_done
+            walked += 1
+        assert walked >= 20 and capped > walked
 
     def test_sums_run_left_to_right(self):
         # left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0;
@@ -371,11 +398,14 @@ class ListPool:
         self.ones = np.zeros(len(self.binary_index))
         self.keys = set()
 
+    def key(self, x):
+        return tuple(round(float(x[j])) for j in self.key_cols)
+
     def add(self, x, objective):
         if self.capacity is not None and len(self.solutions) >= self.capacity:
             return False
         x = np.array(x, dtype=float)
-        key = tuple(round(float(x[j])) for j in self.key_cols)
+        key = self.key(x)
         if self.dedup and key in self.keys:
             return False
         bits = [round(float(x[j])) for j in self.binary_index]
@@ -406,42 +436,99 @@ class TestSolutionPool:
         except ValueError as exc:
             return str(exc)
 
-    def test_matches_the_list_pool_on_random_add_sequences(self):
-        rng = np.random.default_rng(5)
-        raised = 0
+    @classmethod
+    def random_add_sequences(cls, rng):
+        """300 (instance, capacity, dedup, [(x, objective), ...]) trials over
+        small banks of points, so that keys repeat and some binaries are
+        non-integral."""
         for trial in range(300):
             nb, ni, nc = (int(v) for v in rng.integers(0, 4, size=3))
-            inst = self.instance(nb, ni, nc)
+            inst = cls.instance(nb, ni, nc)
             d = inst.num_vars
             capacity = None if trial % 3 else int(rng.integers(1, 30))
             dedup = bool(trial % 4)
-            # a small bank of points, so that keys repeat
             bank = np.empty((int(rng.integers(1, 12)), d))
             bank[:, :nb] = rng.integers(0, 2, size=(len(bank), nb))
             bank[:, nb:nb + ni] = rng.integers(-1, 3, size=(len(bank), ni))
             bank[:, nb + ni:] = rng.uniform(0.0, 5.0, size=(len(bank), nc))
-            pool = SolutionPool(inst, capacity=capacity, dedup=dedup)
-            ref = ListPool(inst, capacity=capacity, dedup=dedup)
+            adds = []
             for _ in range(int(rng.integers(0, 60))):
                 x = bank[rng.integers(len(bank))].copy()
                 if d and rng.random() < 0.3:
                     x[rng.integers(d)] += rng.choice([1e-8, -1e-8, 0.4, 0.5, 0.75])
-                objective = float(rng.normal())
+                adds.append((x, float(rng.normal())))
+            yield inst, capacity, dedup, adds
+
+    @staticmethod
+    def assert_same_pool(pool, ref, inst):
+        n, d, nb = len(pool), inst.num_vars, len(inst.binary_index)
+        assert pool.solutions.shape == (n, d)
+        assert pool.projections.shape == (n, nb)
+        assert pool.projections.dtype == np.int8
+        assert pool.solutions.tobytes() == b"".join(x.tobytes() for x in ref.solutions)
+        assert pool.projections.tolist() == ref.projections
+        assert pool.projection_matrix().tolist() == ref.projections
+        assert [repr(v) for v in pool.objectives] == [repr(v) for v in ref.objectives]
+        assert pool.ones.tobytes() == ref.ones.tobytes()
+
+    def test_matches_the_list_pool_on_random_add_sequences(self):
+        raised = 0
+        for inst, capacity, dedup, adds in self.random_add_sequences(np.random.default_rng(5)):
+            pool = SolutionPool(inst, capacity=capacity, dedup=dedup)
+            ref = ListPool(inst, capacity=capacity, dedup=dedup)
+            for x, objective in adds:
                 got = self.outcome(pool, x, objective)
                 assert got == self.outcome(ref, x, objective)
                 raised += isinstance(got, str)
                 assert len(pool) == len(ref.solutions)
                 assert pool.is_full == (capacity is not None and len(pool) >= capacity)
-            n = len(pool)
-            assert pool.solutions.shape == (n, d)
-            assert pool.projections.shape == (n, nb)
-            assert pool.projections.dtype == np.int8
-            assert pool.solutions.tobytes() == b"".join(x.tobytes() for x in ref.solutions)
-            assert pool.projections.tolist() == ref.projections
-            assert pool.projection_matrix().tolist() == ref.projections
-            assert [repr(v) for v in pool.objectives] == [repr(v) for v in ref.objectives]
-            assert pool.ones.tobytes() == ref.ones.tobytes()
+            self.assert_same_pool(pool, ref, inst)
         assert raised > 0
+
+    def test_batches_match_sequential_adds_on_random_add_sequences(self):
+        # each sequence is cut into random batches; the oracle adds a batch
+        # one row at a time and, like the batch, drops the rows after a raise
+        rng = np.random.default_rng(6)
+        seen = dict.fromkeys(("raised", "refused_bad", "dup_in_batch", "full_mid_batch",
+                              "no_dedup", "int_keys"), 0)
+        for inst, capacity, dedup, adds in self.random_add_sequences(np.random.default_rng(5)):
+            pool = SolutionPool(inst, capacity=capacity, dedup=dedup)
+            ref = ListPool(inst, capacity=capacity, dedup=dedup)
+            nb = len(inst.binary_index)
+            start = 0
+            while start < len(adds):
+                batch = adds[start:start + int(rng.integers(0, 9))]
+                start += max(len(batch), 1)
+                want, error, size = 0, None, len(pool)
+                for x, objective in batch:
+                    full = capacity is not None and len(ref.solutions) >= capacity
+                    seen["full_mid_batch"] += full and size < capacity
+                    got = self.outcome(ref, x, objective)
+                    if isinstance(got, str):
+                        error = got
+                        break
+                    want += got
+                    bad = nb and np.abs(x[:nb] - np.rint(x[:nb])).max() > INT_TOL
+                    seen["refused_bad"] += bool(bad) and not full and not got
+                xs = [x for x, _ in batch]
+                if rng.random() < 0.5 and batch:
+                    xs = np.array(xs)
+                try:
+                    got = pool.add_rows(xs, [objective for _, objective in batch])
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == (want if error is None else error)
+                seen["raised"] += error is not None
+                keys = [ref.key(x) for x, _ in batch]
+                seen["dup_in_batch"] += dedup and len(set(keys)) < len(keys)
+                assert len(pool) == len(ref.solutions)
+            self.assert_same_pool(pool, ref, inst)
+            if dedup:
+                dtype = np.int8 if nb else np.int64
+                assert {tuple(np.frombuffer(k, dtype).tolist()) for k in pool._keys} == ref.keys
+            seen["no_dedup"] += not dedup
+            seen["int_keys"] += not nb and len(pool) > 1
+        assert all(seen.values()), seen
 
     def test_non_integral_binary_raises_unless_its_key_is_taken(self):
         pool = SolutionPool(self.instance(2, 0, 1))
@@ -451,6 +538,29 @@ class TestSolutionPool:
         assert pool.add([0.0, 0.0, 1.0], 0.0)
         assert not pool.add([0.0, 0.4, 2.0], 0.0)  # rounds onto the pooled key
         assert pool.solutions.tolist() == [[0.0, 0.0, 1.0]]
+
+    def test_a_batch_keeps_the_rows_before_a_non_integral_binary(self):
+        pool = SolutionPool(self.instance(2, 0, 1))
+        rows = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0],
+                [0.0, 0.0, 2.0],  # duplicate of the first row
+                [0.0, 0.4, 3.0],  # non-integral, but rounds onto the first row's key
+                [1.0, 1.0, 1.0],
+                [0.0, 1.4, 1.0],  # non-integral with a free key: raises
+                [0.0, 1.0, 1.0]]
+        with pytest.raises(ValueError, match=r"binary column 1 has non-integral value .*1\.4"):
+            pool.add_rows(rows, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert pool.solutions.tolist() == [rows[0], rows[1], rows[4]]
+        assert pool.objectives == [0.0, 1.0, 4.0]
+        assert pool.ones.tolist() == [2.0, 1.0]
+        assert pool.add_rows(rows[6:], [6.0]) == 1
+
+    def test_a_batch_stops_at_capacity(self):
+        pool = SolutionPool(self.instance(2, 0, 0), capacity=3)
+        rows = [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                [1.0, 0.5]]  # never looked at: the pool is full before it
+        assert pool.add_rows(rows, [0.0, 1.0, 2.0, 3.0, 4.0]) == 3
+        assert pool.is_full and pool.solutions.tolist() == [rows[0], rows[2], rows[3]]
+        assert pool.add_rows([[1.0, 1.0]], [5.0]) == 0 and not pool.add([1.0, 1.0], 5.0)
 
     def test_without_binaries_the_integer_columns_are_the_key(self):
         pool = SolutionPool(self.instance(0, 2, 1))
@@ -486,11 +596,13 @@ class TestSolutionPool:
         try:
             res = bc.run()
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(res.pool) == 2 ** 14
         assert held / len(res.pool) <= 320, f"{held / len(res.pool):.0f} bytes per solution"
+        # the walk's buffer is bounded by its chunk, not by the box
+        assert peak / len(res.pool) <= 320, f"peak {peak / len(res.pool):.0f} bytes per solution"
 
 
 class TestBranching:
@@ -583,7 +695,7 @@ class TestLimitsAndTruncation:
 
     def test_time_limit_stops_the_wholesale_walk(self):
         # no rows: the root is unrestricted and the whole run is one walk over
-        # 65,536 points, which takes seconds untimed
+        # 65,536 points, which takes about 0.4 s untimed
         inst = binary_inst(16, [], {j: 1.0 for j in range(16)})
         res = BranchAndCount(inst).run(time_limit=0.05)
         assert res.unrestricted_subtrees == 1
@@ -596,6 +708,31 @@ class TestLimitsAndTruncation:
         n = len(res.pool)
         assert res.pool.solutions.tobytes() == full.pool.solutions[:n].tobytes()
         assert res.pool.objectives == full.pool.objectives[:n]
+
+    @pytest.mark.parametrize("chunk, k", [(1024, 2500), (7, 20), (7, 5)])
+    def test_the_deadline_keeps_every_walked_point_and_no_more(self, monkeypatch, chunk, k):
+        # a clock that reads the number of points walked trips the deadline
+        # after exactly k points, k not a multiple of the chunk
+        monkeypatch.setattr(engine, "WALK_CHUNK", chunk)
+        inst = binary_inst(12, [], {j: 1.0 for j in range(12)})
+        full = BranchAndCount(inst).run()
+        bc = BranchAndCount(inst)
+        walked = 0
+        complete = bc._complete
+
+        def counting_complete(x, lo, hi):
+            nonlocal walked
+            walked += 1
+            return complete(x, lo, hi)
+
+        monkeypatch.setattr(bc, "_complete", counting_complete)
+        monkeypatch.setattr(engine.time, "perf_counter", lambda: float(walked))
+        res = bc.run(time_limit=k - 0.5)
+        assert walked == k
+        assert res.truncated and not res.exhausted
+        assert len(res.pool) == k
+        assert res.pool.solutions.tobytes() == full.pool.solutions[:k].tobytes()
+        assert res.pool.objectives == full.pool.objectives[:k]
 
 
 class TestLpStalls:
