@@ -55,10 +55,8 @@ from .mps import MpsParseError, parse_mps, write_mps
 from .selectors import (
     PRESETS,
     Rule,
-    ScoreContext,
     Selector,
     SelectorConfig,
-    partial_diversity,
     preset,
     scaled_bound,
     scaled_depth,
@@ -94,7 +92,6 @@ __all__ = [
     "OptimumResult",
     "PRESETS",
     "Rule",
-    "ScoreContext",
     "Selector",
     "SelectorConfig",
     "SimplexSolver",
@@ -118,7 +115,6 @@ __all__ = [
     "pair_sum",
     "pairwise_ham",
     "parse_mps",
-    "partial_diversity",
     "preset",
     "project_binary",
     "random_binary_instance",

@@ -18,6 +18,7 @@ from . import __version__, harness
 from .diversity import dbin
 from .engine import EngineError
 from .harness import ExperimentSpec, HarnessError, SCHEMA_VERSION
+from .model import ModelError
 from .mps import MpsParseError, parse_mps
 from .selectors import PRESETS, SelectorConfig, preset as preset_config
 
@@ -33,7 +34,7 @@ def _configure_logging():
 def _load(instance_path):
     try:
         return parse_mps(instance_path)
-    except MpsParseError as exc:
+    except (MpsParseError, ModelError) as exc:
         raise click.ClickException(f"cannot parse {instance_path}: {exc}") from exc
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .diversity import project_binary
 from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance
-from .selectors import ScoreContext, Selector, SelectorConfig
+from .selectors import Selector, SelectorConfig
 from .simplex import LpResult, LpStatus, SimplexSolver
 
 log = logging.getLogger("diversitree.engine")
@@ -45,7 +45,9 @@ INTEGER_FEASIBLE = "integer_feasible"
 BRANCHABLE = "branchable"
 STALLED = "stalled"
 
-WALK_CHUNK = 1024  # most points the wholesale walk hands the pool at once
+# most points the wholesale walk hands the pool at once: walks as fast as 1,024,
+# with a lower peak RSS on a 65,536-point box
+WALK_CHUNK = 128
 
 
 class EngineError(RuntimeError):
@@ -231,9 +233,6 @@ class OpenNodeQueue:
     def __len__(self):
         return len(self.nodes)
 
-    def __iter__(self):
-        return iter(self.nodes.values())
-
     def push(self, node: Node):
         self.nodes[node.id] = node
         self._unsynced[node.id] = node
@@ -367,6 +366,7 @@ class BranchAndCount:
         self.solver = SimplexSolver(instance)
 
         self.integer_index = instance.integer_index
+        self._ints = np.asarray(self.integer_index, dtype=np.intp)
         lo, hi = instance.bounds()
         self.root_lo = np.asarray(lo, dtype=float)
         self.root_hi = np.asarray(hi, dtype=float)
@@ -456,14 +456,13 @@ class BranchAndCount:
         up = self._child(node, j, math.ceil(v), node.hi[j])
         return [down, up]
 
-    def partition_branch(self, node: Node):
-        """Split on the lowest unfixed integer column when the LP is integral.
+    def partition_branch(self, node: Node, j: int):
+        """Split on column j, the lowest unfixed integer column, when the LP is integral.
 
         Children [lo, v] / [v+1, hi] partition the box, so the solution at
         this node is counted by exactly one descendant leaf.
         """
         lo, hi = node.lo, node.hi
-        j = next(k for k in self.integer_index if hi[k] - lo[k] > 0.5)
         v = float(round(node.lp.x[j]))
         v = min(max(v, lo[j]), hi[j])
         if v >= hi[j]:
@@ -591,12 +590,7 @@ class BranchAndCount:
                 if _limit_reached(deadline, result.nodes_processed, node_limit):
                     result.truncated = True
                     break
-                ctx = ScoreContext(min_bound=queue.min_bound(), max_bound=queue.max_bound(),
-                                   pool=pool)
-                if selector.bound_order(ctx):
-                    node = queue.pop(queue.min_id())
-                else:
-                    node = queue.pop(selector.select(queue, ctx))
+                node = queue.pop(selector.select(queue, pool))
                 selector.on_dequeue(node)
                 result.nodes_processed += 1
                 cls = self.classify(node)
@@ -614,13 +608,14 @@ class BranchAndCount:
                         truncated_enum = True
                     continue
                 if cls == INTEGER_FEASIBLE:
-                    if any(node.hi[k] - node.lo[k] > 0.5 for k in self.integer_index):
-                        children = self.partition_branch(node)
-                    else:
+                    ints = self._ints
+                    free = np.flatnonzero(node.hi[ints] - node.lo[ints] > 0.5)
+                    if not len(free):
                         x = self._complete(node.lp.x.tolist(), node.lo, node.hi)
                         if x is not None:
                             pool.add(x, self._objective(x))
                         continue
+                    children = self.partition_branch(node, int(ints[free[0]]))
                 else:
                     children = self.branch(node)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .diversity import dall, dbin
 from .engine import BranchAndCount, EngineError, OptimumResult
-from .model import CutoffSpec, MipInstance, add_objective_cutoff
+from .model import CutoffSpec, MipInstance, ModelError, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
 from .subset import select_diverse_subset
 
@@ -48,7 +48,6 @@ class ExperimentSpec:
     seed: int = 0  # run label; the pipeline itself is deterministic
     node_limit: int = None
     time_limit: float = None
-    compute_dall: bool = True
 
     def __post_init__(self):
         if self.q < 0:
@@ -148,12 +147,12 @@ def run_phase_one(instance: MipInstance, spec: ExperimentSpec = None,
     if opt.status != "optimal":
         raise HarnessError(f"optimize stage: instance is {opt.status}")
 
-    cut = add_objective_cutoff(instance, opt.objective, spec.q)
     try:
+        cut = add_objective_cutoff(instance, opt.objective, spec.q)
         engine = BranchAndCount(cut, selector=spec.selector, dedup=spec.dedup)
         count = engine.run(p1=spec.p1, node_limit=spec.node_limit,
                            time_limit=spec.time_limit, trace_path=trace_path)
-    except EngineError as exc:
+    except (EngineError, ModelError) as exc:  # ModelError: no cutoff row can be built
         raise HarnessError(f"count stage: {exc}") from exc
     return opt, count
 
@@ -186,7 +185,7 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
         dbin_subset = 0.0
 
     dall_subset = None
-    if spec.compute_dall and len(idx) >= 2:
+    if len(idx) >= 2:
         sols = pool.solutions[idx]
         ranges = sols.max(axis=0) - sols.min(axis=0)
         try:
@@ -254,9 +253,8 @@ def grid_search(instance: MipInstance, q_list=(0.03,), p1_list=(100,),
                                "poolSize": None, "exhausted": None,
                                "nodesProcessed": None, "error": ""}
                         spec = ExperimentSpec(q=q, p1=p1, p=p if p1 is None else min(p, p1),
-                                              selector=cfg,
-                                              seed=seed, node_limit=node_limit,
-                                              time_limit=time_limit, compute_dall=False)
+                                              selector=cfg, seed=seed, node_limit=node_limit,
+                                              time_limit=time_limit)
                         try:
                             res = run_two_phase(instance, spec)
                         except HarnessError as exc:

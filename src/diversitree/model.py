@@ -50,6 +50,8 @@ class VariableDef:
     def __post_init__(self):
         if self.index < 0:
             raise ModelError(f"variable index must be >= 0, got {self.index}")
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ModelError(f"variable {self.name or self.index}: NaN bound")
         if self.lower > self.upper:
             raise ModelError(
                 f"variable {self.name or self.index}: lower {self.lower} > upper {self.upper}"
@@ -74,9 +76,14 @@ class LinearConstraint:
     def __post_init__(self):
         if self.sense not in SENSES:
             raise ModelError(f"constraint {self.name!r}: unknown sense {self.sense!r}")
+        if not math.isfinite(self.rhs):
+            raise ModelError(f"constraint {self.name!r}: right-hand side {self.rhs} is not finite")
         for j, a in self.coeffs.items():
             if a == 0.0:
                 raise ModelError(f"constraint {self.name!r}: zero coefficient on column {j}")
+            if not math.isfinite(a):
+                raise ModelError(f"constraint {self.name!r}: coefficient {a} on column {j}"
+                                 " is not finite")
 
     def activity(self, x) -> float:
         return sum(a * x[j] for j, a in self.coeffs.items())
@@ -120,9 +127,12 @@ class MipInstance:
             for j in con.coeffs:
                 if not 0 <= j < d:
                     raise ModelError(f"constraint {con.name!r} references unknown column {j}")
-        for j in self.objective:
+        for j, c in self.objective.items():
             if not 0 <= j < d:
                 raise ModelError(f"objective references unknown column {j}")
+            if not math.isfinite(c):
+                raise ModelError(f"objective {self.objective_name!r}: coefficient {c} on"
+                                 f" column {self.variables[j].name} is not finite")
 
     @property
     def num_vars(self) -> int:

@@ -55,11 +55,15 @@ def _tokens(line: str):
     return line.split()
 
 
-def _num(tok: str, line_no: int) -> float:
+def _num(tok: str, line_no: int, finite: bool = True) -> float:
+    """The number in ``tok``: never NaN, and finite unless ``finite`` is False."""
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
         raise MpsParseError(f"expected a number, got {tok!r}", line_no) from None
+    if math.isnan(val) or (finite and math.isinf(val)):
+        raise MpsParseError(f"expected a finite number, got {tok!r}", line_no)
+    return val
 
 
 def parse_mps(source) -> MipInstance:
@@ -213,7 +217,7 @@ def parse_mps(source) -> MipInstance:
                     col, vtok = toks[1], toks[2]
                 else:
                     raise MpsParseError(f"{btype} bound needs a column and a value", line_no)
-                val = _num(vtok, line_no)
+                val = _num(vtok, line_no, finite=False)  # an infinite bound is legal
             elif btype in _FLAG_BOUNDS:
                 col = toks[2] if len(toks) >= 3 else toks[1]
                 val = None

@@ -1,13 +1,13 @@
 """Node-selection rules for branch-and-count.
 
 Every rule scores the open nodes and dequeues the argmin, ties going to the
-lowest node id. Scoring is one vectorized pass per dequeue: ``Selector.scores``
-computes the whole score vector from the open set's numpy columns
-(``engine.OpenNodeQueue``), and ``Selector.score`` runs the same code on a
-one-node open set. Where the argmin is pure bound order (best-first, or a
-rule whose gate is still closed) the engine skips the scores and dequeues the
-least (bound, id) from the open set's heap instead; ``Selector.bound_order``
-says when, and the pick is the same node. Classic rules: best-first (bound),
+lowest node id. ``Selector.select`` is the one call that picks the next node.
+Where the argmin is pure bound order (best-first, or a rule whose gate is
+still closed) it skips the scores and returns the least (bound, id) from the
+open set's heap, which is the same node. Otherwise it scores in one
+vectorized pass: ``Selector.scores`` computes the whole score vector from the
+open set's numpy columns (``engine.OpenNodeQueue``), and ``Selector.score``
+runs the same code on a one-node open set. Classic rules: best-first (bound),
 depth-first (LIFO), breadth-first (FIFO), a visit-ratio rule (bound plus
 rho * V/v over the node's and parent's dequeue counts) and a best-estimate
 rule blending the bound with a fractionality-repair estimate.
@@ -132,23 +132,13 @@ def preset(name: str) -> SelectorConfig:
     return SelectorConfig(rule=Rule.DIVERSITREE, **values)
 
 
-@dataclass
-class ScoreContext:
-    """Shared state a scoring pass needs: bound extrema over the open set
-    and the solution pool, whose size and capacity drive the solution gate."""
-
-    min_bound: float
-    max_bound: float
-    pool: object
-
-
-def scaled_bound(lp_bound, ctx: ScoreContext):
-    """Min-max scaled bound over the open set, of one bound or an array of
-    them; 0 when all bounds agree."""
-    spread = ctx.max_bound - ctx.min_bound
+def scaled_bound(lp_bound, min_bound: float, max_bound: float):
+    """Bound (or an array of them) min-max scaled over [min_bound, max_bound];
+    0 when the spread is 0 or not finite."""
+    spread = max_bound - min_bound
     if spread <= 0.0 or not math.isfinite(spread):
         return np.zeros_like(lp_bound, dtype=float)
-    return np.minimum(1.0, np.maximum(0.0, (lp_bound - ctx.min_bound) / spread))
+    return np.minimum(1.0, np.maximum(0.0, (lp_bound - min_bound) / spread))
 
 
 def scaled_depth(depth, max_plunge: int):
@@ -186,18 +176,6 @@ def path_diversity(paths: np.ndarray, lengths: np.ndarray, terms: np.ndarray) ->
     return total / np.maximum(lengths, 1)  # an empty row sums its pads to 0.0
 
 
-def partial_diversity(path, pool) -> float:
-    """Mean disagreement between a node's binary fixings and the pool.
-
-    ``path`` holds the fixings as term indices (``engine.Node.path``). Zero
-    when the pool or the path is empty. Uses the pool's per-bit ones counts,
-    which equals averaging |fixed_j - x_j| over pool members and fixed
-    columns.
-    """
-    return float(path_diversity(np.array([path], dtype=np.intp), np.array([len(path)]),
-                                term_vector(pool))[0])
-
-
 class Selector:
     """Stateful rule evaluator: visit counts and gate latches live here."""
 
@@ -227,31 +205,30 @@ class Selector:
 
     # -- scoring --------------------------------------------------------------
 
-    def gated(self, ctx: ScoreContext) -> bool:
-        """True while the rule must behave as pure best-first."""
+    def gated(self, pool) -> bool:
+        """True while the rule must behave as pure best-first, given the solution pool."""
         rule = self.config.rule
         if rule in _SOLUTION_GATED:
-            capacity = ctx.pool.capacity
-            if capacity is None:
+            if pool.capacity is None:
                 return True  # unlimited capacity: the fraction gate never fills
-            return len(ctx.pool) < self.config.sol_cutoff * capacity
+            return len(pool) < self.config.sol_cutoff * pool.capacity
         if rule == Rule.DBFS_AD:
             return not self.depth_gate_open
         return False
 
-    def bound_order(self, ctx: ScoreContext) -> bool:
-        """True when :meth:`select` would return the least (bound, id) open node.
+    def _bound_order(self, queue, pool) -> bool:
+        """True when the least (bound, id) open node is the argmin of the scores.
 
         Under best-first or a closed gate every score is the scaled bound,
         which is 0 at the least bound and positive above it while the spread
         is finite (a gap scores 0 only below about 1e-323 times the spread,
         where the division underflows), and 0 everywhere when the spread is 0.
         """
-        if not math.isfinite(ctx.max_bound - ctx.min_bound):
-            return False  # every scaled bound is 0: select takes the lowest id
-        return self.config.rule == Rule.BESTFS or self.gated(ctx)
+        if not math.isfinite(queue.max_bound() - queue.min_bound()):
+            return False  # every scaled bound is 0: the scan takes the lowest id
+        return self.config.rule == Rule.BESTFS or self.gated(pool)
 
-    def scores(self, queue, ctx: ScoreContext, gated: bool = None) -> np.ndarray:
+    def scores(self, queue, pool, gated: bool = None) -> np.ndarray:
         """Score of every open node of ``queue`` (an ``OpenNodeQueue``), in its row order."""
         cfg = self.config
         rule = cfg.rule
@@ -270,14 +247,14 @@ class Selector:
             return bound + self.rho * parent_visits / v
         if rule == Rule.HE:
             return (1.0 - self.rho) * bound + self.rho * queue.estimate[:n]
-        lscore = scaled_bound(bound, ctx)
+        lscore = scaled_bound(bound, queue.min_bound(), queue.max_bound())
         if rule == Rule.BESTFS:
             return lscore
         if gated is None:
-            gated = self.gated(ctx)
+            gated = self.gated(pool)
         if gated:
             return lscore
-        dval = path_diversity(queue.path[:n], queue.path_len[:n], self._pool_terms(ctx.pool))
+        dval = path_diversity(queue.path[:n], queue.path_len[:n], self._pool_terms(pool))
         hval = scaled_depth(queue.depth[:n], self.max_plunge)
         if not cfg.literal_score:
             dterm, hterm = 1.0 - dval, 1.0 - hval
@@ -305,17 +282,23 @@ class Selector:
             self._terms = (pool, len(pool), term_vector(pool))
         return self._terms[2]
 
-    def score(self, node, ctx: ScoreContext, gated: bool = None) -> float:
+    def score(self, node, pool, gated: bool = None) -> float:
         """Score of one node: :meth:`scores` over an open set holding only it."""
         from .engine import OpenNodeQueue  # engine imports this module
 
-        queue = OpenNodeQueue(len(ctx.pool.binary_index))
+        queue = OpenNodeQueue(len(pool.binary_index))
         queue.push(node)
-        return float(self.scores(queue, ctx, gated)[0])
+        return float(self.scores(queue, pool, gated)[0])
 
-    def select(self, queue, ctx: ScoreContext) -> int:
-        """Id of the argmin-scored open node of ``queue``; lowest id wins ties."""
+    def select(self, queue, pool) -> int:
+        """Id of the argmin-scored open node of ``queue``; lowest id wins ties.
+
+        In bound order that is the open set's heap front; otherwise every
+        open node is scored.
+        """
         if not len(queue):
             raise ValueError("select called with no open nodes")
-        s = self.scores(queue, ctx)
+        if self._bound_order(queue, pool):
+            return queue.min_id()
+        s = self.scores(queue, pool)
         return int(queue.ids[:len(queue)][s == s.min()].min())

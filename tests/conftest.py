@@ -95,12 +95,22 @@ def _oracle_clamp(val):
     return min(1.0, max(0.0, val))
 
 
-def oracle_score(selector, node, ctx, gated=None):
+def oracle_bounds(nodes):
+    """(least, greatest) LP bound over ``nodes``, by a plain loop."""
+    least = greatest = nodes[0].lp_bound
+    for node in nodes[1:]:
+        least = min(least, node.lp_bound)
+        greatest = max(greatest, node.lp_bound)
+    return least, greatest
+
+
+def oracle_score(selector, node, pool, bounds, gated=None):
     """The score of one node under ``selector``, by scalar arithmetic.
 
-    The node's fixings are its path decoded to {column: value} through
-    ``pool.binary_index``, in path order. ``gated`` defaults to the
-    selector's gate.
+    ``bounds`` is the open set's (least, greatest) LP bound, as
+    ``oracle_bounds`` gives it. The node's fixings are its path decoded to
+    {column: value} through ``pool.binary_index``, in path order. ``gated``
+    defaults to the selector's gate.
     """
     cfg = selector.config
     rule = cfg.rule.value
@@ -115,19 +125,20 @@ def oracle_score(selector, node, ctx, gated=None):
         return node.lp_bound + selector.rho * parent_visits / v
     if rule == "he":
         return (1.0 - selector.rho) * node.lp_bound + selector.rho * node.estimate
-    spread = ctx.max_bound - ctx.min_bound
+    least, greatest = bounds
+    spread = greatest - least
     if spread <= 0.0 or not math.isfinite(spread):
         lscore = 0.0
     else:
-        lscore = _oracle_clamp((node.lp_bound - ctx.min_bound) / spread)
+        lscore = _oracle_clamp((node.lp_bound - least) / spread)
     if rule == "bestfs":
         return lscore
     if gated is None:
-        gated = selector.gated(ctx)
+        gated = selector.gated(pool)
     if gated:
         return lscore
-    fixed = {ctx.pool.binary_index[t // 2]: t % 2 for t in node.path}
-    dval = oracle_partial_diversity(fixed, ctx.pool)
+    fixed = {pool.binary_index[t // 2]: t % 2 for t in node.path}
+    dval = oracle_partial_diversity(fixed, pool)
     hval = _oracle_clamp(node.depth / selector.max_plunge)
     if not cfg.literal_score:
         dterm, hterm = 1.0 - dval, 1.0 - hval
@@ -144,12 +155,14 @@ def oracle_score(selector, node, ctx, gated=None):
     return (1.0 - a) * lscore + a * term
 
 
-def oracle_select(selector, nodes, ctx):
-    """Id of the least ``oracle_score``, lowest id on ties, by a plain scan."""
-    gated = selector.gated(ctx)
+def oracle_select(selector, nodes, pool):
+    """Id of the least ``oracle_score`` over the open set ``nodes``, lowest id
+    on ties, by a plain scan."""
+    gated = selector.gated(pool)
+    bounds = oracle_bounds(nodes)
     best_id, best_score = None, math.inf
     for node in nodes:
-        s = oracle_score(selector, node, ctx, gated)
+        s = oracle_score(selector, node, pool, bounds, gated)
         if s < best_score or (s == best_score and node.id < best_id):
             best_score, best_id = s, node.id
     return best_id

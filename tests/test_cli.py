@@ -174,6 +174,26 @@ ENDATA
         assert "optimize stage" in res.output
 
 
+    def test_a_model_error_is_a_clean_parse_failure(self, tmp_path):
+        p = tmp_path / "overflow.mps"
+        p.write_text("""\
+NAME overflow
+ROWS
+ N OBJ
+ L CAP
+COLUMNS
+    Y OBJ 1.0 CAP 1e308
+    Y CAP 1e308
+RHS
+    RHS CAP 5.0
+ENDATA
+""")
+        res = CliRunner().invoke(main, ["diverse", "--instance", str(p)])
+        assert res.exit_code == 1
+        assert "cannot parse" in res.output and "not finite" in res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+
+
 class TestCompare:
     def test_table_mode(self, runner, paths):
         res = invoke(runner, ["compare", "--instance", paths["rand5"], "--q", "0.05",

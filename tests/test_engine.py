@@ -858,10 +858,10 @@ class TestOpenNodeQueue:
                 q.push(open_node(nid, float(rng.integers(-9, 9))))
                 nid += 1
             if len(q.nodes):
-                bounds = [n.lp_bound for n in q]
+                bounds = [n.lp_bound for n in q.nodes.values()]
                 assert q.min_bound() == min(bounds)
                 assert q.max_bound() == max(bounds)
-                assert q.min_id() == min((n.lp_bound, n.id) for n in q)[1]
+                assert q.min_id() == min((n.lp_bound, n.id) for n in q.nodes.values())[1]
 
     def test_rows_mirror_the_open_nodes_on_random_traffic(self):
         # six binaries; rows grow past 16, paths past 1

@@ -251,6 +251,17 @@ class TestRunTwoPhase:
         with pytest.raises(HarnessError, match="optimize stage"):
             run_phase_one(inst, ExperimentSpec(q=0.05, p1=10, p=2))
 
+    def test_an_infinite_cutoff_fails_in_the_count_stage(self):
+        # z* = 1e308, so z* + q|z*| overflows: the cutoff row cannot be built
+        inst = MipInstance(
+            name="huge",
+            variables=[VariableDef(0, 1.0, 2.0, True, "u")],
+            constraints=[LinearConstraint({0: 1.0}, GE, 1.0, "r0")],
+            objective={0: 1e308},
+        )
+        with pytest.raises(HarnessError, match="count stage: .*__cutoff__.* not finite"):
+            run_phase_one(inst, ExperimentSpec(q=1.0, p1=10, p=2))
+
     @staticmethod
     def all_free_instance():
         # q = 1.0 admits all 64 points of the 6-binary box

@@ -49,6 +49,26 @@ class TestContainers:
         assert not VariableDef(0, 0.0, 2.0, True, "g").is_binary
         assert not VariableDef(0, 0.0, 1.0, False, "c").is_binary
 
+    def test_nan_bounds_are_rejected_and_infinite_ones_kept(self):
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ModelError, match="y: NaN bound"):
+                VariableDef(0, lo, hi, False, "y")
+        free = VariableDef(0, -INF, INF, False, "y")
+        assert (free.lower, free.upper) == (-INF, INF)
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_rows_are_rejected(self, bad):
+        with pytest.raises(ModelError, match="'r': coefficient .* on column 1 is not finite"):
+            LinearConstraint({0: 1.0, 1: bad}, LE, 1.0, "r")
+        with pytest.raises(ModelError, match="'r': right-hand side .* is not finite"):
+            LinearConstraint({0: 1.0}, GE, bad, "r")
+
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_objective_is_rejected(self, bad):
+        with pytest.raises(ModelError, match="objective 'OBJ': coefficient .* on column b"):
+            MipInstance("x", [VariableDef(0, 0, 1, True, "a"), VariableDef(1, 0, 1, True, "b")],
+                        [], {0: 1.0, 1: bad})
+
     def test_constraint_validation(self):
         with pytest.raises(ModelError):
             LinearConstraint({0: 1.0}, "<", 1.0, "bad")

@@ -10,6 +10,7 @@ from diversitree import (
     GE,
     INF,
     LE,
+    ModelError,
     MpsParseError,
     knapsack_instance,
     general_integer_instance,
@@ -200,6 +201,35 @@ ENDATA
         with pytest.raises(MpsParseError) as err:
             parse_mps(crossing)
         assert "cross" in str(err.value)
+
+    def test_non_finite_numbers_fail_with_their_line(self):
+        lines = KNAP2.splitlines()
+        for old, new in (
+            ("    x1  COST  -3.0   CAP  2.0", "    x1  COST  -3.0   CAP  1e400"),
+            ("    x2  COST  -2.0   CAP  1.0", "    x2  COST  nan   CAP  1.0"),
+            ("    RHS  CAP  2.0", "    RHS  CAP  -inf"),
+            (" UP BND  x2  1.0", " UP BND  x2  NaN"),
+        ):
+            with pytest.raises(MpsParseError, match="expected a finite number") as err:
+                parse_mps(KNAP2.replace(old, new))
+            assert err.value.line_no == lines.index(old) + 1
+        ranged = KNAP2.replace("BOUNDS\n", "RANGES\n    RNG  CAP  inf\nBOUNDS\n")
+        with pytest.raises(MpsParseError, match="expected a finite number") as err:
+            parse_mps(ranged)
+        assert err.value.line_no == lines.index("BOUNDS") + 2
+
+    def test_infinite_bounds_stay_legal(self):
+        text = KNAP2.replace("    M2  'MARKER'  'INTEND'\n",
+                             "    M2  'MARKER'  'INTEND'\n    y  COST  1.0  CAP  1.0\n")
+        text = text.replace("ENDATA", " LO BND  y  -inf\n UP BND  y  1e400\nENDATA")
+        y = parse_mps(text).variables[2]
+        assert (y.is_integer, y.lower, y.upper) == (False, -INF, INF)
+
+    def test_an_overflowing_sum_of_entries_is_a_model_error(self):
+        text = KNAP2.replace("    x2  COST  -2.0   CAP  1.0",
+                             "    x2  COST  -2.0   CAP  1e308\n    x2  CAP  1e308")
+        with pytest.raises(ModelError, match="'CAP': coefficient inf on column 1"):
+            parse_mps(text)
 
     def test_objective_rhs_warning(self, caplog):
         text = KNAP2.replace("    RHS  CAP  2.0", "    RHS  COST  7.0\n    RHS  CAP  2.0")

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enum_pure_integer, oracle_partial_diversity, oracle_score, oracle_select
+from conftest import (
+    enum_pure_integer,
+    oracle_bounds,
+    oracle_partial_diversity,
+    oracle_score,
+    oracle_select,
+)
 from diversitree import BranchAndCount, add_objective_cutoff
 from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.generators import knapsack_instance, random_binary_instance
@@ -14,13 +20,13 @@ from diversitree.model import LE, LinearConstraint, MipInstance, VariableDef
 from diversitree.selectors import (
     PRESETS,
     Rule,
-    ScoreContext,
     Selector,
     SelectorConfig,
-    partial_diversity,
+    path_diversity,
     preset,
     scaled_bound,
     scaled_depth,
+    term_vector,
 )
 from diversitree.simplex import LpResult, LpStatus
 
@@ -65,8 +71,15 @@ def pool_of_size(n, capacity, n_bits=4):
     return make_pool([[(k >> b) & 1 for b in range(n_bits)] for k in range(n)], n_bits, capacity)
 
 
-def ctx_for(pool, min_bound=0.0, max_bound=1.0):
-    return ScoreContext(min_bound=min_bound, max_bound=max_bound, pool=pool)
+def scores_by_id(sel, q, pool, gated=None):
+    """{node id: score} over the open set ``q``."""
+    return dict(zip(q.ids[:q.sync()].tolist(), sel.scores(q, pool, gated).tolist()))
+
+
+def diversity(path, pool):
+    """D of one fixing path against ``pool``: ``path_diversity`` on a one-row table."""
+    rows = np.array(path, dtype=np.intp).reshape(1, -1)
+    return float(path_diversity(rows, np.array([len(path)]), term_vector(pool))[0])
 
 
 EMPTY = make_pool([])
@@ -74,31 +87,30 @@ EMPTY = make_pool([])
 
 class TestScaledScores:
     def test_scaled_bound_midpoint(self):
-        ctx = ctx_for(EMPTY, min_bound=2.0, max_bound=6.0)
-        assert scaled_bound(4.0, ctx) == 0.5
-        assert scaled_bound(2.0, ctx) == 0.0
-        assert scaled_bound(6.0, ctx) == 1.0
+        assert scaled_bound(4.0, 2.0, 6.0) == 0.5
+        assert scaled_bound(2.0, 2.0, 6.0) == 0.0
+        assert scaled_bound(6.0, 2.0, 6.0) == 1.0
 
     def test_scaled_bound_degenerate_spread(self):
-        assert scaled_bound(3.0, ctx_for(EMPTY, min_bound=3.0, max_bound=3.0)) == 0.0
-        assert scaled_bound(3.0, ctx_for(EMPTY, min_bound=1.0, max_bound=math.inf)) == 0.0
-        assert scaled_bound(3.0, ctx_for(EMPTY, min_bound=math.nan, max_bound=math.nan)) == 0.0
+        assert scaled_bound(3.0, 3.0, 3.0) == 0.0
+        assert scaled_bound(3.0, 1.0, math.inf) == 0.0
+        assert scaled_bound(3.0, math.nan, math.nan) == 0.0
 
     def test_scaled_depth_window(self):
         assert scaled_depth(10, 20) == 0.5
         assert scaled_depth(0, 20) == 0.0
         assert scaled_depth(25, 20) == 1.0  # clamps past the window
 
-    def test_partial_diversity_hand_value(self):
+    def test_path_diversity_hand_value(self):
         pool = make_pool([[0, 0, 0, 0]])
         # bit 1 disagrees with the pool, bit 2 agrees
-        assert partial_diversity(path_of({1: 1, 2: 0}), pool) == 0.5
+        assert diversity(path_of({1: 1, 2: 0}), pool) == 0.5
 
-    def test_partial_diversity_empty_cases(self):
-        assert partial_diversity((), make_pool([[1, 0, 1, 0]])) == 0.0
-        assert partial_diversity(path_of({0: 1}), EMPTY) == 0.0
+    def test_path_diversity_empty_cases(self):
+        assert diversity((), make_pool([[1, 0, 1, 0]])) == 0.0
+        assert diversity(path_of({0: 1}), EMPTY) == 0.0
 
-    def test_partial_diversity_skips_general_columns(self):
+    def test_path_diversity_skips_general_columns(self):
         # binaries 0-3 and a general column 4: fixing column 4 adds no term
         variables = [VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(4)]
         variables.append(VariableDef(4, 0.0, 2.0, True, "u"))
@@ -109,10 +121,10 @@ class TestScaledScores:
         both = bc._child(general, 0, 0.0, 0.0)
         assert (general.path, both.path) == ((), (0,))
         pool = make_pool([[1, 1, 1, 1]])
-        assert partial_diversity(general.path, pool) == 0.0
-        assert partial_diversity(both.path, pool) == 1.0
+        assert diversity(general.path, pool) == 0.0
+        assert diversity(both.path, pool) == 1.0
 
-    def test_partial_diversity_matches_double_loop(self):
+    def test_path_diversity_matches_double_loop(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             rows = rng.integers(0, 2, size=(3, 6))
@@ -122,20 +134,20 @@ class TestScaledScores:
             want = np.mean([
                 np.mean([abs(v - row[j]) for row in rows]) for j, v in fixed.items()
             ])
-            assert partial_diversity(path_of(fixed), pool) == pytest.approx(want, abs=1e-12)
+            assert diversity(path_of(fixed), pool) == pytest.approx(want, abs=1e-12)
 
 
 class TestRuleScores:
     def test_dfs_prefers_newest_and_brfs_oldest(self):
         nodes = open_set([make_node(i, bound=1.0) for i in range(3)])
-        ctx = ctx_for(EMPTY)
-        assert Selector(SelectorConfig(rule="dfs")).select(nodes, ctx) == 2
-        assert Selector(SelectorConfig(rule="brfs")).select(nodes, ctx) == 0
+        assert Selector(SelectorConfig(rule="dfs")).select(nodes, EMPTY) == 2
+        assert Selector(SelectorConfig(rule="brfs")).select(nodes, EMPTY) == 0
 
     def test_bestfs_is_the_scaled_bound(self):
-        ctx = ctx_for(EMPTY, min_bound=2.0, max_bound=6.0)
+        q = open_set([make_node(0, bound=4.0), make_node(1, bound=2.0), make_node(2, bound=6.0)])
         sel = Selector(SelectorConfig(rule="bestfs"))
-        assert sel.score(make_node(0, bound=4.0), ctx) == 0.5
+        assert scores_by_id(sel, q, EMPTY) == {0: 0.5, 1: 0.0, 2: 1.0}
+        assert sel.score(make_node(0, bound=4.0), EMPTY) == 0.0  # alone, the spread is 0
 
     def test_visit_ratio_rule_counts_subtree_dequeues(self):
         sel = Selector(SelectorConfig(rule="uct"))
@@ -147,34 +159,31 @@ class TestRuleScores:
         sel.on_dequeue(root)
         sel.on_dequeue(child)
         assert sel.visits == {0: 2, 1: 1}
-        ctx = ctx_for(EMPTY)
         # unvisited node: v defaults to 1, parent visited once
-        assert sel.score(grand, ctx) == pytest.approx(1.0 + 0.1 * 1 / 1)
-        assert sel.score(child, ctx) == pytest.approx(1.0 + 0.1 * 2 / 1)
+        assert sel.score(grand, EMPTY) == pytest.approx(1.0 + 0.1 * 1 / 1)
+        assert sel.score(child, EMPTY) == pytest.approx(1.0 + 0.1 * 2 / 1)
 
     def test_best_estimate_rule_blends_bound_and_estimate(self):
         sel = Selector(SelectorConfig(rule="he"))
         node = make_node(0, bound=2.0, estimate=4.0)
-        assert sel.score(node, ctx_for(EMPTY)) == pytest.approx(0.5 * 2.0 + 0.5 * 4.0)
+        assert sel.score(node, EMPTY) == pytest.approx(0.5 * 2.0 + 0.5 * 4.0)
         custom = Selector(SelectorConfig(rule="he", rho=0.25))
-        assert custom.score(node, ctx_for(EMPTY)) == pytest.approx(0.75 * 2.0 + 0.25 * 4.0)
+        assert custom.score(node, EMPTY) == pytest.approx(0.75 * 2.0 + 0.25 * 4.0)
 
     def test_pure_diversity_weight_picks_most_different_node(self):
         pool = make_pool([[0, 0, 0, 0]])
         far = make_node(5, bound=0.9, depth=1, fixed={0: 1, 1: 1})  # D = 1.0
         near = make_node(6, bound=0.1, depth=1, fixed={0: 0, 1: 0})  # D = 0.0
-        ctx = ctx_for(pool)  # dbfs-a has no gate
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0), num_integer_vars=4)
-        assert sel.select(open_set([far, near]), ctx) == 5
+        assert sel.select(open_set([far, near]), pool) == 5  # dbfs-a has no gate
 
     def test_literal_score_flips_the_preference(self):
         pool = make_pool([[0, 0, 0, 0]])
         far = make_node(5, bound=0.9, depth=1, fixed={0: 1, 1: 1})
         near = make_node(6, bound=0.1, depth=1, fixed={0: 0, 1: 0})
-        ctx = ctx_for(pool)
         sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0, literal_score=True),
                        num_integer_vars=4)
-        assert sel.select(open_set([far, near]), ctx) == 6
+        assert sel.select(open_set([far, near]), pool) == 6
 
     @pytest.mark.parametrize("rule", ["dbfs-min", "dbfs-max", "dbfs-prod", "dbfs-ab",
                                       "diversitree", "dbfs-a", "dbfs-as", "dbfs-ad"])
@@ -183,9 +192,9 @@ class TestRuleScores:
         cfg = SelectorConfig(rule=rule, alpha=0.6, beta=0.3, sol_cutoff=0.0)
         sel = Selector(cfg, num_integer_vars=4)
         node = make_node(7, bound=0.25, depth=2, fixed={0: 1, 2: 0})
-        ctx = ctx_for(pool, min_bound=0.0, max_bound=1.0)
-        L = scaled_bound(node.lp_bound, ctx)
-        D = partial_diversity(node.path, pool)
+        q = open_set([node, make_node(8, bound=0.0), make_node(9, bound=1.0)])
+        L = scaled_bound(node.lp_bound, 0.0, 1.0)
+        D = diversity(node.path, pool)
         H = scaled_depth(node.depth, 4)
         want = {
             "dbfs-a": 0.4 * L + 0.6 * (1 - D),
@@ -197,16 +206,15 @@ class TestRuleScores:
             "dbfs-max": 0.4 * L + 0.6 * (1 - max(D, H)),
             "dbfs-prod": 0.4 * L + 0.6 * (1 - D * H),
         }[rule]
-        assert sel.score(node, ctx, gated=False) == pytest.approx(want, abs=1e-12)
+        assert scores_by_id(sel, q, pool, gated=False)[7] == pytest.approx(want, abs=1e-12)
 
     def test_tie_break_takes_lowest_id(self):
         nodes = open_set([make_node(4, bound=1.0), make_node(2, bound=1.0)])
-        ctx = ctx_for(EMPTY, min_bound=1.0, max_bound=1.0)
-        assert Selector(SelectorConfig(rule="bestfs")).select(nodes, ctx) == 2
+        assert Selector(SelectorConfig(rule="bestfs")).select(nodes, EMPTY) == 2
 
     def test_select_requires_nodes(self):
         with pytest.raises(ValueError):
-            Selector(SelectorConfig()).select(open_set([]), ctx_for(EMPTY))
+            Selector(SelectorConfig()).select(open_set([]), EMPTY)
 
 
 class TestScoresMatchTheScalarOracle:
@@ -216,7 +224,7 @@ class TestScoresMatchTheScalarOracle:
 
     @classmethod
     def random_open_set(cls, rng):
-        """Open set, context and selector settings, with tied bounds and 0-14
+        """Open set, pool and selector settings, with tied bounds and 0-14
         fixings per node, made in random order."""
         n_bits = cls.N_BITS
         pool = make_pool(rng.integers(0, 2, size=(int(rng.integers(0, 51)), n_bits)), n_bits)
@@ -238,14 +246,13 @@ class TestScoresMatchTheScalarOracle:
         for nid in rng.choice(ids, size=len(ids) // 3, replace=False).tolist():
             q.pop(nid)  # scramble the rows
         pool.capacity = int(rng.integers(1, 80))  # drawn after the rows, so may sit below them
-        ctx = ctx_for(pool, q.min_bound(), q.max_bound())
         alpha = float(rng.uniform(0, 1))
         settings = {"alpha": alpha, "beta": float(rng.uniform(0, 1 - alpha)),
                     "sol_cutoff": float(rng.uniform(0, 1)),
                     "depth_cutoff": int(rng.integers(0, 2))}
         visits = {int(k): int(rng.integers(1, 9))
                   for k in rng.choice(400, size=60, replace=False)}
-        return q, ctx, settings, visits
+        return q, pool, settings, visits
 
     @pytest.fixture(scope="class")
     def open_sets(self):
@@ -254,65 +261,66 @@ class TestScoresMatchTheScalarOracle:
 
     @pytest.mark.parametrize("rule", [r.value for r in Rule])
     def test_every_score_and_pick_equal_the_oracle(self, rule, open_sets):
-        for q, ctx, settings, visits in open_sets:
+        for q, pool, settings, visits in open_sets:
             nodes = [q.nodes[nid] for nid in q.ids[:q.sync()].tolist()]
+            bounds = oracle_bounds(nodes)
+            alone = (nodes[0].lp_bound, nodes[0].lp_bound)
             for literal in (False, True):
                 cfg = SelectorConfig(rule=rule, literal_score=literal, **settings)
                 sel = Selector(cfg, num_integer_vars=self.N_BITS)
                 sel.visits = visits
-                want = [oracle_score(sel, node, ctx) for node in nodes]
-                assert sel.scores(q, ctx).tolist() == want
-                assert sel.select(q, ctx) == oracle_select(sel, nodes, ctx)
-                assert sel.score(nodes[0], ctx) == want[0]
-                assert sel.score(nodes[0], ctx, gated=False) == oracle_score(
-                    sel, nodes[0], ctx, gated=False)
+                want = [oracle_score(sel, node, pool, bounds) for node in nodes]
+                assert sel.scores(q, pool).tolist() == want
+                assert sel.select(q, pool) == oracle_select(sel, nodes, pool)
+                assert sel.score(nodes[0], pool) == oracle_score(sel, nodes[0], pool, alone)
+                assert sel.score(nodes[0], pool, gated=False) == oracle_score(
+                    sel, nodes[0], pool, alone, gated=False)
 
-    def test_partial_diversity_equals_the_oracle_past_eight_fixings(self):
+    def test_path_diversity_equals_the_oracle_past_eight_fixings(self):
         rng = np.random.default_rng(8)
         pool = make_pool(rng.integers(0, 2, size=(37, 16)), 16)
         for size in range(17):
             fixed = {int(j): int(rng.integers(0, 2))
                      for j in rng.choice(16, size=size, replace=False)}
-            assert partial_diversity(path_of(fixed), pool) == oracle_partial_diversity(fixed, pool)
+            assert diversity(path_of(fixed), pool) == oracle_partial_diversity(fixed, pool)
 
 
 class TestGating:
     def test_solution_gate_opens_at_the_fraction(self):
         sel = Selector(SelectorConfig(rule="diversitree", sol_cutoff=0.5))
-        assert sel.gated(ctx_for(pool_of_size(4, capacity=10)))
-        assert not sel.gated(ctx_for(pool_of_size(5, capacity=10)))
+        assert sel.gated(pool_of_size(4, capacity=10))
+        assert not sel.gated(pool_of_size(5, capacity=10))
 
     def test_unlimited_capacity_keeps_the_gate_shut(self):
         sel = Selector(SelectorConfig(rule="dbfs-as", sol_cutoff=0.1))
-        assert sel.gated(ctx_for(pool_of_size(16, capacity=None)))
+        assert sel.gated(pool_of_size(16, capacity=None))
 
     def test_depth_gate_latches_open(self):
         sel = Selector(SelectorConfig(rule="dbfs-ad", depth_cutoff=3))
-        ctx = ctx_for(EMPTY)
-        assert sel.gated(ctx)
+        assert sel.gated(EMPTY)
         sel.on_dequeue(make_node(0, depth=2))
-        assert sel.gated(ctx)
+        assert sel.gated(EMPTY)
         sel.on_dequeue(make_node(1, depth=3))
-        assert not sel.gated(ctx)
+        assert not sel.gated(EMPTY)
         sel.on_dequeue(make_node(2, depth=0))  # shallow dequeues never re-close it
-        assert not sel.gated(ctx)
+        assert not sel.gated(EMPTY)
 
     def test_zero_depth_cutoff_starts_open(self):
         sel = Selector(SelectorConfig(rule="dbfs-ad", depth_cutoff=0))
-        assert not sel.gated(ctx_for(EMPTY))
+        assert not sel.gated(EMPTY)
 
     def test_plain_rules_are_never_gated(self):
         for rule in ("bestfs", "dfs", "brfs", "uct", "he", "dbfs-a", "dbfs-ab"):
             sel = Selector(SelectorConfig(rule=rule, sol_cutoff=0.9))
-            assert not sel.gated(ctx_for(pool_of_size(0, capacity=10)))
+            assert not sel.gated(pool_of_size(0, capacity=10))
 
     def test_gated_score_is_pure_best_first(self):
         pool = make_pool([[0, 0, 0, 0]], capacity=10)
         sel = Selector(SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
                                       sol_cutoff=1.0), num_integer_vars=4)
         node = make_node(3, bound=0.75, depth=5, fixed={0: 1})
-        ctx = ctx_for(pool)
-        assert sel.score(node, ctx) == scaled_bound(node.lp_bound, ctx)
+        q = open_set([node, make_node(4, bound=0.0), make_node(5, bound=1.0)])
+        assert scores_by_id(sel, q, pool)[3] == scaled_bound(node.lp_bound, 0.0, 1.0)
 
 
 class TestBestFirstReduction:
@@ -341,12 +349,20 @@ class TestBoundOrderDequeue:
         "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=99), TWO),
     }
     ONE = make_pool([[0, 1, 1, 0]])
+    OPEN_POOL = pool_of_size(10, capacity=20)  # at the gate of sol_cutoff 0.5
     OPEN = {
         "dbfs-a": (SelectorConfig(rule="dbfs-a", alpha=0.9), ONE),
         "diversitree": (SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1,
-                                       sol_cutoff=0.5), pool_of_size(10, capacity=20)),
+                                       sol_cutoff=0.5), OPEN_POOL),
+        "dbfs-as": (SelectorConfig(rule="dbfs-as", alpha=0.9, sol_cutoff=0.5), OPEN_POOL),
         "dbfs-ad": (SelectorConfig(rule="dbfs-ad", alpha=0.9, depth_cutoff=0), ONE),
+        "dbfs-ab": (SelectorConfig(rule="dbfs-ab", alpha=0.6, beta=0.3), ONE),
+        "dbfs-min": (SelectorConfig(rule="dbfs-min", alpha=0.6), ONE),
+        "dbfs-max": (SelectorConfig(rule="dbfs-max", alpha=0.6), ONE),
+        "dbfs-prod": (SelectorConfig(rule="dbfs-prod", alpha=0.6), ONE),
         "dfs": (SelectorConfig(rule="dfs"), ONE),
+        "brfs": (SelectorConfig(rule="brfs"), ONE),
+        "uct": (SelectorConfig(rule="uct"), ONE),
         "he": (SelectorConfig(rule="he"), ONE),
     }
 
@@ -362,28 +378,40 @@ class TestBoundOrderDequeue:
                 fixed = {int(j): int(rng.integers(0, 2))
                          for j in rng.choice(4, size=int(rng.integers(0, 5)), replace=False)}
                 q.push(make_node(nid, bound=float(rng.integers(-2, 3)) / 4,
-                                 depth=int(rng.integers(0, 8)), fixed=fixed))
+                                 depth=int(rng.integers(0, 8)), fixed=fixed,
+                                 parent=int(rng.integers(0, nid)) if nid else None))
             if len(q):
                 yield q
 
+    def check_traffic(self, cfg, pool, bound_order, seeds):
+        """On the random traffic, ``select`` picks ``oracle_select``'s node both
+        with the heap shortcut and with the bound-order seam forced to the scan."""
+        sel = Selector(cfg, num_integer_vars=4)
+        scan = Selector(cfg, num_integer_vars=4)
+        scan._bound_order = lambda queue, pool: False
+        sel.visits = scan.visits = {0: 3, 1: 2, 5: 1}  # for the visit-ratio rule
+        checked = 0
+        for seed in seeds:
+            for q in self.random_traffic(seed):
+                want = oracle_select(sel, list(q.nodes.values()), pool)
+                assert sel._bound_order(q, pool) == bound_order
+                if bound_order:
+                    assert q.min_id() == want
+                assert sel.select(q, pool) == want
+                assert scan.select(q, pool) == want
+                checked += 1
+        assert checked > 150 * len(seeds)
+
     @pytest.mark.parametrize("rule", sorted(GATED))
     def test_heap_front_equals_the_scan(self, rule):
-        cfg, pool = self.GATED[rule]
-        sel = Selector(cfg, num_integer_vars=4)
-        checked = 0
-        for seed in range(4):
-            for q in self.random_traffic(seed):
-                ctx = ctx_for(pool, q.min_bound(), q.max_bound())
-                assert sel.bound_order(ctx)
-                assert q.min_id() == sel.select(q, ctx)
-                checked += 1
-        assert checked > 600
+        self.check_traffic(*self.GATED[rule], bound_order=True, seeds=range(4))
 
     @pytest.mark.parametrize("rule", sorted(OPEN))
     def test_ungated_rules_keep_the_scan(self, rule):
-        cfg, pool = self.OPEN[rule]
-        ctx = ctx_for(pool, 0.0, 1.0)
-        assert not Selector(cfg, num_integer_vars=4).bound_order(ctx)
+        self.check_traffic(*self.OPEN[rule], bound_order=False, seeds=range(2))
+
+    def test_every_rule_is_checked_on_the_traffic(self):
+        assert set(self.GATED) | set(self.OPEN) == {r.value for r in Rule}
 
     def test_an_infinite_spread_keeps_the_scan(self):
         # every scaled bound is 0, so the scan takes the lowest id, not the least bound
@@ -391,9 +419,8 @@ class TestBoundOrderDequeue:
         q.push(make_node(0, bound=1e308))
         q.push(make_node(1, bound=-1e308))
         sel = Selector(SelectorConfig(rule="bestfs"))
-        ctx = ctx_for(EMPTY, q.min_bound(), q.max_bound())
-        assert not sel.bound_order(ctx)
-        assert (sel.select(q, ctx), q.min_id()) == (0, 1)
+        assert not sel._bound_order(q, EMPTY)
+        assert (sel.select(q, EMPTY), q.min_id()) == (0, 1)
 
     def test_depth_gated_run_leaves_the_heap_once_the_gate_latches(self, monkeypatch):
         inst = random_binary_instance(1)
@@ -401,16 +428,20 @@ class TestBoundOrderDequeue:
         cut = add_objective_cutoff(inst, z, 0.1)
         cfg = SelectorConfig(rule="dbfs-ad", alpha=0.6, depth_cutoff=3)
         used = []
-        min_id, select = OpenNodeQueue.min_id, Selector.select
+        min_id, scores, select = OpenNodeQueue.min_id, Selector.scores, Selector.select
         monkeypatch.setattr(OpenNodeQueue, "min_id",
                             lambda q: used.append("heap") or min_id(q))
+        monkeypatch.setattr(Selector, "scores", lambda s, q, pool, gated=None:
+                            used.append("scan") or scores(s, q, pool, gated))
         monkeypatch.setattr(Selector, "select",
-                            lambda s, q, ctx: used.append("scan") or select(s, q, ctx))
+                            lambda s, q, pool: used.append("select") or select(s, q, pool))
         fast = BranchAndCount(cut, selector=cfg).run()
-        first_scan = used.index("scan")
-        assert first_scan > 0 and "heap" not in used[first_scan:]
+        assert used.count("select") == fast.nodes_processed  # one call per dequeue
+        picks = [u for u in used if u != "select"]
+        first_scan = picks.index("scan")
+        assert first_scan > 0 and "heap" not in picks[first_scan:]
 
-        monkeypatch.setattr(Selector, "bound_order", lambda s, ctx: False)
+        monkeypatch.setattr(Selector, "_bound_order", lambda s, q, pool: False)
         scanned = BranchAndCount(cut, selector=cfg).run()
         assert scanned.trace_hash == fast.trace_hash
 
