@@ -17,7 +17,7 @@ from .diversity import dall, dbin
 from .engine import BranchAndCount, EngineError, OptimumResult
 from .model import CutoffSpec, MipInstance, ModelError, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
-from .subset import select_diverse_subset
+from .subset import METHODS, select_diverse_subset
 
 SCHEMA_VERSION = 1
 
@@ -58,20 +58,36 @@ class ExperimentSpec:
             raise ValueError(f"p must be positive, got {self.p}")
         if self.p1 is not None and self.p > self.p1:
             raise ValueError(f"p = {self.p} exceeds pool capacity p1 = {self.p1}")
+        if self.subset_method not in METHODS:
+            raise ValueError(f"unknown subset method {self.subset_method!r}; "
+                             f"choose from {METHODS}")
+
+
+def config_doc(spec: ExperimentSpec) -> dict:
+    """The run-configuration keys that the diverse and enumerate records share."""
+    cfg = spec.selector
+    return {
+        "rule": cfg.rule.value,
+        "alpha": float(cfg.alpha),
+        "beta": float(cfg.beta),
+        "solCutoff": float(cfg.sol_cutoff),
+        "depthCutoff": int(cfg.depth_cutoff),
+        "q": float(spec.q),
+        "p1": spec.p1,
+        "seed": int(spec.seed),
+    }
+
+
+def pool_dbin(pool) -> float:
+    """DBin of the pool's binary projections; 0.0 without two rows and a column."""
+    proj = pool.projections
+    return dbin(proj) if len(pool) >= 2 and proj.shape[1] else 0.0
 
 
 @dataclass
 class ExperimentResult:
     instance_name: str
-    rule: str
-    alpha: float
-    beta: float
-    sol_cutoff: float
-    depth_cutoff: int
-    q: float
-    p1: int
-    p: int
-    seed: int
+    spec: ExperimentSpec  # the run's configuration
     z_star: float  # reported in the source model's sense
     cutoff_value: float  # internal minimization sense
     pool_size: int
@@ -95,15 +111,8 @@ class ExperimentResult:
         doc = {
             "schemaVersion": SCHEMA_VERSION,
             "instance": self.instance_name,
-            "rule": self.rule,
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "solCutoff": float(self.sol_cutoff),
-            "depthCutoff": int(self.depth_cutoff),
-            "q": float(self.q),
-            "p1": self.p1,
-            "p": int(self.p),
-            "seed": int(self.seed),
+            **config_doc(self.spec),
+            "p": int(self.spec.p),
             "zStar": float(self.z_star),
             "cutoffValue": float(self.cutoff_value),
             "poolSize": int(self.pool_size),
@@ -116,20 +125,38 @@ class ExperimentResult:
             "subsetIndices": [int(i) for i in self.subset_indices],
             "subsetObjectives": [float(v) for v in self.subset_objectives],
             "traceHash": self.trace_hash,
-            "wallTimeMs": None,
-            "optimizeMs": None,
-            "countMs": None,
-            "subsetMs": None,
         }
-        if include_timing:
-            doc["wallTimeMs"] = round(float(self.wall_time_ms), 3)
-            doc["optimizeMs"] = round(float(self.optimize_ms), 3)
-            doc["countMs"] = round(float(self.count_ms), 3)
-            doc["subsetMs"] = round(float(self.subset_ms), 3)
+        timings = {"wallTimeMs": self.wall_time_ms, "optimizeMs": self.optimize_ms,
+                   "countMs": self.count_ms, "subsetMs": self.subset_ms}
+        for key, ms in timings.items():
+            doc[key] = round(float(ms), 3) if include_timing else None
         return doc
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_json_dict(include_timing), sort_keys=True, indent=2) + "\n"
+
+
+def _optimize(instance: MipInstance, spec: ExperimentSpec) -> OptimumResult:
+    """The optimize stage: z* under the spec's node and time limits."""
+    try:
+        opt = find_optimum(instance, node_limit=spec.node_limit, time_limit=spec.time_limit)
+    except EngineError as exc:
+        raise HarnessError(f"optimize stage: {exc}") from exc
+    if opt.status != "optimal":
+        raise HarnessError(f"optimize stage: instance is {opt.status}")
+    return opt
+
+
+def _count(instance: MipInstance, spec: ExperimentSpec, opt: OptimumResult,
+           trace_path: str = None):
+    """The count stage: the pool under the cutoff z* + q|z*|."""
+    try:
+        cut = add_objective_cutoff(instance, opt.objective, spec.q)
+        engine = BranchAndCount(cut, selector=spec.selector, dedup=spec.dedup)
+        return engine.run(p1=spec.p1, node_limit=spec.node_limit,
+                          time_limit=spec.time_limit, trace_path=trace_path)
+    except (EngineError, ModelError) as exc:  # ModelError: no cutoff row can be built
+        raise HarnessError(f"count stage: {exc}") from exc
 
 
 def run_phase_one(instance: MipInstance, spec: ExperimentSpec = None,
@@ -140,41 +167,29 @@ def run_phase_one(instance: MipInstance, spec: ExperimentSpec = None,
     HarnessError with the stage name in the message.
     """
     spec = spec if spec is not None else ExperimentSpec()
-    try:
-        opt = find_optimum(instance, node_limit=spec.node_limit, time_limit=spec.time_limit)
-    except EngineError as exc:
-        raise HarnessError(f"optimize stage: {exc}") from exc
-    if opt.status != "optimal":
-        raise HarnessError(f"optimize stage: instance is {opt.status}")
-
-    try:
-        cut = add_objective_cutoff(instance, opt.objective, spec.q)
-        engine = BranchAndCount(cut, selector=spec.selector, dedup=spec.dedup)
-        count = engine.run(p1=spec.p1, node_limit=spec.node_limit,
-                           time_limit=spec.time_limit, trace_path=trace_path)
-    except (EngineError, ModelError) as exc:  # ModelError: no cutoff row can be built
-        raise HarnessError(f"count stage: {exc}") from exc
-    return opt, count
+    opt = _optimize(instance, spec)
+    return opt, _count(instance, spec, opt, trace_path)
 
 
 def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
                   trace_path: str = None) -> ExperimentResult:
     """Optimize, enumerate the near-optimal pool, then pick a diverse subset."""
     spec = spec if spec is not None else ExperimentSpec()
+    return _count_and_subset(instance, spec, _optimize(instance, spec), trace_path)
+
+
+def _count_and_subset(instance: MipInstance, spec: ExperimentSpec, opt: OptimumResult,
+                      trace_path: str = None) -> ExperimentResult:
+    """The count and subset stages of run_two_phase, given its optimize stage."""
     t0 = time.perf_counter()
-    opt, count = run_phase_one(instance, spec, trace_path=trace_path)
+    count = _count(instance, spec, opt, trace_path)
     t1 = time.perf_counter()
 
     pool = count.pool
-    proj = pool.projection_matrix()
-    has_bits = proj.shape[1] > 0
-    if len(pool) >= 2 and has_bits:
-        dbin_pool = dbin(proj)
-    else:
-        dbin_pool = 0.0
-
+    proj = pool.projections
+    dbin_pool = pool_dbin(pool)
     p_eff = min(spec.p, len(pool))
-    if p_eff >= 2 and has_bits:
+    if p_eff >= 2 and proj.shape[1]:
         try:
             idx = select_diverse_subset(proj, p_eff, spec.subset_method)
         except ValueError as exc:
@@ -187,25 +202,15 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
     dall_subset = None
     if len(idx) >= 2:
         sols = pool.solutions[idx]
-        ranges = sols.max(axis=0) - sols.min(axis=0)
         try:
-            dall_subset = dall(sols, ranges)
-        except ValueError:
-            dall_subset = None
+            dall_subset = dall(sols, sols.max(axis=0) - sols.min(axis=0))
+        except ValueError:  # every column is constant on the subset
+            pass
     t2 = time.perf_counter()
 
-    cfg = spec.selector
     return ExperimentResult(
         instance_name=instance.name,
-        rule=cfg.rule.value,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        sol_cutoff=cfg.sol_cutoff,
-        depth_cutoff=cfg.depth_cutoff,
-        q=spec.q,
-        p1=spec.p1,
-        p=spec.p,
-        seed=spec.seed,
+        spec=spec,
         z_star=instance.reported_objective(opt.objective),
         cutoff_value=CutoffSpec(opt.objective, spec.q).cutoff_value,
         pool_size=len(pool),
@@ -218,11 +223,43 @@ def run_two_phase(instance: MipInstance, spec: ExperimentSpec = None,
         subset_indices=list(idx),
         subset_objectives=[instance.reported_objective(pool.objectives[i]) for i in idx],
         trace_hash=count.trace_hash,
-        wall_time_ms=(t2 - t0) * 1000.0,
+        wall_time_ms=opt.wall_time_s * 1000.0 + (t2 - t0) * 1000.0,
         optimize_ms=opt.wall_time_s * 1000.0,
         count_ms=count.wall_time_s * 1000.0,
         subset_ms=(t2 - t1) * 1000.0,
     )
+
+
+def _sweep(instance: MipInstance, specs) -> list:
+    """run_two_phase of each spec, in order, on one optimize stage.
+
+    The optimize stage reads only the node and time limits, which the specs
+    of one sweep share, so it is solved once. Each entry is the run's
+    ExperimentResult or the HarnessError it raised.
+    """
+    if not specs:
+        return []
+    try:
+        opt = _optimize(instance, specs[0])
+    except HarnessError as exc:
+        return [exc] * len(specs)
+    results = []
+    for spec in specs:
+        try:
+            results.append(_count_and_subset(instance, spec, opt))
+        except HarnessError as exc:
+            results.append(exc)
+    return results
+
+
+def _sweep_row(res) -> dict:
+    """The columns every sweep row has: the run's numbers, or its error."""
+    if isinstance(res, HarnessError):
+        return {"dbinSubset": None, "dbinPool": None, "poolSize": None, "exhausted": None,
+                "nodesProcessed": None, "error": str(res)}
+    return {"dbinSubset": res.dbin_subset, "dbinPool": res.dbin_pool,
+            "poolSize": res.pool_size, "exhausted": res.exhausted,
+            "nodesProcessed": res.nodes_processed, "error": ""}
 
 
 GRID_FIELDS = ("rank", "q", "p1", "alpha", "beta", "solCutoff", "dbinSubset", "dbinPool",
@@ -239,32 +276,18 @@ def grid_search(instance: MipInstance, q_list=(0.03,), p1_list=(100,),
 
     Combinations with alpha + beta > 1 are skipped up front.
     """
+    specs = [
+        ExperimentSpec(q=q, p1=p1, p=p if p1 is None else min(p, p1),
+                       selector=SelectorConfig(rule=rule, alpha=a, beta=b, sol_cutoff=s),
+                       seed=seed, node_limit=node_limit, time_limit=time_limit)
+        for q in q_list for p1 in p1_list for a in alpha_grid for b in beta_grid
+        if not a + b > 1.0 + 1e-12 for s in s_grid  # keeps NaN weights for SelectorConfig to reject
+    ]
     rows = []
-    for q in q_list:
-        for p1 in p1_list:
-            for a in alpha_grid:
-                for b in beta_grid:
-                    if a + b > 1.0 + 1e-12:
-                        continue
-                    for s in s_grid:
-                        cfg = SelectorConfig(rule=rule, alpha=a, beta=b, sol_cutoff=s)
-                        row = {"rank": 0, "q": q, "p1": p1, "alpha": a, "beta": b,
-                               "solCutoff": s, "dbinSubset": None, "dbinPool": None,
-                               "poolSize": None, "exhausted": None,
-                               "nodesProcessed": None, "error": ""}
-                        spec = ExperimentSpec(q=q, p1=p1, p=p if p1 is None else min(p, p1),
-                                              selector=cfg, seed=seed, node_limit=node_limit,
-                                              time_limit=time_limit)
-                        try:
-                            res = run_two_phase(instance, spec)
-                        except HarnessError as exc:
-                            row["error"] = str(exc)
-                            rows.append(row)
-                            continue
-                        row.update(dbinSubset=res.dbin_subset, dbinPool=res.dbin_pool,
-                                   poolSize=res.pool_size, exhausted=res.exhausted,
-                                   nodesProcessed=res.nodes_processed)
-                        rows.append(row)
+    for spec, res in zip(specs, _sweep(instance, specs)):
+        cfg = spec.selector
+        rows.append({"rank": 0, "q": spec.q, "p1": spec.p1, "alpha": cfg.alpha,
+                     "beta": cfg.beta, "solCutoff": cfg.sol_cutoff, **_sweep_row(res)})
     rows.sort(key=lambda r: (r["dbinSubset"] is None, -(r["dbinSubset"] or 0.0)))
     for k, row in enumerate(rows):
         row["rank"] = k + 1
@@ -291,32 +314,18 @@ def compare_selectors(instance: MipInstance, spec: ExperimentSpec = None,
     if base_rule not in names:
         names.insert(0, base_rule)
 
-    rows = []
-    by_rule = {}
-    for name in names:
-        run_spec = replace(spec, selector=replace(spec.selector, rule=name))
-        row = {"rule": name, "dbinSubset": None, "improvementPct": None, "dbinPool": None,
-               "poolSize": None, "exhausted": None, "nodesProcessed": None,
-               "traceHash": "", "error": ""}
-        try:
-            res = run_two_phase(instance, run_spec)
-        except HarnessError as exc:
-            row["error"] = str(exc)
-            rows.append(row)
-            continue
-        by_rule[name] = res
-        row.update(dbinSubset=res.dbin_subset, dbinPool=res.dbin_pool,
-                   poolSize=res.pool_size, exhausted=res.exhausted,
-                   nodesProcessed=res.nodes_processed, traceHash=res.trace_hash)
-        rows.append(row)
-
-    base = by_rule.get(base_rule)
-    if base is not None and base.dbin_subset > 0:
+    results = _sweep(instance, [replace(spec, selector=replace(spec.selector, rule=name))
+                                for name in names])
+    rows = [{"rule": name, "improvementPct": None,
+             "traceHash": "" if isinstance(res, HarnessError) else res.trace_hash,
+             **_sweep_row(res)}
+            for name, res in zip(names, results)]
+    base = results[names.index(base_rule)]
+    ref = None if isinstance(base, HarnessError) else base.dbin_subset
+    if ref:  # no percentages against a failed or zero baseline
         for row in rows:
             if row["dbinSubset"] is not None:
-                row["improvementPct"] = (
-                    (row["dbinSubset"] - base.dbin_subset) / base.dbin_subset * 100.0
-                )
+                row["improvementPct"] = (row["dbinSubset"] - ref) / ref * 100.0
     if csv_path:
         write_csv(csv_path, COMPARE_FIELDS, rows)
     return rows
@@ -324,7 +333,6 @@ def compare_selectors(instance: MipInstance, spec: ExperimentSpec = None,
 
 def write_csv(path: str, fieldnames, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
+        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in fieldnames})
+        writer.writerows(rows)  # csv writes None as the empty string

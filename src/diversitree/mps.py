@@ -278,12 +278,16 @@ def parse_mps(source) -> MipInstance:
     ]
     col_pos = {col: i for i, col in enumerate(col_order)}
 
+    # one pass over the columns, in index order, so each row's dict is in column order
+    row_coeffs = {rname: {} for rname in row_order}
+    for j, col in enumerate(col_order):
+        for rname, val in col_entries[col].items():
+            if val != 0.0:
+                row_coeffs[rname][j] = val
+
     constraints = []
     for rname in row_order:
-        coeffs = {}
-        for col, entries in col_entries.items():
-            if rname in entries and entries[rname] != 0.0:
-                coeffs[col_pos[col]] = entries[rname]
+        coeffs = row_coeffs[rname]
         b = rhs.get(rname, 0.0)
         sense = row_sense[rname]
         constraints.append(LinearConstraint(coeffs=coeffs, sense=sense, rhs=b, name=rname))
@@ -326,6 +330,10 @@ def write_mps(instance: MipInstance) -> str:
         out.append(f" {sense_char[con.sense]}  {con.name}")
 
     sign = -1.0 if instance.objective_negated else 1.0
+    entries = {}  # column -> [(row name, coefficient)] in constraint order
+    for con in instance.constraints:
+        for j, a in con.coeffs.items():
+            entries.setdefault(j, []).append((con.name, a))
     out.append("COLUMNS")
     marker_count = 0
     in_int = False
@@ -342,10 +350,9 @@ def write_mps(instance: MipInstance) -> str:
         if v.index in instance.objective:
             out.append(f"    {v.name}  {instance.objective_name}  {sign * instance.objective[v.index]!r}")
             wrote = True
-        for con in instance.constraints:
-            if v.index in con.coeffs:
-                out.append(f"    {v.name}  {con.name}  {con.coeffs[v.index]!r}")
-                wrote = True
+        for rname, a in entries.get(v.index, ()):
+            out.append(f"    {v.name}  {rname}  {a!r}")
+            wrote = True
         if not wrote:
             # keep empty columns alive: a zero objective entry declares them
             out.append(f"    {v.name}  {instance.objective_name}  0.0")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +252,30 @@ class TestGrid:
                                    "--alpha-grid", "0,zebra"])
         assert res.exit_code == 2
         assert "bad float list" in res.output
+
+
+SELECTOR_FLAGS = ["--rule", "--preset"]
+WEIGHT_FLAGS = ["--alpha", "--beta", "--scut", "--dcut", "--rho", "--literal-score",
+                "--seed", "--node-limit", "--time-limit"]
+HELP_FLAGS = {
+    "solve": ["--instance", "--node-limit", "--time-limit", "--timings", "--out"],
+    "enumerate": ["--instance", "--q", "--p1", "--dedup", *SELECTOR_FLAGS, *WEIGHT_FLAGS,
+                  "--trace", "--timings", "--out"],
+    "diverse": ["--instance", "--q", "--p1", "--p", "--method", "--dedup", *SELECTOR_FLAGS,
+                *WEIGHT_FLAGS, "--trace", "--timings", "--out"],
+    "compare": ["--instance", "--q", "--p1", "--p", "--dedup", "--rules", "--baseline",
+                *WEIGHT_FLAGS, "--out"],
+    "grid": ["--instance", "--q", "--p1", "--p", "--rule", "--alpha-grid", "--beta-grid",
+             "--s-grid", "--seed", "--node-limit", "--time-limit", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_every_option_in_order(runner, command):
+    res = invoke(runner, [command, "--help"])
+    assert res.exit_code == 0
+    listed = re.findall(r"^  (--[a-z0-9-]+)", res.output, re.M)
+    assert listed == HELP_FLAGS[command] + ["--help"]
 
 
 class TestFlagValidation:

@@ -20,6 +20,7 @@ from diversitree import (
     run_phase_one,
     run_two_phase,
 )
+from diversitree import harness
 from diversitree.harness import COMPARE_FIELDS, GRID_FIELDS, write_csv
 from diversitree.model import GE, INF, LE, LinearConstraint, MipInstance, VariableDef
 from diversitree.generators import (
@@ -151,6 +152,7 @@ class TestExperimentSpec:
         {"p1": 0},
         {"p": 0},
         {"p1": 5, "p": 6},
+        {"p1": 1, "p": 1, "subset_method": "greedy-swap"},  # before any pool is seen
     ])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):
@@ -382,6 +384,78 @@ class TestCompareSelectors:
             got = list(csv.DictReader(fh))
         assert list(got[0]) == list(COMPARE_FIELDS)
         assert {r["rule"] for r in got} == {"bestfs", "dfs"}
+
+
+class TestSweeps:
+    """compare_selectors and grid_search share one optimize stage per call."""
+
+    @staticmethod
+    def count_optimize_calls(monkeypatch):
+        calls = []
+        real = harness.find_optimum
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(harness, "find_optimum", counted)
+        return calls
+
+    def test_compare_optimizes_once(self, monkeypatch):
+        calls = self.count_optimize_calls(monkeypatch)
+        rows = compare_selectors(random_binary_instance(5), ExperimentSpec(q=0.05, p1=20, p=4),
+                                 rules=("bestfs", "dfs", "brfs", "diversitree"))
+        assert len(rows) == 4 and len(calls) == 1
+
+    def test_grid_optimizes_once(self, monkeypatch):
+        calls = self.count_optimize_calls(monkeypatch)
+        rows = grid_search(random_binary_instance(5), q_list=(0.05, 0.1), p1_list=(10, None),
+                           alpha_grid=(0.0, 0.5), beta_grid=(0.0,), s_grid=(0.0, 0.5), p=3)
+        assert len(rows) == 16 and len(calls) == 1
+
+    def test_an_empty_grid_runs_nothing(self, monkeypatch):
+        calls = self.count_optimize_calls(monkeypatch)
+        assert grid_search(knapsack_instance(), alpha_grid=(0.6,), beta_grid=(0.6,)) == []
+        assert calls == []
+
+    def test_compare_rows_equal_separate_runs(self):
+        inst = random_binary_instance(5)  # the rules reach different pools here
+        spec = ExperimentSpec(q=0.3, p1=12, p=4, selector=preset("HHL"))
+        rules = ("bestfs", "dfs", "uct", "he", "diversitree", "dbfs-ad")
+        for row in compare_selectors(inst, spec, rules=rules):
+            sel = SelectorConfig(rule=row["rule"], alpha=0.94, beta=0.06, sol_cutoff=0.8)
+            ref = run_two_phase(inst, ExperimentSpec(q=0.3, p1=12, p=4, selector=sel))
+            assert (row["dbinSubset"], row["poolSize"], row["nodesProcessed"],
+                    row["traceHash"]) == (ref.dbin_subset, ref.pool_size,
+                                          ref.nodes_processed, ref.trace_hash)
+
+    def test_grid_rows_equal_separate_runs(self):
+        inst = random_binary_instance(5)
+        rows = grid_search(inst, q_list=(0.1, 0.3), p1_list=(3, 12, None),
+                           alpha_grid=(0.0, 0.6), beta_grid=(0.0, 0.4), s_grid=(0.2,), p=4)
+        assert len(rows) == 24
+        for row in rows:
+            sel = SelectorConfig(rule="diversitree", alpha=row["alpha"], beta=row["beta"],
+                                 sol_cutoff=row["solCutoff"])
+            p = 4 if row["p1"] is None else min(4, row["p1"])
+            ref = run_two_phase(inst, ExperimentSpec(q=row["q"], p1=row["p1"], p=p,
+                                                     selector=sel))
+            assert (row["dbinSubset"], row["poolSize"], row["nodesProcessed"]) == (
+                ref.dbin_subset, ref.pool_size, ref.nodes_processed)
+
+    @pytest.mark.parametrize("inst, message", [
+        (infeasible_instance(), "optimize stage: instance is infeasible"),
+        (unbounded_instance(), "optimize stage: instance is unbounded"),
+    ], ids=["infeasible", "unbounded"])
+    def test_an_optimize_failure_fills_every_row(self, monkeypatch, inst, message):
+        calls = self.count_optimize_calls(monkeypatch)
+        rows = compare_selectors(inst, ExperimentSpec(q=0.1, p1=4, p=2),
+                                 rules=("bestfs", "dfs", "he"))
+        rows += grid_search(inst, q_list=(0.1, 0.2), p1_list=(4,), alpha_grid=(0.0, 0.5),
+                            beta_grid=(0.0,), s_grid=(0.0,), p=2)
+        assert len(rows) == 7 and len(calls) == 2
+        assert {r["error"] for r in rows} == {message}
+        assert all(r["dbinSubset"] is None and r["poolSize"] is None for r in rows)
 
 
 class TestWriteCsv:
