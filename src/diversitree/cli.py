@@ -272,15 +272,18 @@ def _float_list(text):
 def grid(instance_path, p1_list, alpha_grid, beta_grid, s_grid, out, **flags):
     """Sweep (q, p1, alpha, beta, s) and rank configs by subset diversity."""
     instance = _load(instance_path)
-    rows = harness.grid_search(
-        instance,
-        p1_list=[_p1(v) for v in p1_list],
-        alpha_grid=_float_list(alpha_grid),
-        beta_grid=_float_list(beta_grid),
-        s_grid=_float_list(s_grid),
-        csv_path=out,
-        **flags,
-    )
+    try:
+        rows = harness.grid_search(
+            instance,
+            p1_list=[_p1(v) for v in p1_list],
+            alpha_grid=_float_list(alpha_grid),
+            beta_grid=_float_list(beta_grid),
+            s_grid=_float_list(s_grid),
+            csv_path=out,
+            **flags,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if out:
         click.echo(f"wrote {out} ({len(rows)} rows)")
         return

@@ -24,7 +24,6 @@ trace hash over the dequeue sequence witnesses it.
 import hashlib
 import heapq
 import itertools
-import json
 import logging
 import math
 import time
@@ -52,6 +51,15 @@ WALK_CHUNK = 128
 
 class EngineError(RuntimeError):
     pass
+
+
+def trace_line(node_id: int, depth: int, bound, classification: str, pool_size: int) -> str:
+    """One node's trace record: the bytes of ``json.dumps(..., sort_keys=True)``
+    over its fields, with a missing or non-finite bound written as null.
+    ``float.__repr__`` is the float form json writes (a numpy float included)."""
+    lp = "null" if bound is None or not math.isfinite(bound) else float.__repr__(bound)
+    return (f'{{"classification": "{classification}", "depth": {depth}, "id": {node_id}, '
+            f'"lpBound": {lp}, "poolSize": {pool_size}}}')
 
 
 @dataclass
@@ -561,13 +569,7 @@ class BranchAndCount:
         next_id = 1
 
         def emit(node_id: int, depth: int, bound: float, classification: str):
-            line = json.dumps({
-                "id": node_id,
-                "depth": depth,
-                "lpBound": None if bound is None or not math.isfinite(bound) else bound,
-                "classification": classification,
-                "poolSize": len(pool),
-            }, sort_keys=True)
+            line = trace_line(node_id, depth, bound, classification, len(pool))
             hasher.update(line.encode())
             hasher.update(b"\n")
             if trace_fh:

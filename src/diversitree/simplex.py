@@ -17,8 +17,17 @@ eligible columns or rows and computes their scores, ratios or step limits,
 and only the few survivors go through the sequential tie loop (ties within
 PIVOT_TOL go to the lowest column). Every comparison and every value is the
 one a plain loop over all columns would make, so pivots, iteration counts and
-result bits do not depend on the vectorization; each basis is still solved
-afresh with ``np.linalg.solve``. A nonbasic column always sits exactly at its
+result bits do not depend on the vectorization.
+
+Warm solves revisit few bases, so each solver keeps a memo per basis
+(``_Basis``): ``B``, the duals ``y``, the reduced costs and their sign masks,
+the nonbasic mask, each pivot row used and every basic solution
+``solve(B, rhs)`` already made, keyed on the bytes of ``rhs``. An entry is
+the output of the same ``np.linalg.solve`` or numpy call on the same inputs
+that a solve from scratch makes, so reading it gives the same bits; a
+matrix is never factored once and reused, which would round differently.
+Cached arrays are read-only, and the memo is dropped whole once it holds
+``MEMO_BYTES``. A nonbasic column always sits exactly at its
 lower bound, at its upper bound, or at 0 when free, which is what lets
 "parked at upper" be read as ``x == hi``.
 """
@@ -35,6 +44,9 @@ log = logging.getLogger("diversitree.simplex")
 
 PIVOT_TOL = 1e-9
 DUAL_FEAS_TOL = 1e-7
+# most bytes of arrays one solver caches for warm solves; past it the whole
+# memo is dropped, so memory does not grow with the number of nodes
+MEMO_BYTES = 1 << 20
 
 
 class LpStatus(str, Enum):
@@ -75,6 +87,37 @@ class _Singular(Exception):
     pass
 
 
+def _read_only(*arrays) -> int:
+    """Mark arrays read-only; return their total size in bytes."""
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
+
+
+class _Basis:
+    """What the warm dual simplex reads of one basis, computed once.
+
+    Every array is made by the numpy call, on the same inputs, that a solve
+    from scratch would make, so reading it here changes no bit. All are
+    read-only. ``rows`` and ``solved`` are filled in on first use.
+    """
+
+    def __init__(self, A, c, basis):
+        self.B = A[:, basis]
+        self.y = np.linalg.solve(self.B.T, c[basis])
+        self.red = c - A.T @ self.y
+        self.nonbasic = np.ones(A.shape[1], dtype=bool)
+        self.nonbasic[basis] = False
+        self.A_N = A[:, self.nonbasic]
+        self.abs_red = np.abs(self.red)
+        self.red_pos = self.red > DUAL_FEAS_TOL
+        self.red_neg = self.red < -DUAL_FEAS_TOL
+        self.nbytes = _read_only(self.B, self.y, self.red, self.nonbasic, self.A_N,
+                                 self.abs_red, self.red_pos, self.red_neg)
+        self.rows = {}  # leaving position -> (alpha > PIVOT_TOL, alpha < -PIVOT_TOL, |alpha|)
+        self.solved = {}  # rhs bytes -> solve(B, rhs)
+
+
 class SimplexSolver:
     """Reusable solver for one instance's LP relaxation."""
 
@@ -110,6 +153,9 @@ class SimplexSolver:
         for j, v in instance.objective.items():
             self.c[j] = v
         self.integer_index = np.asarray(instance.integer_index, dtype=int)
+        self._bases = {}  # basis index bytes -> _Basis
+        self._parked = {}  # snapshot at_upper -> bool mask
+        self._memo_bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -348,15 +394,59 @@ class SimplexSolver:
 
     # -- dual simplex (warm start) -------------------------------------------
 
+    def _keep(self, table, key, value, nbytes):
+        """Cache ``value`` and count its bytes; past MEMO_BYTES, forget every basis."""
+        table[key] = value
+        self._memo_bytes += nbytes
+        if self._memo_bytes > MEMO_BYTES:
+            self._bases.clear()
+            self._parked.clear()
+            self._memo_bytes = 0
+
+    def _basis(self, basis) -> _Basis:
+        """The cached state of ``basis`` (an index array), made on first sight."""
+        key = basis.tobytes()
+        state = self._bases.get(key)
+        if state is None:
+            state = _Basis(self.A, self.c, basis)
+            self._keep(self._bases, key, state, state.nbytes + len(key))
+        return state
+
+    def _upper_mask(self, at_upper: frozenset):
+        """The snapshot's parked-at-upper set as a read-only bool mask."""
+        mask = self._parked.get(at_upper)
+        if mask is None:
+            mask = np.zeros(self.n, dtype=bool)
+            mask[list(at_upper)] = True
+            self._keep(self._parked, at_upper, mask, _read_only(mask))
+        return mask
+
+    def _memo_basic(self, state: _Basis, x):
+        """Values of the basic columns with the nonbasic ones held at x."""
+        rhs = self.b - state.A_N @ x[state.nonbasic]
+        key = rhs.tobytes()
+        xb = state.solved.get(key)
+        if xb is None:
+            xb = np.linalg.solve(state.B, rhs)
+            self._keep(state.solved, key, xb, _read_only(xb) + len(key))
+        return xb
+
+    def _memo_row(self, state: _Basis, k):
+        """Masks and magnitude of the pivot row ``alpha = solve(B.T, e_k) @ A``."""
+        masks = state.rows.get(k)
+        if masks is None:
+            e_k = np.zeros(self.m)
+            e_k[k] = 1.0
+            alpha = np.linalg.solve(state.B.T, e_k) @ self.A
+            masks = (alpha > PIVOT_TOL, alpha < -PIVOT_TOL, np.abs(alpha))
+            self._keep(state.rows, k, masks, _read_only(*masks))
+        return masks
+
     def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
-        A = self.A
         basis = np.asarray(snapshot.basis, dtype=np.intp)
         if len(basis) != self.m or len(set(snapshot.basis)) != self.m:
             raise _Singular()
-        nonbasic = np.ones(self.n, dtype=bool)
-        nonbasic[basis] = False
-        at_upper = np.zeros(self.n, dtype=bool)
-        at_upper[list(snapshot.at_upper)] = True
+        at_upper = self._upper_mask(snapshot.at_upper)
         finite_lo = np.isfinite(lo)
         movable = lo != hi
         free = ~finite_lo & ~np.isfinite(hi)
@@ -367,13 +457,12 @@ class SimplexSolver:
         if not np.isfinite(x).all():
             raise _Singular()
 
-        B = A[:, basis]
-        y = np.linalg.solve(B.T, self.c[basis])
-        red = self.c - A.T @ y
-        wrong_sign = np.where(at_upper, red > DUAL_FEAS_TOL,
-                              np.where(finite_lo, red < -DUAL_FEAS_TOL,
-                                       np.abs(red) > DUAL_FEAS_TOL))
-        if (wrong_sign & nonbasic & movable).any():
+        state = self._basis(basis)
+        # |red| > DUAL_FEAS_TOL is exactly red_pos | red_neg
+        wrong_sign = np.where(at_upper, state.red_pos,
+                              np.where(finite_lo, state.red_neg,
+                                       state.red_pos | state.red_neg))
+        if (wrong_sign & state.nonbasic & movable).any():
             raise _Singular()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst
@@ -386,8 +475,7 @@ class SimplexSolver:
             if it > self._iter_cap:
                 raise _Stalled()
             it += 1
-            B = A[:, basis]
-            xb = self._basic_values(A, B, nonbasic, x)
+            xb = self._memo_basic(state, x)
             x[basis] = xb
 
             under = lo[basis] - xb
@@ -408,27 +496,18 @@ class SimplexSolver:
                     worst = over[k]
                     leave_pos, below = k, False
             if leave_pos < 0:
-                # without a pivot the basis is still the one priced above
-                return self._result(A, basis, x, lo, hi, it, (y, red) if it == 1 else None)
+                return self._result(self.A, basis, x, lo, hi, it, (state.y, state.red))
 
-            if it > 1:
-                y = np.linalg.solve(B.T, self.c[basis])
-                red = self.c - A.T @ y
-            e_k = np.zeros(self.m)
-            e_k[leave_pos] = 1.0
-            v = np.linalg.solve(B.T, e_k)
-            alpha = v @ A
+            pos, neg, abs_alpha = self._memo_row(state, leave_pos)
 
             # columns whose move pushes the leaving value back toward its bound
             at_up = x == hi
-            pos = alpha > PIVOT_TOL
-            neg = alpha < -PIVOT_TOL
             if below:  # basic value must rise
                 ok = np.where(at_up, pos, neg) | (free & pos)
             else:  # basic value must fall
                 ok = np.where(at_up, neg, pos) | (free & neg)
-            cols = (ok & nonbasic & movable).nonzero()[0]
-            ratios = np.abs(red[cols]) / np.abs(alpha[cols])
+            cols = (ok & state.nonbasic & movable).nonzero()[0]
+            ratios = state.abs_red[cols] / abs_alpha[cols]
             # sequential pass in column order: a ratio must undercut the best
             # by more than PIVOT_TOL, so near-ties keep the lower column
             enter = -1
@@ -443,5 +522,4 @@ class SimplexSolver:
             leaving = basis[leave_pos]
             x[leaving] = lo[leaving] if below else hi[leaving]
             basis[leave_pos] = enter
-            nonbasic[leaving] = True
-            nonbasic[enter] = False
+            state = self._basis(basis)

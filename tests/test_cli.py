@@ -253,6 +253,16 @@ class TestGrid:
         assert res.exit_code == 2
         assert "bad float list" in res.output
 
+    @pytest.mark.parametrize("flags", [
+        ["--q", "-1"],
+        ["--alpha-grid=-0.5", "--beta-grid", "0"],
+        ["--p", "0"],
+    ], ids=["q", "alpha-grid", "p"])
+    def test_invalid_sweep_value_is_a_usage_error(self, runner, paths, flags):
+        res = runner.invoke(main, ["grid", "--instance", paths["knap"], *flags])
+        assert res.exit_code == 2
+        assert "Error:" in res.output and "Traceback" not in res.output
+
 
 SELECTOR_FLAGS = ["--rule", "--preset"]
 WEIGHT_FLAGS = ["--alpha", "--beta", "--scut", "--dcut", "--rho", "--literal-score",

@@ -812,6 +812,26 @@ class TestDeterminismAndTrace:
             assert set(rec) == {"id", "depth", "lpBound", "classification", "poolSize"}
             assert rec["lpBound"] is None or isinstance(rec["lpBound"], float)
 
+    @pytest.mark.parametrize("cls", [engine.INFEASIBLE, engine.UNRESTRICTED,
+                                     engine.INTEGER_FEASIBLE, engine.BRANCHABLE,
+                                     engine.STALLED])
+    def test_trace_line_is_sorted_json_bytes(self, cls):
+        """The preformatted line is byte for byte what json.dumps with sorted
+        keys writes, for every classification and every kind of bound."""
+        bounds = [None, math.inf, -math.inf, math.nan, 0.0, -0.0, -3.5, 1e-300,
+                  2.0 / 3.0, 1e22, -123456789.125, np.float64(-7.1), np.float64(0.1 + 0.2),
+                  np.float64(np.inf), np.float64(np.nan)]
+        for bound in bounds:
+            for node_id, depth, pool_size in ((0, 0, 0), (17, 3, 60), (123456, 40, 65536)):
+                want = json.dumps({
+                    "id": node_id,
+                    "depth": depth,
+                    "lpBound": None if bound is None or not math.isfinite(bound) else bound,
+                    "classification": cls,
+                    "poolSize": pool_size,
+                }, sort_keys=True)
+                assert engine.trace_line(node_id, depth, bound, cls, pool_size) == want
+
     @pytest.mark.parametrize("rule", list(Rule))
     def test_rule_choice_never_changes_exhaustive_pool(self, rule):
         inst = random_binary_instance(1)

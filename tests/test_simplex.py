@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import test_golden as golden
 from diversitree import (
     GE,
     INF,
@@ -15,7 +16,10 @@ from diversitree import (
     SimplexSolver,
     VariableDef,
     knapsack_instance,
+    parse_mps,
+    simplex,
 )
+from diversitree.simplex import BasisSnapshot
 
 from conftest import make_lp, scipy_lp
 
@@ -202,3 +206,122 @@ class TestWarmStart:
                 assert warm.objective >= parent.objective - 1e-6 * scale
             pairs += 1
         assert pairs >= 50, f"only {pairs} usable warm-start pairs"
+
+
+def cached_arrays(solver):
+    """Every array a solver holds in its warm-solve memo."""
+    for state in solver._bases.values():
+        for value in vars(state).values():
+            if isinstance(value, np.ndarray):
+                yield value
+        for masks in state.rows.values():
+            yield from masks
+        yield from state.solved.values()
+    yield from solver._parked.values()
+
+
+class TestBasisMemo:
+    """Warm solves read each basis's pricing, pivot rows and basic solutions
+    from a per-solver memo. One reused solver, a fresh solver per call and a
+    solver whose memo is cleared over and over must agree bit for bit."""
+
+    RAND0 = golden.INSTANCES / "rand0.mps"
+
+    @pytest.fixture(params=["reused", "fresh", "tiny"])
+    def variant(self, request, monkeypatch):
+        """Swap the solver the golden sequences build; return the variant's
+        name, the solvers it made and one entry per memo clear."""
+        made, clears = [], []
+        if request.param == "fresh":
+            class Solver:
+                def __init__(self, instance):
+                    self.instance = instance
+
+                def solve(self, *args):
+                    return SimplexSolver(self.instance).solve(*args)
+
+                def resolve(self, *args):
+                    return SimplexSolver(self.instance).resolve(*args)
+        else:
+            class Solver(SimplexSolver):
+                def __init__(self, instance):
+                    super().__init__(instance)
+                    made.append(self)
+
+            if request.param == "tiny":
+                monkeypatch.setattr(simplex, "MEMO_BYTES", 2048)
+                keep = SimplexSolver._keep
+
+                def counted(self, table, key, value, nbytes):
+                    if self._memo_bytes + nbytes > simplex.MEMO_BYTES:
+                        clears.append(nbytes)
+                    keep(self, table, key, value, nbytes)
+
+                monkeypatch.setattr(SimplexSolver, "_keep", counted)
+        monkeypatch.setattr(golden, "SimplexSolver", Solver)
+        return request.param, made, clears
+
+    @pytest.mark.parametrize("name", ["rand0.mps", "rand2.mps"])
+    def test_warm_sequence(self, variant, name):
+        kind, made, clears = variant
+        path = str(golden.INSTANCES / name)
+        got = golden.warm_sequence(parse_mps(path), 300)
+        with pytest.MonkeyPatch.context() as mp:  # the plain solver, for reference
+            mp.setattr(golden, "SimplexSolver", SimplexSolver)
+            mp.setattr(simplex, "MEMO_BYTES", 1 << 30)
+            want = golden.warm_sequence(parse_mps(path), 300)
+        assert len(got) > 150
+        assert got == want
+        if name == "rand0.mps":
+            assert got[: len(golden.GOLDEN_WARM_RAND0)] == golden.GOLDEN_WARM_RAND0
+        if kind == "reused":
+            (solver,) = made
+            assert 0 < len(solver._bases) and solver._memo_bytes <= simplex.MEMO_BYTES
+        if kind == "tiny":
+            assert len(clears) > 1  # cleared mid-sequence, more than once
+
+    def test_random_lp_digest(self, variant):
+        kind, made, _ = variant
+        assert golden.random_lp_digest() == golden.GOLDEN_RANDOM_LP_DIGEST
+        if kind != "fresh":
+            assert any(solver._bases for solver in made)
+
+    def test_cached_arrays_are_read_only(self):
+        solver = SimplexSolver(parse_mps(str(self.RAND0)))
+        root = solver.solve()
+        lo, hi = (np.asarray(b, dtype=float) for b in solver.instance.bounds())
+        for j in solver.instance.integer_index[:6]:
+            down, up = hi.copy(), lo.copy()
+            down[j], up[j] = 0.0, 1.0
+            solver.resolve(root.basis, lo, down)
+            solver.resolve(root.basis, up, hi)
+        arrays = list(cached_arrays(solver))
+        assert any(state.rows for state in solver._bases.values())
+        assert len(arrays) > 10
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("case", ["singular", "dual_infeasible"])
+    def test_bad_snapshot_falls_back_to_cold(self, case):
+        if case == "singular":
+            # columns 0 and 1 are proportional, so the basis (0, 1) is singular
+            inst = lp_instance({0: -1.0, 1: -1.0},
+                               [({0: 1.0, 1: 2.0}, LE, 4.0), ({0: 2.0, 1: 4.0}, LE, 9.0)],
+                               [(0, 3), (0, 3)])
+            snapshot = BasisSnapshot(basis=(0, 1), at_upper=frozenset())
+        else:
+            inst = knapsack_instance()
+            # the all-slack basis prices every negative cost as improving
+            d = inst.num_vars
+            snapshot = BasisSnapshot(basis=tuple(range(d, d + len(inst.constraints))),
+                                     at_upper=frozenset())
+        solver = SimplexSolver(inst)
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        cold = golden.lp_fingerprint(SimplexSolver(inst).solve(lo, hi))
+        first = golden.lp_fingerprint(solver.resolve(snapshot, lo, hi))
+        again = golden.lp_fingerprint(solver.resolve(snapshot, lo, hi))
+        assert first == again == cold
+        key = np.asarray(snapshot.basis, dtype=np.intp).tobytes()
+        assert (key in solver._bases) == (case == "dual_infeasible")
