@@ -16,7 +16,7 @@ from dataclasses import replace
 import click
 
 from . import __version__, harness
-from .engine import EngineError
+from .engine import EngineError, check_limits
 from .harness import ExperimentSpec, HarnessError, SCHEMA_VERSION
 from .model import ModelError
 from .mps import MpsParseError, parse_mps
@@ -139,6 +139,10 @@ def main():
 @out_opt
 def solve(instance_path, node_limit, time_limit, timings, out):
     """Find the optimal objective value."""
+    try:
+        check_limits(node_limit, time_limit)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     instance = _load(instance_path)
     try:
         res = harness.find_optimum(instance, node_limit=node_limit, time_limit=time_limit)

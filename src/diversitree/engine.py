@@ -23,7 +23,6 @@ trace hash over the dequeue sequence witnesses it.
 
 import hashlib
 import heapq
-import itertools
 import logging
 import math
 import time
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diversity import project_binary
-from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance
+from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance, _dot
 from .selectors import Selector, SelectorConfig
 from .simplex import LpResult, LpStatus, SimplexSolver
 
@@ -344,16 +343,38 @@ def most_fractional(lp: LpResult) -> int:
     return best
 
 
-def _dot(terms, x) -> float:
-    """Sum of a * x[j] over (j, a) in terms, added left to right.
+def _box_points(base: list, cols: list, first: list, last: list):
+    """Copies of ``base`` with the columns ``cols`` set to every integer
+    assignment between ``first`` and ``last``, as floats, in lexicographic
+    order (ascending column, values ascending, the last column fastest).
 
-    The builtin ``sum`` does the same over numpy scalars, but from Python
-    3.12 on it compensates over Python floats, which would move bits.
+    An odometer makes one point at a time, so memory does not grow with the
+    width of the box.
     """
-    total = 0.0
-    for j, a in terms:
-        total += a * x[j]
-    return total
+    point = list(base)
+    digits = list(first)
+    for j, v in zip(cols, digits):
+        point[j] = float(v)
+    while True:
+        yield point.copy()
+        k = len(cols) - 1
+        while k >= 0 and digits[k] == last[k]:  # roll over to the first value
+            digits[k] = first[k]
+            point[cols[k]] = float(first[k])
+            k -= 1
+        if k < 0:
+            return
+        digits[k] += 1
+        point[cols[k]] = float(digits[k])
+
+
+def check_limits(node_limit: int = None, time_limit: float = None):
+    """Raise ValueError for a negative node limit or a NaN or negative time
+    limit, which no clock comparison would ever trip."""
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be nonnegative, got {node_limit}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be nonnegative seconds, got {time_limit}")
 
 
 def _limit_reached(deadline: float, nodes: int = 0, node_limit: int = None) -> bool:
@@ -530,21 +551,19 @@ class BranchAndCount:
             if j not in free:
                 base[j] = round(lo[j])
         base = base.tolist()  # Python floats: cheaper per point than numpy scalars
-        values = [[float(v) for v in range(int(lo[j]), int(hi[j]) + 1)] for j in free]
+        first = [int(lo[j]) for j in free]
+        last = [int(hi[j]) for j in free]
         added = 0
         infeasible = 0
         xs, objectives = [], []
         batch = 0
-        for combo in itertools.product(*values):
+        for x in _box_points(base, free, first, last):
             if len(xs) == batch:
                 added += pool.add_rows(xs, objectives)
                 xs, objectives = [], []
                 batch = min(WALK_CHUNK, pool.room)
             if pool.is_full or _limit_reached(deadline):
                 return added + pool.add_rows(xs, objectives), infeasible, False
-            x = base.copy()
-            for j, v in zip(free, combo):
-                x[j] = v
             x = self._complete(x, lo, hi)
             if x is None:
                 infeasible += 1
@@ -557,6 +576,7 @@ class BranchAndCount:
 
     def run(self, p1: int = None, node_limit: int = None, time_limit: float = None,
             trace_path: str = None) -> CountResult:
+        check_limits(node_limit, time_limit)
         t0 = time.perf_counter()
         deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup)
@@ -654,6 +674,7 @@ class BranchAndCount:
         integral LP becomes the incumbent. Stops with status ``limit`` when
         a node or time limit trips.
         """
+        check_limits(node_limit, time_limit)
         t0 = time.perf_counter()
         deadline = None if time_limit is None else t0 + time_limit
         nodes = 0

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .diversity import dall, dbin
-from .engine import BranchAndCount, EngineError, OptimumResult
+from .engine import BranchAndCount, EngineError, OptimumResult, check_limits
 from .model import CutoffSpec, MipInstance, ModelError, add_objective_cutoff
 from .selectors import Rule, SelectorConfig
 from .subset import METHODS, select_diverse_subset
@@ -50,8 +50,9 @@ class ExperimentSpec:
     time_limit: float = None
 
     def __post_init__(self):
-        if self.q < 0:
+        if not self.q >= 0:
             raise ValueError(f"q must be nonnegative, got {self.q}")
+        check_limits(self.node_limit, self.time_limit)
         if self.p1 is not None and self.p1 < 1:
             raise ValueError(f"p1 must be positive, got {self.p1}")
         if self.p < 1:

@@ -34,6 +34,18 @@ class ModelError(ValueError):
     """Raised for structurally invalid instances or transform misuse."""
 
 
+def _dot(terms, x) -> float:
+    """Sum of a * x[j] over (j, a) in terms, added left to right.
+
+    The builtin ``sum`` does the same on Python 3.11 and earlier, but from
+    3.12 on it compensates over Python floats, which would move bits.
+    """
+    total = 0.0
+    for j, a in terms:
+        total += a * x[j]
+    return total
+
+
 @dataclass(frozen=True)
 class VariableDef:
     """One column: bounds plus integrality marker.
@@ -86,7 +98,7 @@ class LinearConstraint:
                                  " is not finite")
 
     def activity(self, x) -> float:
-        return sum(a * x[j] for j, a in self.coeffs.items())
+        return _dot(self.coeffs.items(), x)
 
     def satisfied(self, x) -> bool:
         """The row holds at x within FEAS_TOL."""
@@ -149,7 +161,7 @@ class MipInstance:
         return [v.index for v in self.variables if v.is_binary]
 
     def objective_value(self, x) -> float:
-        return float(sum(c * x[j] for j, c in self.objective.items()))
+        return float(_dot(self.objective.items(), x))
 
     def reported_objective(self, value: float) -> float:
         """Objective in the sense of the source model (un-negated)."""
@@ -250,7 +262,7 @@ class Expansion:
     def decode(self, x) -> float:
         if self.kind == "identity":
             return float(x[self.bit_indices[0]]) if self.bit_indices else self.offset
-        return self.offset + sum(w * x[j] for w, j in zip(self.weights, self.bit_indices))
+        return self.offset + _dot(zip(self.bit_indices, self.weights), x)
 
 
 @dataclass

@@ -19,17 +19,18 @@ PIVOT_TOL go to the lowest column). Every comparison and every value is the
 one a plain loop over all columns would make, so pivots, iteration counts and
 result bits do not depend on the vectorization.
 
-Warm solves revisit few bases, so each solver keeps a memo per basis
-(``_Basis``): ``B``, the duals ``y``, the reduced costs and their sign masks,
-the nonbasic mask, each pivot row used and every basic solution
-``solve(B, rhs)`` already made, keyed on the bytes of ``rhs``. An entry is
-the output of the same ``np.linalg.solve`` or numpy call on the same inputs
-that a solve from scratch makes, so reading it gives the same bits; a
-matrix is never factored once and reused, which would round differently.
-Cached arrays are read-only, and the memo is dropped whole once it holds
-``MEMO_BYTES``. A nonbasic column always sits exactly at its
-lower bound, at its upper bound, or at 0 when free, which is what lets
-"parked at upper" be read as ``x == hi``.
+Each basis is priced in one place, ``_Basis``: ``B``, the duals ``y``, the
+reduced costs with their sign masks and the nonbasic mask, all read-only.
+The primal method prices its basis each iteration. Warm solves revisit few
+bases, so each solver memoizes them, with each pivot row used and each basic
+solution ``solve(B, rhs)`` keyed on the bytes of ``rhs``. An entry is the
+output of the same numpy call on the same inputs that a solve from scratch
+makes, so it gives the same bits; a matrix is never factored once and
+reused, which would round differently. The memo is dropped whole past
+``MEMO_BYTES``. Cold and warm solves end in one ``_result``, whose
+``BasisSnapshot`` shares the final ``_Basis``'s index array. A nonbasic
+column always sits exactly at its lower bound, at its upper bound, or at 0
+when free, which is what lets "parked at upper" be read as ``x == hi``.
 """
 
 import logging
@@ -56,12 +57,14 @@ class LpStatus(str, Enum):
     STALLED = "stalled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSnapshot:
-    """Restart point: basic column set plus nonbasic columns parked at upper."""
+    """Restart point: ``basis``, the basic column of each row (read-only
+    intp), and ``at_upper``, a read-only bool mask of the nonbasic columns
+    parked at upper. Snapshots compare by identity."""
 
-    basis: tuple
-    at_upper: frozenset
+    basis: np.ndarray
+    at_upper: np.ndarray
 
 
 @dataclass
@@ -95,14 +98,17 @@ def _read_only(*arrays) -> int:
 
 
 class _Basis:
-    """What the warm dual simplex reads of one basis, computed once.
+    """One basis of ``A`` priced under costs ``c``.
 
     Every array is made by the numpy call, on the same inputs, that a solve
     from scratch would make, so reading it here changes no bit. All are
-    read-only. ``rows`` and ``solved`` are filled in on first use.
+    read-only, ``basis`` included: a copy of the caller's index array, so a
+    snapshot can share it. ``rows`` and ``solved`` are filled in on first
+    use by the warm solver's memo.
     """
 
     def __init__(self, A, c, basis):
+        self.basis = basis = np.array(basis, dtype=np.intp)
         self.B = A[:, basis]
         self.y = np.linalg.solve(self.B.T, c[basis])
         self.red = c - A.T @ self.y
@@ -112,8 +118,8 @@ class _Basis:
         self.abs_red = np.abs(self.red)
         self.red_pos = self.red > DUAL_FEAS_TOL
         self.red_neg = self.red < -DUAL_FEAS_TOL
-        self.nbytes = _read_only(self.B, self.y, self.red, self.nonbasic, self.A_N,
-                                 self.abs_red, self.red_pos, self.red_neg)
+        self.nbytes = _read_only(self.basis, self.B, self.y, self.red, self.nonbasic,
+                                 self.A_N, self.abs_red, self.red_pos, self.red_neg)
         self.rows = {}  # leaving position -> (alpha > PIVOT_TOL, alpha < -PIVOT_TOL, |alpha|)
         self.solved = {}  # rhs bytes -> solve(B, rhs)
 
@@ -154,7 +160,6 @@ class SimplexSolver:
             self.c[j] = v
         self.integer_index = np.asarray(instance.integer_index, dtype=int)
         self._bases = {}  # basis index bytes -> _Basis
-        self._parked = {}  # snapshot at_upper -> bool mask
         self._memo_bytes = 0
 
     # -- public API ---------------------------------------------------------
@@ -194,43 +199,28 @@ class SimplexSolver:
             full_hi[: self.d] = hi
         return full_lo, full_hi
 
-    def _basic_values(self, A, B, nonbasic, x):
-        """Values of the basic columns (B = A[:, basis]) with the rest held at x."""
-        rhs = self.b - A[:, nonbasic] @ x[nonbasic]
-        return np.linalg.solve(B, rhs)
-
-    def _result(self, A, basis, x, lo, hi, iterations, priced=None) -> LpResult:
-        """Optimal result; ``priced`` may pass (y, reduced costs) already solved
-        for this exact basis."""
+    def _result(self, state: _Basis, x, lo, hi, iterations) -> LpResult:
+        """Optimal result at the basis ``state``, with every column at ``x``."""
         xs = x[: self.d]
         obj = float(self.c[: self.d] @ xs)
-        if priced is None:
-            c_ext = np.zeros(A.shape[1])
-            c_ext[: self.n] = self.c
-            y = np.linalg.solve(A[:, basis].T, c_ext[basis])
-            red = c_ext - A.T @ y
-        else:
-            y, red = priced
-        nonbasic = np.ones(A.shape[1], dtype=bool)
-        nonbasic[basis] = False
+        nonbasic = state.nonbasic
         # each nonbasic column's reduced cost times the bound its sign prices,
         # added to y @ b in column order
-        r, lo_n, hi_n = red[nonbasic], lo[nonbasic], hi[nonbasic]
+        r, lo_n, hi_n = state.red[nonbasic], lo[nonbasic], hi[nonbasic]
         at = np.where((r > DUAL_FEAS_TOL) & np.isfinite(lo_n), lo_n,
                       np.where((r < -DUAL_FEAS_TOL) & np.isfinite(hi_n), hi_n, x[nonbasic]))
-        dual_obj = float(y @ self.b)
+        dual_obj = float(state.y @ self.b)
         for term in (r * at).tolist():
             dual_obj += term
         ints = self.integer_index
         vals = xs[ints]
         frac = ints[np.abs(vals - np.rint(vals)) > INT_TOL].tolist()
         snapshot = None
-        cols = np.asarray(basis)
-        if (cols < self.n).all():
+        if (state.basis < self.n).all():  # no artificial left in the basis
             n = self.n
             up = nonbasic[:n] & (x[:n] == hi[:n]) & (lo[:n] != hi[:n])  # parked at upper
-            snapshot = BasisSnapshot(basis=tuple(cols.tolist()),
-                                     at_upper=frozenset(up.nonzero()[0].tolist()))
+            _read_only(up)
+            snapshot = BasisSnapshot(basis=state.basis, at_upper=up)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
@@ -246,9 +236,9 @@ class SimplexSolver:
     def _primal(self, A, c, lo, hi, basis, x):
         """Iterate to optimality from a primal-feasible basis.
 
-        Returns (status, iterations); basis and x are updated in place.
+        Returns (status, iterations, the last iteration's ``_Basis``); the
+        index array ``basis`` and x are updated in place.
         """
-        n_cols = A.shape[1]
         movable = lo != hi
         finite_lo = np.isfinite(lo)
         finite_hi = np.isfinite(hi)
@@ -260,21 +250,17 @@ class SimplexSolver:
             if it > self._iter_cap:
                 raise _Stalled()
             it += 1
-            B = A[:, basis]
-            nonbasic = np.ones(n_cols, dtype=bool)
-            nonbasic[basis] = False
-            xb = self._basic_values(A, B, nonbasic, x)
-            x[basis] = xb
-            y = np.linalg.solve(B.T, c[basis])
-            red = c - A.T @ y
+            state = _Basis(A, c, basis)
+            x[basis] = np.linalg.solve(state.B, self.b - state.A_N @ x[state.nonbasic])
+            red = state.red
 
             # pricing: a free column moves against its cost sign, one parked
             # at upper pays when its cost is positive, any other when negative
             at_up = finite_hi & (np.abs(x - hi) < np.abs(x - lo))
-            score = np.where(free, np.abs(red), np.where(at_up, red, -red))
-            eligible = nonbasic & movable & (score > DUAL_FEAS_TOL)
+            score = np.where(free, state.abs_red, np.where(at_up, red, -red))
+            eligible = state.nonbasic & movable & (score > DUAL_FEAS_TOL)
             if not eligible.any():
-                return LpStatus.OPTIMAL, it
+                return LpStatus.OPTIMAL, it, state
             if bland:  # first improving column
                 enter = int(np.argmax(eligible))
             else:  # Dantzig: first column of the largest score
@@ -284,7 +270,7 @@ class SimplexSolver:
             else:
                 direction = -1.0 if at_up[enter] else 1.0
 
-            w = np.linalg.solve(B, A[:, enter])
+            w = np.linalg.solve(state.B, A[:, enter])
             step = np.inf
             leave_pos = -1
             leave_to_upper = False
@@ -310,7 +296,7 @@ class SimplexSolver:
                     leave_pos = k
                     leave_to_upper = to_upper
             if not np.isfinite(step):
-                return LpStatus.UNBOUNDED, it
+                return LpStatus.UNBOUNDED, it, state
             if step <= PIVOT_TOL:
                 degenerate += 1
                 if degenerate > 2 * self.n:
@@ -336,12 +322,12 @@ class SimplexSolver:
         x[self.n :] = np.abs(resid)
         lo_ext = np.concatenate([lo, np.zeros(self.m)])
         hi_ext = np.concatenate([hi, np.full(self.m, np.inf)])
-        basis = list(range(self.n, n_cols))
+        basis = np.arange(self.n, n_cols)
 
         c1 = np.zeros(n_cols)
         c1[self.n :] = 1.0
         try:
-            status, it1 = self._primal(A, c1, lo_ext, hi_ext, basis, x)
+            status, it1, _ = self._primal(A, c1, lo_ext, hi_ext, basis, x)
         except _Stalled:
             return LpResult(status=LpStatus.STALLED)
         except np.linalg.LinAlgError:
@@ -380,17 +366,14 @@ class SimplexSolver:
         c2 = np.zeros(n_cols)
         c2[: self.n] = self.c
         try:
-            status, it2 = self._primal(A, c2, lo_ext, hi_ext, basis, x)
+            status, it2, state = self._primal(A, c2, lo_ext, hi_ext, basis, x)
         except _Stalled:
             return LpResult(status=LpStatus.STALLED)
         except np.linalg.LinAlgError:
             return LpResult(status=LpStatus.STALLED)
         if status == LpStatus.UNBOUNDED:
             return LpResult(status=LpStatus.UNBOUNDED, iterations=it1 + it2)
-        nonbasic = np.ones(n_cols, dtype=bool)
-        nonbasic[basis] = False
-        x[basis] = self._basic_values(A, A[:, basis], nonbasic, x)
-        return self._result(A, basis, x, lo_ext, hi_ext, it1 + it2)
+        return self._result(state, x, lo_ext, hi_ext, it1 + it2)
 
     # -- dual simplex (warm start) -------------------------------------------
 
@@ -400,7 +383,6 @@ class SimplexSolver:
         self._memo_bytes += nbytes
         if self._memo_bytes > MEMO_BYTES:
             self._bases.clear()
-            self._parked.clear()
             self._memo_bytes = 0
 
     def _basis(self, basis) -> _Basis:
@@ -411,15 +393,6 @@ class SimplexSolver:
             state = _Basis(self.A, self.c, basis)
             self._keep(self._bases, key, state, state.nbytes + len(key))
         return state
-
-    def _upper_mask(self, at_upper: frozenset):
-        """The snapshot's parked-at-upper set as a read-only bool mask."""
-        mask = self._parked.get(at_upper)
-        if mask is None:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[list(at_upper)] = True
-            self._keep(self._parked, at_upper, mask, _read_only(mask))
-        return mask
 
     def _memo_basic(self, state: _Basis, x):
         """Values of the basic columns with the nonbasic ones held at x."""
@@ -443,10 +416,11 @@ class SimplexSolver:
         return masks
 
     def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
-        basis = np.asarray(snapshot.basis, dtype=np.intp)
-        if len(basis) != self.m or len(set(snapshot.basis)) != self.m:
+        basis = np.array(snapshot.basis, dtype=np.intp)  # a copy: pivoted in place
+        at_upper = snapshot.at_upper
+        if (basis.shape != (self.m,) or len(set(basis.tolist())) != self.m
+                or np.shape(at_upper) != (self.n,)):
             raise _Singular()
-        at_upper = self._upper_mask(snapshot.at_upper)
         finite_lo = np.isfinite(lo)
         movable = lo != hi
         free = ~finite_lo & ~np.isfinite(hi)
@@ -496,7 +470,7 @@ class SimplexSolver:
                     worst = over[k]
                     leave_pos, below = k, False
             if leave_pos < 0:
-                return self._result(self.A, basis, x, lo, hi, it, (state.y, state.red))
+                return self._result(state, x, lo, hi, it)
 
             pos, neg, abs_alpha = self._memo_row(state, leave_pos)
 

@@ -305,6 +305,18 @@ class TestFlagValidation:
         assert res.exit_code == 2
         assert "exceeds pool capacity" in res.output
 
+    @pytest.mark.parametrize("command, flags", [
+        (command, flags)
+        for flags in (["--time-limit", "nan"], ["--time-limit", "-1"], ["--node-limit", "-1"],
+                      ["--q", "nan"])
+        for command in ("solve", "enumerate", "diverse", "compare", "grid")
+        if not (command == "solve" and flags[0] == "--q")  # solve takes no --q
+    ])
+    def test_nan_or_negative_limit_is_a_usage_error(self, runner, paths, command, flags):
+        res = runner.invoke(main, [command, "--instance", paths["knap"], *flags])
+        assert res.exit_code == 2
+        assert "must be nonnegative" in res.output and "Traceback" not in res.output
+
     def test_missing_instance_file(self, runner, tmp_path):
         res = runner.invoke(main, ["solve", "--instance", str(tmp_path / "ghost.mps")])
         assert res.exit_code == 2

@@ -386,6 +386,50 @@ class TestEnumerateUnrestricted:
         assert pool.solutions[-1].tolist() == [1.0, 1.0, 1.0]
         assert repr(pool.objectives[-1]) == "0.0"
 
+    def test_box_points_match_the_product_order(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            d = int(rng.integers(0, 5))
+            first = [int(v) for v in rng.integers(-3, 2, size=d)]
+            last = [f + int(w) for f, w in zip(first, rng.integers(0, 3, size=d))]
+            cols = sorted(int(j) for j in rng.permutation(d + 2)[:d])
+            base = [0.5] * (d + 2)
+            want = []
+            for combo in itertools.product(*(range(f, t + 1) for f, t in zip(first, last))):
+                x = list(base)
+                for j, v in zip(cols, combo):
+                    x[j] = float(v)
+                want.append(x)
+            got = list(engine._box_points(base, cols, first, last))
+            assert got == want
+            assert all(type(v) is float for x in got for v in x)
+            assert len({id(x) for x in got}) == len(got)  # a fresh list per point
+            assert base == [0.5] * (d + 2)
+
+    def wide_box(self, width):
+        """Two general integers in [0, width] and no rows: the root is unrestricted."""
+        variables = [VariableDef(j, 0.0, float(width), True, f"u{j}") for j in range(2)]
+        return MipInstance(name="wide", variables=variables, constraints=[],
+                           objective={0: 1.0, 1: 1.0})
+
+    @pytest.mark.parametrize("p1, time_limit", [(10, 0.01), (None, 0.05)])
+    def test_a_wide_box_walks_in_little_memory(self, p1, time_limit):
+        # 10^12 points: the walk must stop on the pool's room or the clock
+        # long before it could list the values of one column
+        bc = BranchAndCount(self.wide_box(10 ** 6))
+        tracemalloc.start()
+        try:
+            res = bc.run(p1=p1, time_limit=time_limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.unrestricted_subtrees == 1 and not res.exhausted
+        assert peak < 4 * 2 ** 20
+        assert res.wall_time_s < time_limit + 0.5
+        if p1 is None:
+            assert res.truncated and len(res.pool) > 0
+        assert res.pool.solutions[:3].tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]
+
 
 class ListPool:
     """The pool as plain lists, one array per solution: the columnar pool's oracle."""
@@ -687,6 +731,17 @@ class TestLimitsAndTruncation:
         cut = add_objective_cutoff(knapsack_instance(), -10.0, 0.3)
         res = BranchAndCount(cut).run(node_limit=1)
         assert res.truncated and not res.exhausted
+
+    @pytest.mark.parametrize("limits", [
+        {"time_limit": math.nan},
+        {"time_limit": -1.0},
+        {"node_limit": -1},
+    ], ids=["nan-time", "negative-time", "negative-nodes"])
+    @pytest.mark.parametrize("mode", ["run", "optimize"])
+    def test_bad_limits_are_rejected(self, mode, limits):
+        bc = BranchAndCount(add_objective_cutoff(knapsack_instance(), -10.0, 0.3))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            getattr(bc, mode)(**limits)
 
     def test_time_limit_marks_truncated(self):
         cut = add_objective_cutoff(knapsack_instance(), -10.0, 0.3)

@@ -11,6 +11,7 @@ the value here and say why.
 are pinned in.
 """
 
+import functools
 import hashlib
 import math
 from pathlib import Path
@@ -71,6 +72,7 @@ def count_cases():
     return cases
 
 
+@functools.lru_cache(maxsize=None)
 def count_fingerprint(name):
     """(trace hash, pool size, sha256 of repr(pool objectives)) of one run."""
     factory, spec = count_cases()[name]
@@ -92,8 +94,8 @@ def lp_fingerprint(res):
         _bits(res.dual_objective),
         None if res.x is None else hashlib.sha256(res.x.tobytes()).hexdigest()[:16],
         res.fractional,
-        None if snap is None else list(snap.basis),
-        None if snap is None else sorted(snap.at_upper),
+        None if snap is None else snap.basis.tolist(),
+        None if snap is None else np.flatnonzero(snap.at_upper).tolist(),
         res.iterations,
     )
 
@@ -433,6 +435,11 @@ class TestSimplexGolden:
 
     def test_random_lp_cold_and_warm_digest(self):
         assert random_lp_digest() == GOLDEN_RANDOM_LP_DIGEST
+
+
+def test_printed_values_are_the_pinned_source():
+    # what ``python tests/test_golden.py`` prints must paste back unchanged
+    assert _pinned_source() in Path(__file__).read_text()
 
 
 def _pinned_source():

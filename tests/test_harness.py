@@ -153,6 +153,10 @@ class TestExperimentSpec:
         {"p": 0},
         {"p1": 5, "p": 6},
         {"p1": 1, "p": 1, "subset_method": "greedy-swap"},  # before any pool is seen
+        {"q": math.nan},
+        {"time_limit": math.nan},
+        {"time_limit": -1.0},
+        {"node_limit": -1},
     ])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(ValueError):

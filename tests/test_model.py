@@ -20,6 +20,7 @@ from diversitree import (
     binary_expand,
     discretize_continuous,
 )
+from diversitree.model import Expansion
 
 from conftest import enum_pure_integer
 
@@ -78,6 +79,24 @@ class TestContainers:
         assert con.activity([1.0, 1.0]) == 3.0
         assert con.satisfied([1.0, 1.0])
         assert not con.satisfied([1.0, 1.1])
+
+    def test_sums_run_left_to_right(self):
+        # left to right, 0.6000000000000001 + 1e16 rounds to 1e16 and the sum
+        # is 0.7; a compensated sum (builtin sum over Python floats, from
+        # Python 3.12 on) gives 1.2999999999999998. Up to 3.11 the builtin sum
+        # also adds left to right, so only 3.12+ tells the two apart.
+        weights = [0.1, 0.2, 0.3, 1e16, -1e16, 0.7]
+        want = 0.0
+        for w in weights:
+            want += w
+        assert repr(want) == "0.7"
+        ones = [1.0] * len(weights)
+        coeffs = dict(enumerate(weights))
+        assert LinearConstraint(coeffs, LE, 1.0, "r").activity(ones) == want
+        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(len(weights))]
+        assert MipInstance("sum", variables, [], coeffs).objective_value(ones) == want
+        expansion = Expansion("binary", tuple(range(len(weights))), tuple(weights))
+        assert expansion.decode(ones) == want
 
     def test_instance_validation(self):
         with pytest.raises(ModelError):

@@ -217,7 +217,6 @@ def cached_arrays(solver):
         for masks in state.rows.values():
             yield from masks
         yield from state.solved.values()
-    yield from solver._parked.values()
 
 
 class TestBasisMemo:
@@ -303,20 +302,25 @@ class TestBasisMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    @pytest.mark.parametrize("case", ["singular", "dual_infeasible"])
+    @pytest.mark.parametrize("case", ["singular", "dual_infeasible", "mask_shape"])
     def test_bad_snapshot_falls_back_to_cold(self, case):
         if case == "singular":
             # columns 0 and 1 are proportional, so the basis (0, 1) is singular
             inst = lp_instance({0: -1.0, 1: -1.0},
                                [({0: 1.0, 1: 2.0}, LE, 4.0), ({0: 2.0, 1: 4.0}, LE, 9.0)],
                                [(0, 3), (0, 3)])
-            snapshot = BasisSnapshot(basis=(0, 1), at_upper=frozenset())
-        else:
+            snapshot = BasisSnapshot(basis=np.array([0, 1]), at_upper=np.zeros(4, dtype=bool))
+        elif case == "dual_infeasible":
             inst = knapsack_instance()
             # the all-slack basis prices every negative cost as improving
-            d = inst.num_vars
-            snapshot = BasisSnapshot(basis=tuple(range(d, d + len(inst.constraints))),
-                                     at_upper=frozenset())
+            d, m = inst.num_vars, len(inst.constraints)
+            snapshot = BasisSnapshot(basis=np.arange(d, d + m),
+                                     at_upper=np.zeros(d + m, dtype=bool))
+        else:
+            # the root's own basis, with a mask one column short
+            inst = knapsack_instance()
+            root = SimplexSolver(inst).solve().basis
+            snapshot = BasisSnapshot(basis=root.basis, at_upper=root.at_upper[:-1])
         solver = SimplexSolver(inst)
         lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
         cold = golden.lp_fingerprint(SimplexSolver(inst).solve(lo, hi))
@@ -325,3 +329,29 @@ class TestBasisMemo:
         assert first == again == cold
         key = np.asarray(snapshot.basis, dtype=np.intp).tobytes()
         assert (key in solver._bases) == (case == "dual_infeasible")
+
+    def test_children_leave_the_parent_snapshot_alone(self):
+        # many warm children pivot away from one parent snapshot; the
+        # parent's arrays stay read-only and keep their values
+        solver = SimplexSolver(parse_mps(str(self.RAND0)))
+        root = solver.solve()
+        snap = root.basis
+        basis, at_upper = snap.basis.copy(), snap.at_upper.copy()
+        assert snap.basis.dtype == np.intp and snap.at_upper.dtype == bool
+        assert snap.at_upper.shape == (solver.n,)
+        lo, hi = (np.asarray(b, dtype=float) for b in solver.instance.bounds())
+        before = golden.lp_fingerprint(solver.resolve(snap, lo, hi))
+        iterations = 0
+        for j in solver.instance.integer_index:
+            for v in (0.0, 1.0):
+                clo, chi = lo.copy(), hi.copy()
+                clo[j] = chi[j] = v
+                iterations += solver.resolve(snap, clo, chi).iterations
+        assert iterations > 2 * len(solver.instance.integer_index)  # the children pivoted
+        for a in (snap.basis, snap.at_upper):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        assert np.array_equal(snap.basis, basis)
+        assert np.array_equal(snap.at_upper, at_upper)
+        assert golden.lp_fingerprint(solver.resolve(snap, lo, hi)) == before
