@@ -1,14 +1,18 @@
 """Branch and bound over one node representation, in two modes.
 
 Each node carries its box and its own LP relaxation, solved when the node
-is created (warm-started from the parent basis). ``optimize`` finds
+is created (warm-started from the parent basis). A child whose box still
+holds its parent's optimum keeps the parent's LP (``SimplexSolver.inherit``),
+which is the result the warm solve would return. ``optimize`` finds
 the optimal value: best-first on the LP bound with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
 
 * infeasible nodes are discarded,
 * *unrestricted* nodes, where every constraint holds for every assignment
-  inside the local box, have their whole subtree enumerated wholesale,
+  inside the local box, have their whole subtree enumerated wholesale; a
+  row that holds over a box holds over every box inside it, so a child
+  inherits its parent's open rows and tests only those,
 * nodes with an integral LP and every integer variable fixed contribute a
   single completed solution,
 * anything else is split in two, on the most-fractional variable when one
@@ -68,7 +72,9 @@ class Node:
     ``lo`` and ``hi`` are the box, a copy of the parent's with the branched
     column changed. ``path`` lists the binary fixings in the order they were
     made, as term indices 2k + value over the positions k in
-    ``binary_index`` (see ``selectors.term_vector``).
+    ``binary_index`` (see ``selectors.term_vector``). ``open_rows`` are the
+    rows not yet proved to hold over the whole box (None: every row): the
+    parent's open rows until ``classify`` tests them, then the node's own.
     """
 
     id: int
@@ -79,6 +85,7 @@ class Node:
     path: tuple = ()
     lp: LpResult = None
     estimate: float = math.nan  # bound plus fractionality repair
+    open_rows: range = None
 
     @property
     def lp_bound(self) -> float:
@@ -417,6 +424,7 @@ class BranchAndCount:
             terms = sorted(terms)
             self.box_rows.append((np.asarray([j for j, _ in terms], dtype=int),
                                   np.asarray([a for _, a in terms], dtype=float), sense, rhs))
+        self.all_rows = range(len(self.box_rows))
         self.objective_terms = list(instance.objective.items())
         # pool position of each binary column, for the term indices of Node.path
         self.binary_pos = {j: k for k, j in enumerate(instance.binary_index)}
@@ -426,27 +434,42 @@ class BranchAndCount:
     def classify(self, node: Node) -> str:
         if node.lp.status != LpStatus.OPTIMAL:
             return INFEASIBLE
-        if self.is_unrestricted(node.lo, node.hi):
+        node.open_rows = self.open_rows(node.lo, node.hi, node.open_rows)
+        if not node.open_rows:
             return UNRESTRICTED
         if not node.lp.fractional:
             return INTEGER_FEASIBLE
         return BRANCHABLE
 
     def is_unrestricted(self, lo, hi) -> bool:
-        """True when every row holds at its worst point of the local box:
-        the least activity over the box for a ``>=`` row, the greatest for
-        a ``<=`` row, and both for an equality. The comparisons are written
-        so that a NaN activity (an unbounded box) fails them."""
-        for idx, coef, sense, rhs in self.box_rows:
+        """True when every row holds at its worst point of the box."""
+        return not self.open_rows(lo, hi)
+
+    def open_rows(self, lo, hi, rows: range = None) -> range:
+        """The rows of ``rows`` (None: every row) from the first one that
+        does not hold at its worst point of the box [lo, hi]; empty when all
+        hold. The worst point is the least activity over the box for a
+        ``>=`` row, the greatest for a ``<=`` row, and both for an equality;
+        the comparisons are written so that a NaN activity (an unbounded
+        box) fails them.
+
+        A row that holds over a box holds over every box inside it: each
+        product with a fixed coefficient and each sum in a fixed order is
+        monotone in IEEE arithmetic, and a NaN never holds. So a child may
+        pass its parent's open rows and test only those.
+        """
+        rows = self.all_rows if rows is None else rows
+        for k, i in enumerate(rows):
+            idx, coef, sense, rhs = self.box_rows[i]
             if sense != LE:
                 least = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
                 if not least >= rhs - FEAS_TOL:
-                    return False
+                    return rows[k:]
             if sense != GE:
                 most = np.where(coef > 0, coef * hi[idx], coef * lo[idx]).sum()
                 if not most <= rhs + FEAS_TOL:
-                    return False
-        return True
+                    return rows[k:]
+        return range(0)
 
     def _estimate(self, lp: LpResult) -> float:
         est = lp.objective
@@ -463,18 +486,24 @@ class BranchAndCount:
         return root
 
     def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
-        """Child with column j in [lo_j, hi_j], LP warm-solved; the caller sets its id.
+        """Child with column j in [lo_j, hi_j]; the caller sets its id.
 
         Its box copies the parent's, and its path gains a term when the split
-        fixes a binary column.
+        fixes a binary column. Its LP is the parent's when the box still
+        holds the parent's optimum, else warm-solved from the parent's
+        basis. A split narrows column j, so the box lies inside the parent's
+        and inherits the parent's open rows.
         """
         lo, hi = node.lo.copy(), node.hi.copy()
         lo[j], hi[j] = lo_j, hi_j
         path = node.path
         if lo_j == hi_j and j in self.binary_pos:
             path += (2 * self.binary_pos[j] + int(lo_j),)
-        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, lo=lo, hi=hi, path=path)
-        child.lp = self.solver.resolve(node.lp.basis, lo, hi)
+        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, lo=lo, hi=hi, path=path,
+                     open_rows=node.open_rows)
+        child.lp = self.solver.inherit(node.lp, lo, hi, j)
+        if child.lp is None:
+            child.lp = self.solver.resolve(node.lp.basis, lo, hi)
         return child
 
     def branch(self, node: Node):

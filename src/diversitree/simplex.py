@@ -31,6 +31,11 @@ reused, which would round differently. The memo is dropped whole past
 ``BasisSnapshot`` shares the final ``_Basis``'s index array. A nonbasic
 column always sits exactly at its lower bound, at its upper bound, or at 0
 when free, which is what lets "parked at upper" be read as ``x == hi``.
+
+A child box that changes one column and still holds the parent's warm
+optimum would have the warm solve re-derive that optimum with no pivot;
+``inherit`` returns that result without solving, sharing the parent's
+read-only ``x``.
 """
 
 import logging
@@ -124,6 +129,15 @@ class _Basis:
         self.solved = {}  # rhs bytes -> solve(B, rhs)
 
 
+def _wrong_sign(state: _Basis, at_upper, finite_lo):
+    """Nonbasic columns whose reduced cost says leaving their parked value
+    would pay: positive at upper, negative at a finite lower, nonzero
+    otherwise."""
+    # |red| > DUAL_FEAS_TOL is exactly red_pos | red_neg
+    return np.where(at_upper, state.red_pos,
+                    np.where(finite_lo, state.red_neg, state.red_pos | state.red_neg))
+
+
 class SimplexSolver:
     """Reusable solver for one instance's LP relaxation."""
 
@@ -188,6 +202,61 @@ class SimplexSolver:
             log.debug("warm start fell back to a cold solve")
             return self._cold(full_lo, full_hi)
 
+    def inherit(self, parent: LpResult, lo, hi, j: int):
+        """The result of ``resolve(parent.basis, lo, hi)`` when it is the
+        parent's own optimum, without solving; otherwise None.
+
+        ``lo`` and ``hi`` must be the parent's structural box with only
+        column ``j`` changed. The warm solve then ends in its first
+        iteration, re-deriving the parent's ``x``, when:
+
+        * a warm solve priced the parent: its snapshot shares the index
+          array of the memoized ``_Basis`` (a cold parent's ``x`` comes from
+          the matrix extended with artificials, so its bits may differ);
+        * a basic ``j`` stays within FEAS_TOL of its new bounds, the warm
+          scan's test;
+        * a nonbasic ``j`` is fixed at ``x_j`` and its reduced cost prices
+          the bound it was parked at, so its dual-objective term keeps its
+          value;
+        * the warm start's dual-feasibility test passes in the new box.
+
+        The result shares the parent's read-only ``x`` and index array; its
+        ``at_upper`` drops ``j`` when the new box fixes it.
+        """
+        snap = parent.basis
+        if snap is None:
+            return None
+        state = self._bases.get(snap.basis.tobytes())
+        if state is None or state.basis is not snap.basis:
+            return None
+        x_j, lo_j, hi_j = parent.x[j], lo[j], hi[j]
+        nonbasic = state.nonbasic[j]
+        if nonbasic:
+            if not lo_j == hi_j == x_j:
+                return None
+        elif lo_j - x_j > FEAS_TOL or x_j - hi_j > FEAS_TOL or lo_j > hi_j + FEAS_TOL:
+            return None  # the warm scan would pivot, or resolve finds the box empty
+        full_lo, full_hi = self._bounds(lo, hi)
+        wrong_sign = _wrong_sign(state, snap.at_upper, np.isfinite(full_lo))
+        if nonbasic and wrong_sign[j]:
+            return None
+        if (wrong_sign & state.nonbasic & (full_lo != full_hi)).any():
+            return None
+        at_upper = snap.at_upper
+        if at_upper[j]:  # fixed now, so parked at neither bound
+            at_upper = at_upper.copy()
+            at_upper[j] = False
+            _read_only(at_upper)
+        return LpResult(
+            status=LpStatus.OPTIMAL,
+            objective=parent.objective,
+            x=parent.x,
+            fractional=list(parent.fractional),
+            dual_objective=parent.dual_objective,
+            basis=BasisSnapshot(basis=snap.basis, at_upper=at_upper),
+            iterations=1,
+        )
+
     # -- shared pieces ------------------------------------------------------
 
     def _bounds(self, lo, hi):
@@ -201,7 +270,8 @@ class SimplexSolver:
 
     def _result(self, state: _Basis, x, lo, hi, iterations) -> LpResult:
         """Optimal result at the basis ``state``, with every column at ``x``."""
-        xs = x[: self.d]
+        xs = x[: self.d].copy()
+        _read_only(xs)  # a kept child shares it with its parent
         obj = float(self.c[: self.d] @ xs)
         nonbasic = state.nonbasic
         # each nonbasic column's reduced cost times the bound its sign prices,
@@ -224,7 +294,7 @@ class SimplexSolver:
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
-            x=xs.copy(),
+            x=xs,
             fractional=frac,
             dual_objective=dual_obj,
             basis=snapshot,
@@ -418,8 +488,8 @@ class SimplexSolver:
     def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
         basis = np.array(snapshot.basis, dtype=np.intp)  # a copy: pivoted in place
         at_upper = snapshot.at_upper
-        if (basis.shape != (self.m,) or len(set(basis.tolist())) != self.m
-                or np.shape(at_upper) != (self.n,)):
+        if (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
+                or len(set(basis.tolist())) != self.m or np.shape(at_upper) != (self.n,)):
             raise _Singular()
         finite_lo = np.isfinite(lo)
         movable = lo != hi
@@ -432,11 +502,7 @@ class SimplexSolver:
             raise _Singular()
 
         state = self._basis(basis)
-        # |red| > DUAL_FEAS_TOL is exactly red_pos | red_neg
-        wrong_sign = np.where(at_upper, state.red_pos,
-                              np.where(finite_lo, state.red_neg,
-                                       state.red_pos | state.red_neg))
-        if (wrong_sign & state.nonbasic & movable).any():
+        if (_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any():
             raise _Singular()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst

@@ -283,23 +283,27 @@ def oracle_materialize(root_lo, root_hi, overrides):
     return lo, hi
 
 
-def oracle_is_unrestricted(instance, lo, hi, tol):
-    """Every row holds at the worst point of the box [lo, hi], each row
-    tested in >= form: a <= row negated, an equality as both.
+def oracle_row_holds_over(con, lo, hi, tol):
+    """The row holds at the worst point of the box [lo, hi], tested in >=
+    form: a <= row negated, an equality as both.
 
     Terms run in ascending column order and each form is one numpy sum.
     """
-    for con in instance.constraints:
-        negated = ({j: -a for j, a in con.coeffs.items()}, -con.rhs)
-        forms = {GE: [(con.coeffs, con.rhs)], LE: [negated],
-                 EQ: [(con.coeffs, con.rhs), negated]}[con.sense]
-        for coeffs, rhs in forms:
-            idx = np.asarray(sorted(coeffs), dtype=int)
-            coef = np.asarray([coeffs[j] for j in idx], dtype=float)
-            worst = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
-            if not worst >= rhs - tol:  # NaN-safe: an unbounded box fails
-                return False
+    negated = ({j: -a for j, a in con.coeffs.items()}, -con.rhs)
+    forms = {GE: [(con.coeffs, con.rhs)], LE: [negated],
+             EQ: [(con.coeffs, con.rhs), negated]}[con.sense]
+    for coeffs, rhs in forms:
+        idx = np.asarray(sorted(coeffs), dtype=int)
+        coef = np.asarray([coeffs[j] for j in idx], dtype=float)
+        worst = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
+        if not worst >= rhs - tol:  # NaN-safe: an unbounded box fails
+            return False
     return True
+
+
+def oracle_is_unrestricted(instance, lo, hi, tol):
+    """Every row holds at the worst point of the box [lo, hi]."""
+    return all(oracle_row_holds_over(con, lo, hi, tol) for con in instance.constraints)
 
 
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------

@@ -10,16 +10,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_golden as golden
 from conftest import (
     enum_mixed_projections,
     enum_pure_integer,
     oracle_is_unrestricted,
     oracle_materialize,
+    oracle_row_holds_over,
 )
 from diversitree import (
     EQ,
     GE,
+    INF,
     LE,
     BranchAndCount,
     EngineError,
@@ -30,12 +35,14 @@ from diversitree import (
     VariableDef,
     add_objective_cutoff,
     most_fractional,
+    run_phase_one,
 )
 from diversitree.generators import (
     general_integer_instance,
     knapsack_instance,
     mixed_small_instance,
     random_binary_instance,
+    two_cluster_instance,
 )
 from diversitree import engine
 from diversitree.engine import Node, OpenNodeQueue, SolutionPool
@@ -65,6 +72,50 @@ def root_node(bc):
 
 def pool_tuples(result):
     return {tuple(int(v) for v in row) for row in result.pool.projection_matrix()}
+
+
+@st.composite
+def small_mips(draw):
+    """A feasible MIP on two to five integer columns: pure binary, general
+    integer, or mixed with one more, continuous column whose box may be
+    unbounded (it then costs nothing, so every LP stays bounded). Rows of
+    every sense hold at an integer reference point."""
+    kind = draw(st.sampled_from(["binary", "general", "mixed"]))
+    n = draw(st.integers(2, 5))
+    variables, ref = [], []
+    for j in range(n):
+        lo = 0 if kind == "binary" else draw(st.integers(-2, 0))
+        hi = lo + (1 if kind == "binary" else draw(st.integers(1, 3)))
+        variables.append(VariableDef(j, float(lo), float(hi), True, f"x{j}"))
+        ref.append(draw(st.integers(lo, hi)))
+    costs = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    costs[0] = costs[0] or 1  # a cutoff needs an objective
+    objective = {j: float(c) for j, c in enumerate(costs) if c}
+    if kind == "mixed":
+        lo, hi = draw(st.sampled_from([(-2.0, 3.0), (0.0, INF), (-INF, INF)]))
+        variables.append(VariableDef(n, lo, hi, False, "y"))
+        ref.append(0)
+        if math.isfinite(hi):
+            objective[n] = float(draw(st.sampled_from([-2, 1, 3])))
+        n += 1
+    rows = []
+    for k in range(draw(st.integers(1, 3))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coeffs = {j: float(draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))) for j in cols}
+        act = sum(a * ref[j] for j, a in coeffs.items())
+        sense = draw(st.sampled_from([GE, LE, EQ]))
+        margin = 0 if sense == EQ else draw(st.integers(0, 2))
+        rows.append(LinearConstraint(coeffs, sense, act - margin if sense == GE else act + margin,
+                                     f"r{k}"))
+    return MipInstance(name=f"hyp-{kind}", variables=variables, constraints=rows,
+                       objective=objective)
+
+
+def cut_at_optimum(instance, q):
+    """``instance`` with its objective cutoff at fraction ``q`` of the optimum."""
+    opt = BranchAndCount(instance).optimize()
+    assert opt.status == "optimal"
+    return add_objective_cutoff(instance, opt.objective, q)
 
 
 def run_cut(instance, q, oracle_z, **kw):
@@ -1029,3 +1080,201 @@ class TestOpenNodeQueue:
             for box in (c.parent.lo, c.parent.hi) + root_box:
                 assert not np.shares_memory(c.lo, box) and not np.shares_memory(c.hi, box)
             assert not np.shares_memory(c.lo, c.hi)
+
+
+class TestInheritedOpenRows:
+    """A node tests only the rows its parent left open, from the parent's
+    failing row; the rows it drops hold over every box below it."""
+
+    @staticmethod
+    def check_runs(monkeypatch):
+        """Record every classification; ``check()`` holds each dequeued node
+        to the box oracle and returns how many nodes tested fewer rows than
+        all."""
+        seen = []
+        classify = BranchAndCount.classify
+
+        def recorded(self, node):
+            inherited = node.open_rows
+            cls = classify(self, node)
+            seen.append((self, node, cls, inherited))
+            return cls
+
+        monkeypatch.setattr(BranchAndCount, "classify", recorded)
+
+        def check():
+            by_id = {node.id: node for _, node, _, _ in seen}
+            skipped = 0
+            for bc, node, cls, inherited in seen:
+                parent = by_id.get(node.parent_id)
+                assert inherited is (None if parent is None else parent.open_rows)
+                if cls == engine.INFEASIBLE:
+                    continue
+                rows = bc.instance.constraints
+                skipped += inherited is not None and len(inherited) < len(rows)
+                holds = [oracle_row_holds_over(con, node.lo, node.hi, FEAS_TOL) for con in rows]
+                unrestricted = oracle_is_unrestricted(bc.instance, node.lo, node.hi, FEAS_TOL)
+                assert (cls == engine.UNRESTRICTED) == unrestricted == (not node.open_rows)
+                if node.open_rows:
+                    assert not holds[node.open_rows[0]]  # starts at a failing row
+                # every row this node or an ancestor dropped holds over this box
+                while node is not None:
+                    assert all(holds[i] for i in set(range(len(rows))) - set(node.open_rows))
+                    node = by_id.get(node.parent_id)
+            seen.clear()
+            return skipped
+
+        return check
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_whole_runs_on_small_mips(self, inst, q):
+        with pytest.MonkeyPatch.context() as mp:
+            check = self.check_runs(mp)
+            res = BranchAndCount(cut_at_optimum(inst, q)).run()
+            assert res.exhausted
+            check()
+
+    @pytest.mark.parametrize("make", [general_integer_instance, mixed_small_instance,
+                                      lambda: two_cluster_instance(8, 1),
+                                      lambda: random_binary_instance(1, 30, 12)])
+    def test_whole_runs_skip_rows_the_parent_proved(self, make, monkeypatch):
+        check = self.check_runs(monkeypatch)
+        BranchAndCount(cut_at_optimum(make(), 0.3)).run(p1=200)
+        assert check() > 0
+
+
+class TestKeptLp:
+    """A child whose box still holds its parent's warm optimum keeps the
+    parent's LP (``SimplexSolver.inherit``), which must be the result
+    ``resolve`` returns from the parent's basis, field for field."""
+
+    @staticmethod
+    def lp_fields(res):
+        return golden.lp_fingerprint(res), None if res.x is None else res.x.tobytes()
+
+    def check_children(self, monkeypatch):
+        """Hold every partition child's LP, and every result ``inherit``
+        returns, to ``resolve`` by a second solver of the same instance.
+        Returns the running counts of partition splits and kept LPs."""
+        counts = {"splits": 0, "kept": 0}
+        refs = {}
+        inherit, partition = SimplexSolver.inherit, BranchAndCount.partition_branch
+
+        def resolved(solver, snapshot, lo, hi):
+            if solver not in refs:
+                refs[solver] = SimplexSolver(solver.instance)
+            return self.lp_fields(refs[solver].resolve(snapshot, lo, hi))
+
+        def checked_inherit(solver, parent, lo, hi, j):
+            got = inherit(solver, parent, lo, hi, j)
+            if got is not None:
+                counts["kept"] += 1
+                assert self.lp_fields(got) == resolved(solver, parent.basis, lo, hi)
+            return got
+
+        def checked_partition(bc, node, j):
+            kept = counts["kept"]
+            children = partition(bc, node, j)
+            counts["splits"] += 1
+            assert counts["kept"] - kept <= 1  # only one side holds round(x_j)
+            for c in children:
+                assert self.lp_fields(c.lp) == resolved(bc.solver, node.lp.basis, c.lo, c.hi)
+            return children
+
+        monkeypatch.setattr(SimplexSolver, "inherit", checked_inherit)
+        monkeypatch.setattr(BranchAndCount, "partition_branch", checked_partition)
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(golden.count_cases()))
+    def test_every_partition_child_of_the_golden_cases(self, name, monkeypatch):
+        counts = self.check_children(monkeypatch)
+        factory, spec = golden.count_cases()[name]
+        run_phase_one(factory(), spec)
+        assert counts["splits"] > 0
+        assert counts["kept"] > 0  # the shortcut fired
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_small_mips(self, inst, q):
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_children(mp)
+            BranchAndCount(cut_at_optimum(inst, q)).run(p1=60)
+
+    @staticmethod
+    def fix_nonbasic(solver, lp, lo, hi):
+        """``lp``'s box with its first unfixed nonbasic column fixed at its
+        LP value, and that column."""
+        basic = set(lp.basis.basis.tolist())
+        j = next(j for j in range(solver.d) if lo[j] < hi[j] and j not in basic)
+        lo, hi = lo.copy(), hi.copy()
+        lo[j] = hi[j] = lp.x[j]
+        return lo, hi, j
+
+    def warm_family(self):
+        """A solver, its cold root, a warm child of the root with the child's
+        box, and a box inside that one which holds the child's optimum."""
+        solver = SimplexSolver(random_binary_instance(1, 30, 12))
+        lo, hi = (np.asarray(b, dtype=float) for b in solver.instance.bounds())
+        root = solver.solve(lo, hi)
+        plo, phi, _ = self.fix_nonbasic(solver, root, lo, hi)
+        parent = solver.resolve(root.basis, plo, phi)
+        return solver, root, parent, (plo, phi), self.fix_nonbasic(solver, parent, plo, phi)
+
+    def test_only_a_warm_parent_is_kept(self):
+        solver, root, parent, _, (clo, chi, j) = self.warm_family()
+        kept = solver.inherit(parent, clo, chi, j)
+        assert self.lp_fields(kept) == self.lp_fields(solver.resolve(parent.basis, clo, chi))
+        assert kept.x is parent.x and kept.iterations == 1
+        # the root's basis, priced by a warm solve of the root's own box,
+        # is in the memo; the cold root still is not kept
+        lo, hi = (np.asarray(b, dtype=float) for b in solver.instance.bounds())
+        solver.resolve(root.basis, lo, hi)
+        assert root.basis.basis.tobytes() in solver._bases
+        rlo, rhi, k = self.fix_nonbasic(solver, root, lo, hi)
+        assert solver.inherit(root, rlo, rhi, k) is None
+        solver._bases.clear()  # the priced basis is gone
+        assert solver.inherit(parent, clo, chi, j) is None
+
+    @pytest.mark.parametrize("column", ["branched", "other"])
+    def test_a_reduced_cost_against_its_parked_bound_is_not_kept(self, column):
+        """A warm solve can end with a reduced cost that prices against the
+        bound its column is parked at: a ratio-test tie within PIVOT_TOL
+        moves it by up to PIVOT_TOL * |alpha|. Marked so in the memo, the
+        branched column would change its dual-objective term, and any other
+        movable one fails the warm start's test, so neither child is kept."""
+        solver, _, parent, (plo, phi), (clo, chi, j) = self.warm_family()
+        state = solver._bases[parent.basis.basis.tobytes()]
+        at_upper = parent.basis.at_upper
+        if column == "branched":
+            k = j
+        else:
+            k = next(k for k in range(solver.n) if k != j and state.nonbasic[k]
+                     and solver._bounds(clo, chi)[0][k] != solver._bounds(clo, chi)[1][k])
+        name = "red_pos" if at_upper[k] else "red_neg"
+        wrong = getattr(state, name).copy()
+        wrong[k] = True
+        setattr(state, name, wrong)
+        assert solver.inherit(parent, clo, chi, j) is None
+
+class TestLpValuesAreReadOnly:
+    @pytest.mark.parametrize("make", [knapsack_instance, general_integer_instance,
+                                      mixed_small_instance,
+                                      lambda: random_binary_instance(1, 30, 12)])
+    def test_count_and_optimize_never_write_lp_x(self, make, monkeypatch):
+        made = []
+        for name in ("solve", "resolve", "inherit"):
+            real = getattr(SimplexSolver, name)
+
+            def recorded(self, *args, real=real):
+                res = real(self, *args)
+                if res is not None and res.x is not None:
+                    made.append((res.x, res.x.tobytes()))
+                return res
+
+            monkeypatch.setattr(SimplexSolver, name, recorded)
+        BranchAndCount(cut_at_optimum(make(), 0.3)).run(p1=60)
+        assert len(made) > 5
+        for x, before in made:
+            assert not x.flags.writeable
+            assert x.tobytes() == before

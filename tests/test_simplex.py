@@ -302,7 +302,8 @@ class TestBasisMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    @pytest.mark.parametrize("case", ["singular", "dual_infeasible", "mask_shape"])
+    @pytest.mark.parametrize("case", ["singular", "dual_infeasible", "mask_shape",
+                                      "column_past_n", "negative_column"])
     def test_bad_snapshot_falls_back_to_cold(self, case):
         if case == "singular":
             # columns 0 and 1 are proportional, so the basis (0, 1) is singular
@@ -316,11 +317,17 @@ class TestBasisMemo:
             d, m = inst.num_vars, len(inst.constraints)
             snapshot = BasisSnapshot(basis=np.arange(d, d + m),
                                      at_upper=np.zeros(d + m, dtype=bool))
-        else:
+        elif case == "mask_shape":
             # the root's own basis, with a mask one column short
             inst = knapsack_instance()
             root = SimplexSolver(inst).solve().basis
             snapshot = BasisSnapshot(basis=root.basis, at_upper=root.at_upper[:-1])
+        else:
+            # a basis naming a column outside [0, n): 7 is past the 4 columns,
+            # and -1 would wrap around to the slack
+            inst = knapsack_instance()
+            column = 7 if case == "column_past_n" else -1
+            snapshot = BasisSnapshot(basis=np.full(1, column), at_upper=np.zeros(4, dtype=bool))
         solver = SimplexSolver(inst)
         lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
         cold = golden.lp_fingerprint(SimplexSolver(inst).solve(lo, hi))
