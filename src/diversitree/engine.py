@@ -10,9 +10,11 @@ classifies each dequeued node:
 
 * infeasible nodes are discarded,
 * *unrestricted* nodes, where every constraint holds for every assignment
-  inside the local box, have their whole subtree enumerated wholesale; a
-  row that holds over a box holds over every box inside it, so a child
-  inherits its parent's open rows and tests only those,
+  inside the local box, have their whole subtree enumerated wholesale; the
+  box test is ``LinearConstraint.holds_over``, whose verdict covers every
+  point of the box, so the walk checks no row. A row that holds over a box
+  holds over every box inside it, so a child inherits its parent's open
+  rows and tests only those,
 * nodes with an integral LP and every integer variable fixed contribute a
   single completed solution,
 * anything else is split in two, on the most-fractional variable when one
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diversity import project_binary
-from .model import FEAS_TOL, GE, INT_TOL, LE, MipInstance, _dot
+from .model import INT_TOL, MipInstance, _dot
 from .selectors import Selector, SelectorConfig
 from .simplex import LpResult, LpStatus, SimplexSolver
 
@@ -413,18 +415,7 @@ class BranchAndCount:
                 )
             self.root_lo[j] = math.ceil(self.root_lo[j] - INT_TOL)
             self.root_hi[j] = math.floor(self.root_hi[j] + INT_TOL)
-        # every constraint as (terms, sense, rhs) for point checks, terms in
-        # the order of its coefficient dict, the order LinearConstraint adds
-        self.row_table = [(list(con.coeffs.items()), con.sense, con.rhs)
-                          for con in instance.constraints]
-        # the same rows for the box test, as (columns, coefficients, sense,
-        # rhs) with the terms in ascending column order
-        self.box_rows = []
-        for terms, sense, rhs in self.row_table:
-            terms = sorted(terms)
-            self.box_rows.append((np.asarray([j for j, _ in terms], dtype=int),
-                                  np.asarray([a for _, a in terms], dtype=float), sense, rhs))
-        self.all_rows = range(len(self.box_rows))
+        self.all_rows = range(len(instance.constraints))
         self.objective_terms = list(instance.objective.items())
         # pool position of each binary column, for the term indices of Node.path
         self.binary_pos = {j: k for k, j in enumerate(instance.binary_index)}
@@ -447,28 +438,17 @@ class BranchAndCount:
 
     def open_rows(self, lo, hi, rows: range = None) -> range:
         """The rows of ``rows`` (None: every row) from the first one that
-        does not hold at its worst point of the box [lo, hi]; empty when all
-        hold. The worst point is the least activity over the box for a
-        ``>=`` row, the greatest for a ``<=`` row, and both for an equality;
-        the comparisons are written so that a NaN activity (an unbounded
-        box) fails them.
-
-        A row that holds over a box holds over every box inside it: each
-        product with a fixed coefficient and each sum in a fixed order is
-        monotone in IEEE arithmetic, and a NaN never holds. So a child may
-        pass its parent's open rows and test only those.
+        does not hold over the box [lo, hi] (``LinearConstraint.holds_over``);
+        empty when all hold. A row that holds over a box holds over every
+        box inside it, so a child may pass its parent's open rows and test
+        only those.
         """
         rows = self.all_rows if rows is None else rows
+        lo, hi = lo.tolist(), hi.tolist()  # Python floats: cheaper per term than numpy scalars
+        constraints = self.instance.constraints
         for k, i in enumerate(rows):
-            idx, coef, sense, rhs = self.box_rows[i]
-            if sense != LE:
-                least = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
-                if not least >= rhs - FEAS_TOL:
-                    return rows[k:]
-            if sense != GE:
-                most = np.where(coef > 0, coef * hi[idx], coef * lo[idx]).sum()
-                if not most <= rhs + FEAS_TOL:
-                    return rows[k:]
+            if not constraints[i].holds_over(lo, hi):
+                return rows[k:]
         return range(0)
 
     def _estimate(self, lp: LpResult) -> float:
@@ -529,61 +509,46 @@ class BranchAndCount:
 
     # -- solution extraction ---------------------------------------------------
 
-    def _rows_hold(self, x) -> bool:
-        """Every constraint holds at x, tested as ``LinearConstraint.satisfied`` does."""
-        for terms, sense, rhs in self.row_table:
-            act = _dot(terms, x)
-            if sense == GE:
-                ok = act >= rhs - FEAS_TOL
-            elif sense == LE:
-                ok = act <= rhs + FEAS_TOL
-            else:
-                ok = abs(act - rhs) <= FEAS_TOL
-            if not ok:
-                return False
-        return True
-
     def _objective(self, x) -> float:
         """``MipInstance.objective_value``, bit for bit."""
         return _dot(self.objective_terms, x)
 
-    def _complete(self, x, lo, hi):
-        """Validate a candidate (a list of floats); re-solve the continuous
-        completion if a row fails. Returns a list of floats, or None."""
-        if self._rows_hold(x):
+    def _complete(self, node: Node):
+        """The solution at an integer-feasible leaf, whose box fixes every
+        integer column: the LP point clipped into the box, or, when a row
+        fails there, the box's cold LP solve, clipped. Returns a list of
+        floats, or None when that solve is not optimal."""
+        lo, hi = node.lo, node.hi
+        x = np.clip(node.lp.x, lo, hi).tolist()
+        if all(con.satisfied(x) for con in self.instance.constraints):
             return x
-        lo2, hi2 = lo.copy(), hi.copy()
-        for j in self.integer_index:
-            lo2[j] = hi2[j] = x[j]
-        res = self.solver.solve(lo2, hi2)
+        res = self.solver.solve(lo, hi)
         if res.is_optimal:
-            return res.x.tolist()
+            return np.clip(res.x, lo, hi).tolist()
         return None
 
     def enumerate_unrestricted(self, node: Node, pool: SolutionPool, deadline: float = None):
-        """Add every integer assignment of the node's box to the pool.
+        """Add every integer assignment of an unrestricted node's box to the
+        pool, with its objective.
 
         Assignments run in lexicographic order (ascending column, values
-        ascending). Continuous columns keep the node LP values, which the
-        unrestricted test guarantees feasible. Completed points go to the
-        pool in batches of at most ``WALK_CHUNK``, and never more than the
-        pool has room for, so the pool cannot fill inside a batch; a batch
-        is handed over when it is full, when the clock (``deadline``, a
+        ascending). The other columns take the node LP values clipped into
+        the box, which puts a fixed integer column at its value. Every point
+        lies in the box, where the box test proved every row, so no point is
+        checked. Points go to the pool in batches
+        of at most ``WALK_CHUNK``, and never more than the pool has room
+        for, so the pool cannot fill inside a batch; a batch is handed over
+        when it is full, when the clock (``deadline``, a
         ``time.perf_counter`` value, checked before every point) runs out,
-        and at the end. Returns (added, infeasible, completed) where
-        completed is False when capacity or the clock cut the walk short.
+        and at the end. Returns (added, completed) where completed is False
+        when capacity or the clock cut the walk short.
         """
         lo, hi = node.lo, node.hi
         free = [j for j in self.integer_index if hi[j] - lo[j] > 0.5]
-        base = node.lp.x.copy()
-        for j in self.integer_index:
-            if j not in free:
-                base[j] = round(lo[j])
-        base = base.tolist()  # Python floats: cheaper per point than numpy scalars
+        base = np.clip(node.lp.x, lo, hi).tolist()  # Python floats: cheaper per point
         first = [int(lo[j]) for j in free]
         last = [int(hi[j]) for j in free]
         added = 0
-        infeasible = 0
         xs, objectives = [], []
         batch = 0
         for x in _box_points(base, free, first, last):
@@ -592,14 +557,10 @@ class BranchAndCount:
                 xs, objectives = [], []
                 batch = min(WALK_CHUNK, pool.room)
             if pool.is_full or _limit_reached(deadline):
-                return added + pool.add_rows(xs, objectives), infeasible, False
-            x = self._complete(x, lo, hi)
-            if x is None:
-                infeasible += 1
-                continue
+                return added + pool.add_rows(xs, objectives), False
             xs.append(x)
             objectives.append(self._objective(x))
-        return added + pool.add_rows(xs, objectives), infeasible, True
+        return added + pool.add_rows(xs, objectives), True
 
     # -- count mode --------------------------------------------------------------
 
@@ -651,7 +612,7 @@ class BranchAndCount:
                     continue
                 if cls == UNRESTRICTED:
                     result.unrestricted_subtrees += 1
-                    _, _, completed = self.enumerate_unrestricted(node, pool, deadline)
+                    _, completed = self.enumerate_unrestricted(node, pool, deadline)
                     if not completed:
                         if not pool.is_full:  # the clock ran out mid-walk
                             result.truncated = True
@@ -662,7 +623,7 @@ class BranchAndCount:
                     ints = self._ints
                     free = np.flatnonzero(node.hi[ints] - node.lo[ints] > 0.5)
                     if not len(free):
-                        x = self._complete(node.lp.x.tolist(), node.lo, node.hi)
+                        x = self._complete(node)
                         if x is not None:
                             pool.add(x, self._objective(x))
                         continue

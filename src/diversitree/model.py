@@ -3,6 +3,8 @@
 The core container is :class:`MipInstance`: minimize ``c @ x`` subject to
 linear constraints and variable bounds, with designated integer variables.
 Instances are treated as immutable; every transform returns a new instance.
+:meth:`LinearConstraint.holds_over` is the one row test: over a box for the
+engine's classification, and over a point (``satisfied``) everywhere else.
 
 Transforms provided here:
 
@@ -100,14 +102,33 @@ class LinearConstraint:
     def activity(self, x) -> float:
         return _dot(self.coeffs.items(), x)
 
+    def _least(self, lo, hi) -> float:
+        """Least activity over the box [lo, hi], added left to right over
+        ``coeffs``; ``_least(hi, lo)`` is the greatest."""
+        total = 0.0
+        for j, a in self.coeffs.items():
+            total += a * (lo[j] if a > 0 else hi[j])
+        return total
+
+    def holds_over(self, lo, hi) -> bool:
+        """The row holds at every point of the box [lo, hi] within FEAS_TOL:
+        the least activity of a ``>=`` row, the greatest of a ``<=`` row, and
+        both of an equality are tested. The one row test of the package.
+
+        Each product has a fixed factor and the sum a fixed order, both
+        monotone in IEEE arithmetic, so a row that holds over a box holds at
+        every point of it as ``satisfied`` computes, and over every box
+        inside it. The comparisons fail a NaN activity (an unbounded box).
+        """
+        if self.sense != LE and not self._least(lo, hi) >= self.rhs - FEAS_TOL:
+            return False
+        return self.sense == GE or self._least(hi, lo) <= self.rhs + FEAS_TOL
+
     def satisfied(self, x) -> bool:
-        """The row holds at x within FEAS_TOL."""
-        act = self.activity(x)
-        if self.sense == GE:
-            return act >= self.rhs - FEAS_TOL
-        if self.sense == LE:
-            return act <= self.rhs + FEAS_TOL
-        return abs(act - self.rhs) <= FEAS_TOL
+        """The row holds at x within FEAS_TOL: ``holds_over(x, x)``, whose
+        sums are ``activity(x)`` bit for bit; an equality is tested on both
+        sides."""
+        return self.holds_over(x, x)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import linprog
 
 from diversitree import (
@@ -21,6 +22,10 @@ from diversitree import (
     VariableDef,
     random_binary_instance,
 )
+
+# the same examples on every run, and no example database in the checkout
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 # -- diversity oracles (plain double loops) -----------------------------------
@@ -283,20 +288,23 @@ def oracle_materialize(root_lo, root_hi, overrides):
     return lo, hi
 
 
+def oracle_least(coeffs, lo, hi):
+    """Least of sum(a * x[j]) over the box [lo, hi], added left to right in
+    the order of the ``coeffs`` dict."""
+    total = 0.0
+    for j, a in coeffs.items():
+        total += a * (lo[j] if a > 0 else hi[j])
+    return total
+
+
 def oracle_row_holds_over(con, lo, hi, tol):
     """The row holds at the worst point of the box [lo, hi], tested in >=
-    form: a <= row negated, an equality as both.
-
-    Terms run in ascending column order and each form is one numpy sum.
-    """
+    form: a <= row negated, an equality as both."""
     negated = ({j: -a for j, a in con.coeffs.items()}, -con.rhs)
     forms = {GE: [(con.coeffs, con.rhs)], LE: [negated],
              EQ: [(con.coeffs, con.rhs), negated]}[con.sense]
     for coeffs, rhs in forms:
-        idx = np.asarray(sorted(coeffs), dtype=int)
-        coef = np.asarray([coeffs[j] for j in idx], dtype=float)
-        worst = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
-        if not worst >= rhs - tol:  # NaN-safe: an unbounded box fails
+        if not oracle_least(coeffs, lo, hi) >= rhs - tol:  # NaN-safe: an unbounded box fails
             return False
     return True
 

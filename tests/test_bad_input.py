@@ -115,8 +115,7 @@ def mutated_instances(draw):
     return mutate(name, {spot: draw(VALUES) for spot in spots})
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(text=mutated_instances())
 def test_mutated_numbers_parse_or_fail_cleanly_and_run_or_fail_by_stage(text):
     try:

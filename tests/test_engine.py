@@ -6,11 +6,12 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_golden as golden
@@ -18,6 +19,7 @@ from conftest import (
     enum_mixed_projections,
     enum_pure_integer,
     oracle_is_unrestricted,
+    oracle_least,
     oracle_materialize,
     oracle_row_holds_over,
 )
@@ -34,6 +36,7 @@ from diversitree import (
     SelectorConfig,
     VariableDef,
     add_objective_cutoff,
+    brute_force_near_optimal,
     most_fractional,
     run_phase_one,
 )
@@ -75,12 +78,12 @@ def pool_tuples(result):
 
 
 @st.composite
-def small_mips(draw):
-    """A feasible MIP on two to five integer columns: pure binary, general
-    integer, or mixed with one more, continuous column whose box may be
-    unbounded (it then costs nothing, so every LP stays bounded). Rows of
-    every sense hold at an integer reference point."""
-    kind = draw(st.sampled_from(["binary", "general", "mixed"]))
+def small_mips(draw, kinds=("binary", "general", "mixed")):
+    """A feasible MIP on two to five integer columns, of one of ``kinds``:
+    pure binary, general integer, or mixed with one more, continuous column
+    whose box may be unbounded (it then costs nothing, so every LP stays
+    bounded). Rows of every sense hold at an integer reference point."""
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 5))
     variables, ref = [], []
     for j in range(n):
@@ -167,6 +170,40 @@ class TestCompleteness:
         assert res.exhausted
         assert got == admitted
 
+    @pytest.mark.parametrize("rule", list(Rule))
+    @settings(max_examples=40)
+    @given(inst=small_mips(kinds=("binary", "general")), q=st.sampled_from([0.0, 0.5, 2.0]))
+    def test_every_rule_pools_the_brute_force_set(self, rule, inst, q):
+        # without dedup a general integer solution is not collapsed onto its
+        # binary columns, so each solution must be pooled exactly once
+        z, members = brute_force_near_optimal(inst, q)
+        cfg = SelectorConfig(rule=rule, alpha=0.5, beta=0.3, sol_cutoff=0.5, depth_cutoff=3)
+        res = BranchAndCount(add_objective_cutoff(inst, z, q), selector=cfg, dedup=False).run()
+        assert res.exhausted
+        assert sorted(tuple(int(v) for v in x) for x in res.pool.solutions) == members
+
+    @settings(max_examples=100)
+    @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
+    # a leaf whose LP point has x0 = 4.4e-16 over its bound 0 and x2 one ulp
+    # below -1: the leaf's point is clipped into its box
+    @example(MipInstance(
+        name="leaf", variables=[VariableDef(0, -1.0, 0.0, True, "x0"),
+                                VariableDef(1, 0.0, 1.0, True, "x1"),
+                                VariableDef(2, -1.0, 0.0, True, "x2"),
+                                VariableDef(3, 0.0, INF, False, "y")],
+        constraints=[LinearConstraint({1: -4.0, 2: -2.0}, GE, 2.0, "r0"),
+                     LinearConstraint({3: -4.0}, GE, 0.0, "r1"),
+                     LinearConstraint({0: -2.0, 1: -4.0, 2: -4.0}, LE, 4.0, "r2")],
+        objective={0: 2.0, 2: 1.0}), 2.0)
+    def test_every_pooled_point_lies_in_the_box_and_holds_every_row(self, inst, q):
+        cut = cut_at_optimum(inst, q)
+        bc = BranchAndCount(cut)
+        res = bc.run()
+        assert res.exhausted and len(res.pool)
+        for x in res.pool.solutions:
+            assert np.all(bc.root_lo <= x) and np.all(x <= bc.root_hi)
+            assert all(con.satisfied(x) for con in cut.constraints)
+
 
 class TestClassification:
     def cut_free_box(self):
@@ -233,10 +270,8 @@ class TestClassification:
                 cols = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()
                 coeffs = {j: float(rng.choice([-1, 1]) * rng.uniform(0.1, 5)) for j in cols}
                 sense = [GE, LE, EQ][int(rng.integers(0, 3))]
-                idx = sorted(coeffs)
-                coef = np.array([coeffs[j] for j in idx])
-                least = np.where(coef > 0, coef * lo[idx], coef * hi[idx]).sum()
-                most = np.where(coef > 0, coef * hi[idx], coef * lo[idx]).sum()
+                least = oracle_least(coeffs, lo, hi)
+                most = -oracle_least({j: -a for j, a in coeffs.items()}, lo, hi)
                 edge = {GE: least + FEAS_TOL, LE: most - FEAS_TOL,
                         EQ: [least + FEAS_TOL, most - FEAS_TOL][int(rng.integers(0, 2))]}[sense]
                 rhs = [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
@@ -258,7 +293,8 @@ class TestClassification:
     @pytest.mark.parametrize("sense", [GE, LE, EQ])
     def test_point_checks_agree_at_the_tolerance_edge(self, sense):
         """A row holds at exactly FEAS_TOL past its rhs and fails one ulp beyond,
-        in ``LinearConstraint.satisfied`` and the engine's ``_rows_hold`` alike."""
+        in ``LinearConstraint.satisfied``, its box test over the point and the
+        engine's open rows alike."""
         con = LinearConstraint({0: 1.0, 1: 2.0}, sense, 0.0, "r")
         inst = MipInstance(name="edge", variables=[VariableDef(0, -1.0, 1.0),
                                                    VariableDef(1, -1.0, 1.0)],
@@ -271,7 +307,19 @@ class TestClassification:
                 x = [x0, 0.0]
                 assert con.satisfied(x) == holds
                 assert con.satisfied(np.array(x)) == holds
-                assert bc._rows_hold(x) == holds
+                assert con.holds_over(x, x) == holds
+                assert (not bc.open_rows(np.array(x), np.array(x))) == holds
+
+    def test_an_equality_on_the_tolerance_edge_is_one_verdict(self):
+        # |x0 - rhs| rounds to just above FEAS_TOL, while x0 >= rhs - FEAS_TOL
+        # holds: the box test and the point test must give the same answer
+        x0, rhs = 4.061416436699955, 4.061417436699955
+        con = LinearConstraint({0: 1.0}, EQ, rhs, "r")
+        inst = MipInstance(name="edge", variables=[VariableDef(0, 0.0, 5.0)],
+                           constraints=[con], objective={0: 1.0})
+        x = np.array([x0])
+        assert BranchAndCount(inst).is_unrestricted(x, x) == con.satisfied(x)
+        assert con.satisfied(x)
 
     def test_partition_branch_splits_integral_lp(self):
         # LP parks u at an integral value while its box still has slack
@@ -305,14 +353,12 @@ class TestEnumerateUnrestricted:
             {0: 1.0, 1: 1.0, 2: 1.0},
         )
         pool = SolutionPool(bc.instance)
-        added, bad, done = bc.enumerate_unrestricted(root, pool)
-        assert (added, bad, done) == (8, 0, True)
+        assert bc.enumerate_unrestricted(root, pool) == (8, True)
         got = [tuple(int(v) for v in row) for row in pool.projection_matrix()]
         assert got == sorted(itertools.product((0, 1), repeat=3))
 
         capped = SolutionPool(bc.instance, capacity=3)
-        added, _, done = bc.enumerate_unrestricted(root, capped)
-        assert (added, done) == (3, False)
+        assert bc.enumerate_unrestricted(root, capped) == (3, False)
         got = [tuple(int(v) for v in row) for row in capped.projection_matrix()]
         assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
 
@@ -323,43 +369,31 @@ class TestEnumerateUnrestricted:
             {0: 1.0},
         )
         pool = SolutionPool(bc.instance)
-        added, _, done = bc.enumerate_unrestricted(root, pool)
-        assert (added, done) == (3, True)
+        assert bc.enumerate_unrestricted(root, pool) == (3, True)
         assert sorted(int(round(x[0])) for x in pool.solutions) == [2, 3, 4]
-
 
     @staticmethod
     def reference_walk(bc, node, capacity=None):
-        """Per-point walk over numpy points with ``con.satisfied`` and
-        ``objective_value``, stopping before a point once ``capacity`` points
-        are pooled: (pool as (x, objective) pairs, infeasible count, LP
-        completions, completed)."""
+        """Per-point walk over numpy points with ``objective_value``, stopping
+        before a point once ``capacity`` points are pooled: (pool as (x,
+        objective) pairs, completed). Every point must satisfy every row."""
         inst = bc.instance
         lo, hi = node.lo, node.hi
         free = [j for j in bc.integer_index if hi[j] - lo[j] > 0.5]
-        base = node.lp.x.copy()
+        base = np.clip(node.lp.x, lo, hi)
         for j in bc.integer_index:
             if j not in free:
                 base[j] = round(lo[j])
-        pool, infeasible, completions = [], 0, 0
+        pool = []
         for combo in itertools.product(*(range(int(lo[j]), int(hi[j]) + 1) for j in free)):
             if capacity is not None and len(pool) >= capacity:
-                return pool, infeasible, completions, False
+                return pool, False
             x = base.copy()
             for j, v in zip(free, combo):
                 x[j] = float(v)
-            if not all(con.satisfied(x) for con in inst.constraints):
-                lo2, hi2 = lo.copy(), hi.copy()
-                for j in bc.integer_index:
-                    lo2[j] = hi2[j] = x[j]
-                res = bc.solver.solve(lo2, hi2)
-                if not res.is_optimal:
-                    infeasible += 1
-                    continue
-                x = res.x
-                completions += 1
+            assert all(con.satisfied(x) for con in inst.constraints)
             pool.append((x, inst.objective_value(x)))
-        return pool, infeasible, completions, True
+        return pool, True
 
     def random_box(self, rng):
         """Binaries, a general integer and a continuous column under random
@@ -379,26 +413,39 @@ class TestEnumerateUnrestricted:
             rows.append(LinearConstraint(coeffs, sense, float(rng.uniform(-0.5, 2.5)), f"r{k}"))
         objective = {int(j): float(rng.normal()) for j in rng.permutation(d)}
         inst = MipInstance(name="box", variables=variables, constraints=rows, objective=objective)
-        bc = BranchAndCount(inst)
-        return bc, root_node(bc)
+        return BranchAndCount(inst)
+
+    @staticmethod
+    def walked_nodes(bc):
+        """The nodes a whole run of ``bc`` classifies unrestricted, in order."""
+        nodes = []
+        classify = bc.classify
+
+        def recorded(node):
+            cls = classify(node)
+            if cls == engine.UNRESTRICTED:
+                nodes.append(node)
+            return cls
+
+        bc.classify = recorded
+        bc.run()
+        del bc.classify
+        return nodes
 
     def test_walk_matches_the_per_point_reference_bit_for_bit(self):
         rng = np.random.default_rng(31)
-        walked = completed = infeasible = 0
+        walked = wide = 0
         for _ in range(60):
-            bc, root = self.random_box(rng)
-            if not root.lp.is_optimal:
-                continue
-            want, want_bad, completions, _ = self.reference_walk(bc, root)
-            pool = SolutionPool(bc.instance, dedup=False)
-            added, bad, done = bc.enumerate_unrestricted(root, pool)
-            assert (added, bad, done) == (len(want), want_bad, True)
-            assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
-            assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
-            walked += 1
-            completed += completions
-            infeasible += bad
-        assert walked >= 30 and completed > 0 and infeasible > 0
+            bc = self.random_box(rng)
+            for node in self.walked_nodes(bc):
+                want, _ = self.reference_walk(bc, node)
+                pool = SolutionPool(bc.instance, dedup=False)
+                assert bc.enumerate_unrestricted(node, pool) == (len(want), True)
+                assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
+                assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+                walked += 1
+                wide += len(want) > 1
+        assert walked >= 30 and wide >= 10
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunk_boundaries_move_nothing(self, chunk, monkeypatch):
@@ -408,34 +455,60 @@ class TestEnumerateUnrestricted:
         rng = np.random.default_rng(47)
         walked = capped = 0
         for _ in range(40):
-            bc, root = self.random_box(rng)
-            if not root.lp.is_optimal:
-                continue
-            points = len(self.reference_walk(bc, root)[0])
-            for capacity in (None, chunk - 1, chunk, chunk + 1, int(rng.integers(1, points + 2))):
-                want, want_bad, _, want_done = self.reference_walk(bc, root, capacity)
-                pool = SolutionPool(bc.instance, capacity=capacity, dedup=False)
-                got = bc.enumerate_unrestricted(root, pool)
-                assert got == (len(want), want_bad, want_done)
-                assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
-                assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
-                capped += not want_done
-            walked += 1
+            bc = self.random_box(rng)
+            # the run's walks, and the whole box without its rows
+            box = BranchAndCount(replace(bc.instance, constraints=[]))
+            for walker, node in [(bc, node) for node in self.walked_nodes(bc)] + [(box, root_node(box))]:
+                points = len(self.reference_walk(walker, node)[0])
+                for capacity in (None, chunk - 1, chunk, chunk + 1,
+                                 int(rng.integers(1, points + 2))):
+                    want, want_done = self.reference_walk(walker, node, capacity)
+                    pool = SolutionPool(walker.instance, capacity=capacity, dedup=False)
+                    assert walker.enumerate_unrestricted(node, pool) == (len(want), want_done)
+                    assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
+                    assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+                    capped += not want_done
+                walked += 1
         assert walked >= 20 and capped > walked
+
+    def test_the_walk_tests_no_row_and_solves_no_lp(self, monkeypatch):
+        # the point (x0, b1, b2) fails the equality by |x0 - rhs| > FEAS_TOL,
+        # but holds by x0 >= rhs - FEAS_TOL: the box test's verdict stands
+        x0, rhs = 4.061416436699955, 4.061417436699955
+        bc, root = self.make_engine(
+            [VariableDef(0, x0, x0), VariableDef(1, 0.0, 1.0, True, "b1"),
+             VariableDef(2, 0.0, 1.0, True, "b2")],
+            [LinearConstraint({0: 1.0}, EQ, rhs, "r0")],
+            {1: 1.0, 2: 1.0},
+        )
+        assert bc.classify(root) == engine.UNRESTRICTED
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk checked a point")
+
+        monkeypatch.setattr(LinearConstraint, "holds_over", refuse)
+        monkeypatch.setattr(SimplexSolver, "solve", refuse)
+        pool = SolutionPool(bc.instance)
+        assert bc.enumerate_unrestricted(root, pool) == (4, True)
+        assert pool.solutions.tolist() == [[x0, b1, b2] for b1 in (0.0, 1.0) for b2 in (0.0, 1.0)]
 
     def test_sums_run_left_to_right(self):
         # left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0;
         # a compensated sum (builtin sum over floats, Python >= 3.12) gives 1.0
         terms = {0: 1e16, 1: 1.0, 2: -1e16}
         bc = BranchAndCount(binary_inst(3, [(terms, LE, 0.5)], terms))
-        node = Node(id=0, parent_id=None, depth=0, lo=bc.root_lo, hi=bc.root_hi,
-                    lp=SimpleNamespace(x=np.zeros(3)))
+        con = bc.instance.constraints[0]
+        assert not con.satisfied([0.0, 1.0, 0.0])
+        assert con.satisfied([1.0, 1.0, 1.0])  # a compensated sum would reject it
+        # with x0 = x2 = 1 the row holds over the box, so x1 is walked free
+        lo, hi = np.array([1.0, 0.0, 1.0]), np.ones(3)
+        assert con.holds_over(lo.tolist(), hi.tolist()) and bc.is_unrestricted(lo, hi)
+        node = Node(id=0, parent_id=None, depth=0, lo=lo, hi=hi,
+                    lp=SimpleNamespace(x=np.ones(3)))
         pool = SolutionPool(bc.instance)
-        # the row fails at (0,1,0), (1,0,0) and (1,1,0); a compensated sum
-        # would also reject (1,1,1)
-        assert bc.enumerate_unrestricted(node, pool) == (5, 3, True)
-        assert pool.solutions[-1].tolist() == [1.0, 1.0, 1.0]
-        assert repr(pool.objectives[-1]) == "0.0"
+        assert bc.enumerate_unrestricted(node, pool) == (2, True)
+        assert pool.solutions.tolist() == [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        assert [repr(v) for v in pool.objectives] == ["0.0", "0.0"]
 
     def test_box_points_match_the_product_order(self):
         rng = np.random.default_rng(5)
@@ -824,14 +897,15 @@ class TestLimitsAndTruncation:
         full = BranchAndCount(inst).run()
         bc = BranchAndCount(inst)
         walked = 0
-        complete = bc._complete
+        box_points = engine._box_points
 
-        def counting_complete(x, lo, hi):
+        def counting_points(*args):
             nonlocal walked
-            walked += 1
-            return complete(x, lo, hi)
+            for x in box_points(*args):
+                yield x
+                walked += 1  # the walk has taken x and asks for the next point
 
-        monkeypatch.setattr(bc, "_complete", counting_complete)
+        monkeypatch.setattr(engine, "_box_points", counting_points)
         monkeypatch.setattr(engine.time, "perf_counter", lambda: float(walked))
         res = bc.run(time_limit=k - 0.5)
         assert walked == k
@@ -1126,7 +1200,7 @@ class TestInheritedOpenRows:
 
         return check
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
     def test_whole_runs_on_small_mips(self, inst, q):
         with pytest.MonkeyPatch.context() as mp:
@@ -1194,7 +1268,7 @@ class TestKeptLp:
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
     def test_small_mips(self, inst, q):
         with pytest.MonkeyPatch.context() as mp:

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diversitree import (
     CUTOFF_ROW,
+    EQ,
     GE,
     INF,
     LE,
@@ -20,9 +23,9 @@ from diversitree import (
     binary_expand,
     discretize_continuous,
 )
-from diversitree.model import Expansion
+from diversitree.model import FEAS_TOL, Expansion
 
-from conftest import enum_pure_integer
+from conftest import enum_pure_integer, oracle_least
 
 
 def simple_instance():
@@ -129,6 +132,54 @@ class TestContainers:
         assert '"name": "tiny"' in doc
         for key in ('"vars"', '"cons"', '"obj"'):
             assert key in doc
+
+
+@st.composite
+def rows_over_boxes(draw):
+    """(row, lo, hi, points): a row of any sense whose non-dyadic
+    coefficients come in random dict order, with its rhs often on the
+    tolerance edge of an integer box on one to five columns, some of whose
+    bounds are infinite, and a few integer points of that box."""
+    d = draw(st.integers(1, 5))
+    lo, hi = [], []
+    for _ in range(d):
+        a = draw(st.integers(-3, 3))
+        b = a + draw(st.sampled_from([0, 0, 1, 3]))  # often fixed, for equalities
+        lo.append(-INF if draw(st.integers(0, 9)) == 0 else float(a))
+        hi.append(INF if draw(st.integers(0, 9)) == 0 else float(b))
+    cols = draw(st.permutations(range(d)))[:draw(st.integers(1, d))]
+    coeffs = {j: draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 10 ** 6)) / 997.0
+              for j in cols}
+    sense = draw(st.sampled_from([GE, LE, EQ]))
+    least = oracle_least(coeffs, lo, hi)
+    most = -oracle_least({j: -a for j, a in coeffs.items()}, lo, hi)
+    edge = {GE: least + FEAS_TOL, LE: most - FEAS_TOL,
+            EQ: draw(st.sampled_from([least + FEAS_TOL, most - FEAS_TOL, (least + most) / 2]))}[sense]
+    if not math.isfinite(edge):
+        edge = draw(st.floats(-100, 100))
+    rhs = draw(st.sampled_from([edge, math.nextafter(edge, -INF), math.nextafter(edge, INF),
+                                draw(st.floats(-100, 100))]))
+
+    def integers(a, b):
+        a = a if math.isfinite(a) else (b if math.isfinite(b) else 0.0) - 5.0
+        b = b if math.isfinite(b) else a + 5.0
+        return st.integers(int(a), int(b)).map(float)
+
+    points = draw(st.lists(st.tuples(*map(integers, lo, hi)), min_size=1, max_size=5))
+    return LinearConstraint(coeffs, sense, rhs, "r"), lo, hi, points
+
+
+class TestHoldsOver:
+    @settings(max_examples=400)
+    @given(rows_over_boxes())
+    def test_a_row_that_holds_over_a_box_holds_at_its_points(self, case):
+        # the least (greatest) activity over the box is the activity at one
+        # corner, so the box test is exactly the point test at every corner
+        con, lo, hi, points = case
+        holds = con.holds_over(lo, hi)
+        assert holds == all(con.satisfied(list(c)) for c in itertools.product(*zip(lo, hi)))
+        if holds:
+            assert all(con.satisfied(list(x)) for x in points)
 
 
 class TestCutoff:
