@@ -3,7 +3,9 @@
 Each node carries its box and its own LP relaxation, solved when the node
 is created (warm-started from the parent basis). A child whose box still
 holds its parent's optimum keeps the parent's LP (``SimplexSolver.inherit``),
-which is the result the warm solve would return. ``optimize`` finds
+which is the result the warm solve would return. A child with a row that
+misses its rhs over the whole box, by more than any solve would forgive, is
+infeasible without a solve (``SimplexSolver.refute``). ``optimize`` finds
 the optimal value: best-first on the LP bound with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
@@ -470,9 +472,11 @@ class BranchAndCount:
 
         Its box copies the parent's, and its path gains a term when the split
         fixes a binary column. Its LP is the parent's when the box still
-        holds the parent's optimum, else warm-solved from the parent's
-        basis. A split narrows column j, so the box lies inside the parent's
-        and inherits the parent's open rows.
+        holds the parent's optimum (``inherit``), infeasible when a row
+        misses its rhs over the box by more than the solver's margin
+        (``refute``), else warm-solved from the parent's basis. A split
+        narrows column j, so the box lies inside the parent's and inherits
+        the parent's open rows.
         """
         lo, hi = node.lo.copy(), node.hi.copy()
         lo[j], hi[j] = lo_j, hi_j
@@ -481,7 +485,7 @@ class BranchAndCount:
             path += (2 * self.binary_pos[j] + int(lo_j),)
         child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, lo=lo, hi=hi, path=path,
                      open_rows=node.open_rows)
-        child.lp = self.solver.inherit(node.lp, lo, hi, j)
+        child.lp = self.solver.inherit(node.lp, lo, hi, j) or self.solver.refute(lo, hi)
         if child.lp is None:
             child.lp = self.solver.resolve(node.lp.basis, lo, hi)
         return child

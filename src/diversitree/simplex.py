@@ -35,7 +35,10 @@ when free, which is what lets "parked at upper" be read as ``x == hi``.
 A child box that changes one column and still holds the parent's warm
 optimum would have the warm solve re-derive that optimum with no pivot;
 ``inherit`` returns that result without solving, sharing the parent's
-read-only ``x``.
+read-only ``x``. Its mirror, ``refute``, proves a box infeasible without
+solving when one row misses its rhs over the whole box by more than any
+solve would forgive: one product of a sign-split matrix with the box's
+bounds gives every row's least and greatest activity.
 """
 
 import logging
@@ -173,8 +176,23 @@ class SimplexSolver:
         for j, v in instance.objective.items():
             self.c[j] = v
         self.integer_index = np.asarray(instance.integer_index, dtype=int)
+        # the cold solve's feasibility scale: phase 1 may leave FEAS_TOL times this
+        self._scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self._bases = {}  # basis index bytes -> _Basis
         self._memo_bytes = 0
+
+        # refute: [[A+, A-], [-A-, -A+]] @ concat(lo, hi) stacks each row's
+        # least activity over the box on minus its greatest. A row's activity
+        # is b - slack, at most b - slack_lo and at least b - slack_hi, so one
+        # comparison with _limits tests both sides of every row.
+        S = self.A[:, :d]
+        pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
+        self._sides = np.block([[pos, neg], [-neg, -pos]])
+        self._reach = self._sides != 0.0  # the bounds each side's activity reads
+        with np.errstate(over="ignore"):  # a limit past the float range never refutes
+            margin = FEAS_TOL * np.maximum(1.0 + np.abs(S).sum(axis=1), self._scale)
+            self._limits = np.concatenate([self.b - slack_lo + margin,
+                                           slack_hi - self.b + margin])
 
     # -- public API ---------------------------------------------------------
 
@@ -256,6 +274,44 @@ class SimplexSolver:
             basis=BasisSnapshot(basis=snap.basis, at_upper=at_upper),
             iterations=1,
         )
+
+    def refute(self, lo, hi):
+        """An infeasible result, with 0 iterations, when some row misses its
+        rhs over the structural box [lo, hi] by more than its margin, so
+        that ``solve`` and ``resolve`` can find no point of the box feasible;
+        otherwise None. The mirror of :meth:`inherit`: it spares a child the
+        warm solve that would prove it empty.
+
+        A ``<=`` row is refuted when its least activity over the box exceeds
+        ``b + margin``, a ``>=`` row when its greatest falls below
+        ``b - margin``, and an equality on either side. The margin,
+        ``FEAS_TOL * max(1 + sum |a_ij|, max(1, max |b|))``, covers both
+        ways a solve can still accept a near-feasible point:
+
+        * a warm solve ends optimal with each basic value within FEAS_TOL of
+          its bounds and each nonbasic one at a bound, so a row's activity
+          lies within ``FEAS_TOL * sum |a_ij|`` of one over the box, and its
+          slack lets it pass ``b`` by FEAS_TOL more;
+        * a cold solve calls the box feasible when phase 1 leaves an
+          artificial sum of at most ``FEAS_TOL * max(1, max |b|)``, with
+          every column in its bounds, so each row misses by no more.
+
+        A side of a row that meets an infinite bound never refutes. Neither
+        ``solve`` nor ``resolve`` calls this, so their results, iteration
+        counts included, do not change.
+        """
+        v = np.concatenate((lo, hi))
+        finite = np.isfinite(v)
+        bounded = finite.all()
+        if not bounded:
+            v = np.where(finite, v, 0.0)
+        # with huge finite bounds an activity may overflow: to an infinity,
+        # which misses as the exact sum would, or to NaN, which misses nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            miss = self._sides @ v > self._limits
+        if not bounded:
+            miss &= ~(self._reach @ ~finite)
+        return LpResult(status=LpStatus.INFEASIBLE) if miss.any() else None
 
     # -- shared pieces ------------------------------------------------------
 
@@ -404,8 +460,7 @@ class SimplexSolver:
             return LpResult(status=LpStatus.STALLED)
         if status != LpStatus.OPTIMAL:  # phase 1 is bounded below by zero
             return LpResult(status=LpStatus.STALLED, iterations=it1)
-        scale = max(1.0, float(np.max(np.abs(self.b))) if self.m else 1.0)
-        if float(c1 @ x) > FEAS_TOL * scale:
+        if float(c1 @ x) > FEAS_TOL * self._scale:
             return LpResult(status=LpStatus.INFEASIBLE, iterations=it1)
 
         # Pivot leftover artificials out where a real column can replace them.

@@ -7,11 +7,12 @@ so package code is never checked against itself.
 
 import itertools
 import math
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import settings
-from scipy.optimize import linprog
+from hypothesis import configuration, settings
+from scipy.optimize import Bounds, LinearConstraint as ScipyRows, linprog, milp
 
 from diversitree import (
     EQ,
@@ -26,6 +27,11 @@ from diversitree import (
 # the same examples on every run, and no example database in the checkout
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+# Hypothesis still caches the literals of local source files in its home
+# directory, ./.hypothesis unless told otherwise; a temporary home, removed at
+# exit, keeps the checkout clean
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 # -- diversity oracles (plain double loops) -----------------------------------
@@ -314,6 +320,22 @@ def oracle_is_unrestricted(instance, lo, hi, tol):
     return all(oracle_row_holds_over(con, lo, hi, tol) for con in instance.constraints)
 
 
+def oracle_refutes(instance, lo, hi, tol):
+    """Some row misses its rhs at the best point of the box [lo, hi] by more
+    than tol * max(1 + sum |a|, max(1, max |rhs|)). A side that meets an
+    infinite bound sums to an infinity or NaN, which misses nothing."""
+    scale = max([1.0] + [abs(con.rhs) for con in instance.constraints])
+    for con in instance.constraints:
+        margin = tol * max(1.0 + sum(abs(a) for a in con.coeffs.values()), scale)
+        least = oracle_least(con.coeffs, lo, hi)
+        most = -oracle_least({j: -a for j, a in con.coeffs.items()}, lo, hi)
+        if con.sense != GE and least > con.rhs + margin:
+            return True
+        if con.sense != LE and most < con.rhs - margin:
+            return True
+    return False
+
+
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------
 
 def scipy_lp(instance, lo=None, hi=None):
@@ -349,6 +371,34 @@ def scipy_lp(instance, lo=None, hi=None):
         bounds=list(zip(lo, hi)),
         method="highs",
     )
+    if res.status == 0:
+        return "optimal", float(res.fun)
+    if res.status == 2:
+        return "infeasible", None
+    if res.status == 3:
+        return "unbounded", None
+    raise RuntimeError(f"scipy solver trouble: {res.status} {res.message}")
+
+
+def scipy_milp(instance):
+    """(status, objective) of the MIP by scipy's ``milp`` (HiGHS); status in
+    {optimal, infeasible, unbounded}."""
+    d = instance.num_vars
+    c = np.zeros(d)
+    for j, v in instance.objective.items():
+        c[j] = v
+    rows = np.zeros((len(instance.constraints), d))
+    lb, ub = [], []
+    for i, con in enumerate(instance.constraints):
+        for j, v in con.coeffs.items():
+            rows[i, j] = v
+        lb.append(-np.inf if con.sense == LE else con.rhs)
+        ub.append(np.inf if con.sense == GE else con.rhs)
+    lo, hi = instance.bounds()
+    integrality = np.zeros(d)
+    integrality[list(instance.integer_index)] = 1
+    res = milp(c, integrality=integrality, bounds=Bounds(lo, hi),
+               constraints=[ScipyRows(rows, lb, ub)] if len(rows) else None)
     if res.status == 0:
         return "optimal", float(res.fun)
     if res.status == 2:

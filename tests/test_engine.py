@@ -21,7 +21,9 @@ from conftest import (
     oracle_is_unrestricted,
     oracle_least,
     oracle_materialize,
+    oracle_refutes,
     oracle_row_holds_over,
+    scipy_milp,
 )
 from diversitree import (
     EQ,
@@ -114,6 +116,20 @@ def small_mips(draw, kinds=("binary", "general", "mixed")):
                        objective=objective)
 
 
+@st.composite
+def mips_and_boxes(draw):
+    """A ``small_mips`` instance and a box over its columns with integer
+    bounds in [-3, 3], each side infinite one time in five."""
+    inst = draw(small_mips())
+    lo, hi = [], []
+    for _ in range(inst.num_vars):
+        a = draw(st.integers(-3, 3))
+        b = draw(st.integers(a, 3))
+        lo.append(-INF if draw(st.integers(0, 4)) == 0 else float(a))
+        hi.append(INF if draw(st.integers(0, 4)) == 0 else float(b))
+    return inst, np.array(lo), np.array(hi)
+
+
 def cut_at_optimum(instance, q):
     """``instance`` with its objective cutoff at fraction ``q`` of the optimum."""
     opt = BranchAndCount(instance).optimize()
@@ -203,6 +219,27 @@ class TestCompleteness:
         for x in res.pool.solutions:
             assert np.all(bc.root_lo <= x) and np.all(x <= bc.root_hi)
             assert all(con.satisfied(x) for con in cut.constraints)
+
+
+class TestOptimize:
+    @settings(max_examples=60)
+    @given(small_mips())
+    def test_optimum_matches_scipy_milp(self, inst):
+        opt = BranchAndCount(inst).optimize()
+        status, z = scipy_milp(inst)
+        assert opt.status == status == "optimal"
+        assert opt.objective == pytest.approx(z, rel=1e-9, abs=1e-6)
+
+    @settings(max_examples=300)
+    @given(mips_and_boxes())
+    def test_refute_is_the_plain_loop_verdict(self, case):
+        # integer data: every activity is exact, and no margin edge is hit
+        inst, lo, hi = case
+        got = SimplexSolver(inst).refute(lo, hi)
+        assert (got is not None) == oracle_refutes(inst, lo, hi, FEAS_TOL)
+        if got is not None:
+            assert got.status == LpStatus.INFEASIBLE and got.iterations == 0
+            assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.INFEASIBLE
 
 
 class TestClassification:
@@ -1221,24 +1258,33 @@ class TestInheritedOpenRows:
 class TestKeptLp:
     """A child whose box still holds its parent's warm optimum keeps the
     parent's LP (``SimplexSolver.inherit``), which must be the result
-    ``resolve`` returns from the parent's basis, field for field."""
+    ``resolve`` returns from the parent's basis, field for field. A child
+    that ``SimplexSolver.refute`` proves empty must be one that ``resolve``
+    and ``solve`` find infeasible; it matches ``resolve`` in status only,
+    with 0 iterations."""
 
     @staticmethod
     def lp_fields(res):
         return golden.lp_fingerprint(res), None if res.x is None else res.x.tobytes()
 
     def check_children(self, monkeypatch):
-        """Hold every partition child's LP, and every result ``inherit``
-        returns, to ``resolve`` by a second solver of the same instance.
-        Returns the running counts of partition splits and kept LPs."""
-        counts = {"splits": 0, "kept": 0}
+        """Hold every partition child's LP, every result ``inherit`` returns
+        and every child ``refute`` proves empty to a second solver of the
+        same instance. Returns the running counts of partition splits, kept
+        LPs and refuted children."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0}
         refs = {}
-        inherit, partition = SimplexSolver.inherit, BranchAndCount.partition_branch
+        refuted = {}  # id -> every result refute returned, kept alive
+        inherit, refute = SimplexSolver.inherit, SimplexSolver.refute
+        partition, make_child = BranchAndCount.partition_branch, BranchAndCount._child
 
-        def resolved(solver, snapshot, lo, hi):
+        def reference(solver):
             if solver not in refs:
                 refs[solver] = SimplexSolver(solver.instance)
-            return self.lp_fields(refs[solver].resolve(snapshot, lo, hi))
+            return refs[solver]
+
+        def resolved(solver, snapshot, lo, hi):
+            return self.lp_fields(reference(solver).resolve(snapshot, lo, hi))
 
         def checked_inherit(solver, parent, lo, hi, j):
             got = inherit(solver, parent, lo, hi, j)
@@ -1247,16 +1293,37 @@ class TestKeptLp:
                 assert self.lp_fields(got) == resolved(solver, parent.basis, lo, hi)
             return got
 
+        def recorded_refute(solver, lo, hi):
+            got = refute(solver, lo, hi)
+            if got is not None:
+                refuted[id(got)] = got
+            return got
+
+        def checked_child(bc, node, j, lo_j, hi_j):
+            child = make_child(bc, node, j, lo_j, hi_j)
+            if id(child.lp) in refuted:
+                counts["refuted"] += 1
+                ref = reference(bc.solver)
+                assert ref.resolve(node.lp.basis, child.lo, child.hi).status == LpStatus.INFEASIBLE
+                assert ref.solve(child.lo, child.hi).status == LpStatus.INFEASIBLE
+            return child
+
         def checked_partition(bc, node, j):
             kept = counts["kept"]
             children = partition(bc, node, j)
             counts["splits"] += 1
             assert counts["kept"] - kept <= 1  # only one side holds round(x_j)
             for c in children:
-                assert self.lp_fields(c.lp) == resolved(bc.solver, node.lp.basis, c.lo, c.hi)
+                want = reference(bc.solver).resolve(node.lp.basis, c.lo, c.hi)
+                if id(c.lp) in refuted:
+                    assert c.lp.status == want.status and c.lp.iterations == 0
+                else:
+                    assert self.lp_fields(c.lp) == self.lp_fields(want)
             return children
 
         monkeypatch.setattr(SimplexSolver, "inherit", checked_inherit)
+        monkeypatch.setattr(SimplexSolver, "refute", recorded_refute)
+        monkeypatch.setattr(BranchAndCount, "_child", checked_child)
         monkeypatch.setattr(BranchAndCount, "partition_branch", checked_partition)
         return counts
 
@@ -1267,6 +1334,8 @@ class TestKeptLp:
         run_phase_one(factory(), spec)
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
+        if name.startswith(("random_binary_instance", "two_cluster_instance")):
+            assert counts["refuted"] > 0
 
     @settings(max_examples=60)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
@@ -1274,6 +1343,14 @@ class TestKeptLp:
         with pytest.MonkeyPatch.context() as mp:
             self.check_children(mp)
             BranchAndCount(cut_at_optimum(inst, q)).run(p1=60)
+
+    def test_optimize_runs(self, monkeypatch):
+        counts = self.check_children(monkeypatch)
+        instances = [general_integer_instance(), mixed_small_instance(),
+                     *(random_binary_instance(k, 40, 15) for k in range(6))]
+        for inst in instances:
+            assert BranchAndCount(inst).optimize().status == "optimal"
+        assert counts["refuted"] > 0
 
     @staticmethod
     def fix_nonbasic(solver, lp, lo, hi):

@@ -7,6 +7,7 @@ import pytest
 
 import test_golden as golden
 from diversitree import (
+    EQ,
     GE,
     INF,
     LE,
@@ -19,6 +20,7 @@ from diversitree import (
     parse_mps,
     simplex,
 )
+from diversitree.model import FEAS_TOL
 from diversitree.simplex import BasisSnapshot
 
 from conftest import make_lp, scipy_lp
@@ -362,3 +364,76 @@ class TestBasisMemo:
         assert np.array_equal(snap.basis, basis)
         assert np.array_equal(snap.at_upper, at_upper)
         assert golden.lp_fingerprint(solver.resolve(snap, lo, hi)) == before
+
+
+class TestRefute:
+    """``refute`` proves a box infeasible when one row's activity misses its
+    rhs by more than FEAS_TOL * max(1 + sum |a|, max(1, max |b|))."""
+
+    # the row 2 x0 - 3 x1 over x0 in [1, 2], x1 in [0, 1]: activity in [-1, 4]
+    BOX = (np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+    WIDE = (np.array([-5.0, -5.0]), np.array([5.0, 5.0]))  # where every tested row holds
+
+    @staticmethod
+    def instance(sense, rhs, scale_rhs=None):
+        """The tested row, and when ``scale_rhs`` is given a row x1 <= scale_rhs
+        that always holds but raises max |b|."""
+        rows = [({0: 2.0, 1: -3.0}, sense, rhs)]
+        if scale_rhs is not None:
+            rows.append(({1: 1.0}, LE, scale_rhs))
+        return lp_instance({0: 1.0, 1: 1.0}, rows, [(-5, 5), (-5, 5)])
+
+    @pytest.mark.parametrize("scale_rhs", [None, 1000.0])
+    @pytest.mark.parametrize("sense,side", [(LE, "least"), (GE, "greatest"),
+                                            (EQ, "least"), (EQ, "greatest")])
+    def test_a_miss_refutes_only_past_the_margin(self, sense, side, scale_rhs):
+        # margin: FEAS_TOL * (1 + |2| + |-3|), unless max |b| = 1000 is larger
+        margin = FEAS_TOL * (6.0 if scale_rhs is None else scale_rhs)
+        for k, refuted in ((0.9, False), (1.1, True)):
+            rhs = -1.0 - k * margin if side == "least" else 4.0 + k * margin
+            inst = self.instance(sense, rhs, scale_rhs)
+            solver = SimplexSolver(inst)
+            got = solver.refute(*self.BOX)
+            if not refuted:
+                assert got is None, k
+                continue
+            assert got.status == LpStatus.INFEASIBLE and got.iterations == 0
+            assert got.x is None and got.basis is None and got.objective is None
+            wide = solver.solve(*self.WIDE)
+            assert wide.is_optimal and solver.refute(*self.WIDE) is None
+            assert solver.resolve(wide.basis, *self.BOX).status == LpStatus.INFEASIBLE
+            assert SimplexSolver(inst).solve(*self.BOX).status == LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("y_bounds,row,refuted", [
+        ((-INF, INF), ({0: 1.0, 1: 1.0}, LE, -10.0), False),
+        ((-INF, INF), ({0: 1.0, 1: 1.0}, GE, 10.0), False),
+        ((-INF, 0.0), ({0: 1.0, 1: 1.0}, GE, 10.0), True),  # greatest 2 + 0
+        ((-INF, 0.0), ({0: 1.0, 1: 1.0}, LE, -10.0), False),
+        ((0.0, INF), ({0: 1.0, 1: -1.0}, GE, 10.0), True),  # greatest 2 - 0
+        ((0.0, INF), ({0: 1.0, 1: -1.0}, EQ, -10.0), False),
+        ((-INF, INF), ({0: 3.0}, LE, -1.0), True),  # y's infinities reach no side
+    ])
+    def test_a_side_that_meets_an_infinite_bound_never_refutes(self, y_bounds, row, refuted):
+        inst = lp_instance({0: 1.0}, [row, ({1: 1.0}, GE, -1e3)], [(0, 2), y_bounds])
+        solver = SimplexSolver(inst)
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        got = solver.refute(lo, hi)
+        assert (got is not None) == refuted
+        want = LpStatus.INFEASIBLE if refuted else LpStatus.OPTIMAL
+        assert solver.solve(lo, hi).status == want
+
+    def test_huge_finite_bounds_raise_no_warning(self):
+        # activities past the float range: 1e308 + 1e308 overflows to inf,
+        # and inf - inf is NaN, which refutes nothing
+        lo, hi = np.full(4, 1e308), np.full(4, 1.5e308)
+        over = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, 0.0)], [(0, 1)] * 4)
+        assert SimplexSolver(over).refute(lo, hi).status == LpStatus.INFEASIBLE
+        nan = lp_instance({}, [({0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}, GE, 0.0)], [(0, 1)] * 4)
+        assert SimplexSolver(nan).refute(lo, hi) is None
+        # an rhs at the edge of the range puts that side's limit past it
+        edge = lp_instance({}, [({0: 1.0}, GE, -np.finfo(float).max)], [(0, 1)])
+        assert SimplexSolver(edge).refute(np.zeros(1), np.ones(1)) is None
+
+    def test_no_rows(self):
+        solver = SimplexSolver(lp_instance({0: 1.0}, [], [(0, 1)]))
+        assert solver.refute(np.zeros(1), np.ones(1)) is None
