@@ -10,7 +10,8 @@ cold solve on any trouble, so results are identical either way).
 Pivoting is deterministic: Dantzig pricing with lowest-index tie-breaks,
 switching to Bland's rule after a run of degenerate pivots. Every optimal
 solve carries a reconstructed dual objective so callers can verify weak
-duality.
+duality. Nothing in the search reads it, so a result keeps references to the
+arrays it is summed from and sums it the first time it is read.
 
 Pricing and ratio tests run over numpy masks: one vectorized pass marks the
 eligible columns or rows and computes their scores, ratios or step limits,
@@ -28,21 +29,25 @@ output of the same numpy call on the same inputs that a solve from scratch
 makes, so it gives the same bits; a matrix is never factored once and
 reused, which would round differently. The memo is dropped whole past
 ``MEMO_BYTES``. Cold and warm solves end in one ``_result``, whose
-``BasisSnapshot`` shares the final ``_Basis``'s index array. A nonbasic
-column always sits exactly at its lower bound, at its upper bound, or at 0
-when free, which is what lets "parked at upper" be read as ``x == hi``.
+``BasisSnapshot`` shares the final ``_Basis``'s index array. A warm solve's
+snapshot also carries the warm start's verdict: the columns that fail its
+dual-feasibility test in the box it was solved in. A nonbasic column always
+sits exactly at its lower bound, at its upper bound, or at 0 when free,
+which is what lets "parked at upper" be read as ``x == hi``.
 
 A child box that changes one column and still holds the parent's warm
 optimum would have the warm solve re-derive that optimum with no pivot;
 ``inherit`` returns that result without solving, sharing the parent's
-read-only ``x``. Its mirror, ``refute``, proves a box infeasible without
-solving when one row misses its rhs over the whole box by more than any
-solve would forgive: one product of a sign-split matrix with the box's
-bounds gives every row's least and greatest activity.
+read-only ``x``. It tests only the changed column: the parent's snapshot
+already holds the verdict on every other one. Its mirror, ``refute``,
+proves a box infeasible without solving when one row misses its rhs over
+the whole box by more than any solve would forgive: one product of a
+sign-split matrix with the box's bounds gives every row's least and
+greatest activity.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -69,10 +74,33 @@ class LpStatus(str, Enum):
 class BasisSnapshot:
     """Restart point: ``basis``, the basic column of each row (read-only
     intp), and ``at_upper``, a read-only bool mask of the nonbasic columns
-    parked at upper. Snapshots compare by identity."""
+    parked at upper. Snapshots compare by identity.
+
+    ``wrong_sign`` is the warm start's verdict, taken once when a warm solve
+    makes the snapshot: the read-only intp indices of the movable nonbasic
+    columns that fail the warm start's dual-feasibility test in the box the
+    solve ran in (usually none). A snapshot from a cold solve, or one a
+    caller builds, carries None, and ``SimplexSolver.inherit`` keeps no
+    child of it."""
 
     basis: np.ndarray
     at_upper: np.ndarray
+    wrong_sign: np.ndarray = None
+
+
+_NONE_WRONG = np.empty(0, dtype=np.intp)  # the verdict naming no column, shared
+_NONE_WRONG.flags.writeable = False
+
+
+def _dual_sum(y, b, red, nonbasic, x, lo, hi) -> float:
+    """``y @ b`` plus each nonbasic column's reduced cost times the bound its
+    sign prices (its value ``x`` when that bound is infinite or the cost is
+    within DUAL_FEAS_TOL of 0), added left to right in column order.
+    ``cumsum`` adds sequentially, so it gives the bits of a plain loop."""
+    r, lo_n, hi_n = red[nonbasic], lo[nonbasic], hi[nonbasic]
+    at = np.where((r > DUAL_FEAS_TOL) & np.isfinite(lo_n), lo_n,
+                  np.where((r < -DUAL_FEAS_TOL) & np.isfinite(hi_n), hi_n, x[nonbasic]))
+    return float(np.cumsum(np.concatenate(([y @ b], r * at)))[-1])
 
 
 @dataclass
@@ -81,13 +109,22 @@ class LpResult:
     objective: float = None
     x: np.ndarray = None  # structural values only
     fractional: list = None  # integer columns off the grid at INT_TOL
-    dual_objective: float = None
     basis: BasisSnapshot = None
     iterations: int = 0
+    # the dual objective, or the arguments of _dual_sum until it is first read
+    _dual: object = field(default=None, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status == LpStatus.OPTIMAL
+
+    @property
+    def dual_objective(self) -> float:
+        """The reconstructed dual objective of an optimal result (else None),
+        summed on first read."""
+        if isinstance(self._dual, tuple):
+            self._dual = _dual_sum(*self._dual)
+        return self._dual
 
 
 class _Stalled(Exception):
@@ -225,42 +262,47 @@ class SimplexSolver:
         parent's own optimum, without solving; otherwise None.
 
         ``lo`` and ``hi`` must be the parent's structural box with only
-        column ``j`` changed. The warm solve then ends in its first
-        iteration, re-deriving the parent's ``x``, when:
+        column ``j`` changed: the dual test below depends on it. The warm
+        solve then ends in its first iteration, re-deriving the parent's
+        ``x``, when:
 
         * a warm solve priced the parent: its snapshot shares the index
-          array of the memoized ``_Basis`` (a cold parent's ``x`` comes from
-          the matrix extended with artificials, so its bits may differ);
+          array of the memoized ``_Basis`` and carries the warm start's
+          verdict (a cold parent's ``x`` comes from the matrix extended with
+          artificials, so its bits may differ);
         * a basic ``j`` stays within FEAS_TOL of its new bounds, the warm
           scan's test;
         * a nonbasic ``j`` is fixed at ``x_j`` and its reduced cost prices
           the bound it was parked at, so its dual-objective term keeps its
           value;
-        * the warm start's dual-feasibility test passes in the new box.
+        * the warm start's dual-feasibility test passes in the new box. Off
+          column ``j`` the new box is the one the parent was solved in, so
+          the test there is the verdict the parent's snapshot records: it
+          must name no column but ``j``. A nonbasic ``j`` is fixed, so not
+          tested, and a basic one never is.
 
-        The result shares the parent's read-only ``x`` and index array; its
-        ``at_upper`` drops ``j`` when the new box fixes it.
+        The result shares the parent's read-only ``x``, index array and
+        dual objective; its ``at_upper`` drops ``j`` when the new box fixes
+        it, and its verdict names no column, since none fails in the new box.
         """
         snap = parent.basis
-        if snap is None:
+        if snap is None or snap.wrong_sign is None:
             return None
-        state = self._bases.get(snap.basis.tobytes())
-        if state is None or state.basis is not snap.basis:
+        wrong = snap.wrong_sign
+        if len(wrong) and (len(wrong) > 1 or wrong[0] != j):
+            return None
+        state = self._priced(snap)
+        if state is None:
             return None
         x_j, lo_j, hi_j = parent.x[j], lo[j], hi[j]
-        nonbasic = state.nonbasic[j]
-        if nonbasic:
+        at_upper = snap.at_upper
+        if state.nonbasic[j]:
             if not lo_j == hi_j == x_j:
                 return None
+            if (state.red_pos if at_upper[j] else state.red_neg)[j]:
+                return None  # the reduced cost prices against the parked bound
         elif lo_j - x_j > FEAS_TOL or x_j - hi_j > FEAS_TOL or lo_j > hi_j + FEAS_TOL:
             return None  # the warm scan would pivot, or resolve finds the box empty
-        full_lo, full_hi = self._bounds(lo, hi)
-        wrong_sign = _wrong_sign(state, snap.at_upper, np.isfinite(full_lo))
-        if nonbasic and wrong_sign[j]:
-            return None
-        if (wrong_sign & state.nonbasic & (full_lo != full_hi)).any():
-            return None
-        at_upper = snap.at_upper
         if at_upper[j]:  # fixed now, so parked at neither bound
             at_upper = at_upper.copy()
             at_upper[j] = False
@@ -270,9 +312,9 @@ class SimplexSolver:
             objective=parent.objective,
             x=parent.x,
             fractional=list(parent.fractional),
-            dual_objective=parent.dual_objective,
-            basis=BasisSnapshot(basis=snap.basis, at_upper=at_upper),
+            basis=BasisSnapshot(basis=snap.basis, at_upper=at_upper, wrong_sign=_NONE_WRONG),
             iterations=1,
+            _dual=parent._dual,
         )
 
     def refute(self, lo, hi):
@@ -324,37 +366,40 @@ class SimplexSolver:
             full_hi[: self.d] = hi
         return full_lo, full_hi
 
-    def _result(self, state: _Basis, x, lo, hi, iterations) -> LpResult:
-        """Optimal result at the basis ``state``, with every column at ``x``."""
+    def _result(self, state: _Basis, x, lo, hi, iterations, warm=False) -> LpResult:
+        """Optimal result at the basis ``state``, with every column at ``x``.
+
+        The result keeps references to ``x``, ``lo`` and ``hi``, which the
+        caller must no longer write, to sum its dual objective when read.
+        A ``warm`` result's snapshot carries the warm start's verdict.
+        """
         xs = x[: self.d].copy()
         _read_only(xs)  # a kept child shares it with its parent
         obj = float(self.c[: self.d] @ xs)
-        nonbasic = state.nonbasic
-        # each nonbasic column's reduced cost times the bound its sign prices,
-        # added to y @ b in column order
-        r, lo_n, hi_n = state.red[nonbasic], lo[nonbasic], hi[nonbasic]
-        at = np.where((r > DUAL_FEAS_TOL) & np.isfinite(lo_n), lo_n,
-                      np.where((r < -DUAL_FEAS_TOL) & np.isfinite(hi_n), hi_n, x[nonbasic]))
-        dual_obj = float(state.y @ self.b)
-        for term in (r * at).tolist():
-            dual_obj += term
         ints = self.integer_index
         vals = xs[ints]
         frac = ints[np.abs(vals - np.rint(vals)) > INT_TOL].tolist()
         snapshot = None
-        if (state.basis < self.n).all():  # no artificial left in the basis
+        if warm or (state.basis < self.n).all():  # no artificial left in the basis
             n = self.n
-            up = nonbasic[:n] & (x[:n] == hi[:n]) & (lo[:n] != hi[:n])  # parked at upper
+            nonbasic = state.nonbasic[:n]
+            movable = lo[:n] != hi[:n]
+            up = nonbasic & (x[:n] == hi[:n]) & movable  # parked at upper
+            wrong = None
+            if warm:  # the warm start's test, as _dual makes it, in this box
+                wrong = _wrong_sign(state, up, np.isfinite(lo)) & nonbasic & movable
+                wrong = np.flatnonzero(wrong) if wrong.any() else _NONE_WRONG
+                _read_only(wrong)
             _read_only(up)
-            snapshot = BasisSnapshot(basis=state.basis, at_upper=up)
+            snapshot = BasisSnapshot(basis=state.basis, at_upper=up, wrong_sign=wrong)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
             x=xs,
             fractional=frac,
-            dual_objective=dual_obj,
             basis=snapshot,
             iterations=iterations,
+            _dual=(state.y, self.b, state.red, state.nonbasic, x, lo, hi),
         )
 
     # -- primal simplex -----------------------------------------------------
@@ -510,6 +555,15 @@ class SimplexSolver:
             self._bases.clear()
             self._memo_bytes = 0
 
+    def _priced(self, snapshot: BasisSnapshot):
+        """The memoized ``_Basis`` whose index array ``snapshot`` shares,
+        else None. Such a basis passed ``_dual``'s guard when it was made."""
+        basis = snapshot.basis
+        if not isinstance(basis, np.ndarray):
+            return None
+        state = self._bases.get(basis.tobytes())
+        return state if state is not None and state.basis is basis else None
+
     def _basis(self, basis) -> _Basis:
         """The cached state of ``basis`` (an index array), made on first sight."""
         key = basis.tobytes()
@@ -541,10 +595,13 @@ class SimplexSolver:
         return masks
 
     def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
-        basis = np.array(snapshot.basis, dtype=np.intp)  # a copy: pivoted in place
         at_upper = snapshot.at_upper
-        if (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
-                or len(set(basis.tolist())) != self.m or np.shape(at_upper) != (self.n,)):
+        if np.shape(at_upper) != (self.n,):
+            raise _Singular()
+        state = self._priced(snapshot)  # a basis priced here passed the guard below
+        basis = np.array(snapshot.basis, dtype=np.intp)  # a copy: pivoted in place
+        if state is None and (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
+                              or len(set(basis.tolist())) != self.m):
             raise _Singular()
         finite_lo = np.isfinite(lo)
         movable = lo != hi
@@ -556,7 +613,8 @@ class SimplexSolver:
         if not np.isfinite(x).all():
             raise _Singular()
 
-        state = self._basis(basis)
+        if state is None:
+            state = self._basis(basis)
         if (_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any():
             raise _Singular()  # parent basis is not dual feasible here
 
@@ -591,7 +649,7 @@ class SimplexSolver:
                     worst = over[k]
                     leave_pos, below = k, False
             if leave_pos < 0:
-                return self._result(state, x, lo, hi, it)
+                return self._result(state, x, lo, hi, it, warm=True)
 
             pos, neg, abs_alpha = self._memo_row(state, leave_pos)
 

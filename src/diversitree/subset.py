@@ -14,9 +14,11 @@ Methods:
 * ``greedy_swap``: best-improvement single swaps to a local optimum
   (iteration cap 50 * p per start), restarted from the greedy pick, a
   greedy-drop pick, and one farthest-partner pick per pool member; the
-  best local optimum wins. Each move scores every (out, in) swap at once
-  from the running distance sums of the chosen set; a start whose set was
-  already searched is skipped, since its local optimum is the same.
+  best local optimum wins. The farthest-partner picks are grown together,
+  ``START_CHUNK`` members at a time, one matrix of running sums per block.
+  Each move scores every (out, in) swap at once from the running distance
+  sums of the chosen set; a start whose set was already searched is
+  skipped, since its local optimum is the same.
 * ``exact``: brute force over all combinations, permitted only while
   C(n, p) stays at or below two million. Combinations are scored in
   blocks of ``EXACT_CHUNK`` rows, each pair-sum a sum of exact counts.
@@ -39,6 +41,7 @@ from .diversity import pairwise_ham
 
 EXACT_LIMIT = 2_000_000
 EXACT_CHUNK = 65_536
+START_CHUNK = 64  # farthest-partner starts grown at once: O(START_CHUNK * n) memory
 DENSE_LIMIT_BYTES = 1 << 30
 SWAP_CAP_FACTOR = 50
 METHODS = ("greedy", "greedy_swap", "exact")
@@ -126,17 +129,36 @@ def _greedy_drop(dist: np.ndarray, p: int) -> list:
     return np.flatnonzero(alive).tolist()
 
 
-def _greedy_from(dist: np.ndarray, first: int, p: int) -> list:
-    j = int(np.argmax(dist[first]))
-    if j == first:
-        j = (first + 1) % dist.shape[0]
-    return _extend(dist, [first, j], p)
+def _farthest_partner_starts(dist: np.ndarray, p: int) -> list:
+    """For each member i in order, ``_extend`` of i and its farthest partner
+    (the lowest-index one; i + 1 mod n when every distance from i is 0),
+    grown for ``START_CHUNK`` members at a time. Every sum is an exact
+    integer and argmax takes the lowest index, so each pick is the one a
+    single ``_extend`` makes."""
+    n = dist.shape[0]
+    starts = []
+    for top in range(0, n, START_CHUNK):
+        first = np.arange(top, min(top + START_CHUNK, n))
+        rows = np.arange(len(first))
+        partner = np.argmax(dist[first], axis=1)
+        alone = partner == first
+        partner[alone] = (first[alone] + 1) % n
+        sums = dist[first] + dist[partner]  # dist is symmetric: rows are columns
+        taken = np.zeros(sums.shape, dtype=bool)
+        taken[rows, first] = taken[rows, partner] = True
+        chosen = [first, partner]
+        for _ in range(p - 2):
+            nxt = np.argmax(np.where(taken, -1, sums), axis=1)
+            taken[rows, nxt] = True
+            sums += dist[nxt]
+            chosen.append(nxt)
+        starts.extend(np.stack(chosen, axis=1).tolist())
+    return starts
 
 
 def _greedy_swap(dist: np.ndarray, p: int) -> list:
-    n = dist.shape[0]
     starts = [_greedy(dist, p), _greedy_drop(dist, p)]
-    starts.extend(_greedy_from(dist, i, p) for i in range(n))
+    starts.extend(_farthest_partner_starts(dist, p))
     best = None
     best_sum = -1
     seen = set()

@@ -22,6 +22,7 @@ from diversitree import (
     MipInstance,
     VariableDef,
     random_binary_instance,
+    simplex,
 )
 
 # the same examples on every run, and no example database in the checkout
@@ -334,6 +335,48 @@ def oracle_refutes(instance, lo, hi, tol):
         if con.sense != LE and most < con.rhs - margin:
             return True
     return False
+
+
+def oracle_wrong_sign(solver, snapshot, lo, hi):
+    """The warm start's dual-feasibility test of ``snapshot`` in the
+    structural box [lo, hi], column by column as ``SimplexSolver._dual``
+    makes it: the movable nonbasic columns whose reduced cost says leaving
+    their parked value would pay, positive at upper, negative at a finite
+    lower, nonzero otherwise."""
+    full_lo, full_hi = solver._bounds(lo, hi)
+    state = simplex._Basis(solver.A, solver.c, snapshot.basis)
+    wrong = []
+    for k in range(solver.n):
+        if not state.nonbasic[k] or full_lo[k] == full_hi[k]:
+            continue
+        r = state.red[k]
+        if snapshot.at_upper[k]:
+            fails = r > simplex.DUAL_FEAS_TOL
+        elif np.isfinite(full_lo[k]):
+            fails = r < -simplex.DUAL_FEAS_TOL
+        else:
+            fails = abs(r) > simplex.DUAL_FEAS_TOL
+        if fails:
+            wrong.append(k)
+    return wrong
+
+
+def oracle_dual_sum(y, b, red, nonbasic, x, lo, hi):
+    """The dual objective as one eager loop: ``y @ b``, then each nonbasic
+    column's reduced cost times the bound its sign prices (its value when
+    that bound is infinite or the cost is within DUAL_FEAS_TOL of 0), added
+    left to right in column order."""
+    total = float(y @ b)
+    for k in np.flatnonzero(nonbasic).tolist():
+        r = red[k]
+        if r > simplex.DUAL_FEAS_TOL and np.isfinite(lo[k]):
+            at = lo[k]
+        elif r < -simplex.DUAL_FEAS_TOL and np.isfinite(hi[k]):
+            at = hi[k]
+        else:
+            at = x[k]
+        total += float(r * at)
+    return total
 
 
 # -- LP oracle (scipy HiGHS) ---------------------------------------------------

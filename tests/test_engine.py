@@ -23,6 +23,7 @@ from conftest import (
     oracle_materialize,
     oracle_refutes,
     oracle_row_holds_over,
+    oracle_wrong_sign,
     scipy_milp,
 )
 from diversitree import (
@@ -52,7 +53,7 @@ from diversitree.generators import (
 from diversitree import engine
 from diversitree.engine import Node, OpenNodeQueue, SolutionPool
 from diversitree.model import FEAS_TOL, INT_TOL
-from diversitree.simplex import LpResult, LpStatus, SimplexSolver, _Stalled
+from diversitree.simplex import BasisSnapshot, LpResult, LpStatus, SimplexSolver, _Stalled
 
 
 def binary_inst(n, rows, objective, name="t"):
@@ -197,6 +198,19 @@ class TestCompleteness:
         res = BranchAndCount(add_objective_cutoff(inst, z, q), selector=cfg, dedup=False).run()
         assert res.exhausted
         assert sorted(tuple(int(v) for v in x) for x in res.pool.solutions) == members
+
+    @pytest.mark.parametrize("rule", list(Rule))
+    @pytest.mark.parametrize("p1", [1, 3, 7])
+    @settings(max_examples=25)
+    @given(inst=small_mips(kinds=("binary", "general")), q=st.sampled_from([0.0, 0.5, 2.0]))
+    def test_every_rule_caps_its_pool_inside_the_brute_force_set(self, rule, p1, inst, q):
+        z, members = brute_force_near_optimal(inst, q)
+        cfg = SelectorConfig(rule=rule, alpha=0.5, beta=0.3, sol_cutoff=0.5, depth_cutoff=3)
+        res = BranchAndCount(add_objective_cutoff(inst, z, q), selector=cfg,
+                             dedup=False).run(p1=p1)
+        got = [tuple(int(v) for v in x) for x in res.pool.solutions]
+        assert len(got) == len(set(got)) == min(p1, len(members))
+        assert set(got) <= set(members)
 
     @settings(max_examples=100)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
@@ -888,6 +902,24 @@ class TestLimitsAndTruncation:
         assert res.exhausted and not res.truncated
         assert res.nodes_processed == 1
 
+    @settings(max_examples=100)
+    @given(inst=small_mips(), q=st.sampled_from([0.0, 0.5, 2.0]), k=st.integers(0, 20))
+    def test_node_limits_hold(self, inst, q, k):
+        # a run cut short by the limit is one whose unlimited twin needs more
+        # than k nodes; any other equals that twin
+        cut = cut_at_optimum(inst, q)
+        full, limited = BranchAndCount(cut).run(), BranchAndCount(cut).run(node_limit=k)
+        assert limited.nodes_processed <= k
+        if full.nodes_processed > k:
+            assert limited.truncated and not limited.exhausted
+        else:
+            assert limited.exhausted and not limited.truncated
+            assert limited.trace_hash == full.trace_hash
+        best, capped = BranchAndCount(inst).optimize(), BranchAndCount(inst).optimize(node_limit=k)
+        assert capped.nodes_processed <= k
+        if best.nodes_processed > k:
+            assert capped.status == "limit"
+
     def test_node_limit_marks_truncated(self):
         cut = add_objective_cutoff(knapsack_instance(), -10.0, 0.3)
         res = BranchAndCount(cut).run(node_limit=1)
@@ -1261,7 +1293,9 @@ class TestKeptLp:
     ``resolve`` returns from the parent's basis, field for field. A child
     that ``SimplexSolver.refute`` proves empty must be one that ``resolve``
     and ``solve`` find infeasible; it matches ``resolve`` in status only,
-    with 0 iterations."""
+    with 0 iterations. Every warm and every kept result's snapshot records
+    the warm start's dual-feasibility test over its own box
+    (``conftest.oracle_wrong_sign``), which ``inherit`` reads in its place."""
 
     @staticmethod
     def lp_fields(res):
@@ -1270,12 +1304,14 @@ class TestKeptLp:
     def check_children(self, monkeypatch):
         """Hold every partition child's LP, every result ``inherit`` returns
         and every child ``refute`` proves empty to a second solver of the
-        same instance. Returns the running counts of partition splits, kept
-        LPs and refuted children."""
-        counts = {"splits": 0, "kept": 0, "refuted": 0}
+        same instance, and every recorded verdict to the oracle. Returns the
+        running counts of partition splits, kept LPs, refuted children and
+        checked verdicts."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0, "verdicts": 0}
         refs = {}
         refuted = {}  # id -> every result refute returned, kept alive
         inherit, refute = SimplexSolver.inherit, SimplexSolver.refute
+        resolve = SimplexSolver.resolve
         partition, make_child = BranchAndCount.partition_branch, BranchAndCount._child
 
         def reference(solver):
@@ -1286,10 +1322,26 @@ class TestKeptLp:
         def resolved(solver, snapshot, lo, hi):
             return self.lp_fields(reference(solver).resolve(snapshot, lo, hi))
 
+        def check_verdict(solver, res, lo, hi):
+            snap = res.basis
+            if snap is None:
+                return
+            if snap.wrong_sign is None:  # a cold solve or fallback made it
+                assert solver._priced(snap) is None
+                return
+            counts["verdicts"] += 1
+            assert snap.wrong_sign.tolist() == oracle_wrong_sign(solver, snap, lo, hi)
+
+        def checked_resolve(solver, snapshot, lo, hi):
+            got = resolve(solver, snapshot, lo, hi)
+            check_verdict(solver, got, lo, hi)
+            return got
+
         def checked_inherit(solver, parent, lo, hi, j):
             got = inherit(solver, parent, lo, hi, j)
             if got is not None:
                 counts["kept"] += 1
+                check_verdict(solver, got, lo, hi)
                 assert self.lp_fields(got) == resolved(solver, parent.basis, lo, hi)
             return got
 
@@ -1322,6 +1374,7 @@ class TestKeptLp:
             return children
 
         monkeypatch.setattr(SimplexSolver, "inherit", checked_inherit)
+        monkeypatch.setattr(SimplexSolver, "resolve", checked_resolve)
         monkeypatch.setattr(SimplexSolver, "refute", recorded_refute)
         monkeypatch.setattr(BranchAndCount, "_child", checked_child)
         monkeypatch.setattr(BranchAndCount, "partition_branch", checked_partition)
@@ -1334,6 +1387,7 @@ class TestKeptLp:
         run_phase_one(factory(), spec)
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
+        assert counts["verdicts"] > counts["kept"]
         if name.startswith(("random_binary_instance", "two_cluster_instance")):
             assert counts["refuted"] > 0
 
@@ -1387,25 +1441,61 @@ class TestKeptLp:
         solver._bases.clear()  # the priced basis is gone
         assert solver.inherit(parent, clo, chi, j) is None
 
+    def test_a_kept_child_reads_its_parents_dual_objective(self):
+        solver, _, parent, _, (clo, chi, j) = self.warm_family()
+        kept = solver.inherit(parent, clo, chi, j)
+        assert kept._dual is parent._dual  # nothing summed yet
+        want = solver.resolve(parent.basis, clo, chi).dual_objective
+        assert repr(kept.dual_objective) == repr(parent.dual_objective) == repr(want)
+
+    @staticmethod
+    def with_verdict(parent, wrong_sign):
+        """``parent`` with its snapshot's verdict replaced."""
+        verdict = np.array(wrong_sign, dtype=np.intp)
+        return replace(parent, basis=replace(parent.basis, wrong_sign=verdict))
+
+    def test_a_verdict_naming_only_the_split_column_keeps_the_child(self):
+        """``j`` is fixed in the child's box, so the warm start does not test
+        it, whatever the parent's box said; the kept child's own verdict
+        names no column."""
+        solver, _, parent, _, (clo, chi, j) = self.warm_family()
+        kept = solver.inherit(self.with_verdict(parent, [j]), clo, chi, j)
+        assert kept is not None
+        assert kept.basis.wrong_sign.tolist() == [] == oracle_wrong_sign(solver, kept.basis,
+                                                                         clo, chi)
+        assert self.lp_fields(kept) == self.lp_fields(solver.resolve(parent.basis, clo, chi))
+        # a grandchild is judged on the kept child's own verdict
+        glo, ghi, g = self.fix_nonbasic(solver, kept, clo, chi)
+        assert solver.inherit(kept, glo, ghi, g) is not None
+
+    def test_a_snapshot_without_a_verdict_is_not_kept(self):
+        solver, _, parent, _, (clo, chi, j) = self.warm_family()
+        bare = replace(parent, basis=BasisSnapshot(parent.basis.basis, parent.basis.at_upper))
+        assert solver._priced(bare.basis) is not None
+        assert solver.inherit(bare, clo, chi, j) is None
+
     @pytest.mark.parametrize("column", ["branched", "other"])
     def test_a_reduced_cost_against_its_parked_bound_is_not_kept(self, column):
         """A warm solve can end with a reduced cost that prices against the
         bound its column is parked at: a ratio-test tie within PIVOT_TOL
         moves it by up to PIVOT_TOL * |alpha|. Marked so in the memo, the
-        branched column would change its dual-objective term, and any other
-        movable one fails the warm start's test, so neither child is kept."""
+        branched column would change its dual-objective term. Any other
+        movable one fails the warm start's test, whose verdict the parent's
+        snapshot records when it is made, so it is marked there. Neither
+        child is kept."""
         solver, _, parent, (plo, phi), (clo, chi, j) = self.warm_family()
         state = solver._bases[parent.basis.basis.tobytes()]
         at_upper = parent.basis.at_upper
+        assert solver.inherit(parent, clo, chi, j) is not None  # unmarked, it is kept
         if column == "branched":
-            k = j
+            name = "red_pos" if at_upper[j] else "red_neg"
+            wrong = getattr(state, name).copy()
+            wrong[j] = True
+            setattr(state, name, wrong)
         else:
             k = next(k for k in range(solver.n) if k != j and state.nonbasic[k]
                      and solver._bounds(clo, chi)[0][k] != solver._bounds(clo, chi)[1][k])
-        name = "red_pos" if at_upper[k] else "red_neg"
-        wrong = getattr(state, name).copy()
-        wrong[k] = True
-        setattr(state, name, wrong)
+            parent = self.with_verdict(parent, [k])
         assert solver.inherit(parent, clo, chi, j) is None
 
 class TestLpValuesAreReadOnly:

@@ -7,6 +7,10 @@ bit and no dequeue, so every trace hash, pool, objective repr and
 warm-solve result must stay exactly as pinned. A change that moves one of them on purpose must update
 the value here and say why.
 
+The CLI pins hold the exact stdout and trace-file bytes of ``solve``,
+``enumerate``, ``diverse`` and ``compare`` on every shipped instance, so the
+subset phase and the JSON writer are pinned too.
+
 ``python tests/test_golden.py`` prints the current values in the form they
 are pinned in.
 """
@@ -14,10 +18,12 @@ are pinned in.
 import functools
 import hashlib
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import make_lp
 from diversitree import (
@@ -30,6 +36,7 @@ from diversitree import (
     run_phase_one,
     two_cluster_instance,
 )
+from diversitree.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 SHIPPED = sorted(p.name for p in INSTANCES.glob("*.mps"))
@@ -79,6 +86,34 @@ def count_fingerprint(name):
     _, count = run_phase_one(factory(), spec)
     objectives = repr(count.pool.objectives).encode()
     return count.trace_hash, len(count.pool), hashlib.sha256(objectives).hexdigest()
+
+
+# command -> (flags, whether it writes a trace); each runs on every shipped instance
+CLI_RUNS = {
+    "solve": (["solve"], False),
+    "enumerate": (["enumerate", "--p1", "0", "--q", "0.1"], True),
+    "diverse": (["diverse", "--preset", "hhl", "--q", "0.1", "--p1", "30"], True),
+    "compare": (["compare", "--q", "0.1", "--p1", "30"], False),
+}
+
+
+def cli_cases():
+    return [f"{name} {command}" for name in SHIPPED for command in CLI_RUNS]
+
+
+def cli_fingerprint(case):
+    """(exit code, sha256 of stdout, sha256 of the trace file or None) of one
+    CLI run, in process."""
+    name, command = case.rsplit(" ", 1)
+    flags, traced = CLI_RUNS[command]
+    args = [*flags, "--instance", str(INSTANCES / name)]
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.jsonl"
+        if traced:
+            args += ["--trace", str(trace)]
+        res = CliRunner().invoke(main, args, catch_exceptions=False)
+        trace_digest = hashlib.sha256(trace.read_bytes()).hexdigest() if traced else None
+    return res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest(), trace_digest
 
 
 def _bits(value):
@@ -418,6 +453,106 @@ GOLDEN_WARM_RAND0 = [
 
 GOLDEN_RANDOM_LP_DIGEST = '9bd06fdf02e8c48e461707deccb421c145f5e15cb221e1007d17b4d55ed39156'
 
+# (exit code, sha256 of stdout, sha256 of the trace file or None)
+GOLDEN_CLI = {
+    'cluster_n10_r2.mps solve': (
+        0, '47b96b42de0b77499577474004dc731673ac5686b2ab895bc544203a66299a72',
+        None),
+    'cluster_n10_r2.mps enumerate': (
+        0, 'b5ad00edd023fae3ab3ea35b3e48c25a9d873413b09644478d406a4ea084e4d1',
+        'dca452303f76b0301b0d8ba243fb8c06ec0f3ff1bad3a6bd675cb2e83243cf0a'),
+    'cluster_n10_r2.mps diverse': (
+        0, '9b9bd8ab551914e757fa2fc30a60e838fe51484eb7cf475225b1be5fa5d1e25a',
+        '777c6c7f1b040c8920fb2ddfa9b72bc973d62bf9cde44a4c570220200524d2e1'),
+    'cluster_n10_r2.mps compare': (
+        0, 'c121adf7e54ab24c81b8e3d19b7886d2b2cd74965fd4e31dc80f43f64d7da711',
+        None),
+    'cluster_n8_r1.mps solve': (
+        0, '770b11b3a50e0a72eb0b8596b42c859fd443d95f46faa8e6aab9d4f4c970fd31',
+        None),
+    'cluster_n8_r1.mps enumerate': (
+        0, '72d015ad9a13c3fc03665b5f892d06aa1965a9d57ecec3b8263a4663907cf578',
+        'e32cdb2af9da7bc2387db5aedcc31ed44c7fa9377600ae8377cb17e02887f089'),
+    'cluster_n8_r1.mps diverse': (
+        0, 'cf9084ee1b3c121f1cc6d4fd75cced494220e532d396a4ee7658a4582b5808a9',
+        'e32cdb2af9da7bc2387db5aedcc31ed44c7fa9377600ae8377cb17e02887f089'),
+    'cluster_n8_r1.mps compare': (
+        0, 'fc5b867da4dafcf16c42b9db7cba6365a0f4c782e4f7b22d262f9207ba42446f',
+        None),
+    'genint.mps solve': (
+        0, '8e8fecbebcdc2bb561254c46e41762f0d8cbdb107358fe8d495219134892c82b',
+        None),
+    'genint.mps enumerate': (
+        0, 'c9d674218e64181bddf814e69222eef5918bb41dcb34ab3b9edf29b5d74b24dd',
+        'ec0fe7d324044226b48db9f29b6e54e47279adc6187a5544b1d57a6de7aa8cba'),
+    'genint.mps diverse': (
+        0, '9962c1218eaeed40ae86d4f6ebe644405ce1949aef0afd18721fcdba33cea1c3',
+        'ec0fe7d324044226b48db9f29b6e54e47279adc6187a5544b1d57a6de7aa8cba'),
+    'genint.mps compare': (
+        0, '09aea3835a46cc6b31e83512ebcbe3b7165375581416cfdbf4943e3ad49cc82f',
+        None),
+    'knap3.mps solve': (
+        0, '1d9042361a9c077503cc2454ef5131d24d1a96b3121026c53a777e610dac8c4c',
+        None),
+    'knap3.mps enumerate': (
+        0, 'ef36958d8fbe096a7f9a75cc7c22a8062841279de72f8a8c5c97c7ac8c69c848',
+        'da0f16cf338c9b37c0effc1c8d3959426bfb17e38b9c3d62b27b6737c356fa57'),
+    'knap3.mps diverse': (
+        0, '85d6a5f65e8e99487df7bcd32efdf2dfde772d4eb096b0b0d910822ff08b617a',
+        'da0f16cf338c9b37c0effc1c8d3959426bfb17e38b9c3d62b27b6737c356fa57'),
+    'knap3.mps compare': (
+        0, '43a0646505ef59d167a82325ad346fe177d528965a9c859b7ed62081e22788e9',
+        None),
+    'mixed4.mps solve': (
+        0, '3790ce95be793a2afb4cc3736bb0fa4044df6cd3f2265750eb3004fcff704048',
+        None),
+    'mixed4.mps enumerate': (
+        0, '70d4ad867e9d0f8b94e73bfe0f6dcb5dc583e90f7671e84668e5c8da31588aac',
+        '44f01963062f20a22bb142bc031929c049101057496bce92ac7854b7f29d9415'),
+    'mixed4.mps diverse': (
+        0, '36dbc3379c4f6107c42de43485d841b2187891d7ae7b8dab55661d6fa8031ce8',
+        '44f01963062f20a22bb142bc031929c049101057496bce92ac7854b7f29d9415'),
+    'mixed4.mps compare': (
+        0, '60f3de5031c37b01d592bcf848e99b291a092660547b44af9becec4d512055f1',
+        None),
+    'rand0.mps solve': (
+        0, 'bc08191eea5ac6f4790693ed9ec74b19525a4764d6d0c1fdb97ac228c5aa3cd1',
+        None),
+    'rand0.mps enumerate': (
+        0, '985c1e76ba405cfe1a6cec7ebf008ea8b8cca728cced99d33305060b7b7541af',
+        'dfc66b304a6fdad7350668a475b2e5cde5b49a410c51d15b17ce48fe45fa1c44'),
+    'rand0.mps diverse': (
+        0, '5d37969e49a8225d41fe2c302a709ab8460f03b2cc41aa58873c6b82da4826a4',
+        'dfc66b304a6fdad7350668a475b2e5cde5b49a410c51d15b17ce48fe45fa1c44'),
+    'rand0.mps compare': (
+        0, '8553251ad8355bd1f76201f42f5bb2840624d473f7f27d337cfa2a4cd35e6f82',
+        None),
+    'rand1.mps solve': (
+        0, '5f51d6bf42f702a1a2a9048fa4547b5bf04bfe8e5eb61e0fbd5278be4d1f5ea1',
+        None),
+    'rand1.mps enumerate': (
+        0, 'c9b5c155619db047ae40941e3a06acf9e00ee6e01facc90fe60c118d4c438234',
+        'b3ab215abe78bca59262866b5a6720f98b7b096ef5e6cea5f20d4cd8b9ec54e7'),
+    'rand1.mps diverse': (
+        0, '7ebd09fb3e70929b25874e6cdcb230400d903587bc2d81e8a9842d13e21c534f',
+        'b3ab215abe78bca59262866b5a6720f98b7b096ef5e6cea5f20d4cd8b9ec54e7'),
+    'rand1.mps compare': (
+        0, '5f9fcd893019c81818e8fec9571e7d2f297dc24410c31507b5f7e30c107be85e',
+        None),
+    'rand2.mps solve': (
+        0, '851586835c2124aeed0aec03eb75156fff6a8a7161f67f37f15fa0dc3cc953be',
+        None),
+    'rand2.mps enumerate': (
+        0, '634a901eddf97488dc63291428f59bb67577f724cdefaa4703aeb161dff72792',
+        'ae779246e3fecc13cab60321803236387ae1b7205d3b024ba77815983a2d9822'),
+    'rand2.mps diverse': (
+        0, 'ee69d254834fd0ba6820844c6ea3e0bd724978325e5870b43c0f760ba6c16c53',
+        'ae779246e3fecc13cab60321803236387ae1b7205d3b024ba77815983a2d9822'),
+    'rand2.mps compare': (
+        0, 'b687b12a847485fb91655577ae8de88e226753765c1822cf263b4cfdefcd0b61',
+        None),
+}
+
 
 class TestCountPhaseGolden:
     def test_every_case_is_pinned(self):
@@ -437,13 +572,22 @@ class TestSimplexGolden:
         assert random_lp_digest() == GOLDEN_RANDOM_LP_DIGEST
 
 
+class TestCliGolden:
+    def test_every_case_is_pinned(self):
+        assert list(GOLDEN_CLI) == cli_cases()
+
+    @pytest.mark.parametrize("case", cli_cases())
+    def test_stdout_and_trace_bytes(self, case):
+        assert cli_fingerprint(case) == GOLDEN_CLI[case]
+
+
 def test_printed_values_are_the_pinned_source():
     # what ``python tests/test_golden.py`` prints must paste back unchanged
     assert _pinned_source() in Path(__file__).read_text()
 
 
 def _pinned_source():
-    """The three pinned values, as Python source."""
+    """The pinned values, as Python source."""
     lines = ["# (trace hash, pool size, sha256 of repr(pool objectives))", "GOLDEN_COUNT = {"]
     for name in sorted(count_cases()):
         trace, size, objectives = count_fingerprint(name)
@@ -453,7 +597,13 @@ def _pinned_source():
     for fp in warm_sequence(parse_mps(str(INSTANCES / "rand0.mps")), 40):
         lines += [f"    ({', '.join(map(repr, fp[:4]))},",
                   f"     {', '.join(map(repr, fp[4:]))}),"]
-    lines += ["]", "", f"GOLDEN_RANDOM_LP_DIGEST = {random_lp_digest()!r}"]
+    lines += ["]", "", f"GOLDEN_RANDOM_LP_DIGEST = {random_lp_digest()!r}", "",
+              "# (exit code, sha256 of stdout, sha256 of the trace file or None)",
+              "GOLDEN_CLI = {"]
+    for case in cli_cases():
+        code, out, trace = cli_fingerprint(case)
+        lines += [f"    {case!r}: (", f"        {code}, {out!r},", f"        {trace!r}),"]
+    lines += ["}"]
     return "\n".join(lines)
 
 

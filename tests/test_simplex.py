@@ -23,7 +23,7 @@ from diversitree import (
 from diversitree.model import FEAS_TOL
 from diversitree.simplex import BasisSnapshot
 
-from conftest import make_lp, scipy_lp
+from conftest import make_lp, oracle_dual_sum, oracle_wrong_sign, scipy_lp
 
 
 def lp_instance(objective, rows, bounds, integers=()):
@@ -339,6 +339,19 @@ class TestBasisMemo:
         key = np.asarray(snapshot.basis, dtype=np.intp).tobytes()
         assert (key in solver._bases) == (case == "dual_infeasible")
 
+    def test_a_priced_basis_with_a_bad_mask_falls_back_to_cold(self):
+        # the snapshot shares the memoized basis array, so it skips the
+        # basis guard, but its mask is still checked
+        inst = parse_mps(str(self.RAND0))
+        solver = SimplexSolver(inst)
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        warm = solver.resolve(solver.solve(lo, hi).basis, lo, hi)
+        assert solver._priced(warm.basis) is not None
+        for mask in (warm.basis.at_upper[:-1], np.zeros((1, solver.n), dtype=bool)):
+            snapshot = BasisSnapshot(basis=warm.basis.basis, at_upper=mask)
+            cold = golden.lp_fingerprint(SimplexSolver(inst).solve(lo, hi))
+            assert golden.lp_fingerprint(solver.resolve(snapshot, lo, hi)) == cold
+
     def test_children_leave_the_parent_snapshot_alone(self):
         # many warm children pivot away from one parent snapshot; the
         # parent's arrays stay read-only and keep their values
@@ -364,6 +377,86 @@ class TestBasisMemo:
         assert np.array_equal(snap.basis, basis)
         assert np.array_equal(snap.at_upper, at_upper)
         assert golden.lp_fingerprint(solver.resolve(snap, lo, hi)) == before
+
+
+def family_results(seeds=range(150)):
+    """(solver, result, structural lo, structural hi) for the cold root and
+    two warm children of the random LPs ``golden.random_lp_digest`` solves,
+    each result unread."""
+    for seed in seeds:
+        inst = make_lp(seed, n=3 + seed % 8, m=2 + seed % 9)
+        solver = SimplexSolver(inst)
+        lo0, hi0 = (np.asarray(b, dtype=float) for b in inst.bounds())
+        parent = solver.solve(lo0, hi0)
+        yield solver, parent, lo0, hi0
+        if not parent.is_optimal:
+            continue
+        j = seed % inst.num_vars
+        hi, lo = hi0.copy(), lo0.copy()
+        hi[j] = max(lo0[j], math.floor(parent.x[j] - 0.5))
+        lo[j] = min(hi0[j], math.ceil(parent.x[j] + 0.5))
+        for clo, chi in ((lo0, hi), (lo, hi0)):
+            yield solver, solver.resolve(parent.basis, clo, chi), clo, chi
+
+
+class TestDualObjectiveOnRead:
+    """An optimal result sums its dual objective the first time it is read,
+    from references to the arrays of its solve, with the bits of the eager
+    left-to-right loop."""
+
+    def test_read_equals_the_eager_loop(self):
+        read = 0
+        for _, res, _, _ in family_results():
+            if not res.is_optimal:
+                assert res.dual_objective is None
+                continue
+            parts = res._dual
+            assert isinstance(parts, tuple)  # not summed yet
+            want = oracle_dual_sum(*parts)
+            got = res.dual_objective
+            assert repr(got) == repr(want)
+            assert res._dual is got and res.dual_objective is got  # summed once
+            read += 1
+        assert read > 200
+
+    def test_cumsum_equals_the_loop_on_random_vectors(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+            scale = 10.0 ** rng.integers(-3, 8)
+            red = rng.normal(size=n) * scale
+            red[rng.random(n) < 0.2] = 0.0
+            lo = rng.normal(size=n) * scale
+            hi = lo + rng.random(n) * scale
+            lo[rng.random(n) < 0.2] = -np.inf
+            hi[rng.random(n) < 0.2] = np.inf
+            parts = (rng.normal(size=m), rng.normal(size=m) * scale, red,
+                     rng.random(n) < 0.7, rng.normal(size=n) * scale, lo, hi)
+            assert repr(simplex._dual_sum(*parts)) == repr(oracle_dual_sum(*parts))
+
+
+class TestWarmStartVerdict:
+    """A warm solve's snapshot records which columns fail the warm start's
+    dual-feasibility test in the box it was solved in; a cold one records
+    nothing."""
+
+    def test_every_warm_result_records_the_full_test(self):
+        warm = 0
+        for solver, res, lo, hi in family_results():
+            snap = res.basis
+            if snap is None:
+                continue
+            if snap.wrong_sign is None:  # a cold solve or fallback made it
+                assert solver._priced(snap) is None
+                continue
+            assert snap.wrong_sign.tolist() == oracle_wrong_sign(solver, snap, lo, hi)
+            assert not snap.wrong_sign.flags.writeable
+            warm += 1
+        assert warm > 100
+
+    def test_a_cold_solve_records_nothing(self):
+        solver = SimplexSolver(parse_mps(str(golden.INSTANCES / "rand0.mps")))
+        assert solver.solve().basis.wrong_sign is None
 
 
 class TestRefute:

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     oracle_exact,
     oracle_greedy,
+    oracle_greedy_from,
     oracle_greedy_swap,
     oracle_ham_counts,
     oracle_pair_sum,
@@ -154,7 +155,10 @@ class TestExactTies:
                 proj[rng.integers(0, n, size=n // 4)] = proj[rng.integers(0, n, size=n // 4)]
             yield proj, p
 
-    def test_greedy_methods_match_the_plain_loop_search(self):
+    @pytest.mark.parametrize("chunk", [subset.START_CHUNK, 7, 1])
+    def test_greedy_methods_match_the_plain_loop_search(self, monkeypatch, chunk):
+        # 7 and 1 split the farthest-partner starts across blocks
+        monkeypatch.setattr(subset, "START_CHUNK", chunk)
         checked = 0
         for proj, p in self.differential_pools():
             dist = oracle_ham_counts(proj)
@@ -162,6 +166,17 @@ class TestExactTies:
             assert select_diverse_subset(proj, p, "greedy_swap") == oracle_greedy_swap(dist, p)
             checked += 1
         assert checked == 150
+
+    @pytest.mark.parametrize("chunk", [subset.START_CHUNK, 7, 1])
+    def test_farthest_partner_starts_match_the_plain_loop(self, monkeypatch, chunk):
+        # the picks themselves: a start grown wrong can still end at the same
+        # local optimum, and identical rows (every distance 0) tie everywhere
+        monkeypatch.setattr(subset, "START_CHUNK", chunk)
+        pools = [(np.tile([1, 0, 1], (9, 1)), 4), *itertools.islice(self.differential_pools(), 20)]
+        for proj, p in pools:
+            dist = oracle_ham_counts(proj)
+            want = [oracle_greedy_from(dist, i, p) for i in range(len(dist))]
+            assert subset._farthest_partner_starts(np.array(dist, dtype=float), p) == want
 
     def test_equal_swap_gains_go_to_the_lowest_index(self):
         # from the greedy start {0, 1, 2, 5}, swapping 1 for 3 or for 4 both
