@@ -18,10 +18,9 @@ from diversitree.generators import (
 from diversitree.mps import write_mps
 
 
-def main() -> int:
-    dest = Path(__file__).resolve().parent.parent / "instances"
-    dest.mkdir(exist_ok=True)
-    catalog = [
+def catalog() -> list:
+    """The shipped instances, in the order they are written."""
+    return [
         knapsack_instance(),
         mixed_small_instance(),
         general_integer_instance(),
@@ -31,7 +30,12 @@ def main() -> int:
         random_binary_instance(1),
         random_binary_instance(2),
     ]
-    for inst in catalog:
+
+
+def main() -> int:
+    dest = Path(__file__).resolve().parent.parent / "instances"
+    dest.mkdir(exist_ok=True)
+    for inst in catalog():
         path = dest / f"{inst.name}.mps"
         path.write_text(write_mps(inst))
         print(f"wrote {path}")

@@ -212,6 +212,7 @@ class SolutionPool:
         """Read-only (len, num_binaries) int8 view of their binary projections."""
         return self._filled(self._proj)
 
+    # nothing in the package calls it; perfbench/workloads.py reads the pool through it
     def projection_matrix(self) -> np.ndarray:
         return self.projections
 
@@ -434,10 +435,6 @@ class BranchAndCount:
             return INTEGER_FEASIBLE
         return BRANCHABLE
 
-    def is_unrestricted(self, lo, hi) -> bool:
-        """True when every row holds at its worst point of the box."""
-        return not self.open_rows(lo, hi)
-
     def open_rows(self, lo, hi, rows: range = None) -> range:
         """The rows of ``rows`` (None: every row) from the first one that
         does not hold over the box [lo, hi] (``LinearConstraint.holds_over``);
@@ -594,6 +591,9 @@ class BranchAndCount:
             if root.lp.status == LpStatus.UNBOUNDED:
                 raise EngineError("root relaxation is unbounded; add bounds or a cutoff")
             if root.lp.status == LpStatus.INFEASIBLE:
+                if _limit_reached(deadline, 0, node_limit):
+                    result.truncated = True
+                    return result
                 result.nodes_processed = 1
                 emit(0, 0, None, INFEASIBLE)
                 result.exhausted = True
@@ -681,6 +681,8 @@ class BranchAndCount:
             return result("infeasible")  # integer bounds rounded to an empty box
         root = self._root()
         if root.lp.status != LpStatus.OPTIMAL:
+            if _limit_reached(deadline, 0, node_limit):
+                return result("limit")
             nodes = 1
             return result(root.lp.status.value)
 

@@ -353,15 +353,7 @@ def binary_expand(instance: MipInstance, targets) -> tuple:
             )
         entries[j] = Expansion(kind="binary", bit_indices=tuple(bits), weights=tuple(weights))
 
-    new = MipInstance(
-        name=instance.name,
-        variables=variables,
-        constraints=constraints,
-        objective=dict(instance.objective),
-        objective_name=instance.objective_name,
-        objective_negated=instance.objective_negated,
-    )
-    return new, IndexMap(entries)
+    return replace(instance, variables=variables, constraints=constraints), IndexMap(entries)
 
 
 def discretize_continuous(instance: MipInstance, targets, precision_digits: int) -> tuple:
@@ -414,12 +406,4 @@ def discretize_continuous(instance: MipInstance, targets, precision_digits: int)
         )
         entries[j] = Expansion(kind="dyadic", bit_indices=tuple(bits), weights=tuple(weights), offset=lo)
 
-    new = MipInstance(
-        name=instance.name,
-        variables=variables,
-        constraints=constraints,
-        objective=dict(instance.objective),
-        objective_name=instance.objective_name,
-        objective_negated=instance.objective_negated,
-    )
-    return new, IndexMap(entries)
+    return replace(instance, variables=variables, constraints=constraints), IndexMap(entries)

@@ -282,6 +282,7 @@ class Selector:
             self._terms = (pool, len(pool), term_vector(pool))
         return self._terms[2]
 
+    # nothing in the package calls it; perfbench/tracer.py wraps it
     def score(self, node, pool, gated: bool = None) -> float:
         """Score of one node: :meth:`scores` over an open set holding only it."""
         from .engine import OpenNodeQueue  # engine imports this module

@@ -497,49 +497,42 @@ class SimplexSolver:
 
         c1 = np.zeros(n_cols)
         c1[self.n :] = 1.0
-        try:
+        try:  # an iteration cap or a singular basis anywhere below: STALLED
             status, it1, _ = self._primal(A, c1, lo_ext, hi_ext, basis, x)
-        except _Stalled:
-            return LpResult(status=LpStatus.STALLED)
-        except np.linalg.LinAlgError:
-            return LpResult(status=LpStatus.STALLED)
-        if status != LpStatus.OPTIMAL:  # phase 1 is bounded below by zero
-            return LpResult(status=LpStatus.STALLED, iterations=it1)
-        if float(c1 @ x) > FEAS_TOL * self._scale:
-            return LpResult(status=LpStatus.INFEASIBLE, iterations=it1)
+            if status != LpStatus.OPTIMAL:  # phase 1 is bounded below by zero
+                return LpResult(status=LpStatus.STALLED, iterations=it1)
+            if float(c1 @ x) > FEAS_TOL * self._scale:
+                return LpResult(status=LpStatus.INFEASIBLE, iterations=it1)
 
-        # Pivot leftover artificials out where a real column can replace them.
-        basic = np.zeros(n_cols, dtype=bool)
-        basic[basis] = True
-        for k in range(self.m):
-            if basis[k] < self.n:
-                continue
-            B = A[:, basis]
-            replaced = False
-            for j in range(self.n):
-                if basic[j] or lo_ext[j] == hi_ext[j]:
+            # Pivot leftover artificials out where a real column can replace them.
+            basic = np.zeros(n_cols, dtype=bool)
+            basic[basis] = True
+            for k in range(self.m):
+                if basis[k] < self.n:
                     continue
-                w = np.linalg.solve(B, A[:, j])
-                if abs(w[k]) > 1e-7:
-                    old = basis[k]
-                    basis[k] = j  # degenerate swap, values recomputed next iteration
-                    basic[old] = False
-                    basic[j] = True
-                    x[old] = 0.0
-                    replaced = True
-                    break
-            if not replaced:
-                hi_ext[basis[k]] = 0.0  # redundant row: freeze its artificial
+                B = A[:, basis]
+                replaced = False
+                for j in range(self.n):
+                    if basic[j] or lo_ext[j] == hi_ext[j]:
+                        continue
+                    w = np.linalg.solve(B, A[:, j])
+                    if abs(w[k]) > 1e-7:
+                        old = basis[k]
+                        basis[k] = j  # degenerate swap, values recomputed next iteration
+                        basic[old] = False
+                        basic[j] = True
+                        x[old] = 0.0
+                        replaced = True
+                        break
+                if not replaced:
+                    hi_ext[basis[k]] = 0.0  # redundant row: freeze its artificial
 
-        lo_ext[self.n :] = 0.0
-        hi_ext[self.n :] = 0.0
-        c2 = np.zeros(n_cols)
-        c2[: self.n] = self.c
-        try:
+            lo_ext[self.n :] = 0.0
+            hi_ext[self.n :] = 0.0
+            c2 = np.zeros(n_cols)
+            c2[: self.n] = self.c
             status, it2, state = self._primal(A, c2, lo_ext, hi_ext, basis, x)
-        except _Stalled:
-            return LpResult(status=LpStatus.STALLED)
-        except np.linalg.LinAlgError:
+        except (_Stalled, np.linalg.LinAlgError):
             return LpResult(status=LpStatus.STALLED)
         if status == LpStatus.UNBOUNDED:
             return LpResult(status=LpStatus.UNBOUNDED, iterations=it1 + it2)

@@ -10,12 +10,14 @@ Methods:
 
 * ``greedy``: seed with the farthest pair (the first in row-major order;
   (0, 1) when every distance is 0), then repeatedly add the solution with
-  the largest summed distance to the chosen set.
+  the largest summed distance to the chosen set. This is the
+  farthest-partner pick of the pair's first member.
 * ``greedy_swap``: best-improvement single swaps to a local optimum
   (iteration cap 50 * p per start), restarted from the greedy pick, a
   greedy-drop pick, and one farthest-partner pick per pool member; the
   best local optimum wins. The farthest-partner picks are grown together,
-  ``START_CHUNK`` members at a time, one matrix of running sums per block.
+  ``START_CHUNK`` members at a time, one matrix of running sums per block,
+  and the greedy pick is read from them.
   Each move scores every (out, in) swap at once from the running distance
   sums of the chosen set; a start whose set was already searched is
   skipped, since its local optimum is the same.
@@ -65,6 +67,7 @@ def pair_sum(dist: np.ndarray, chosen) -> float:
     return float(sub.sum() / 2.0)
 
 
+# nothing in the package calls it; perfbench/tracer.py wraps it
 def dbin_delta(dist: np.ndarray, chosen, out: int, incoming: int) -> float:
     """Pair-sum change from swapping ``out`` for ``incoming``; O(p)."""
     delta = 0.0
@@ -75,29 +78,10 @@ def dbin_delta(dist: np.ndarray, chosen, out: int, incoming: int) -> float:
     return delta
 
 
-def _extend(dist: np.ndarray, chosen: list, p: int) -> list:
-    """Add the member farthest in sum from the chosen set until p are chosen."""
-    chosen = list(chosen)
-    sums = dist[:, chosen].sum(axis=1)
-    taken = np.zeros(len(sums), dtype=bool)
-    taken[chosen] = True
-    while len(chosen) < p:
-        nxt = int(np.argmax(np.where(taken, -1, sums)))  # lowest index on ties
-        chosen.append(nxt)
-        taken[nxt] = True
-        sums += dist[:, nxt]
-    return chosen
-
-
-def _greedy(dist: np.ndarray, p: int) -> list:
-    # the farthest pair first in row-major order over i < j: by symmetry its
-    # row is the first row holding the maximum, and its partner lies right of it
-    rowmax = dist.max(axis=1)
-    far = rowmax.max()
-    if far == 0:  # every distance is 0
-        return _extend(dist, [0, 1], p)
-    i = int(np.argmax(rowmax == far))
-    return _extend(dist, [i, int(np.argmax(dist[i] == far))], p)
+def _far_row(dist: np.ndarray) -> int:
+    """The first row holding the largest distance: the first member of the
+    farthest pair in row-major order over i < j (0 when every distance is 0)."""
+    return int(np.argmax(dist.max(axis=1)))
 
 
 def _swap_to_local_optimum(dist: np.ndarray, chosen: list) -> list:
@@ -129,16 +113,18 @@ def _greedy_drop(dist: np.ndarray, p: int) -> list:
     return np.flatnonzero(alive).tolist()
 
 
-def _farthest_partner_starts(dist: np.ndarray, p: int) -> list:
-    """For each member i in order, ``_extend`` of i and its farthest partner
-    (the lowest-index one; i + 1 mod n when every distance from i is 0),
-    grown for ``START_CHUNK`` members at a time. Every sum is an exact
-    integer and argmax takes the lowest index, so each pick is the one a
-    single ``_extend`` makes."""
+def _farthest_partner_starts(dist: np.ndarray, p: int, members=None) -> list:
+    """For each of ``members`` in order (None: every member), the member and
+    its farthest partner (the lowest-index one; i + 1 mod n when every
+    distance from i is 0), then the member farthest in sum from the chosen
+    set, lowest index on ties, until p are chosen. ``START_CHUNK`` members
+    are grown at a time; every sum is an exact integer, so each pick is the
+    one a single growth makes."""
     n = dist.shape[0]
+    members = np.arange(n) if members is None else np.asarray(members, dtype=np.intp)
     starts = []
-    for top in range(0, n, START_CHUNK):
-        first = np.arange(top, min(top + START_CHUNK, n))
+    for top in range(0, len(members), START_CHUNK):
+        first = members[top:top + START_CHUNK]
         rows = np.arange(len(first))
         partner = np.argmax(dist[first], axis=1)
         alone = partner == first
@@ -157,8 +143,8 @@ def _farthest_partner_starts(dist: np.ndarray, p: int) -> list:
 
 
 def _greedy_swap(dist: np.ndarray, p: int) -> list:
-    starts = [_greedy(dist, p), _greedy_drop(dist, p)]
-    starts.extend(_farthest_partner_starts(dist, p))
+    grown = _farthest_partner_starts(dist, p)
+    starts = [grown[_far_row(dist)], _greedy_drop(dist, p)] + grown
     best = None
     best_sum = -1
     seen = set()
@@ -234,7 +220,7 @@ def select_diverse_subset(projections, p: int, method: str = "greedy_swap") -> l
         )
     dist = _hamming_counts(proj)
     if method == "greedy":
-        return sorted(_greedy(dist, p))
+        return sorted(_farthest_partner_starts(dist, p, [_far_row(dist)])[0])
     if method == "greedy_swap":
         return _greedy_swap(dist, p)
     return _exact(dist, p, proj)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from diversitree import dall, dbin, ham, pairwise_ham, project_binary
+from diversitree import dall, dbin, ham
+from diversitree.diversity import pairwise_ham, project_binary
 from diversitree.model import INT_TOL
 
 from conftest import oracle_dall, oracle_dbin, oracle_ham

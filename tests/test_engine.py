@@ -39,11 +39,11 @@ from diversitree import (
     SelectorConfig,
     VariableDef,
     add_objective_cutoff,
-    brute_force_near_optimal,
-    most_fractional,
     run_phase_one,
 )
+from diversitree.engine import most_fractional
 from diversitree.generators import (
+    brute_force_near_optimal,
     general_integer_instance,
     knapsack_instance,
     mixed_small_instance,
@@ -281,9 +281,9 @@ class TestClassification:
             {0: 1.0, 1: 1.0, 2: 1.0},
         )
         bc = BranchAndCount(inst)
-        assert not bc.is_unrestricted(bc.root_lo, bc.root_hi)
+        assert bc.open_rows(bc.root_lo, bc.root_hi)
         # forcing every variable on satisfies the row at the worst corner
-        assert bc.is_unrestricted(np.ones(3), bc.root_hi)
+        assert not bc.open_rows(np.ones(3), bc.root_hi)
 
     def test_unrestricted_agrees_with_box_brute_force(self, small_instances):
         rng = np.random.default_rng(7)
@@ -302,7 +302,7 @@ class TestClassification:
                     if not all(c.satisfied(x) for c in inst.constraints):
                         all_ok = False
                         break
-                assert bc.is_unrestricted(lo, hi) == all_ok
+                assert (not bc.open_rows(lo, hi)) == all_ok
 
     def test_box_test_equals_the_ge_form_oracle(self):
         """Random float rows and boxes, some bounds infinite and many rhs on
@@ -336,7 +336,7 @@ class TestClassification:
                 constraints=rows,
                 objective={0: 1.0},
             )
-            got = BranchAndCount(inst).is_unrestricted(lo, hi)
+            got = not BranchAndCount(inst).open_rows(lo, hi)
             assert got == oracle_is_unrestricted(inst, lo, hi, FEAS_TOL)
             outcomes.append(got)
         assert 300 < sum(outcomes) < 2700  # both verdicts are exercised
@@ -369,7 +369,7 @@ class TestClassification:
         inst = MipInstance(name="edge", variables=[VariableDef(0, 0.0, 5.0)],
                            constraints=[con], objective={0: 1.0})
         x = np.array([x0])
-        assert BranchAndCount(inst).is_unrestricted(x, x) == con.satisfied(x)
+        assert (not BranchAndCount(inst).open_rows(x, x)) == con.satisfied(x)
         assert con.satisfied(x)
 
     def test_partition_branch_splits_integral_lp(self):
@@ -553,7 +553,7 @@ class TestEnumerateUnrestricted:
         assert con.satisfied([1.0, 1.0, 1.0])  # a compensated sum would reject it
         # with x0 = x2 = 1 the row holds over the box, so x1 is walked free
         lo, hi = np.array([1.0, 0.0, 1.0]), np.ones(3)
-        assert con.holds_over(lo.tolist(), hi.tolist()) and bc.is_unrestricted(lo, hi)
+        assert con.holds_over(lo.tolist(), hi.tolist()) and not bc.open_rows(lo, hi)
         node = Node(id=0, parent_id=None, depth=0, lo=lo, hi=hi,
                     lp=SimpleNamespace(x=np.ones(3)))
         pool = SolutionPool(bc.instance)
@@ -901,6 +901,18 @@ class TestLimitsAndTruncation:
         assert len(res.pool) == 0
         assert res.exhausted and not res.truncated
         assert res.nodes_processed == 1
+
+    @pytest.mark.parametrize("mode", ["run", "optimize"])
+    def test_node_limit_zero_does_not_count_an_infeasible_root(self, mode):
+        # the root LP of x >= 2 over one binary is infeasible; under node
+        # limit 0 it is not processed, as a feasible root is not
+        inst = binary_inst(1, [({0: 1.0}, GE, 2.0)], {0: 1.0})
+        res = getattr(BranchAndCount(inst), mode)(node_limit=0)
+        assert res.nodes_processed == 0
+        if mode == "run":
+            assert res.truncated and not res.exhausted and len(res.pool) == 0
+        else:
+            assert res.status == "limit"
 
     @settings(max_examples=100)
     @given(inst=small_mips(), q=st.sampled_from([0.0, 0.5, 2.0]), k=st.integers(0, 20))

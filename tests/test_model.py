@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diversitree import (
-    CUTOFF_ROW,
     EQ,
     GE,
     INF,
     LE,
-    CutoffSpec,
     LinearConstraint,
     MipInstance,
     ModelError,
@@ -23,7 +21,7 @@ from diversitree import (
     binary_expand,
     discretize_continuous,
 )
-from diversitree.model import FEAS_TOL, Expansion
+from diversitree.model import CUTOFF_ROW, FEAS_TOL, CutoffSpec, Expansion
 
 from conftest import enum_pure_integer, oracle_least
 

@@ -12,12 +12,14 @@ from diversitree import (
     LE,
     ModelError,
     MpsParseError,
-    knapsack_instance,
-    general_integer_instance,
-    mixed_small_instance,
     parse_mps,
     two_cluster_instance,
     write_mps,
+)
+from diversitree.generators import (
+    general_integer_instance,
+    knapsack_instance,
+    mixed_small_instance,
 )
 
 KNAP2 = """\

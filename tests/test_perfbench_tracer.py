@@ -1,8 +1,9 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark still finds every function it wraps or calls.
 
 ``perfbench/tracer.py`` wraps public functions of the package by attribute
-name. A rename or a move would only show when ``perfbench/run.py --trace 1``
-runs; these tests show it at once.
+name, and ``perfbench/workloads.py`` calls the package's entry points. A
+rename or a move would only show when ``perfbench/run.py`` runs; these
+tests show it at once.
 """
 
 import importlib.util
@@ -11,17 +12,21 @@ from pathlib import Path
 import pytest
 
 import diversitree
-from diversitree import ExperimentSpec, SelectorConfig, random_binary_instance, run_phase_one
+from diversitree import ExperimentSpec, SelectorConfig, dbin, random_binary_instance, run_phase_one
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_attribute_resolves(tracer_module):
@@ -44,3 +49,16 @@ def test_a_traced_count_run_records_the_selector(tracer_module):
     assert metrics["simplex.warm_calls"] > 0
     # the wrappers are gone again
     assert diversitree.selectors.Selector.select.__qualname__ == "Selector.select"
+
+
+def test_the_workload_operations_run():
+    workloads = _load("workloads")
+    inst = random_binary_instance(0, 12, 4)
+    spec = ExperimentSpec(q=0.2, p1=8, p=4)
+    enum = workloads.run_op(workloads.Op("enumerate", "enumerate", inst, inst, spec))
+    opt, count = enum.result
+    assert opt.status == "optimal" and len(count.pool) >= 2
+    assert enum.pool_dbin == dbin(count.pool.projections)
+    diverse = workloads.run_op(workloads.Op("diverse", "diverse", inst, inst, spec))
+    assert diverse.result.pool_size == len(count.pool)
+    assert len(diverse.result.subset_indices) == 4

@@ -12,16 +12,14 @@ from diversitree import (
     INF,
     LE,
     LinearConstraint,
-    LpStatus,
     MipInstance,
-    SimplexSolver,
     VariableDef,
-    knapsack_instance,
     parse_mps,
     simplex,
 )
+from diversitree.generators import knapsack_instance
 from diversitree.model import FEAS_TOL
-from diversitree.simplex import BasisSnapshot
+from diversitree.simplex import BasisSnapshot, LpStatus, SimplexSolver
 
 from conftest import make_lp, oracle_dual_sum, oracle_wrong_sign, scipy_lp
 
