@@ -38,7 +38,6 @@ from .model import (
 )
 from .mps import MpsParseError, parse_mps, write_mps
 from .selectors import PRESETS, Rule, SelectorConfig, preset
-from .simplex import SimplexSolver  # not exported; tests/test_golden.py imports it from here
 from .subset import pair_sum, select_diverse_subset
 
 __version__ = "0.1.0"

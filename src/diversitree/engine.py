@@ -218,85 +218,31 @@ class SolutionPool:
 
 
 class OpenNodeQueue:
-    """Open nodes by id, their scoring columns, and lazily maintained lpBound extrema.
+    """Open nodes by id, in push order, and lazily maintained lpBound extrema.
 
-    After :meth:`sync`, rows ``[:len(self)]`` of the numpy columns ``bound``,
-    ``depth``, ``ids``, ``estimate``, ``path`` and ``path_len`` describe the
-    open nodes, in no particular order: a pop moves the last row into the
-    hole, and the columns double when full. A node gets its row at the first
-    ``sync`` after its push, so a run that only dequeues from the heap never
-    writes one. A node's ``path`` row is a copy of ``Node.path``, padded with
-    2 * num_binaries, the index of the term vector's 0.0.
+    ``nodes`` keeps the push order (a pop leaves the others' order alone),
+    so the nodes pushed since any moment are a tail of it; a selector's
+    score heap learns of new nodes there. An id names one node.
 
     The min-heap holds (bound, id) pairs, so its front is also the least
     bound with the lowest id among equal bounds.
     """
 
-    _COLUMNS = ("bound", "depth", "ids", "estimate", "path", "path_len")
-
-    def __init__(self, num_binaries: int = 0):
+    def __init__(self):
         self.nodes = {}
         self._min_heap = []
         self._max_heap = []
-        self.pad = 2 * num_binaries
-        self._row = {}  # node id -> row, for the nodes synced so far
-        self._unsynced = {}  # node id -> node pushed since the last sync
-        capacity = 16
-        self.bound = np.empty(capacity)
-        self.depth = np.empty(capacity, dtype=np.int64)
-        self.ids = np.empty(capacity, dtype=np.int64)
-        self.estimate = np.empty(capacity)
-        self.path = np.full((capacity, 1), self.pad, dtype=np.intp)
-        self.path_len = np.empty(capacity, dtype=np.int64)
 
     def __len__(self):
         return len(self.nodes)
 
     def push(self, node: Node):
         self.nodes[node.id] = node
-        self._unsynced[node.id] = node
         heapq.heappush(self._min_heap, (node.lp_bound, node.id))
         heapq.heappush(self._max_heap, (-node.lp_bound, node.id))
 
     def pop(self, node_id: int) -> Node:
-        if self._unsynced.pop(node_id, None) is None:
-            last = len(self._row) - 1
-            row = self._row.pop(node_id)
-            if row != last:
-                for name in self._COLUMNS:
-                    col = getattr(self, name)
-                    col[row] = col[last]
-                self._row[int(self.ids[row])] = row
         return self.nodes.pop(node_id)
-
-    def sync(self) -> int:
-        """Give every node pushed since the last call its row; returns ``len(self)``."""
-        for node in self._unsynced.values():
-            self._append(node)
-        self._unsynced.clear()
-        return len(self.nodes)
-
-    def _append(self, node: Node):
-        path = node.path
-        row = len(self._row)
-        if row == len(self.ids):
-            for name in self._COLUMNS:
-                col = getattr(self, name)
-                grown = np.empty((2 * len(col),) + col.shape[1:], dtype=col.dtype)
-                grown[:row] = col
-                setattr(self, name, grown)
-        if len(path) > self.path.shape[1]:
-            wide = np.full((len(self.path), 2 * len(path)), self.pad, dtype=np.intp)
-            wide[:row, :self.path.shape[1]] = self.path[:row]
-            self.path = wide
-        self._row[node.id] = row
-        self.bound[row] = node.lp_bound
-        self.depth[row] = node.depth
-        self.ids[row] = node.id
-        self.estimate[row] = node.estimate
-        self.path[row, :len(path)] = path
-        self.path[row, len(path):] = self.pad
-        self.path_len[row] = len(path)
 
     def _front(self, heap, sign: float) -> float:
         while heap:
@@ -572,7 +518,7 @@ class BranchAndCount:
         deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
-        queue = OpenNodeQueue(len(self.binary_pos))
+        queue = OpenNodeQueue()
         result = CountResult(pool=pool)
         hasher = hashlib.sha256()
         trace_fh = open(trace_path, "w") if trace_path else None

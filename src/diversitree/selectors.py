@@ -4,10 +4,24 @@ Every rule scores the open nodes and dequeues the argmin, ties going to the
 lowest node id. ``Selector.select`` is the one call that picks the next node.
 Where the argmin is pure bound order (best-first, or a rule whose gate is
 still closed) it skips the scores and returns the least (bound, id) from the
-open set's heap, which is the same node. Otherwise it scores in one
-vectorized pass: ``Selector.scores`` computes the whole score vector from the
-open set's numpy columns (``engine.OpenNodeQueue``), and ``Selector.score``
-runs the same code on a one-node open set. Classic rules: best-first (bound),
+open set's heap, which is the same node. Otherwise it returns the front of
+its own min-heap of (score, id) pairs, which is again the argmin with the
+lowest id on ties. That heap holds for one epoch: the inputs every open
+node's score shares. For the diversity family these are the least and
+greatest open bound, the pool (identity and size) and the gate; the
+best-estimate, depth-first and breadth-first scores read only the node, so
+their epoch never ends; the visit-ratio scores move with every dequeue, so
+each of its selections starts an epoch. A new epoch rescores every open
+node. Within one, a selection scores only the nodes pushed since the last,
+the tail of the open set's push order (``engine.OpenNodeQueue.nodes``), and
+a popped node leaves the heap when it reaches the front.
+
+Each score comes from one per-node scorer, the function of a node that
+``Selector._scorer`` builds for an epoch, in Python floats. Their
+``+ - * /`` round as numpy's elementwise float64 operations do and
+``min``/``max`` are exact, so the scores, and the picks, are the bits of a
+vectorized pass over the open set. ``Selector.score`` is the scorer of a
+one-node open set. Classic rules: best-first (bound),
 depth-first (LIFO), breadth-first (FIFO), a visit-ratio rule (bound plus
 rho * V/v over the node's and parent's dequeue counts) and a best-estimate
 rule blending the bound with a fractionality-repair estimate.
@@ -16,7 +30,8 @@ The diversity family blends three scaled quantities over the open set:
 
 * L: the node bound min-max scaled over open nodes (0 when degenerate),
 * D: mean disagreement of the node's binary fixings (``Node.path``, built
-  once when the node is made) against the pool,
+  once when the node is made) against the pool, summed one term at a time
+  in fixing order,
 * H: depth over the plunge window, the instance's integer count (at least
   1), clamped to 1.
 
@@ -28,8 +43,10 @@ permanently the first time a dequeued node is at least ``depth_cutoff``
 deep.
 """
 
+import heapq
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,6 +86,8 @@ class Rule(str, Enum):
 _BETA_RULES = {Rule.DBFS_AB, Rule.DIVERSITREE}
 # Rules gated on the solution count.
 _SOLUTION_GATED = {Rule.DBFS_AS, Rule.DIVERSITREE}
+# Rules whose score reads the node alone.
+_NODE_ONLY = {Rule.DFS, Rule.BRFS, Rule.HE}
 
 
 @dataclass
@@ -132,23 +151,8 @@ def preset(name: str) -> SelectorConfig:
     return SelectorConfig(rule=Rule.DIVERSITREE, **values)
 
 
-def scaled_bound(lp_bound, min_bound: float, max_bound: float):
-    """Bound (or an array of them) min-max scaled over [min_bound, max_bound];
-    0 when the spread is 0 or not finite."""
-    spread = max_bound - min_bound
-    if spread <= 0.0 or not math.isfinite(spread):
-        return np.zeros_like(lp_bound, dtype=float)
-    return np.minimum(1.0, np.maximum(0.0, (lp_bound - min_bound) / spread))
-
-
-def scaled_depth(depth, max_plunge: int):
-    """Depth (or an array of depths) over the plunge window ``max_plunge``
-    (at least 1), clamped to 1."""
-    return np.minimum(1.0, depth / max_plunge)
-
-
-def term_vector(pool) -> np.ndarray:
-    """Disagreement of each possible fixing with the pool, then a 0.0 pad.
+def term_vector(pool) -> list:
+    """Disagreement of each possible fixing with the pool, as Python floats.
 
     Fixing the binary at pool position k to v is term index 2k + v, the
     encoding of ``engine.Node.path``. Entry 2k is ones_k/n (bit k fixed to
@@ -156,28 +160,15 @@ def term_vector(pool) -> np.ndarray:
     counts; all zero while the pool is empty.
     """
     n = len(pool)
-    terms = np.zeros(2 * len(pool.ones) + 1)
+    terms = np.zeros(2 * len(pool.ones))
     if n:
-        terms[0:-1:2] = pool.ones / n
+        terms[0::2] = pool.ones / n
         terms[1::2] = (n - pool.ones) / n
-    return terms
-
-
-def path_diversity(paths: np.ndarray, lengths: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Mean term along each padded path row; 0 for an empty path.
-
-    Each row's terms are summed in fixing order (a running sum along the
-    row, never numpy's pairwise reduction), so the value is the same bits
-    as adding them one at a time: the pads add 0.0.
-    """
-    if paths.shape[1] == 0:
-        return np.zeros(len(lengths))
-    total = terms[paths].cumsum(axis=1)[:, -1]
-    return total / np.maximum(lengths, 1)  # an empty row sums its pads to 0.0
+    return terms.tolist()
 
 
 class Selector:
-    """Stateful rule evaluator: visit counts and gate latches live here."""
+    """Stateful rule evaluator: visit counts, gate latches and the score heap live here."""
 
     def __init__(self, config: SelectorConfig, num_integer_vars: int = 0):
         self.config = config
@@ -186,7 +177,11 @@ class Selector:
         self.visits = {}  # node id -> dequeues within its subtree
         self.parents = {}  # node id -> parent id, kept for the visit-ratio rule
         self.depth_gate_open = config.depth_cutoff == 0
-        self._terms = (None, 0, None)  # (pool, its size, term_vector(pool))
+        self._queue = None  # the open set the heap covers
+        self._epoch = None  # what every score in the heap shares
+        self._score = None  # the epoch's per-node scorer
+        self._heap = []  # (score, id): the open nodes, and popped ones not yet at the front
+        self._in_heap = set()  # ids with an entry in the heap
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -228,78 +223,111 @@ class Selector:
             return False  # every scaled bound is 0: the scan takes the lowest id
         return self.config.rule == Rule.BESTFS or self.gated(pool)
 
-    def scores(self, queue, pool, gated: bool = None) -> np.ndarray:
-        """Score of every open node of ``queue`` (an ``OpenNodeQueue``), in its row order."""
+    def _scorer(self, lo: float, hi: float, pool, gated: bool):
+        """The score of one open node, as a function of the node, given what
+        every open node's score shares: the least and greatest open bound
+        ``lo``/``hi``, the pool and the gate. Python floats throughout."""
         cfg = self.config
-        rule = cfg.rule
-        n = queue.sync()
-        ids = queue.ids[:n]
+        rule, rho = cfg.rule, self.rho
         if rule == Rule.DFS:
-            return -ids.astype(float)
+            return lambda node: -float(node.id)
         if rule == Rule.BRFS:
-            return ids.astype(float)
-        bound = queue.bound[:n]
+            return lambda node: float(node.id)
         if rule == Rule.UCT:
             visits = self.visits
-            nodes = [queue.nodes[nid] for nid in ids.tolist()]
-            v = np.array([visits.get(nd.id, 0) or 1 for nd in nodes], dtype=float)
-            parent_visits = np.array([visits.get(nd.parent_id, 0) for nd in nodes], dtype=float)
-            return bound + self.rho * parent_visits / v
+            return lambda node: (node.lp_bound + rho * visits.get(node.parent_id, 0)
+                                 / (visits.get(node.id, 0) or 1))
         if rule == Rule.HE:
-            return (1.0 - self.rho) * bound + self.rho * queue.estimate[:n]
-        lscore = scaled_bound(bound, queue.min_bound(), queue.max_bound())
-        if rule == Rule.BESTFS:
-            return lscore
-        if gated is None:
-            gated = self.gated(pool)
-        if gated:
-            return lscore
-        dval = path_diversity(queue.path[:n], queue.path_len[:n], self._pool_terms(pool))
-        hval = scaled_depth(queue.depth[:n], self.max_plunge)
-        if not cfg.literal_score:
-            dterm, hterm = 1.0 - dval, 1.0 - hval
-        else:
-            dterm, hterm = dval, hval
-        a, b = cfg.alpha, cfg.beta
-        if rule in _BETA_RULES:
-            return (1.0 - a - b) * lscore + a * dterm + b * hterm
-        if rule in (Rule.DBFS_A, Rule.DBFS_AS, Rule.DBFS_AD):
-            return (1.0 - a) * lscore + a * dterm
-        if rule == Rule.DBFS_MIN:
-            combo = np.minimum(dval, hval)
-        elif rule == Rule.DBFS_MAX:
-            combo = np.maximum(dval, hval)
-        elif rule == Rule.DBFS_PROD:
-            combo = dval * hval
-        else:  # pragma: no cover
-            raise ValueError(f"unscored rule {rule}")
-        term = combo if cfg.literal_score else 1.0 - combo
-        return (1.0 - a) * lscore + a * term
+            return lambda node: (1.0 - rho) * node.lp_bound + rho * node.estimate
+        spread = hi - lo
+        flat = spread <= 0.0 or not math.isfinite(spread)  # every L is 0
 
-    def _pool_terms(self, pool) -> np.ndarray:
-        """``term_vector(pool)``, recomputed only when the pool has grown."""
-        if self._terms[0] is not pool or self._terms[1] != len(pool):
-            self._terms = (pool, len(pool), term_vector(pool))
-        return self._terms[2]
+        def scaled(node):
+            return 0.0 if flat else min(1.0, max(0.0, (node.lp_bound - lo) / spread))
+        if rule == Rule.BESTFS or gated:
+            return scaled
+        terms, plunge, literal = term_vector(pool), self.max_plunge, cfg.literal_score
+        a, b = cfg.alpha, cfg.beta
+
+        def diversity(node):  # one term at a time: ``sum`` compensates from Python 3.12
+            total = 0.0
+            for t in node.path:
+                total += terms[t]
+            return total / max(len(node.path), 1)
+        if rule in _BETA_RULES:
+            def score(node):
+                dval, hval = diversity(node), min(1.0, node.depth / plunge)
+                dterm, hterm = (dval, hval) if literal else (1.0 - dval, 1.0 - hval)
+                return (1.0 - a - b) * scaled(node) + a * dterm + b * hterm
+            return score
+        combine = {Rule.DBFS_MIN: min, Rule.DBFS_MAX: max, Rule.DBFS_PROD: operator.mul}.get(rule)
+
+        def score(node):  # dbfs-a/-as/-ad blend D alone, the others D combined with H
+            term = diversity(node)
+            if combine is not None:
+                term = combine(term, min(1.0, node.depth / plunge))
+            return (1.0 - a) * scaled(node) + a * (term if literal else 1.0 - term)
+        return score
+
+    def scores(self, queue, pool, gated: bool = None) -> dict:
+        """{id: score} over the open nodes of ``queue`` (an ``engine.OpenNodeQueue``)."""
+        score = self._scorer(queue.min_bound(), queue.max_bound(), pool,
+                             self.gated(pool) if gated is None else gated)
+        return {nid: score(node) for nid, node in queue.nodes.items()}
 
     # nothing in the package calls it; perfbench/tracer.py wraps it
     def score(self, node, pool, gated: bool = None) -> float:
-        """Score of one node: :meth:`scores` over an open set holding only it."""
-        from .engine import OpenNodeQueue  # engine imports this module
+        """Score of one node: the scorer of an open set holding only it."""
+        gated = self.gated(pool) if gated is None else gated
+        return float(self._scorer(node.lp_bound, node.lp_bound, pool, gated)(node))
 
-        queue = OpenNodeQueue(len(pool.binary_index))
-        queue.push(node)
-        return float(self.scores(queue, pool, gated)[0])
+    # -- the score heap -------------------------------------------------------
+
+    def _epoch_of(self, queue, pool):
+        """What every open node's score shares, or None when the scores must
+        be recomputed on every call."""
+        rule = self.config.rule
+        if rule == Rule.UCT:
+            return None  # the visit counts move on every dequeue
+        if rule in _NODE_ONLY:
+            return ()
+        return (queue.min_bound(), queue.max_bound(), pool, len(pool), self.gated(pool))
+
+    def _rescore(self, queue, pool):
+        """Start an epoch: a new heap of every open node of ``queue``."""
+        self._queue = queue
+        self._score = self._scorer(queue.min_bound(), queue.max_bound(), pool, self.gated(pool))
+        self._heap = [(self._score(node), nid) for nid, node in queue.nodes.items()]
+        heapq.heapify(self._heap)
+        self._in_heap = set(queue.nodes)
+
+    def _score_pushed(self, queue):
+        """Add the nodes pushed since the last call: the tail of the open
+        set's push order, back to the newest node the heap holds."""
+        for node in reversed(queue.nodes.values()):
+            if node.id in self._in_heap:
+                break
+            self._in_heap.add(node.id)
+            heapq.heappush(self._heap, (self._score(node), node.id))
 
     def select(self, queue, pool) -> int:
         """Id of the argmin-scored open node of ``queue``; lowest id wins ties.
 
-        In bound order that is the open set's heap front; otherwise every
-        open node is scored.
+        In bound order that is the open set's heap front; otherwise it is
+        the front of the (score, id) heap, rebuilt when the epoch changed
+        and topped up with the new nodes when it did not.
         """
         if not len(queue):
             raise ValueError("select called with no open nodes")
         if self._bound_order(queue, pool):
             return queue.min_id()
-        s = self.scores(queue, pool)
-        return int(queue.ids[:len(queue)][s == s.min()].min())
+        epoch = self._epoch_of(queue, pool)
+        if epoch is None or epoch != self._epoch or queue is not self._queue:
+            self._rescore(queue, pool)
+        else:
+            self._score_pushed(queue)
+        self._epoch = epoch
+        heap = self._heap
+        while heap[0][1] not in queue.nodes:  # popped since it was scored
+            self._in_heap.discard(heapq.heappop(heap)[1])
+        return heap[0][1]

@@ -1144,33 +1144,6 @@ class TestOpenNodeQueue:
                 assert q.max_bound() == max(bounds)
                 assert q.min_id() == min((n.lp_bound, n.id) for n in q.nodes.values())[1]
 
-    def test_rows_mirror_the_open_nodes_on_random_traffic(self):
-        # six binaries; rows grow past 16, paths past 1
-        rng = np.random.default_rng(5)
-        q = OpenNodeQueue(6)
-        for nid in range(300):
-            if len(q) and rng.random() < 0.45:
-                q.pop(int(rng.choice(sorted(q.nodes))))
-            else:
-                cols = rng.choice(6, size=int(rng.integers(0, 7)), replace=False).tolist()
-                path = tuple(2 * j + int(rng.integers(0, 2)) for j in cols)
-                node = open_node(nid, float(rng.integers(-4, 4)),
-                                 depth=int(rng.integers(0, 9)), path=path)
-                node.estimate = float(rng.uniform(-5, 5))
-                q.push(node)
-            if rng.random() < 0.5:
-                continue  # leave the latest pushes unsynced; pops must cope
-            n = q.sync()
-            assert sorted(q.ids[:n].tolist()) == sorted(q.nodes)
-            for row in range(n):
-                node = q.nodes[int(q.ids[row])]
-                path = list(node.path)
-                assert (q.bound[row], q.depth[row], q.estimate[row]) == (
-                    node.lp_bound, node.depth, node.estimate)
-                assert q.path_len[row] == len(path)
-                assert q.path[row].tolist() == path + [q.pad] * (q.path.shape[1] - len(path))
-        assert len(q.ids) > 16
-
     MAKERS = [general_integer_instance, knapsack_instance,
               lambda: random_binary_instance(1, 30, 12)]
 

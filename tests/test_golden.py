@@ -29,7 +29,6 @@ from conftest import make_lp
 from diversitree import (
     ExperimentSpec,
     SelectorConfig,
-    SimplexSolver,
     parse_mps,
     preset,
     random_binary_instance,
@@ -37,6 +36,7 @@ from diversitree import (
     two_cluster_instance,
 )
 from diversitree.cli import main
+from diversitree.simplex import SimplexSolver
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 SHIPPED = sorted(p.name for p in INSTANCES.glob("*.mps"))

@@ -1,5 +1,6 @@
 """Diverse-subset selection: greedy chain, swap deltas, exact search."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -155,15 +156,25 @@ class TestExactTies:
                 proj[rng.integers(0, n, size=n // 4)] = proj[rng.integers(0, n, size=n // 4)]
             yield proj, p
 
+    @staticmethod
+    @functools.cache
+    def differential_picks():
+        """Each differential pool with the plain-loop greedy and greedy-swap
+        picks, searched once and shared by every ``START_CHUNK`` case."""
+        picks = []
+        for proj, p in TestExactTies.differential_pools():
+            dist = oracle_ham_counts(proj)
+            picks.append((proj, p, sorted(oracle_greedy(dist, p)), oracle_greedy_swap(dist, p)))
+        return picks
+
     @pytest.mark.parametrize("chunk", [subset.START_CHUNK, 7, 1])
     def test_greedy_methods_match_the_plain_loop_search(self, monkeypatch, chunk):
         # 7 and 1 split the farthest-partner starts across blocks
         monkeypatch.setattr(subset, "START_CHUNK", chunk)
         checked = 0
-        for proj, p in self.differential_pools():
-            dist = oracle_ham_counts(proj)
-            assert select_diverse_subset(proj, p, "greedy") == sorted(oracle_greedy(dist, p))
-            assert select_diverse_subset(proj, p, "greedy_swap") == oracle_greedy_swap(dist, p)
+        for proj, p, greedy, greedy_swap in self.differential_picks():
+            assert select_diverse_subset(proj, p, "greedy") == greedy
+            assert select_diverse_subset(proj, p, "greedy_swap") == greedy_swap
             checked += 1
         assert checked == 150
 
