@@ -211,17 +211,18 @@ class Selector:
             return not self.depth_gate_open
         return False
 
-    def _bound_order(self, queue, pool) -> bool:
-        """True when the least (bound, id) open node is the argmin of the scores.
+    def _bound_order(self, lo: float, hi: float, gated: bool) -> bool:
+        """True when the least (bound, id) open node is the argmin of the
+        scores, given the least and greatest open bound and the gate.
 
         Under best-first or a closed gate every score is the scaled bound,
         which is 0 at the least bound and positive above it while the spread
         is finite (a gap scores 0 only below about 1e-323 times the spread,
         where the division underflows), and 0 everywhere when the spread is 0.
         """
-        if not math.isfinite(queue.max_bound() - queue.min_bound()):
+        if not math.isfinite(hi - lo):
             return False  # every scaled bound is 0: the scan takes the lowest id
-        return self.config.rule == Rule.BESTFS or self.gated(pool)
+        return self.config.rule == Rule.BESTFS or gated
 
     def _scorer(self, lo: float, hi: float, pool, gated: bool):
         """The score of one open node, as a function of the node, given what
@@ -283,21 +284,22 @@ class Selector:
 
     # -- the score heap -------------------------------------------------------
 
-    def _epoch_of(self, queue, pool):
-        """What every open node's score shares, or None when the scores must
-        be recomputed on every call."""
+    def _epoch_of(self, lo: float, hi: float, pool, gated: bool):
+        """Which of the scorer's inputs every open node's score shares, or
+        None when the scores must be recomputed on every call."""
         rule = self.config.rule
         if rule == Rule.UCT:
             return None  # the visit counts move on every dequeue
         if rule in _NODE_ONLY:
             return ()
-        return (queue.min_bound(), queue.max_bound(), pool, len(pool), self.gated(pool))
+        return (lo, hi, pool, len(pool), gated)
 
-    def _rescore(self, queue, pool):
-        """Start an epoch: a new heap of every open node of ``queue``."""
+    def _rescore(self, queue, score):
+        """Start an epoch: a new heap of every open node of ``queue`` under
+        the per-node scorer ``score``."""
         self._queue = queue
-        self._score = self._scorer(queue.min_bound(), queue.max_bound(), pool, self.gated(pool))
-        self._heap = [(self._score(node), nid) for nid, node in queue.nodes.items()]
+        self._score = score
+        self._heap = [(score(node), nid) for nid, node in queue.nodes.items()]
         heapq.heapify(self._heap)
         self._in_heap = set(queue.nodes)
 
@@ -319,11 +321,12 @@ class Selector:
         """
         if not len(queue):
             raise ValueError("select called with no open nodes")
-        if self._bound_order(queue, pool):
+        lo, hi, gated = queue.min_bound(), queue.max_bound(), self.gated(pool)
+        if self._bound_order(lo, hi, gated):
             return queue.min_id()
-        epoch = self._epoch_of(queue, pool)
+        epoch = self._epoch_of(lo, hi, pool, gated)
         if epoch is None or epoch != self._epoch or queue is not self._queue:
-            self._rescore(queue, pool)
+            self._rescore(queue, self._scorer(lo, hi, pool, gated))
         else:
             self._score_pushed(queue)
         self._epoch = epoch

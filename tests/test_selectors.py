@@ -103,7 +103,9 @@ class TestScaledScores:
 
     def test_scaled_bound_degenerate_spread(self):
         assert scaled_bound(3.0, 3.0, 3.0) == 0.0
+        assert scaled_bound(3.0, 1.0, math.inf) == 0.0
         assert scaled_bound(3.0, -1e308, 1e308) == 0.0  # the spread overflows to inf
+        assert scaled_bound(math.inf, math.inf, math.inf) == 0.0  # spread inf - inf is NaN
 
     def test_scaled_depth_window(self):
         assert scaled_depth(10, 20) == 0.5
@@ -417,8 +419,8 @@ class TestBoundOrderDequeue:
             pool = pool_of_size(rows, capacity)
             sels = [Selector(cfg, num_integer_vars=4) for _ in range(3)]
             sel, scan, stale = sels
-            scan._bound_order = stale._bound_order = lambda queue, pool: False
-            stale._epoch_of = lambda queue, pool: None
+            scan._bound_order = stale._bound_order = lambda lo, hi, gated: False
+            stale._epoch_of = lambda lo, hi, pool, gated: None
             for s in sels:
                 s.visits = {0: 3, 1: 2, 5: 1}  # for the visit-ratio rule
             rng = np.random.default_rng(1000 + seed)
@@ -428,7 +430,7 @@ class TestBoundOrderDequeue:
                 least, greatest = oracle_bounds(nodes)
                 spread = greatest - least
                 shortcut = math.isfinite(spread) and (cfg.rule is Rule.BESTFS or sel.gated(pool))
-                assert sel._bound_order(q, pool) == shortcut
+                assert sel._bound_order(q.min_bound(), q.max_bound(), sel.gated(pool)) == shortcut
                 if shortcut:
                     assert q.min_id() == want
                 assert [s.select(q, pool) for s in sels] == [want] * 3
@@ -479,7 +481,7 @@ class TestBoundOrderDequeue:
         q.push(make_node(0, bound=1e308))
         q.push(make_node(1, bound=-1e308))
         sel = Selector(SelectorConfig(rule="bestfs"))
-        assert not sel._bound_order(q, EMPTY)
+        assert not sel._bound_order(q.min_bound(), q.max_bound(), sel.gated(EMPTY))
         assert (sel.select(q, EMPTY), q.min_id()) == (0, 1)
 
     def test_depth_gated_run_leaves_the_heap_once_the_gate_latches(self, monkeypatch):
@@ -491,8 +493,8 @@ class TestBoundOrderDequeue:
         min_id, epoch_of, select = OpenNodeQueue.min_id, Selector._epoch_of, Selector.select
         monkeypatch.setattr(OpenNodeQueue, "min_id",
                             lambda q: used.append("heap") or min_id(q))
-        monkeypatch.setattr(Selector, "_epoch_of", lambda s, q, pool:
-                            used.append("scan") or epoch_of(s, q, pool))
+        monkeypatch.setattr(Selector, "_epoch_of", lambda s, *inputs:
+                            used.append("scan") or epoch_of(s, *inputs))
         monkeypatch.setattr(Selector, "select",
                             lambda s, q, pool: used.append("select") or select(s, q, pool))
         fast = BranchAndCount(cut, selector=cfg).run()
@@ -501,7 +503,7 @@ class TestBoundOrderDequeue:
         first_scan = picks.index("scan")
         assert first_scan > 0 and "heap" not in picks[first_scan:]
 
-        monkeypatch.setattr(Selector, "_bound_order", lambda s, q, pool: False)
+        monkeypatch.setattr(Selector, "_bound_order", lambda s, lo, hi, gated: False)
         scanned = BranchAndCount(cut, selector=cfg).run()
         assert scanned.trace_hash == fast.trace_hash
 
@@ -515,10 +517,10 @@ class TestBoundOrderDequeue:
         rescored = []
         rescore = Selector._rescore
         monkeypatch.setattr(Selector, "_rescore",
-                            lambda s, q, pool: rescored.append(len(q)) or rescore(s, q, pool))
+                            lambda s, q, score: rescored.append(len(q)) or rescore(s, q, score))
         cached = BranchAndCount(cut, selector=cfg).run(p1=20)
         epochs = len(rescored)
-        monkeypatch.setattr(Selector, "_epoch_of", lambda s, q, pool: None)
+        monkeypatch.setattr(Selector, "_epoch_of", lambda s, lo, hi, pool, gated: None)
         stale = BranchAndCount(cut, selector=cfg).run(p1=20)
         assert stale.trace_hash == cached.trace_hash
         fresh = len(rescored) - epochs
