@@ -23,8 +23,9 @@ classifies each dequeued node:
   exists, otherwise on a partitioning disjunction over an unfixed integer
   variable so each solution is reachable through exactly one leaf.
 
-A child whose LP stalls is dropped at creation. The run stops when the
-queue empties, the pool reaches capacity, or a node/time limit trips.
+A child whose LP stalls is dropped at creation. The open nodes live in a
+``selectors.Selector``, which also picks the next one. The run stops when
+the open set empties, the pool reaches capacity, or a node/time limit trips.
 Everything is deterministic for a fixed instance and configuration; a
 trace hash over the dequeue sequence witnesses it.
 """
@@ -215,55 +216,6 @@ class SolutionPool:
     # nothing in the package calls it; perfbench/workloads.py reads the pool through it
     def projection_matrix(self) -> np.ndarray:
         return self.projections
-
-
-class OpenNodeQueue:
-    """Open nodes by id, in push order, and lazily maintained lpBound extrema.
-
-    ``nodes`` keeps the push order (a pop leaves the others' order alone),
-    so the nodes pushed since any moment are a tail of it; a selector's
-    score heap learns of new nodes there. An id names one node.
-
-    The min-heap holds (bound, id) pairs, so its front is also the least
-    bound with the lowest id among equal bounds.
-    """
-
-    def __init__(self):
-        self.nodes = {}
-        self._min_heap = []
-        self._max_heap = []
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def push(self, node: Node):
-        self.nodes[node.id] = node
-        heapq.heappush(self._min_heap, (node.lp_bound, node.id))
-        heapq.heappush(self._max_heap, (-node.lp_bound, node.id))
-
-    def pop(self, node_id: int) -> Node:
-        return self.nodes.pop(node_id)
-
-    def _front(self, heap, sign: float) -> float:
-        while heap:
-            bound, nid = heap[0]
-            node = self.nodes.get(nid)
-            if node is None or node.lp_bound != sign * bound:
-                heapq.heappop(heap)
-                continue
-            return sign * bound
-        return math.nan
-
-    def min_bound(self) -> float:
-        return self._front(self._min_heap, 1.0)
-
-    def min_id(self) -> int:
-        """Id of the open node with the least bound, lowest id on ties."""
-        self._front(self._min_heap, 1.0)
-        return self._min_heap[0][1]
-
-    def max_bound(self) -> float:
-        return self._front(self._max_heap, -1.0)
 
 
 @dataclass
@@ -518,7 +470,6 @@ class BranchAndCount:
         deadline = None if time_limit is None else t0 + time_limit
         pool = SolutionPool(self.instance, capacity=p1, dedup=self.dedup)
         selector = Selector(self.selector_config, num_integer_vars=len(self.integer_index))
-        queue = OpenNodeQueue()
         result = CountResult(pool=pool)
         hasher = hashlib.sha256()
         trace_fh = open(trace_path, "w") if trace_path else None
@@ -545,15 +496,13 @@ class BranchAndCount:
                 result.exhausted = True
                 return result
             root.estimate = self._estimate(root.lp)
-            queue.push(root)
-            selector.on_enqueue(root)
+            selector.push(root)
 
-            while len(queue) and not pool.is_full:
+            while len(selector) and not pool.is_full:
                 if _limit_reached(deadline, result.nodes_processed, node_limit):
                     result.truncated = True
                     break
-                node = queue.pop(selector.select(queue, pool))
-                selector.on_dequeue(node)
+                node = selector.pop(selector.select(pool))
                 result.nodes_processed += 1
                 cls = self.classify(node)
                 emit(node.id, node.depth, node.lp_bound, cls)
@@ -593,10 +542,9 @@ class BranchAndCount:
                         emit(child.id, child.depth, None, STALLED)
                         continue
                     child.estimate = self._estimate(child.lp)
-                    queue.push(child)
-                    selector.on_enqueue(child)
+                    selector.push(child)
 
-            result.exhausted = len(queue) == 0 and not result.truncated and not truncated_enum
+            result.exhausted = len(selector) == 0 and not result.truncated and not truncated_enum
             return result
         finally:
             result.trace_hash = hasher.hexdigest()

@@ -1,10 +1,11 @@
 """Node-selection rules for branch-and-count.
 
 Every rule scores the open nodes and dequeues the argmin, ties going to the
-lowest node id. ``Selector.select`` is the one call that picks the next node.
-Where the argmin is pure bound order (best-first, or a rule whose gate is
-still closed) it skips the scores and returns the least (bound, id) from the
-open set's heap, which is the same node. Otherwise it returns the front of
+lowest node id. A ``Selector`` owns the open set: the engine pushes each new
+node into it and pops the node that ``Selector.select`` names. Where the
+argmin is pure bound order (best-first, or a rule whose gate is still
+closed) ``select`` skips the scores and returns the least (bound, id) from
+the open set's heap, which is the same node. Otherwise it returns the front of
 its own min-heap of (score, id) pairs, which is again the argmin with the
 lowest id on ties. That heap holds for one epoch: the inputs every open
 node's score shares. For the diversity family these are the least and
@@ -13,8 +14,7 @@ best-estimate, depth-first and breadth-first scores read only the node, so
 their epoch never ends; the visit-ratio scores move with every dequeue, so
 each of its selections starts an epoch. A new epoch rescores every open
 node. Within one, a selection scores only the nodes pushed since the last,
-the tail of the open set's push order (``engine.OpenNodeQueue.nodes``), and
-a popped node leaves the heap when it reaches the front.
+and a popped node leaves the heap when it reaches the front.
 
 Each score comes from one per-node scorer, the function of a node that
 ``Selector._scorer`` builds for an epoch, in Python floats. Their
@@ -88,6 +88,8 @@ _BETA_RULES = {Rule.DBFS_AB, Rule.DIVERSITREE}
 _SOLUTION_GATED = {Rule.DBFS_AS, Rule.DIVERSITREE}
 # Rules whose score reads the node alone.
 _NODE_ONLY = {Rule.DFS, Rule.BRFS, Rule.HE}
+# entries a bound heap may hold beyond twice the open set before it is rebuilt
+HEAP_SLACK = 16
 
 
 @dataclass
@@ -124,8 +126,8 @@ class SelectorConfig:
             raise ValueError(f"sol_cutoff must be in [0, 1], got {self.sol_cutoff}")
         if self.depth_cutoff < 0:
             raise ValueError(f"depth_cutoff must be >= 0, got {self.depth_cutoff}")
-        if self.rho is not None and self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if self.rho is not None and not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be a finite number >= 0, got {self.rho}")
 
     def resolved_rho(self) -> float:
         if self.rho is not None:
@@ -168,7 +170,17 @@ def term_vector(pool) -> list:
 
 
 class Selector:
-    """Stateful rule evaluator: visit counts, gate latches and the score heap live here."""
+    """The open nodes and the rule that picks among them.
+
+    ``push`` adds a node to the open set, ``select`` names the next one and
+    ``pop`` removes it, counting the dequeue for the visit-ratio rule and the
+    depth gate. ``nodes`` maps each open node's id to the node; an id names
+    one node. Two heaps of (bound, id) and (-bound, id) pairs give the least
+    and greatest open bound and, on the min side, the least bound with the
+    lowest id on ties. Both drop popped nodes lazily at their fronts, and
+    both are rebuilt from the open set when either outgrows it by more than
+    twice, so their size follows the open set, not the nodes made.
+    """
 
     def __init__(self, config: SelectorConfig, num_integer_vars: int = 0):
         self.config = config
@@ -177,19 +189,35 @@ class Selector:
         self.visits = {}  # node id -> dequeues within its subtree
         self.parents = {}  # node id -> parent id, kept for the visit-ratio rule
         self.depth_gate_open = config.depth_cutoff == 0
-        self._queue = None  # the open set the heap covers
+        self.nodes = {}  # id -> open node
+        self._min_heap = []  # (bound, id)
+        self._max_heap = []  # (-bound, id)
+        self._pushed = []  # nodes pushed since the last select
         self._epoch = None  # what every score in the heap shares
         self._score = None  # the epoch's per-node scorer
         self._heap = []  # (score, id): the open nodes, and popped ones not yet at the front
-        self._in_heap = set()  # ids with an entry in the heap
 
-    # -- lifecycle hooks ------------------------------------------------------
+    # -- the open set ---------------------------------------------------------
 
-    def on_enqueue(self, node):
+    def __len__(self):
+        return len(self.nodes)
+
+    def push(self, node):
+        self.nodes[node.id] = node
+        heapq.heappush(self._min_heap, (node.lp_bound, node.id))
+        heapq.heappush(self._max_heap, (-node.lp_bound, node.id))
+        self._pushed.append(node)
         if self.config.rule == Rule.UCT:
             self.parents[node.id] = node.parent_id
+        if max(len(self._min_heap), len(self._max_heap)) > 2 * len(self.nodes) + HEAP_SLACK:
+            self._min_heap = [(n.lp_bound, nid) for nid, n in self.nodes.items()]
+            self._max_heap = [(-bound, nid) for bound, nid in self._min_heap]
+            heapq.heapify(self._min_heap)
+            heapq.heapify(self._max_heap)
 
-    def on_dequeue(self, node):
+    def pop(self, node_id: int):
+        """Remove and return an open node: one dequeue of it."""
+        node = self.nodes.pop(node_id)
         if self.config.rule == Rule.UCT:
             nid = node.id
             while nid is not None:
@@ -197,6 +225,25 @@ class Selector:
                 nid = self.parents.get(nid)
         if node.depth >= self.config.depth_cutoff:
             self.depth_gate_open = True
+        return node
+
+    def _front(self, heap) -> tuple:
+        """The heap's least entry of an open node, or None when none is open."""
+        while heap and heap[0][1] not in self.nodes:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def min_bound(self) -> float:
+        front = self._front(self._min_heap)
+        return math.nan if front is None else front[0]
+
+    def max_bound(self) -> float:
+        front = self._front(self._max_heap)
+        return math.nan if front is None else -front[0]
+
+    def min_id(self) -> int:
+        """Id of the open node with the least bound, lowest id on ties."""
+        return self._front(self._min_heap)[1]
 
     # -- scoring --------------------------------------------------------------
 
@@ -270,11 +317,11 @@ class Selector:
             return (1.0 - a) * scaled(node) + a * (term if literal else 1.0 - term)
         return score
 
-    def scores(self, queue, pool, gated: bool = None) -> dict:
-        """{id: score} over the open nodes of ``queue`` (an ``engine.OpenNodeQueue``)."""
-        score = self._scorer(queue.min_bound(), queue.max_bound(), pool,
+    def scores(self, pool, gated: bool = None) -> dict:
+        """{id: score} over the open nodes."""
+        score = self._scorer(self.min_bound(), self.max_bound(), pool,
                              self.gated(pool) if gated is None else gated)
-        return {nid: score(node) for nid, node in queue.nodes.items()}
+        return {nid: score(node) for nid, node in self.nodes.items()}
 
     # nothing in the package calls it; perfbench/tracer.py wraps it
     def score(self, node, pool, gated: bool = None) -> float:
@@ -294,43 +341,36 @@ class Selector:
             return ()
         return (lo, hi, pool, len(pool), gated)
 
-    def _rescore(self, queue, score):
-        """Start an epoch: a new heap of every open node of ``queue`` under
-        the per-node scorer ``score``."""
-        self._queue = queue
+    def _rescore(self, score):
+        """Start an epoch: a new heap of every open node under the per-node
+        scorer ``score``."""
         self._score = score
-        self._heap = [(score(node), nid) for nid, node in queue.nodes.items()]
+        self._heap = [(score(node), nid) for nid, node in self.nodes.items()]
         heapq.heapify(self._heap)
-        self._in_heap = set(queue.nodes)
 
-    def _score_pushed(self, queue):
-        """Add the nodes pushed since the last call: the tail of the open
-        set's push order, back to the newest node the heap holds."""
-        for node in reversed(queue.nodes.values()):
-            if node.id in self._in_heap:
-                break
-            self._in_heap.add(node.id)
-            heapq.heappush(self._heap, (self._score(node), node.id))
+    def select(self, pool) -> int:
+        """Id of the argmin-scored open node; lowest id wins ties.
 
-    def select(self, queue, pool) -> int:
-        """Id of the argmin-scored open node of ``queue``; lowest id wins ties.
-
-        In bound order that is the open set's heap front; otherwise it is
-        the front of the (score, id) heap, rebuilt when the epoch changed
-        and topped up with the new nodes when it did not.
+        In bound order that is the (bound, id) heap's front, and the next
+        scored call starts an epoch; otherwise it is the front of the
+        (score, id) heap, rebuilt when the epoch changed and topped up with
+        the nodes pushed since the last call when it did not.
         """
-        if not len(queue):
+        if not self.nodes:
             raise ValueError("select called with no open nodes")
-        lo, hi, gated = queue.min_bound(), queue.max_bound(), self.gated(pool)
+        lo, hi, gated = self.min_bound(), self.max_bound(), self.gated(pool)
+        pushed, self._pushed = self._pushed, []
         if self._bound_order(lo, hi, gated):
-            return queue.min_id()
+            self._epoch = None
+            return self.min_id()
         epoch = self._epoch_of(lo, hi, pool, gated)
-        if epoch is None or epoch != self._epoch or queue is not self._queue:
-            self._rescore(queue, self._scorer(lo, hi, pool, gated))
+        if epoch is None or epoch != self._epoch:
+            self._rescore(self._scorer(lo, hi, pool, gated))
         else:
-            self._score_pushed(queue)
+            for node in pushed:
+                heapq.heappush(self._heap, (self._score(node), node.id))
         self._epoch = epoch
         heap = self._heap
-        while heap[0][1] not in queue.nodes:  # popped since it was scored
-            self._in_heap.discard(heapq.heappop(heap)[1])
+        while heap[0][1] not in self.nodes:  # popped since it was scored
+            heapq.heappop(heap)
         return heap[0][1]

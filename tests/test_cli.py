@@ -299,6 +299,13 @@ class TestFlagValidation:
                                    "--alpha", "1.5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("rule, rho", [("he", "nan"), ("uct", "inf")])
+    def test_non_finite_rho(self, runner, paths, rule, rho):
+        res = runner.invoke(main, ["diverse", "--instance", paths["knap"],
+                                   "--rule", rule, "--rho", rho])
+        assert res.exit_code == 2
+        assert "rho must be a finite number >= 0" in res.output
+
     def test_subset_bigger_than_pool_capacity(self, runner, paths):
         res = runner.invoke(main, ["diverse", "--instance", paths["knap"],
                                    "--p1", "5", "--p", "6"])

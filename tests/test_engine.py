@@ -51,8 +51,9 @@ from diversitree.generators import (
     two_cluster_instance,
 )
 from diversitree import engine
-from diversitree.engine import Node, OpenNodeQueue, SolutionPool
+from diversitree.engine import Node, SolutionPool
 from diversitree.model import FEAS_TOL, INT_TOL
+from diversitree.selectors import Selector
 from diversitree.simplex import BasisSnapshot, LpResult, LpStatus, SimplexSolver, _Stalled
 
 
@@ -996,6 +997,36 @@ class TestLimitsAndTruncation:
         assert res.pool.objectives == full.pool.objectives[:k]
 
 
+class TestTimeLimitsHold:
+    """Under a clock that ticks once per reading, neither main loop processes
+    more nodes than its time limit has ticks: each node follows one reading,
+    and the readings after the start that stay within a limit of t are t."""
+
+    @pytest.fixture(scope="class")
+    def cuts(self):
+        # 30x12 instances that optimize in 21-34 nodes
+        out = []
+        for seed in (25, 26, 28):
+            inst = random_binary_instance(seed, 30, 12)
+            opt = BranchAndCount(inst).optimize()
+            cut = add_objective_cutoff(inst, opt.objective, 0.1)
+            out.append((cut, BranchAndCount(cut).optimize().nodes_processed,
+                        BranchAndCount(cut).run().nodes_processed))
+        return out
+
+    @pytest.mark.parametrize("limit", range(1, 11))
+    def test_optimize_and_run_stop_within_the_limit(self, cuts, limit, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(engine.time, "perf_counter", lambda: float(next(ticks)))
+        for cut, optimize_nodes, run_nodes in cuts:
+            assert min(optimize_nodes, run_nodes) > 10
+            opt = BranchAndCount(cut).optimize(time_limit=limit)
+            assert opt.status == "limit" and opt.nodes_processed <= limit
+            count = BranchAndCount(cut).run(time_limit=limit)
+            assert count.truncated and not count.exhausted
+            assert count.nodes_processed <= limit
+
+
 class TestLpStalls:
     """A child LP that stalls: dropped by the count mode, fatal to optimize."""
 
@@ -1104,45 +1135,8 @@ class TestDeterminismAndTrace:
         assert pool_tuples(res) == admitted
 
 
-def open_node(nid, bound, depth=0, path=()):
-    """An open node with an optimal LP at ``bound``; the queue reads no box."""
-    return Node(id=nid, parent_id=None, depth=depth, lo=None, hi=None, path=path,
-                lp=optimal_lp(bound))
-
-
-class TestOpenNodeQueue:
-    def make(self, bounds):
-        q = OpenNodeQueue()
-        for k, b in enumerate(bounds):
-            q.push(open_node(k, b))
-        return q
-
-    def test_extrema_track_pops(self):
-        q = self.make([3.0, 1.0, 2.0])
-        assert (q.min_bound(), q.max_bound()) == (1.0, 3.0)
-        q.pop(1)
-        assert (q.min_bound(), q.max_bound()) == (2.0, 3.0)
-        q.pop(0)
-        assert (q.min_bound(), q.max_bound()) == (2.0, 2.0)
-        q.pop(2)
-        assert len(q) == 0
-        assert math.isnan(q.min_bound()) and math.isnan(q.max_bound())
-
-    def test_extrema_match_recomputation_on_random_traffic(self):
-        rng = np.random.default_rng(11)
-        q = OpenNodeQueue()
-        nid = 0
-        for _ in range(200):
-            if len(q.nodes) and rng.random() < 0.4:
-                q.pop(rng.choice(sorted(q.nodes)))
-            else:
-                q.push(open_node(nid, float(rng.integers(-9, 9))))
-                nid += 1
-            if len(q.nodes):
-                bounds = [n.lp_bound for n in q.nodes.values()]
-                assert q.min_bound() == min(bounds)
-                assert q.max_bound() == max(bounds)
-                assert q.min_id() == min((n.lp_bound, n.id) for n in q.nodes.values())[1]
+class TestChildNodes:
+    """The children a count run makes: fixing paths and boxes."""
 
     MAKERS = [general_integer_instance, knapsack_instance,
               lambda: random_binary_instance(1, 30, 12)]
@@ -1168,15 +1162,15 @@ class TestOpenNodeQueue:
             seen.append(c)
             return c
 
-        push = OpenNodeQueue.push
+        push = Selector.push
 
-        def push_and_record(q, node):
+        def push_and_record(sel, node):
             made[node.id] = getattr(node, "made", [])
             overrides[node.id] = getattr(node, "overrides", {})
-            push(q, node)
+            push(sel, node)
 
         monkeypatch.setattr(BranchAndCount, "_child", child)
-        monkeypatch.setattr(OpenNodeQueue, "push", push_and_record)
+        monkeypatch.setattr(Selector, "push", push_and_record)
         cut = add_objective_cutoff(inst, BranchAndCount(inst).optimize().objective, 0.3)
         BranchAndCount(cut, selector=SelectorConfig(rule="dbfs-a", alpha=0.5)).run(p1=40)
         assert seen

@@ -37,15 +37,17 @@ def test_every_traced_attribute_resolves(tracer_module):
         assert callable(wrapper)
 
 
-def test_a_traced_count_run_records_the_selector(tracer_module):
+@pytest.mark.parametrize("cfg", [SelectorConfig(rule="dbfs-a", alpha=0.6),
+                                 SelectorConfig(rule="bestfs")], ids=["dbfs-a", "bestfs"])
+def test_a_traced_count_run_records_the_selector(tracer_module, cfg):
+    # scored picks and bound order alike: one traced select per node processed
     tracer = tracer_module.Tracer()
-    cfg = SelectorConfig(rule="dbfs-a", alpha=0.6)
     with tracer.tracing(diversitree):
         _, count = run_phase_one(random_binary_instance(0, 12, 4),
                                  ExperimentSpec(q=0.2, p1=8, p=4, selector=cfg))
     metrics = tracer_module.layer_metrics(tracer.stats, tracer.counters)
     assert metrics["engine.nodes"] == count.nodes_processed > 0
-    assert metrics["selectors.select_calls"] > 0
+    assert metrics["selectors.select_calls"] == count.nodes_processed
     assert metrics["simplex.warm_calls"] > 0
     # the wrappers are gone again
     assert diversitree.selectors.Selector.select.__qualname__ == "Selector.select"
