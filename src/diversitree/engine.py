@@ -5,7 +5,11 @@ is created (warm-started from the parent basis). A child whose box still
 holds its parent's optimum keeps the parent's LP (``SimplexSolver.inherit``),
 which is the result the warm solve would return. A child with a row that
 misses its rhs over the whole box, by more than any solve would forgive, is
-infeasible without a solve (``SimplexSolver.refute``). ``optimize`` finds
+infeasible without a solve (``BranchAndCount.refutes``, which gives
+``SimplexSolver.refute``'s verdict). Any other child is warm-solved from
+its parent's basis, told its split column, so the solve tests only that
+column for an empty box and reads the rest of its start's test from the
+parent's snapshot. ``optimize`` finds
 the optimal value: best-first on the LP bound with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
@@ -23,6 +27,14 @@ classifies each dequeued node:
   exists, otherwise on a partitioning disjunction over an unfixed integer
   variable so each solution is reachable through exactly one leaf.
 
+A split sets one integer column to values between its bounds in the
+parent's box, so every child box lies inside the root box (``_child``
+checks each split). The engine proves once per instance, with
+``SimplexSolver.bounds_activity``, that the root box is finite and that no
+row activity over a box inside it can leave the float range; refuting a
+child is then one product and one comparison (``SimplexSolver.misses``) on
+the child's box, which a node stores as one stacked array ``[lo; hi]``.
+
 A child whose LP stalls is dropped at creation. The open nodes live in a
 ``selectors.Selector``, which also picks the next one. The run stops when
 the open set empties, the pool reaches capacity, or a node/time limit trips.
@@ -35,7 +47,7 @@ import heapq
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +68,9 @@ STALLED = "stalled"
 # with a lower peak RSS on a 65,536-point box
 WALK_CHUNK = 128
 
+# the LP of every child refuted without a solve; shared, so never written
+REFUTED = LpResult(status=LpStatus.INFEASIBLE)
+
 
 class EngineError(RuntimeError):
     pass
@@ -74,9 +89,10 @@ def trace_line(node_id: int, depth: int, bound, classification: str, pool_size: 
 class Node:
     """One open subproblem: its box and its binary fixings.
 
-    ``lo`` and ``hi`` are the box, a copy of the parent's with the branched
-    column changed. ``path`` lists the binary fixings in the order they were
-    made, as term indices 2k + value over the positions k in
+    ``box`` is the box stacked as one array ``[lo; hi]``, a copy of the
+    parent's with the branched column changed; ``lo`` and ``hi`` are its
+    two halves, as views. ``path`` lists the binary fixings in the order
+    they were made, as term indices 2k + value over the positions k in
     ``binary_index`` (see ``selectors.term_vector``). ``open_rows`` are the
     rows not yet proved to hold over the whole box (None: every row): the
     parent's open rows until ``classify`` tests them, then the node's own.
@@ -85,12 +101,18 @@ class Node:
     id: int
     parent_id: int
     depth: int
-    lo: np.ndarray
-    hi: np.ndarray
+    box: np.ndarray = None
     path: tuple = ()
     lp: LpResult = None
     estimate: float = math.nan  # bound plus fractionality repair
     open_rows: range = None
+    lo: np.ndarray = field(default=None, init=False, repr=False)
+    hi: np.ndarray = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.box is not None:
+            d = len(self.box) // 2
+            self.lo, self.hi = self.box[:d], self.box[d:]
 
     @property
     def lp_bound(self) -> float:
@@ -316,6 +338,13 @@ class BranchAndCount:
                 )
             self.root_lo[j] = math.ceil(self.root_lo[j] - INT_TOL)
             self.root_hi[j] = math.floor(self.root_hi[j] + INT_TOL)
+        self._d = d = len(self.root_lo)
+        self.root_box = np.concatenate((self.root_lo, self.root_hi))
+        self.root_lo, self.root_hi = self.root_box[:d], self.root_box[d:]
+        # True while every child box made so far lies inside the root box
+        # and the root box passed bounds_activity: refutes may then skip
+        # refute's guards
+        self._bounded = self.solver.bounds_activity(self.root_lo, self.root_hi)
         self.all_rows = range(len(instance.constraints))
         self.objective_terms = list(instance.objective.items())
         # pool position of each binary column, for the term indices of Node.path
@@ -356,33 +385,57 @@ class BranchAndCount:
         return est
 
     def _root(self) -> Node:
-        root = Node(id=0, parent_id=None, depth=0, lo=self.root_lo, hi=self.root_hi)
+        root = Node(id=0, parent_id=None, depth=0, box=self.root_box)
         root.lp = self.solver.solve(root.lo, root.hi)
         if root.lp.status == LpStatus.STALLED:
             raise EngineError("root relaxation stalled")
         return root
+
+    def refutes(self, box) -> bool:
+        """``SimplexSolver.refute``'s verdict on the stacked box ``[lo; hi]``.
+
+        While every box made so far lies inside a root box that passed
+        ``bounds_activity``, that is ``misses(box)``, the product and the
+        comparison alone; otherwise it is ``refute`` itself.
+        """
+        if self._bounded:
+            return self.solver.misses(box)
+        d = self._d
+        return self.solver.refute(box[:d], box[d:]) is not None
 
     def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
         """Child with column j in [lo_j, hi_j]; the caller sets its id.
 
         Its box copies the parent's, and its path gains a term when the split
         fixes a binary column. Its LP is the parent's when the box still
-        holds the parent's optimum (``inherit``), infeasible when a row
+        holds the parent's optimum (``inherit``), ``REFUTED`` when a row
         misses its rhs over the box by more than the solver's margin
-        (``refute``), else warm-solved from the parent's basis. A split
-        narrows column j, so the box lies inside the parent's and inherits
-        the parent's open rows.
+        (``refutes``), else warm-solved from the parent's basis, told the
+        split column. A split narrows column j, so the box lies inside the
+        parent's and inherits the parent's open rows.
+
+        ``partition_branch`` sets column j to values between its bounds in
+        the parent's box, and ``branch`` does too whenever the LP value of
+        column j lies in that box; so, split by split, every box lies inside
+        the root box. The check below makes each step in O(1): a split that
+        left the root box would send this child, and every later one of
+        this engine, to ``refute``.
         """
-        lo, hi = node.lo.copy(), node.hi.copy()
-        lo[j], hi[j] = lo_j, hi_j
+        d = self._d
+        box = node.box.copy()
+        box[j], box[d + j] = lo_j, hi_j
+        if self._bounded and not (self.root_box[j] <= lo_j and hi_j <= self.root_box[d + j]):
+            self._bounded = False
         path = node.path
         if lo_j == hi_j and j in self.binary_pos:
             path += (2 * self.binary_pos[j] + int(lo_j),)
-        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, lo=lo, hi=hi, path=path,
+        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, box=box, path=path,
                      open_rows=node.open_rows)
-        child.lp = self.solver.inherit(node.lp, lo, hi, j) or self.solver.refute(lo, hi)
-        if child.lp is None:
-            child.lp = self.solver.resolve(node.lp.basis, lo, hi)
+        lo, hi = child.lo, child.hi
+        lp = self.solver.inherit(node.lp, lo, hi, j)
+        if lp is None:
+            lp = REFUTED if self.refutes(box) else self.solver.resolve(node.lp.basis, lo, hi, j)
+        child.lp = lp
         return child
 
     def branch(self, node: Node):

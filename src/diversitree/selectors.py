@@ -317,12 +317,6 @@ class Selector:
             return (1.0 - a) * scaled(node) + a * (term if literal else 1.0 - term)
         return score
 
-    def scores(self, pool, gated: bool = None) -> dict:
-        """{id: score} over the open nodes."""
-        score = self._scorer(self.min_bound(), self.max_bound(), pool,
-                             self.gated(pool) if gated is None else gated)
-        return {nid: score(node) for nid, node in self.nodes.items()}
-
     # nothing in the package calls it; perfbench/tracer.py wraps it
     def score(self, node, pool, gated: bool = None) -> float:
         """Score of one node: the scorer of an open set holding only it."""

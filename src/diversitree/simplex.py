@@ -39,11 +39,22 @@ A child box that changes one column and still holds the parent's warm
 optimum would have the warm solve re-derive that optimum with no pivot;
 ``inherit`` returns that result without solving, sharing the parent's
 read-only ``x``. It tests only the changed column: the parent's snapshot
-already holds the verdict on every other one. Its mirror, ``refute``,
-proves a box infeasible without solving when one row misses its rhs over
-the whole box by more than any solve would forgive: one product of a
-sign-split matrix with the box's bounds gives every row's least and
-greatest activity.
+already holds the verdict on every other one. A warm solve that is told its
+split column (``resolve(snapshot, lo, hi, j)``) makes the same argument
+for its start: off column ``j`` the box is the one the snapshot's verdict
+was taken in, so the start's dual-feasibility test is that verdict plus
+column ``j``'s own test, and only column ``j`` can make the box empty. A
+snapshot without a verdict, or whose basis has left the memo, gets the
+full-width test, as does every call without ``j``.
+
+Its mirror, ``refute``, proves a box infeasible without solving when one
+row misses its rhs over the whole box by more than any solve would
+forgive: one product of a sign-split matrix with the box's bounds gives
+every row's least and greatest activity. It must treat infinite bounds and
+activities past the float range. A caller that searches inside one box can
+prove once, with ``bounds_activity``, that no box inside it has either;
+``misses`` is then ``refute``'s verdict on each of them, from the product
+and one comparison alone.
 """
 
 import logging
@@ -61,6 +72,10 @@ DUAL_FEAS_TOL = 1e-7
 # most bytes of arrays one solver caches for warm solves; past it the whole
 # memo is dropped, so memory does not grow with the number of nodes
 MEMO_BYTES = 1 << 20
+# the largest sum of term magnitudes ``bounds_activity`` accepts: rounding
+# grows a sum of k terms by at most (1 + 2**-53)**k, so no partial sum of
+# fewer than 10**15 terms can reach the end of the float range, 2**1024
+ACTIVITY_CAP = 2.0 ** 1000
 
 
 class LpStatus(str, Enum):
@@ -178,6 +193,29 @@ def _wrong_sign(state: _Basis, at_upper, finite_lo):
                     np.where(finite_lo, state.red_neg, state.red_pos | state.red_neg))
 
 
+def _start_fails(state: _Basis, at_upper, finite_lo, movable, verdict=None, j=None) -> bool:
+    """The warm start's dual-feasibility test: True when some movable
+    nonbasic column fails ``_wrong_sign`` with the columns parked as
+    ``at_upper`` says.
+
+    With ``verdict``, the test a warm solve recorded for this basis and
+    ``at_upper`` in a box that differs from this one in column ``j`` only:
+    every other column fails here exactly when it failed there, so the
+    verdict must name no column but ``j``, and ``j`` is tested alone.
+    """
+    if verdict is None:
+        return bool((_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any())
+    if len(verdict) and (len(verdict) > 1 or verdict[0] != j):
+        return True
+    if not (state.nonbasic[j] and movable[j]):
+        return False
+    if at_upper[j]:
+        return bool(state.red_pos[j])
+    if finite_lo[j]:
+        return bool(state.red_neg[j])
+    return bool(state.red_pos[j] or state.red_neg[j])
+
+
 class SimplexSolver:
     """Reusable solver for one instance's LP relaxation."""
 
@@ -209,6 +247,7 @@ class SimplexSolver:
         lo_s, hi_s = instance.bounds()
         self.base_lo = np.concatenate([np.asarray(lo_s, dtype=float), slack_lo])
         self.base_hi = np.concatenate([np.asarray(hi_s, dtype=float), slack_hi])
+        self._slack_lo, self._slack_hi = self.base_lo[d:], self.base_hi[d:]
         self.c = np.zeros(self.n)
         for j, v in instance.objective.items():
             self.c[j] = v
@@ -240,19 +279,30 @@ class SimplexSolver:
             return LpResult(status=LpStatus.INFEASIBLE)
         return self._cold(full_lo, full_hi)
 
-    def resolve(self, snapshot: BasisSnapshot, lo=None, hi=None) -> LpResult:
+    def resolve(self, snapshot: BasisSnapshot, lo=None, hi=None, j: int = None) -> LpResult:
         """Reoptimize from a parent basis after bound changes.
 
         Pure performance path: the result contract is identical to
         :meth:`solve`, and any numerical trouble falls back to a cold solve.
+
+        ``j``, when given, is the split column: ``lo`` and ``hi`` must be
+        the structural box the snapshot's solve ran in (which passed the
+        empty-box test) with only column ``j`` changed. Then only column
+        ``j`` is tested for an empty box, and the warm start reads the
+        snapshot's verdict in place of its full-width test (see
+        ``_start_fails``). The result is the one a call without ``j`` gives.
         """
         full_lo, full_hi = self._bounds(lo, hi)
-        if (full_lo > full_hi + FEAS_TOL).any():
+        if j is None:
+            empty = (full_lo > full_hi + FEAS_TOL).any()
+        else:
+            empty = full_lo[j] > full_hi[j] + FEAS_TOL
+        if empty:
             return LpResult(status=LpStatus.INFEASIBLE)
         if snapshot is None:
             return self._cold(full_lo, full_hi)
         try:
-            return self._dual(snapshot, full_lo, full_hi)
+            return self._dual(snapshot, full_lo, full_hi, j)
         except (_Stalled, _Singular, np.linalg.LinAlgError):
             log.debug("warm start fell back to a cold solve")
             return self._cold(full_lo, full_hi)
@@ -284,6 +334,7 @@ class SimplexSolver:
         The result shares the parent's read-only ``x``, index array and
         dual objective; its ``at_upper`` drops ``j`` when the new box fixes
         it, and its verdict names no column, since none fails in the new box.
+        When neither changes, it shares the parent's snapshot.
         """
         snap = parent.basis
         if snap is None or snap.wrong_sign is None:
@@ -303,16 +354,18 @@ class SimplexSolver:
                 return None  # the reduced cost prices against the parked bound
         elif lo_j - x_j > FEAS_TOL or x_j - hi_j > FEAS_TOL or lo_j > hi_j + FEAS_TOL:
             return None  # the warm scan would pivot, or resolve finds the box empty
-        if at_upper[j]:  # fixed now, so parked at neither bound
-            at_upper = at_upper.copy()
-            at_upper[j] = False
-            _read_only(at_upper)
+        if at_upper[j] or len(wrong):
+            if at_upper[j]:  # fixed now, so parked at neither bound
+                at_upper = at_upper.copy()
+                at_upper[j] = False
+                _read_only(at_upper)
+            snap = BasisSnapshot(basis=snap.basis, at_upper=at_upper, wrong_sign=_NONE_WRONG)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=parent.objective,
             x=parent.x,
             fractional=list(parent.fractional),
-            basis=BasisSnapshot(basis=snap.basis, at_upper=at_upper, wrong_sign=_NONE_WRONG),
+            basis=snap,
             iterations=1,
             _dual=parent._dual,
         )
@@ -338,9 +391,10 @@ class SimplexSolver:
           artificial sum of at most ``FEAS_TOL * max(1, max |b|)``, with
           every column in its bounds, so each row misses by no more.
 
-        A side of a row that meets an infinite bound never refutes. Neither
-        ``solve`` nor ``resolve`` calls this, so their results, iteration
-        counts included, do not change.
+        A side of a row that meets an infinite bound never refutes, nor does
+        one whose activity overflows to NaN. Neither ``solve`` nor
+        ``resolve`` calls this, so their results, iteration counts included,
+        do not change.
         """
         v = np.concatenate((lo, hi))
         finite = np.isfinite(v)
@@ -355,23 +409,51 @@ class SimplexSolver:
             miss &= ~(self._reach @ ~finite)
         return LpResult(status=LpStatus.INFEASIBLE) if miss.any() else None
 
+    def bounds_activity(self, lo, hi) -> bool:
+        """True when no structural box inside [lo, hi] can give ``refute``
+        an infinite bound or an activity past the float range, so that
+        ``misses`` is ``refute``'s verdict on every such box.
+
+        It holds when [lo, hi] is finite and each row's sum of term
+        magnitudes at the box's farthest corner, ``|A| @ M`` with M the
+        larger of ``|lo|`` and ``|hi|`` per column, is at most
+        ``ACTIVITY_CAP``. A box inside [lo, hi] (each bound between ``lo``
+        and ``hi``, empty boxes included) has no bound larger than M in
+        magnitude, so every term of its product is at most ``|a_ij| M_j``
+        and every partial sum stays far inside the float range: no
+        infinity, no NaN, no overflow.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return False
+        with np.errstate(over="ignore"):  # an overflow fails the test below
+            reach = np.abs(self.A[:, : self.d]) @ np.maximum(np.abs(lo), np.abs(hi))
+        return bool((reach <= ACTIVITY_CAP).all())
+
+    def misses(self, box) -> bool:
+        """``refute``'s verdict, as a bool, on the structural box stacked as
+        one array ``[lo; hi]``, for a box inside one ``bounds_activity``
+        accepted: one product and one comparison, with no scan of the
+        bounds, no floating-point state and no result made."""
+        return np.count_nonzero(self._sides @ box > self._limits) > 0  # faster than .any()
+
     # -- shared pieces ------------------------------------------------------
 
     def _bounds(self, lo, hi):
-        full_lo = self.base_lo.copy()
-        full_hi = self.base_hi.copy()
-        if lo is not None:
-            full_lo[: self.d] = lo
-        if hi is not None:
-            full_hi[: self.d] = hi
+        """The full bound vectors: the structural box, else the instance's
+        bounds, followed by the slacks' bounds."""
+        full_lo = self.base_lo.copy() if lo is None else np.concatenate((lo, self._slack_lo))
+        full_hi = self.base_hi.copy() if hi is None else np.concatenate((hi, self._slack_hi))
         return full_lo, full_hi
 
-    def _result(self, state: _Basis, x, lo, hi, iterations, warm=False) -> LpResult:
+    def _result(self, state: _Basis, x, lo, hi, iterations, movable=None,
+                finite_lo=None) -> LpResult:
         """Optimal result at the basis ``state``, with every column at ``x``.
 
         The result keeps references to ``x``, ``lo`` and ``hi``, which the
         caller must no longer write, to sum its dual objective when read.
-        A ``warm`` result's snapshot carries the warm start's verdict.
+        A warm solve passes the box's ``movable`` and ``finite_lo`` masks it
+        already holds; its snapshot carries the warm start's verdict.
         """
         xs = x[: self.d].copy()
         _read_only(xs)  # a kept child shares it with its parent
@@ -380,14 +462,16 @@ class SimplexSolver:
         vals = xs[ints]
         frac = ints[np.abs(vals - np.rint(vals)) > INT_TOL].tolist()
         snapshot = None
+        warm = movable is not None
         if warm or (state.basis < self.n).all():  # no artificial left in the basis
             n = self.n
             nonbasic = state.nonbasic[:n]
-            movable = lo[:n] != hi[:n]
+            if not warm:
+                movable = lo[:n] != hi[:n]
             up = nonbasic & (x[:n] == hi[:n]) & movable  # parked at upper
             wrong = None
             if warm:  # the warm start's test, as _dual makes it, in this box
-                wrong = _wrong_sign(state, up, np.isfinite(lo)) & nonbasic & movable
+                wrong = _wrong_sign(state, up, finite_lo) & nonbasic & movable
                 wrong = np.flatnonzero(wrong) if wrong.any() else _NONE_WRONG
                 _read_only(wrong)
             _read_only(up)
@@ -587,7 +671,7 @@ class SimplexSolver:
             self._keep(state.rows, k, masks, _read_only(*masks))
         return masks
 
-    def _dual(self, snapshot: BasisSnapshot, lo, hi) -> LpResult:
+    def _dual(self, snapshot: BasisSnapshot, lo, hi, j=None) -> LpResult:
         at_upper = snapshot.at_upper
         if np.shape(at_upper) != (self.n,):
             raise _Singular()
@@ -596,6 +680,9 @@ class SimplexSolver:
         if state is None and (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
                               or len(set(basis.tolist())) != self.m):
             raise _Singular()
+        # the snapshot's verdict holds for the basis it was taken at, which is
+        # the memoized one only while the snapshot shares its index array
+        verdict = None if state is None or j is None else snapshot.wrong_sign
         finite_lo = np.isfinite(lo)
         movable = lo != hi
         free = ~finite_lo & ~np.isfinite(hi)
@@ -608,7 +695,7 @@ class SimplexSolver:
 
         if state is None:
             state = self._basis(basis)
-        if (_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any():
+        if _start_fails(state, at_upper, finite_lo, movable, verdict, j):
             raise _Singular()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst
@@ -642,7 +729,7 @@ class SimplexSolver:
                     worst = over[k]
                     leave_pos, below = k, False
             if leave_pos < 0:
-                return self._result(state, x, lo, hi, it, warm=True)
+                return self._result(state, x, lo, hi, it, movable, finite_lo)
 
             pos, neg, abs_alpha = self._memo_row(state, leave_pos)
 

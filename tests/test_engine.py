@@ -50,7 +50,7 @@ from diversitree.generators import (
     random_binary_instance,
     two_cluster_instance,
 )
-from diversitree import engine
+from diversitree import engine, simplex
 from diversitree.engine import Node, SolutionPool
 from diversitree.model import FEAS_TOL, INT_TOL
 from diversitree.selectors import Selector
@@ -72,7 +72,7 @@ def optimal_lp(bound):
 
 def root_node(bc):
     """The root box of ``bc`` as a node, its LP cold-solved whatever the status."""
-    root = Node(id=0, parent_id=None, depth=0, lo=bc.root_lo.copy(), hi=bc.root_hi.copy())
+    root = Node(id=0, parent_id=None, depth=0, box=bc.root_box.copy())
     root.lp = bc.solver.solve(root.lo, root.hi)
     return root
 
@@ -555,7 +555,7 @@ class TestEnumerateUnrestricted:
         # with x0 = x2 = 1 the row holds over the box, so x1 is walked free
         lo, hi = np.array([1.0, 0.0, 1.0]), np.ones(3)
         assert con.holds_over(lo.tolist(), hi.tolist()) and not bc.open_rows(lo, hi)
-        node = Node(id=0, parent_id=None, depth=0, lo=lo, hi=hi,
+        node = Node(id=0, parent_id=None, depth=0, box=np.concatenate((lo, hi)),
                     lp=SimpleNamespace(x=np.ones(3)))
         pool = SolutionPool(bc.instance)
         assert bc.enumerate_unrestricted(node, pool) == (2, True)
@@ -1050,10 +1050,10 @@ class TestLpStalls:
                 return LpResult(status=LpStatus.STALLED)
             return real_cold(self, lo, hi)
 
-        def dual(self, snapshot, lo, hi):
+        def dual(self, snapshot, lo, hi, j=None):
             if is_box(lo, hi):
                 raise _Stalled()
-            return real_dual(self, snapshot, lo, hi)
+            return real_dual(self, snapshot, lo, hi, j)
 
         monkeypatch.setattr(SimplexSolver, "_cold", cold)
         monkeypatch.setattr(SimplexSolver, "_dual", dual)
@@ -1270,36 +1270,65 @@ class TestKeptLp:
     """A child whose box still holds its parent's warm optimum keeps the
     parent's LP (``SimplexSolver.inherit``), which must be the result
     ``resolve`` returns from the parent's basis, field for field. A child
-    that ``SimplexSolver.refute`` proves empty must be one that ``resolve``
-    and ``solve`` find infeasible; it matches ``resolve`` in status only,
-    with 0 iterations. Every warm and every kept result's snapshot records
-    the warm start's dual-feasibility test over its own box
-    (``conftest.oracle_wrong_sign``), which ``inherit`` reads in its place."""
+    that the engine refutes (``BranchAndCount.refutes``, on its fast path
+    or through ``SimplexSolver.refute``) must be one that ``refute`` calls
+    empty and that ``resolve`` and ``solve`` find infeasible; it matches
+    ``resolve`` in status only, with 0 iterations. Every warm and every kept
+    result's snapshot records the warm start's dual-feasibility test over
+    its own box (``conftest.oracle_wrong_sign``), which ``inherit``, and
+    every warm start told its split column, read in its place."""
 
     @staticmethod
     def lp_fields(res):
         return golden.lp_fingerprint(res), None if res.x is None else res.x.tobytes()
 
-    def check_children(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def cold_statuses(self):
+        """(instance JSON, box bytes) -> the status of a cold solve of the
+        box: a pure function of its key, which the golden cases, walking
+        many of the same boxes under different rules, share."""
+        return {}
+
+    def check_children(self, monkeypatch, cold_statuses):
         """Hold every partition child's LP, every result ``inherit`` returns
-        and every child ``refute`` proves empty to a second solver of the
-        same instance, and every recorded verdict to the oracle. Returns the
-        running counts of partition splits, kept LPs, refuted children and
-        checked verdicts."""
-        counts = {"splits": 0, "kept": 0, "refuted": 0, "verdicts": 0}
+        and every child the engine refutes to a second solver of the same
+        instance, every engine verdict on refutation to ``refute``, and
+        every recorded verdict and every warm start that read one to the
+        oracle. Returns the running counts of partition splits, kept LPs,
+        refuted children (``fast``: refuted on the fast path), checked
+        verdicts and warm starts that read a verdict."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0, "fast": 0, "verdicts": 0,
+                  "verdict_starts": 0}
         refs = {}
-        refuted = {}  # id -> every result refute returned, kept alive
-        inherit, refute = SimplexSolver.inherit, SimplexSolver.refute
-        resolve = SimplexSolver.resolve
+        cache = {"snapshot": None, "results": {}}
+        starts = []  # (read a verdict, failed) of each warm start in the current resolve
+        inherit, resolve = SimplexSolver.inherit, SimplexSolver.resolve
+        start_fails = simplex._start_fails
         partition, make_child = BranchAndCount.partition_branch, BranchAndCount._child
 
         def reference(solver):
             if solver not in refs:
-                refs[solver] = SimplexSolver(solver.instance)
-            return refs[solver]
+                refs[solver] = SimplexSolver(solver.instance), solver.instance.to_json()
+            return refs[solver][0]
 
-        def resolved(solver, snapshot, lo, hi):
-            return self.lp_fields(reference(solver).resolve(snapshot, lo, hi))
+        def cold_status(solver, lo, hi):
+            """The status of the second solver's ``solve(lo, hi)``, solved
+            once per instance and box."""
+            reference(solver)
+            key = (refs[solver][1], lo.tobytes() + hi.tobytes())
+            if key not in cold_statuses:
+                cold_statuses[key] = reference(solver).solve(lo, hi).status
+            return cold_statuses[key]
+
+        def wanted(solver, snapshot, lo, hi):
+            """The second solver's ``resolve(snapshot, lo, hi)``, made once
+            per snapshot and box: a node's children share its snapshot."""
+            if cache["snapshot"] is not snapshot:
+                cache["snapshot"], cache["results"] = snapshot, {}
+            key = lo.tobytes() + hi.tobytes()
+            if key not in cache["results"]:
+                cache["results"][key] = reference(solver).resolve(snapshot, lo, hi)
+            return cache["results"][key]
 
         def check_verdict(solver, res, lo, hi):
             snap = res.basis
@@ -1311,8 +1340,18 @@ class TestKeptLp:
             counts["verdicts"] += 1
             assert snap.wrong_sign.tolist() == oracle_wrong_sign(solver, snap, lo, hi)
 
-        def checked_resolve(solver, snapshot, lo, hi):
-            got = resolve(solver, snapshot, lo, hi)
+        def recorded_start(state, at_upper, finite_lo, movable, verdict=None, j=None):
+            failed = start_fails(state, at_upper, finite_lo, movable, verdict, j)
+            starts.append((verdict is not None, failed))
+            return failed
+
+        def checked_resolve(solver, snapshot, lo=None, hi=None, j=None):
+            starts.clear()
+            got = resolve(solver, snapshot, lo, hi, j)
+            for read, failed in starts:
+                if read:  # the start's full-width test in the child's box
+                    counts["verdict_starts"] += 1
+                    assert failed == bool(oracle_wrong_sign(solver, snapshot, lo, hi))
             check_verdict(solver, got, lo, hi)
             return got
 
@@ -1321,22 +1360,22 @@ class TestKeptLp:
             if got is not None:
                 counts["kept"] += 1
                 check_verdict(solver, got, lo, hi)
-                assert self.lp_fields(got) == resolved(solver, parent.basis, lo, hi)
-            return got
-
-        def recorded_refute(solver, lo, hi):
-            got = refute(solver, lo, hi)
-            if got is not None:
-                refuted[id(got)] = got
+                assert self.lp_fields(got) == self.lp_fields(wanted(solver, parent.basis, lo, hi))
             return got
 
         def checked_child(bc, node, j, lo_j, hi_j):
+            kept = counts["kept"]
             child = make_child(bc, node, j, lo_j, hi_j)
-            if id(child.lp) in refuted:
+            if counts["kept"] > kept:
+                return child
+            refuted = child.lp is engine.REFUTED
+            assert refuted == (bc.solver.refute(child.lo, child.hi) is not None)
+            if refuted:
                 counts["refuted"] += 1
-                ref = reference(bc.solver)
-                assert ref.resolve(node.lp.basis, child.lo, child.hi).status == LpStatus.INFEASIBLE
-                assert ref.solve(child.lo, child.hi).status == LpStatus.INFEASIBLE
+                counts["fast"] += bc._bounded  # still set: this child took the fast path
+                got = wanted(bc.solver, node.lp.basis, child.lo, child.hi)
+                assert got.status == LpStatus.INFEASIBLE
+                assert cold_status(bc.solver, child.lo, child.hi) == LpStatus.INFEASIBLE
             return child
 
         def checked_partition(bc, node, j):
@@ -1345,40 +1384,41 @@ class TestKeptLp:
             counts["splits"] += 1
             assert counts["kept"] - kept <= 1  # only one side holds round(x_j)
             for c in children:
-                want = reference(bc.solver).resolve(node.lp.basis, c.lo, c.hi)
-                if id(c.lp) in refuted:
+                want = wanted(bc.solver, node.lp.basis, c.lo, c.hi)
+                if c.lp is engine.REFUTED:
                     assert c.lp.status == want.status and c.lp.iterations == 0
                 else:
                     assert self.lp_fields(c.lp) == self.lp_fields(want)
             return children
 
+        monkeypatch.setattr(simplex, "_start_fails", recorded_start)
         monkeypatch.setattr(SimplexSolver, "inherit", checked_inherit)
         monkeypatch.setattr(SimplexSolver, "resolve", checked_resolve)
-        monkeypatch.setattr(SimplexSolver, "refute", recorded_refute)
         monkeypatch.setattr(BranchAndCount, "_child", checked_child)
         monkeypatch.setattr(BranchAndCount, "partition_branch", checked_partition)
         return counts
 
     @pytest.mark.parametrize("name", sorted(golden.count_cases()))
-    def test_every_partition_child_of_the_golden_cases(self, name, monkeypatch):
-        counts = self.check_children(monkeypatch)
+    def test_every_partition_child_of_the_golden_cases(self, name, monkeypatch, cold_statuses):
+        counts = self.check_children(monkeypatch, cold_statuses)
         factory, spec = golden.count_cases()[name]
         run_phase_one(factory(), spec)
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
         assert counts["verdicts"] > counts["kept"]
         if name.startswith(("random_binary_instance", "two_cluster_instance")):
-            assert counts["refuted"] > 0
+            assert counts["refuted"] > 0 and counts["fast"] > 0
+            assert counts["verdict_starts"] > 0
 
     @settings(max_examples=60)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
-    def test_small_mips(self, inst, q):
+    def test_small_mips(self, cold_statuses, inst, q):
         with pytest.MonkeyPatch.context() as mp:
-            self.check_children(mp)
+            self.check_children(mp, cold_statuses)
             BranchAndCount(cut_at_optimum(inst, q)).run(p1=60)
 
-    def test_optimize_runs(self, monkeypatch):
-        counts = self.check_children(monkeypatch)
+    def test_optimize_runs(self, monkeypatch, cold_statuses):
+        counts = self.check_children(monkeypatch, cold_statuses)
         instances = [general_integer_instance(), mixed_small_instance(),
                      *(random_binary_instance(k, 40, 15) for k in range(6))]
         for inst in instances:
@@ -1447,6 +1487,20 @@ class TestKeptLp:
         glo, ghi, g = self.fix_nonbasic(solver, kept, clo, chi)
         assert solver.inherit(kept, glo, ghi, g) is not None
 
+    def test_a_kept_child_with_nothing_new_shares_its_parents_snapshot(self):
+        """Shared when the kept child's ``at_upper`` and empty verdict are
+        its parent's; its own snapshot when the split column was parked at
+        upper or the parent's verdict named it."""
+        solver, _, parent, _, (clo, chi, j) = self.warm_family()
+        assert not parent.basis.at_upper[j] and parent.basis.wrong_sign.tolist() == []
+        assert solver.inherit(parent, clo, chi, j).basis is parent.basis
+        named = self.with_verdict(parent, [j])
+        own = solver.inherit(named, clo, chi, j).basis
+        assert own is not named.basis and own.basis is named.basis.basis
+        upper = replace(parent, basis=replace(parent.basis, at_upper=np.eye(solver.n, dtype=bool)[j]))
+        own = solver.inherit(upper, clo, chi, j).basis
+        assert own is not upper.basis and not own.at_upper.any()
+
     def test_a_snapshot_without_a_verdict_is_not_kept(self):
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
         bare = replace(parent, basis=BasisSnapshot(parent.basis.basis, parent.basis.at_upper))
@@ -1476,6 +1530,107 @@ class TestKeptLp:
                      and solver._bounds(clo, chi)[0][k] != solver._bounds(clo, chi)[1][k])
             parent = self.with_verdict(parent, [k])
         assert solver.inherit(parent, clo, chi, j) is None
+
+@st.composite
+def boxes_inside(draw, bc):
+    """A structural box inside ``bc``'s root box, stacked as ``[lo; hi]``:
+    each bound an integer (for a continuous column one of a few values)
+    between the root bounds, the two sides drawn apart, so some boxes are
+    empty."""
+    lo, hi = [], []
+    for j, (a, b) in enumerate(zip(bc.root_lo.tolist(), bc.root_hi.tolist())):
+        if j in bc.binary_pos or bc.instance.variables[j].is_integer:
+            side = st.integers(int(a), int(b)).map(float)
+        else:
+            side = st.sampled_from([v for v in (a, b, -2.0, 0.5, 3.0) if a <= v <= b])
+        lo.append(draw(side))
+        hi.append(draw(side))
+    return np.array(lo + hi)
+
+
+class TestEngineRefutation:
+    """The engine refutes a child with ``SimplexSolver.refute``'s verdict:
+    by the product alone when its root box passed ``bounds_activity``, else
+    through ``refute``."""
+
+    @settings(max_examples=200)
+    @given(small_mips(), st.sampled_from([None, 0.0, 0.5]), st.data())
+    def test_boxes_inside_the_root_box(self, inst, q, data):
+        bc = BranchAndCount(inst if q is None else cut_at_optimum(inst, q))
+        assert bc._bounded == bool(np.isfinite(bc.root_box).all())
+        box = data.draw(boxes_inside(bc))
+        d = len(bc.root_lo)
+        assert bc.refutes(box) == (bc.solver.refute(box[:d], box[d:]) is not None)
+
+    @pytest.mark.parametrize("make", [lambda: random_binary_instance(1, 30, 12),
+                                      lambda: two_cluster_instance(14, 2)])
+    def test_random_boxes_of_the_benchmark_instances(self, make):
+        bc = BranchAndCount(cut_at_optimum(make(), 0.1))
+        assert bc._bounded
+        rng = np.random.default_rng(5)
+        d = len(bc.root_lo)
+        verdicts = set()
+        for _ in range(400):
+            fixed = rng.random(d) < rng.random()
+            values = rng.integers(0, 2, size=d).astype(float)
+            lo = np.where(fixed, values, bc.root_lo)
+            hi = np.where(fixed, values, bc.root_hi)
+            box = np.concatenate((lo, hi))
+            got = bc.refutes(box)
+            assert got == (bc.solver.refute(lo, hi) is not None)
+            verdicts.add(got)
+        assert verdicts == {False, True}
+
+    def test_a_split_outside_the_root_box_ends_the_fast_path(self):
+        bc = BranchAndCount(cut_at_optimum(random_binary_instance(1, 30, 12), 0.1))
+        root = root_node(bc)
+        assert bc._bounded
+        bc._child(root, 0, 0.0, 0.0)  # inside: the fast path stays
+        assert bc._bounded
+        bc._child(root, 0, -1.0, 0.0)
+        assert not bc._bounded
+        child = bc._child(root, 1, 1.0, 1.0)  # inside again, but the engine stays off it
+        assert not bc._bounded
+        assert (child.lp is engine.REFUTED) == (bc.solver.refute(child.lo, child.hi) is not None)
+
+    @staticmethod
+    def wide_instance(y_hi):
+        """Four binaries and a continuous y in [0, y_hi] that costs 1 and
+        enters a covering row with coefficient 2; the rows x0 + x1 <= 1 and
+        x2 + x3 <= 1 refute the children that fix both of a pair at 1."""
+        variables = [VariableDef(j, 0.0, 1.0, True, f"x{j}") for j in range(4)]
+        variables.append(VariableDef(4, 0.0, y_hi, False, "y"))
+        rows = [LinearConstraint({0: 1.0, 1: 1.0}, LE, 1.0, "r0"),
+                LinearConstraint({2: 1.0, 3: 1.0}, LE, 1.0, "r1"),
+                LinearConstraint({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 2.0}, GE, 1.5, "r2")]
+        objective = {0: -2.0, 1: -1.0, 2: -1.5, 3: -1.0, 4: 1.0}
+        return MipInstance(f"wide-{y_hi}", variables, rows, objective)
+
+    @pytest.mark.parametrize("y_hi", [INF, 1e308])
+    def test_a_root_box_past_the_proof_takes_the_general_path(self, y_hi, monkeypatch):
+        """An infinite bound, or one whose activity leaves the float range,
+        fails ``bounds_activity``: every child goes through ``refute``, and
+        no step raises a RuntimeWarning (an error under this suite)."""
+        inst = self.wide_instance(y_hi)
+        z, admitted = enum_mixed_projections(inst, 0.5)
+        refuted = []
+        make_child = BranchAndCount._child
+
+        def child(bc, node, j, lo_j, hi_j):
+            c = make_child(bc, node, j, lo_j, hi_j)
+            assert not bc._bounded
+            if c.lp.x is not node.lp.x:  # not kept: refuted or solved
+                assert (c.lp is engine.REFUTED) == (bc.solver.refute(c.lo, c.hi) is not None)
+            refuted.append(c.lp is engine.REFUTED)
+            return c
+
+        monkeypatch.setattr(BranchAndCount, "_child", child)
+        assert BranchAndCount(inst).optimize().objective == pytest.approx(z)
+        res = run_cut(inst, 0.5, z, p1=None)
+        got = {tuple(int(round(x[j])) for j in inst.integer_index) for x in res.pool.solutions}
+        assert res.exhausted and got == admitted
+        assert any(refuted) and not all(refuted)
+
 
 class TestLpValuesAreReadOnly:
     @pytest.mark.parametrize("make", [knapsack_instance, general_integer_instance,

@@ -37,7 +37,7 @@ def path_of(fixed):
 
 def make_node(nid, bound=0.0, depth=0, fixed=None, parent=None, estimate=None):
     # scoring reads no box, so the node carries none
-    n = Node(id=nid, parent_id=parent, depth=depth, lo=None, hi=None,
+    n = Node(id=nid, parent_id=parent, depth=depth, box=None,
              path=path_of(fixed or {}), lp=LpResult(LpStatus.OPTIMAL, objective=bound))
     n.estimate = bound if estimate is None else estimate
     return n
@@ -75,12 +75,20 @@ def pool_of_size(n, capacity, n_bits=4):
     return make_pool([[(k >> b) & 1 for b in range(n_bits)] for k in range(n)], n_bits, capacity)
 
 
+def open_scores(sel, pool, gated=None):
+    """{id: score} over the open set, from the per-node scorer that
+    ``select`` builds for it (``Selector._scorer``)."""
+    gated = sel.gated(pool) if gated is None else gated
+    score = sel._scorer(sel.min_bound(), sel.max_bound(), pool, gated)
+    return {nid: score(node) for nid, node in sel.nodes.items()}
+
+
 def scaled_bound(bound, least, greatest):
     """L of a node at ``bound`` in an open set spanning [least, greatest]:
     its best-first score."""
     sel = open_set([make_node(0, bound=bound), make_node(1, bound=least),
                     make_node(2, bound=greatest)])
-    return sel.scores(EMPTY)[0]
+    return open_scores(sel, EMPTY)[0]
 
 
 def scaled_depth(depth, max_plunge):
@@ -94,7 +102,7 @@ def diversity(path, pool):
     """D of one fixing path against ``pool``: the score of a rule that is D
     alone, (1 - 1) * L + 1 * D."""
     sel = Selector(SelectorConfig(rule="dbfs-a", alpha=1.0, literal_score=True))
-    node = Node(id=0, parent_id=None, depth=0, lo=None, hi=None, path=tuple(path),
+    node = Node(id=0, parent_id=None, depth=0, box=None, path=tuple(path),
                 lp=LpResult(LpStatus.OPTIMAL, objective=0.0))
     return sel.score(node, pool)
 
@@ -164,7 +172,7 @@ class TestRuleScores:
     def test_bestfs_is_the_scaled_bound(self):
         sel = open_set([make_node(0, bound=4.0), make_node(1, bound=2.0),
                         make_node(2, bound=6.0)])
-        assert sel.scores(EMPTY) == {0: 0.5, 1: 0.0, 2: 1.0}
+        assert open_scores(sel, EMPTY) == {0: 0.5, 1: 0.0, 2: 1.0}
         assert sel.score(make_node(0, bound=4.0), EMPTY) == 0.0  # alone, the spread is 0
 
     def test_visit_ratio_rule_counts_subtree_dequeues(self):
@@ -223,7 +231,7 @@ class TestRuleScores:
             "dbfs-max": 0.4 * L + 0.6 * (1 - max(D, H)),
             "dbfs-prod": 0.4 * L + 0.6 * (1 - D * H),
         }[rule]
-        assert sel.scores(pool, gated=False)[7] == pytest.approx(want, abs=1e-12)
+        assert open_scores(sel, pool, gated=False)[7] == pytest.approx(want, abs=1e-12)
 
     def test_tie_break_takes_lowest_id(self):
         assert open_set([make_node(4, bound=1.0), make_node(2, bound=1.0)]).select(EMPTY) == 2
@@ -254,7 +262,7 @@ class TestScoresMatchTheScalarOracle:
             bound = float(rng.choice(levels))
             # parents below the child: the visit walk of a pop ends
             node = Node(id=nid, parent_id=int(rng.integers(0, nid)) if nid else None,
-                        depth=int(rng.integers(0, 22)), lo=None, hi=None,
+                        depth=int(rng.integers(0, 22)), box=None,
                         path=path_of(dict(zip(cols, vals))),
                         lp=LpResult(LpStatus.OPTIMAL, objective=bound))
             node.estimate = bound + float(rng.uniform(0, 2))
@@ -289,7 +297,7 @@ class TestScoresMatchTheScalarOracle:
                 sel.visits = visits
                 sel.depth_gate_open = cfg.depth_cutoff == 0
                 want = [oracle_score(sel, node, pool, bounds) for node in nodes]
-                assert sel.scores(pool) == {node.id: s for node, s in zip(nodes, want)}
+                assert open_scores(sel, pool) == {node.id: s for node, s in zip(nodes, want)}
                 assert sel.select(pool) == oracle_select(sel, nodes, pool)
                 assert sel.score(nodes[0], pool) == oracle_score(sel, nodes[0], pool, alone)
                 assert sel.score(nodes[0], pool, gated=False) == oracle_score(
@@ -338,7 +346,7 @@ class TestGating:
         cfg = SelectorConfig(rule="diversitree", alpha=0.9, beta=0.1, sol_cutoff=1.0)
         node = make_node(3, bound=0.75, depth=5, fixed={0: 1})
         sel = open_set([node, make_node(4, bound=0.0), make_node(5, bound=1.0)], cfg, 4)
-        assert sel.scores(pool)[3] == 0.75  # the bound within the open set's [0, 1]
+        assert open_scores(sel, pool)[3] == 0.75  # the bound within the open set's [0, 1]
 
 
 class TestBestFirstReduction:

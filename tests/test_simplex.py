@@ -1,6 +1,7 @@
 """Bounded-variable simplex vs an independent LP oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -457,6 +458,107 @@ class TestWarmStartVerdict:
         assert solver.solve().basis.wrong_sign is None
 
 
+def split_children(parent, lo, hi, j):
+    """Boxes that change column ``j`` of [lo, hi] only: below and above the
+    parent's value, fixed at it, and empty."""
+    v = float(parent.x[j])
+    for lo_j, hi_j in ((lo[j], math.floor(v)), (math.ceil(v), hi[j]), (v, v), (v + 1.0, v)):
+        clo, chi = lo.copy(), hi.copy()
+        clo[j], chi[j] = lo_j, hi_j
+        yield clo, chi
+
+
+class TestSplitColumnStart:
+    """``resolve(snapshot, lo, hi, j)`` is ``resolve(snapshot, lo, hi)`` for
+    a box that changes column ``j`` of the snapshot's own box: it tests only
+    column ``j`` for an empty box and, for a warm snapshot whose basis is
+    memoized, reads the verdict in place of the start's full-width test."""
+
+    def test_it_returns_what_the_call_without_the_column_returns(self, monkeypatch):
+        reads = []
+        start_fails = simplex._start_fails
+
+        def recorded(state, at_upper, finite_lo, movable, verdict=None, j=None):
+            got = start_fails(state, at_upper, finite_lo, movable, verdict, j)
+            if verdict is not None:
+                reads.append((got, start_fails(state, at_upper, finite_lo, movable)))
+            return got
+
+        monkeypatch.setattr(simplex, "_start_fails", recorded)
+        calls = 0
+        for solver, res, lo, hi in family_results(range(60)):
+            if not res.is_optimal:
+                continue
+            ref = SimplexSolver(solver.instance)
+            for j in range(solver.d):
+                for clo, chi in split_children(res, lo, hi, j):
+                    got = solver.resolve(res.basis, clo, chi, j)
+                    assert golden.lp_fingerprint(got) == golden.lp_fingerprint(
+                        ref.resolve(res.basis, clo, chi))
+                    calls += 1
+        assert calls > 1000
+        assert len(reads) > 500 and all(got == full for got, full in reads)
+
+    def test_a_true_verdict_and_column_j_are_the_full_test(self):
+        """With the columns parked as ``at_upper`` says, some masks drawn to
+        make column j or another column fail: the verdict of the parent's
+        box plus column j's own test is the full-width test of the child's
+        box, whichever way it goes."""
+        rng = np.random.default_rng(4)
+        seen = set()
+        for solver, res, lo, hi in family_results(range(60)):
+            snap = res.basis
+            if snap is None:
+                continue
+            state = simplex._Basis(solver.A, solver.c, snap.basis)
+            for j in range(solver.d):
+                at_upper = snap.at_upper.copy()
+                at_upper[j] ^= rng.random() < 0.5
+                if rng.random() < 0.1:
+                    k = int(rng.integers(solver.n))
+                    at_upper[k] = not at_upper[k]
+                masked = replace(snap, at_upper=at_upper)
+                verdict = np.array(oracle_wrong_sign(solver, masked, lo, hi), dtype=np.intp)
+                for clo, chi in split_children(res, lo, hi, j):
+                    full_lo, full_hi = solver._bounds(clo, chi)
+                    args = (state, at_upper, np.isfinite(full_lo), full_lo != full_hi)
+                    got = simplex._start_fails(*args, verdict, j)
+                    assert got == bool(oracle_wrong_sign(solver, masked, clo, chi))
+                    assert got == simplex._start_fails(*args)
+                    seen.add((tuple(verdict.tolist()) == (j,), got))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def warm_parent(self):
+        """A solver, a warm result of it with its box, and a nonbasic
+        movable column of that box."""
+        for solver, res, lo, hi in family_results(range(1, 150)):
+            snap = res.basis
+            if snap is None or snap.wrong_sign is None or solver._priced(snap) is None:
+                continue
+            full_lo, full_hi = solver._bounds(lo, hi)
+            state = solver._priced(snap)
+            cols = [k for k in range(solver.d) if state.nonbasic[k] and full_lo[k] < full_hi[k]]
+            if len(cols) > 1:
+                return solver, res, lo, hi, cols
+        raise AssertionError("no warm parent with two movable nonbasic columns")
+
+    def test_a_verdict_naming_another_column_refuses_the_start(self):
+        solver, res, lo, hi, (j, k, *_) = self.warm_parent()
+        snap = replace(res.basis, wrong_sign=np.array([k], dtype=np.intp))
+        clo, chi = next(split_children(res, lo, hi, j))
+        cold = golden.lp_fingerprint(SimplexSolver(solver.instance).solve(clo, chi))
+        assert golden.lp_fingerprint(solver.resolve(snap, clo, chi, j)) == cold
+
+    def test_a_verdict_naming_the_split_column_tests_it_alone(self):
+        solver, res, lo, hi, (j, *_) = self.warm_parent()
+        assert res.basis.wrong_sign.tolist() == []
+        snap = replace(res.basis, wrong_sign=np.array([j], dtype=np.intp))
+        ref = SimplexSolver(solver.instance)
+        for clo, chi in split_children(res, lo, hi, j):
+            want = golden.lp_fingerprint(ref.resolve(res.basis, clo, chi))
+            assert golden.lp_fingerprint(solver.resolve(snap, clo, chi, j)) == want
+
+
 class TestRefute:
     """``refute`` proves a box infeasible when one row's activity misses its
     rhs by more than FEAS_TOL * max(1 + sum |a|, max(1, max |b|))."""
@@ -528,3 +630,44 @@ class TestRefute:
     def test_no_rows(self):
         solver = SimplexSolver(lp_instance({0: 1.0}, [], [(0, 1)]))
         assert solver.refute(np.zeros(1), np.ones(1)) is None
+        assert solver.bounds_activity(np.zeros(1), np.ones(1))
+        assert not solver.misses(np.array([0.0, 1.0]))
+
+
+class TestBoundsActivity:
+    """``bounds_activity`` accepts a box when it is finite and no row's
+    sum of term magnitudes at its farthest corner passes ACTIVITY_CAP;
+    inside such a box ``misses`` is ``refute``'s verdict."""
+
+    # the rows 2 x0 - 3 x1 <= 0 and x0 + x1 >= 1
+    ROWS = [({0: 2.0, 1: -3.0}, LE, 0.0), ({0: 1.0, 1: 1.0}, GE, 1.0)]
+
+    def solver(self):
+        return SimplexSolver(lp_instance({0: 1.0}, self.ROWS, [(-5, 5), (-5, 5)]))
+
+    def test_the_cap_and_the_bounds_it_refuses(self):
+        solver = self.solver()
+        top = 2.0 ** 998
+        # row 0 at the corner: 2 * 2**998 + 3 * 2**997 = 3.5 * 2**997 <= 2**1000
+        assert solver.bounds_activity(np.array([-top, 0.0]), np.array([0.0, top / 2]))
+        # 2 * 2**998 + 3 * 2**998 = 5 * 2**998 > 2**1000
+        assert not solver.bounds_activity(np.array([-top, -top]), np.zeros(2))
+        assert not solver.bounds_activity(np.zeros(2), np.array([1e308, 1.0]))  # overflows
+        assert not solver.bounds_activity(np.array([-INF, 0.0]), np.ones(2))
+        assert not solver.bounds_activity(np.zeros(2), np.array([1.0, INF]))
+
+    def test_misses_is_refute_on_boxes_inside_an_accepted_box(self):
+        solver = self.solver()
+        root_lo, root_hi = np.full(2, -5.0), np.full(2, 5.0)
+        assert solver.bounds_activity(root_lo, root_hi)
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for _ in range(500):
+            a, b = rng.uniform(-5.0, 5.0, size=(2, 2))
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            if rng.random() < 0.2:
+                lo, hi = hi, lo  # an empty box is inside too
+            got = solver.misses(np.concatenate((lo, hi)))
+            assert got == (solver.refute(lo, hi) is not None)
+            verdicts.add(got)
+        assert verdicts == {False, True}
