@@ -5,12 +5,12 @@ is created (warm-started from the parent basis). A child whose box still
 holds its parent's optimum keeps the parent's LP (``SimplexSolver.inherit``),
 which is the result the warm solve would return. A child with a row that
 misses its rhs over the whole box, by more than any solve would forgive, is
-infeasible without a solve (``BranchAndCount.refutes``, which gives
-``SimplexSolver.refute``'s verdict). Any other child is warm-solved from
-its parent's basis, told its split column, so the solve tests only that
-column for an empty box and reads the rest of its start's test from the
-parent's snapshot. ``optimize`` finds
-the optimal value: best-first on the LP bound with incumbent pruning.
+infeasible without a solve, by the test ``SimplexSolver.refuter`` builds
+once per engine for the root box. Any other child is warm-solved from its
+parent's basis, told its split column, so the solve tests only that column
+for an empty box and reads the rest of its start's test from the parent's
+snapshot. ``optimize`` finds the optimal value: best-first on the LP bound
+with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
 
@@ -29,11 +29,9 @@ classifies each dequeued node:
 
 A split sets one integer column to values between its bounds in the
 parent's box, so every child box lies inside the root box (``_child``
-checks each split). The engine proves once per instance, with
-``SimplexSolver.bounds_activity``, that the root box is finite and that no
-row activity over a box inside it can leave the float range; refuting a
-child is then one product and one comparison (``SimplexSolver.misses``) on
-the child's box, which a node stores as one stacked array ``[lo; hi]``.
+checks each split), which is where the refuter's test holds: refuting a
+child is one product and one comparison on the child's box, which a node
+stores as one stacked array ``[lo; hi]``.
 
 A child whose LP stalls is dropped at creation. The open nodes live in a
 ``selectors.Selector``, which also picks the next one. The run stops when
@@ -341,10 +339,9 @@ class BranchAndCount:
         self._d = d = len(self.root_lo)
         self.root_box = np.concatenate((self.root_lo, self.root_hi))
         self.root_lo, self.root_hi = self.root_box[:d], self.root_box[d:]
-        # True while every child box made so far lies inside the root box
-        # and the root box passed bounds_activity: refutes may then skip
-        # refute's guards
-        self._bounded = self.solver.bounds_activity(self.root_lo, self.root_hi)
+        # the test that refutes a child box without a solve; None when no row
+        # can miss, or once a split leaves the root box, where it does not hold
+        self._refute = self.solver.refuter(self.root_lo, self.root_hi)
         self.all_rows = range(len(instance.constraints))
         self.objective_terms = list(instance.objective.items())
         # pool position of each binary column, for the term indices of Node.path
@@ -391,41 +388,33 @@ class BranchAndCount:
             raise EngineError("root relaxation stalled")
         return root
 
-    def refutes(self, box) -> bool:
-        """``SimplexSolver.refute``'s verdict on the stacked box ``[lo; hi]``.
-
-        While every box made so far lies inside a root box that passed
-        ``bounds_activity``, that is ``misses(box)``, the product and the
-        comparison alone; otherwise it is ``refute`` itself.
-        """
-        if self._bounded:
-            return self.solver.misses(box)
-        d = self._d
-        return self.solver.refute(box[:d], box[d:]) is not None
-
     def _child(self, node: Node, j: int, lo_j: float, hi_j: float) -> Node:
         """Child with column j in [lo_j, hi_j]; the caller sets its id.
 
         Its box copies the parent's, and its path gains a term when the split
         fixes a binary column. Its LP is the parent's when the box still
         holds the parent's optimum (``inherit``), ``REFUTED`` when a row
-        misses its rhs over the box by more than the solver's margin
-        (``refutes``), else warm-solved from the parent's basis, told the
+        misses its rhs over the box by more than the solver's margin (the
+        refuter's test), else warm-solved from the parent's basis, told the
         split column. A split narrows column j, so the box lies inside the
         parent's and inherits the parent's open rows.
 
         ``partition_branch`` sets column j to values between its bounds in
         the parent's box, and ``branch`` does too whenever the LP value of
         column j lies in that box; so, split by split, every box lies inside
-        the root box. The check below makes each step in O(1): a split that
-        left the root box would send this child, and every later one of
-        this engine, to ``refute``.
+        the root box, where the refuter's test holds. The check below makes
+        each step in O(1), both new bounds against both ends of the root
+        range: a split that left it turns refutation off for this child and
+        every later one of this engine, which are then warm-solved.
         """
         d = self._d
         box = node.box.copy()
         box[j], box[d + j] = lo_j, hi_j
-        if self._bounded and not (self.root_box[j] <= lo_j and hi_j <= self.root_box[d + j]):
-            self._bounded = False
+        refute = self._refute
+        if refute is not None:
+            first, last = self.root_box[j], self.root_box[d + j]
+            if not (first <= lo_j <= last and first <= hi_j <= last):
+                refute = self._refute = None
         path = node.path
         if lo_j == hi_j and j in self.binary_pos:
             path += (2 * self.binary_pos[j] + int(lo_j),)
@@ -434,7 +423,8 @@ class BranchAndCount:
         lo, hi = child.lo, child.hi
         lp = self.solver.inherit(node.lp, lo, hi, j)
         if lp is None:
-            lp = REFUTED if self.refutes(box) else self.solver.resolve(node.lp.basis, lo, hi, j)
+            refuted = refute is not None and refute(box)
+            lp = REFUTED if refuted else self.solver.resolve(node.lp.basis, lo, hi, j)
         child.lp = lp
         return child
 

@@ -47,14 +47,13 @@ column ``j``'s own test, and only column ``j`` can make the box empty. A
 snapshot without a verdict, or whose basis has left the memo, gets the
 full-width test, as does every call without ``j``.
 
-Its mirror, ``refute``, proves a box infeasible without solving when one
+Its mirror, ``refuter``, proves a box infeasible without solving when one
 row misses its rhs over the whole box by more than any solve would
-forgive: one product of a sign-split matrix with the box's bounds gives
-every row's least and greatest activity. It must treat infinite bounds and
-activities past the float range. A caller that searches inside one box can
-prove once, with ``bounds_activity``, that no box inside it has either;
-``misses`` is then ``refute``'s verdict on each of them, from the product
-and one comparison alone.
+forgive. A caller that searches inside one root box builds it once: it
+keeps the sides of the sign-split row matrix that can miss over a box
+inside the root without meeting an infinity or leaving the float range,
+and its test is one product of those sides with the box's bounds and one
+comparison.
 """
 
 import logging
@@ -72,7 +71,7 @@ DUAL_FEAS_TOL = 1e-7
 # most bytes of arrays one solver caches for warm solves; past it the whole
 # memo is dropped, so memory does not grow with the number of nodes
 MEMO_BYTES = 1 << 20
-# the largest sum of term magnitudes ``bounds_activity`` accepts: rounding
+# the largest sum of term magnitudes a side ``refuter`` keeps may have: rounding
 # grows a sum of k terms by at most (1 + 2**-53)**k, so no partial sum of
 # fewer than 10**15 terms can reach the end of the float range, 2**1024
 ACTIVITY_CAP = 2.0 ** 1000
@@ -193,6 +192,11 @@ def _wrong_sign(state: _Basis, at_upper, finite_lo):
                     np.where(finite_lo, state.red_neg, state.red_pos | state.red_neg))
 
 
+def _names_only(verdict, j) -> bool:
+    """The recorded verdict names no column but ``j``."""
+    return not len(verdict) or (len(verdict) == 1 and verdict[0] == j)
+
+
 def _start_fails(state: _Basis, at_upper, finite_lo, movable, verdict=None, j=None) -> bool:
     """The warm start's dual-feasibility test: True when some movable
     nonbasic column fails ``_wrong_sign`` with the columns parked as
@@ -205,7 +209,7 @@ def _start_fails(state: _Basis, at_upper, finite_lo, movable, verdict=None, j=No
     """
     if verdict is None:
         return bool((_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any())
-    if len(verdict) and (len(verdict) > 1 or verdict[0] != j):
+    if not _names_only(verdict, j):
         return True
     if not (state.nonbasic[j] and movable[j]):
         return False
@@ -256,19 +260,6 @@ class SimplexSolver:
         self._scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self._bases = {}  # basis index bytes -> _Basis
         self._memo_bytes = 0
-
-        # refute: [[A+, A-], [-A-, -A+]] @ concat(lo, hi) stacks each row's
-        # least activity over the box on minus its greatest. A row's activity
-        # is b - slack, at most b - slack_lo and at least b - slack_hi, so one
-        # comparison with _limits tests both sides of every row.
-        S = self.A[:, :d]
-        pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
-        self._sides = np.block([[pos, neg], [-neg, -pos]])
-        self._reach = self._sides != 0.0  # the bounds each side's activity reads
-        with np.errstate(over="ignore"):  # a limit past the float range never refutes
-            margin = FEAS_TOL * np.maximum(1.0 + np.abs(S).sum(axis=1), self._scale)
-            self._limits = np.concatenate([self.b - slack_lo + margin,
-                                           slack_hi - self.b + margin])
 
     # -- public API ---------------------------------------------------------
 
@@ -340,7 +331,7 @@ class SimplexSolver:
         if snap is None or snap.wrong_sign is None:
             return None
         wrong = snap.wrong_sign
-        if len(wrong) and (len(wrong) > 1 or wrong[0] != j):
+        if not _names_only(wrong, j):
             return None
         state = self._priced(snap)
         if state is None:
@@ -370,15 +361,21 @@ class SimplexSolver:
             _dual=parent._dual,
         )
 
-    def refute(self, lo, hi):
-        """An infeasible result, with 0 iterations, when some row misses its
-        rhs over the structural box [lo, hi] by more than its margin, so
-        that ``solve`` and ``resolve`` can find no point of the box feasible;
-        otherwise None. The mirror of :meth:`inherit`: it spares a child the
-        warm solve that would prove it empty.
+    def refuter(self, root_lo, root_hi):
+        """A test ``box -> bool``, True when some row misses its rhs over a
+        structural box stacked as ``[lo; hi]`` by more than its margin, so
+        that ``solve`` and ``resolve`` find the box infeasible; None when no
+        side can miss. The mirror of :meth:`inherit`: it spares a child the
+        warm solve that would prove it empty. The test holds for every box
+        inside the root box [root_lo, root_hi], the root box included: each
+        bound of an integer column between that column's root bounds, every
+        other column at its root bounds (a branch and bound splits integer
+        columns only).
 
-        A ``<=`` row is refuted when its least activity over the box exceeds
-        ``b + margin``, a ``>=`` row when its greatest falls below
+        ``[[A+, A-], [-A-, -A+]] @ [lo; hi]`` stacks each row's least
+        activity over the box on minus its greatest. A row's activity is
+        ``b - slack``, so a ``<=`` row misses when its least activity
+        exceeds ``b + margin``, a ``>=`` row when its greatest falls below
         ``b - margin``, and an equality on either side. The margin,
         ``FEAS_TOL * max(1 + sum |a_ij|, max(1, max |b|))``, covers both
         ways a solve can still accept a near-feasible point:
@@ -391,51 +388,41 @@ class SimplexSolver:
           artificial sum of at most ``FEAS_TOL * max(1, max |b|)``, with
           every column in its bounds, so each row misses by no more.
 
-        A side of a row that meets an infinite bound never refutes, nor does
-        one whose activity overflows to NaN. Neither ``solve`` nor
-        ``resolve`` calls this, so their results, iteration counts included,
-        do not change.
+        A side is kept when its limit is finite, it reads no infinite root
+        bound, and its sum of term magnitudes is at most ``ACTIVITY_CAP``,
+        where an integer column counts the larger magnitude of its two root
+        bounds and any other column the root bound the side reads. No bound
+        of a box inside the root box is larger, so no partial sum of a kept
+        side's product leaves the float range: the test is the product,
+        over the columns with finite root bounds, and one comparison, with
+        no scan of the bounds and no floating-point state. A dropped side
+        never refutes. Neither ``solve`` nor ``resolve`` calls this, so
+        their results, iteration counts included, do not change.
         """
-        v = np.concatenate((lo, hi))
-        finite = np.isfinite(v)
-        bounded = finite.all()
-        if not bounded:
-            v = np.where(finite, v, 0.0)
-        # with huge finite bounds an activity may overflow: to an infinity,
-        # which misses as the exact sum would, or to NaN, which misses nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            miss = self._sides @ v > self._limits
-        if not bounded:
-            miss &= ~(self._reach @ ~finite)
-        return LpResult(status=LpStatus.INFEASIBLE) if miss.any() else None
-
-    def bounds_activity(self, lo, hi) -> bool:
-        """True when no structural box inside [lo, hi] can give ``refute``
-        an infinite bound or an activity past the float range, so that
-        ``misses`` is ``refute``'s verdict on every such box.
-
-        It holds when [lo, hi] is finite and each row's sum of term
-        magnitudes at the box's farthest corner, ``|A| @ M`` with M the
-        larger of ``|lo|`` and ``|hi|`` per column, is at most
-        ``ACTIVITY_CAP``. A box inside [lo, hi] (each bound between ``lo``
-        and ``hi``, empty boxes included) has no bound larger than M in
-        magnitude, so every term of its product is at most ``|a_ij| M_j``
-        and every partial sum stays far inside the float range: no
-        infinity, no NaN, no overflow.
-        """
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            return False
-        with np.errstate(over="ignore"):  # an overflow fails the test below
-            reach = np.abs(self.A[:, : self.d]) @ np.maximum(np.abs(lo), np.abs(hi))
-        return bool((reach <= ACTIVITY_CAP).all())
-
-    def misses(self, box) -> bool:
-        """``refute``'s verdict, as a bool, on the structural box stacked as
-        one array ``[lo; hi]``, for a box inside one ``bounds_activity``
-        accepted: one product and one comparison, with no scan of the
-        bounds, no floating-point state and no result made."""
-        return np.count_nonzero(self._sides @ box > self._limits) > 0  # faster than .any()
+        d = self.d
+        S = self.A[:, :d]
+        pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
+        sides = np.block([[pos, neg], [-neg, -pos]])
+        # the largest magnitude each stacked bound takes in a box inside the root
+        reach = np.abs(np.concatenate((root_lo, root_hi)))
+        ints = self.integer_index
+        reach[ints] = reach[d + ints] = np.maximum(reach[ints], reach[d + ints])
+        finite = np.isfinite(reach)
+        with np.errstate(over="ignore"):  # an infinite limit or sum is dropped below
+            margin = FEAS_TOL * np.maximum(1.0 + np.abs(S).sum(axis=1), self._scale)
+            limits = np.concatenate([self.b - self._slack_lo + margin,
+                                     self._slack_hi - self.b + margin])
+            total = np.abs(sides) @ np.where(finite, reach, 0.0)
+        keep = np.isfinite(limits) & (total <= ACTIVITY_CAP) & ~((sides != 0.0) @ ~finite)
+        if not keep.any():
+            return None
+        sides, limits = sides[keep], limits[keep]
+        # count_nonzero is faster than .any() on these short masks
+        if finite.all():
+            return lambda box: np.count_nonzero(sides @ box > limits) > 0
+        cols = np.flatnonzero(finite)
+        sides = sides[:, cols]
+        return lambda box: np.count_nonzero(sides @ box[cols] > limits) > 0
 
     # -- shared pieces ------------------------------------------------------
 

@@ -247,13 +247,19 @@ class TestOptimize:
 
     @settings(max_examples=300)
     @given(mips_and_boxes())
-    def test_refute_is_the_plain_loop_verdict(self, case):
-        # integer data: every activity is exact, and no margin edge is hit
+    def test_the_refuter_is_the_plain_loop_verdict(self, case):
+        # integer data: every activity is exact, and no margin edge is hit.
+        # The box is its own root; an integer column with an infinite bound
+        # drops every side that reads it, which only the oracle then tests
         inst, lo, hi = case
-        got = SimplexSolver(inst).refute(lo, hi)
-        assert (got is not None) == oracle_refutes(inst, lo, hi, FEAS_TOL)
-        if got is not None:
-            assert got.status == LpStatus.INFEASIBLE and got.iterations == 0
+        test = SimplexSolver(inst).refuter(lo, hi)
+        got = test is not None and test(np.concatenate((lo, hi)))
+        want = oracle_refutes(inst, lo, hi, FEAS_TOL)
+        ints = inst.integer_index
+        assert want or not got
+        if np.isfinite(lo[ints]).all() and np.isfinite(hi[ints]).all():
+            assert got == want
+        if got:
             assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.INFEASIBLE
 
 
@@ -1270,35 +1276,36 @@ class TestKeptLp:
     """A child whose box still holds its parent's warm optimum keeps the
     parent's LP (``SimplexSolver.inherit``), which must be the result
     ``resolve`` returns from the parent's basis, field for field. A child
-    that the engine refutes (``BranchAndCount.refutes``, on its fast path
-    or through ``SimplexSolver.refute``) must be one that ``refute`` calls
-    empty and that ``resolve`` and ``solve`` find infeasible; it matches
-    ``resolve`` in status only, with 0 iterations. Every warm and every kept
-    result's snapshot records the warm start's dual-feasibility test over
-    its own box (``conftest.oracle_wrong_sign``), which ``inherit``, and
-    every warm start told its split column, read in its place."""
+    that the engine refutes (the test ``SimplexSolver.refuter`` builds) must
+    be one that ``conftest.oracle_refutes`` calls empty and that ``resolve``
+    and ``solve`` find infeasible; it matches ``resolve`` in status only,
+    with 0 iterations. While the refuter is on, no child it passes to a
+    solve is one the oracle refutes. Every warm and every kept result's
+    snapshot records the warm start's dual-feasibility test over its own
+    box (``conftest.oracle_wrong_sign``), which ``inherit``, and every warm
+    start told its split column, read in its place."""
 
     @staticmethod
     def lp_fields(res):
         return golden.lp_fingerprint(res), None if res.x is None else res.x.tobytes()
 
     @pytest.fixture(scope="class")
-    def cold_statuses(self):
-        """(instance JSON, box bytes) -> the status of a cold solve of the
-        box: a pure function of its key, which the golden cases, walking
-        many of the same boxes under different rules, share."""
+    def per_box(self):
+        """(kind, instance JSON, box bytes) -> the status of a cold solve of
+        the box, or the oracle's refutation verdict on it: pure functions of
+        the key, which the golden cases, walking many of the same boxes under
+        different rules, share."""
         return {}
 
-    def check_children(self, monkeypatch, cold_statuses):
+    def check_children(self, monkeypatch, per_box):
         """Hold every partition child's LP, every result ``inherit`` returns
         and every child the engine refutes to a second solver of the same
-        instance, every engine verdict on refutation to ``refute``, and
+        instance, every engine verdict on refutation to the oracle, and
         every recorded verdict and every warm start that read one to the
         oracle. Returns the running counts of partition splits, kept LPs,
-        refuted children (``fast``: refuted on the fast path), checked
-        verdicts and warm starts that read a verdict."""
-        counts = {"splits": 0, "kept": 0, "refuted": 0, "fast": 0, "verdicts": 0,
-                  "verdict_starts": 0}
+        refuted children, checked verdicts and warm starts that read a
+        verdict."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0, "verdicts": 0, "verdict_starts": 0}
         refs = {}
         cache = {"snapshot": None, "results": {}}
         starts = []  # (read a verdict, failed) of each warm start in the current resolve
@@ -1311,14 +1318,23 @@ class TestKeptLp:
                 refs[solver] = SimplexSolver(solver.instance), solver.instance.to_json()
             return refs[solver][0]
 
-        def cold_status(solver, lo, hi):
-            """The status of the second solver's ``solve(lo, hi)``, solved
-            once per instance and box."""
+        def once_per_box(kind, solver, lo, hi, make):
+            """``make()``, made once per kind, instance and box."""
             reference(solver)
-            key = (refs[solver][1], lo.tobytes() + hi.tobytes())
-            if key not in cold_statuses:
-                cold_statuses[key] = reference(solver).solve(lo, hi).status
-            return cold_statuses[key]
+            key = (kind, refs[solver][1], lo.tobytes() + hi.tobytes())
+            if key not in per_box:
+                per_box[key] = make()
+            return per_box[key]
+
+        def cold_status(solver, lo, hi):
+            """The status of the second solver's ``solve(lo, hi)``."""
+            return once_per_box("cold", solver, lo, hi,
+                                lambda: reference(solver).solve(lo, hi).status)
+
+        def oracle_verdict(solver, lo, hi):
+            return once_per_box("oracle", solver, lo, hi,
+                                lambda: oracle_refutes(solver.instance, lo.tolist(),
+                                                      hi.tolist(), FEAS_TOL))
 
         def wanted(solver, snapshot, lo, hi):
             """The second solver's ``resolve(snapshot, lo, hi)``, made once
@@ -1369,10 +1385,10 @@ class TestKeptLp:
             if counts["kept"] > kept:
                 return child
             refuted = child.lp is engine.REFUTED
-            assert refuted == (bc.solver.refute(child.lo, child.hi) is not None)
+            if bc._refute is not None:  # the refuter was on for this child
+                assert refuted == oracle_verdict(bc.solver, child.lo, child.hi)
             if refuted:
                 counts["refuted"] += 1
-                counts["fast"] += bc._bounded  # still set: this child took the fast path
                 got = wanted(bc.solver, node.lp.basis, child.lo, child.hi)
                 assert got.status == LpStatus.INFEASIBLE
                 assert cold_status(bc.solver, child.lo, child.hi) == LpStatus.INFEASIBLE
@@ -1399,26 +1415,26 @@ class TestKeptLp:
         return counts
 
     @pytest.mark.parametrize("name", sorted(golden.count_cases()))
-    def test_every_partition_child_of_the_golden_cases(self, name, monkeypatch, cold_statuses):
-        counts = self.check_children(monkeypatch, cold_statuses)
+    def test_every_partition_child_of_the_golden_cases(self, name, monkeypatch, per_box):
+        counts = self.check_children(monkeypatch, per_box)
         factory, spec = golden.count_cases()[name]
         run_phase_one(factory(), spec)
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
         assert counts["verdicts"] > counts["kept"]
         if name.startswith(("random_binary_instance", "two_cluster_instance")):
-            assert counts["refuted"] > 0 and counts["fast"] > 0
+            assert counts["refuted"] > 0
             assert counts["verdict_starts"] > 0
 
     @settings(max_examples=60)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
-    def test_small_mips(self, cold_statuses, inst, q):
+    def test_small_mips(self, per_box, inst, q):
         with pytest.MonkeyPatch.context() as mp:
-            self.check_children(mp, cold_statuses)
+            self.check_children(mp, per_box)
             BranchAndCount(cut_at_optimum(inst, q)).run(p1=60)
 
-    def test_optimize_runs(self, monkeypatch, cold_statuses):
-        counts = self.check_children(monkeypatch, cold_statuses)
+    def test_optimize_runs(self, monkeypatch, per_box):
+        counts = self.check_children(monkeypatch, per_box)
         instances = [general_integer_instance(), mixed_small_instance(),
                      *(random_binary_instance(k, 40, 15) for k in range(6))]
         for inst in instances:
@@ -1534,39 +1550,73 @@ class TestKeptLp:
 @st.composite
 def boxes_inside(draw, bc):
     """A structural box inside ``bc``'s root box, stacked as ``[lo; hi]``:
-    each bound an integer (for a continuous column one of a few values)
-    between the root bounds, the two sides drawn apart, so some boxes are
-    empty."""
+    each bound of an integer column an integer between its root bounds, the
+    two sides drawn apart, so some boxes are empty; every other column keeps
+    its root bounds, since the engine splits integer columns only."""
     lo, hi = [], []
     for j, (a, b) in enumerate(zip(bc.root_lo.tolist(), bc.root_hi.tolist())):
-        if j in bc.binary_pos or bc.instance.variables[j].is_integer:
+        if bc.instance.variables[j].is_integer:
             side = st.integers(int(a), int(b)).map(float)
-        else:
-            side = st.sampled_from([v for v in (a, b, -2.0, 0.5, 3.0) if a <= v <= b])
-        lo.append(draw(side))
-        hi.append(draw(side))
+            a, b = draw(side), draw(side)
+        lo.append(a)
+        hi.append(b)
     return np.array(lo + hi)
 
 
+@st.composite
+def wide_roots(draw):
+    """A mixed ``small_mips`` instance whose continuous column y has a bound
+    set to an infinity or to +-1e308."""
+    inst = draw(small_mips(kinds=("mixed",)))
+    *xs, y = inst.variables
+    lo, hi = draw(st.sampled_from([(-INF, 3.0), (-2.0, INF), (-1e308, 3.0), (-2.0, 1e308),
+                                   (-1e308, 1e308), (-INF, 1e308)]))
+    return MipInstance(inst.name, [*xs, replace(y, lower=lo, upper=hi)], inst.constraints,
+                       inst.objective)
+
+
 class TestEngineRefutation:
-    """The engine refutes a child with ``SimplexSolver.refute``'s verdict:
-    by the product alone when its root box passed ``bounds_activity``, else
-    through ``refute``."""
+    """The engine refutes a child with the test ``SimplexSolver.refuter``
+    builds once for its root box, which on this integer data is
+    ``conftest.oracle_refutes``; ``solve`` finds every box it refutes
+    infeasible."""
+
+    @staticmethod
+    def check(bc, box):
+        """The engine's verdict on ``box``, held to the oracle and, when it
+        refutes, to a cold solve. Both read a bound of magnitude 1e308 as an
+        infinity of its sign: the refuter drops every side that reads one,
+        as past the cap, and the oracle never refutes with a side that meets
+        an infinity. A box that is infeasible so widened is infeasible."""
+        d = len(bc.root_lo)
+        got = bc._refute is not None and bc._refute(box)
+        box = np.where(np.abs(box) < 1e308, box, np.copysign(INF, box))
+        lo, hi = box[:d], box[d:]
+        assert got == oracle_refutes(bc.instance, lo.tolist(), hi.tolist(), FEAS_TOL)
+        if got:
+            assert SimplexSolver(bc.instance).solve(lo, hi).status == LpStatus.INFEASIBLE
+        return got
 
     @settings(max_examples=200)
     @given(small_mips(), st.sampled_from([None, 0.0, 0.5]), st.data())
     def test_boxes_inside_the_root_box(self, inst, q, data):
         bc = BranchAndCount(inst if q is None else cut_at_optimum(inst, q))
-        assert bc._bounded == bool(np.isfinite(bc.root_box).all())
-        box = data.draw(boxes_inside(bc))
-        d = len(bc.root_lo)
-        assert bc.refutes(box) == (bc.solver.refute(box[:d], box[d:]) is not None)
+        self.check(bc, data.draw(boxes_inside(bc)))
+
+    @settings(max_examples=100)
+    @given(wide_roots(), st.data())
+    def test_roots_with_an_infinite_or_huge_continuous_bound(self, inst, data):
+        """A side that reads an infinite bound, or whose magnitudes pass the
+        cap, is dropped; any other is tested, with no RuntimeWarning (an
+        error under this suite)."""
+        bc = BranchAndCount(inst)
+        self.check(bc, data.draw(boxes_inside(bc)))
 
     @pytest.mark.parametrize("make", [lambda: random_binary_instance(1, 30, 12),
                                       lambda: two_cluster_instance(14, 2)])
     def test_random_boxes_of_the_benchmark_instances(self, make):
         bc = BranchAndCount(cut_at_optimum(make(), 0.1))
-        assert bc._bounded
+        assert bc._refute is not None
         rng = np.random.default_rng(5)
         d = len(bc.root_lo)
         verdicts = set()
@@ -1575,23 +1625,23 @@ class TestEngineRefutation:
             values = rng.integers(0, 2, size=d).astype(float)
             lo = np.where(fixed, values, bc.root_lo)
             hi = np.where(fixed, values, bc.root_hi)
-            box = np.concatenate((lo, hi))
-            got = bc.refutes(box)
-            assert got == (bc.solver.refute(lo, hi) is not None)
-            verdicts.add(got)
+            verdicts.add(self.check(bc, np.concatenate((lo, hi))))
         assert verdicts == {False, True}
 
-    def test_a_split_outside_the_root_box_ends_the_fast_path(self):
-        bc = BranchAndCount(cut_at_optimum(random_binary_instance(1, 30, 12), 0.1))
+    @pytest.mark.parametrize("lo_0,hi_0", [(-1.0, 0.0), (0.0, -1.0), (1.0, 2.0), (2.0, 1.0)])
+    def test_a_split_outside_the_root_range_turns_refutation_off(self, lo_0, hi_0):
+        """Either bound of the split column below or above its root range.
+        The children that fix x0 and x1 at 1 miss x0 + x1 <= 1: refuted
+        while the refuter is on, warm-solved once a split turned it off."""
+        bc = BranchAndCount(self.wide_instance(1.0))
         root = root_node(bc)
-        assert bc._bounded
-        bc._child(root, 0, 0.0, 0.0)  # inside: the fast path stays
-        assert bc._bounded
-        bc._child(root, 0, -1.0, 0.0)
-        assert not bc._bounded
-        child = bc._child(root, 1, 1.0, 1.0)  # inside again, but the engine stays off it
-        assert not bc._bounded
-        assert (child.lp is engine.REFUTED) == (bc.solver.refute(child.lo, child.hi) is not None)
+        x0 = bc._child(root, 0, 1.0, 1.0)  # inside: the refuter stays on
+        assert bc._refute is not None
+        assert bc._child(x0, 1, 1.0, 1.0).lp is engine.REFUTED
+        outside = bc._child(root, 0, lo_0, hi_0)
+        assert bc._refute is None and outside.lp is not engine.REFUTED
+        both = bc._child(x0, 1, 1.0, 1.0)
+        assert both.lp is not engine.REFUTED and both.lp.status == LpStatus.INFEASIBLE
 
     @staticmethod
     def wide_instance(y_hi):
@@ -1607,10 +1657,13 @@ class TestEngineRefutation:
         return MipInstance(f"wide-{y_hi}", variables, rows, objective)
 
     @pytest.mark.parametrize("y_hi", [INF, 1e308])
-    def test_a_root_box_past_the_proof_takes_the_general_path(self, y_hi, monkeypatch):
-        """An infinite bound, or one whose activity leaves the float range,
-        fails ``bounds_activity``: every child goes through ``refute``, and
-        no step raises a RuntimeWarning (an error under this suite)."""
+    def test_a_root_with_an_unbounded_or_huge_column_refutes_from_its_kept_sides(
+            self, y_hi, monkeypatch):
+        """r2's greatest side reads y's upper bound, infinite or past the
+        cap, so the refuter drops it and keeps r0's and r1's: every child
+        the engine does not keep is refuted exactly when the oracle refutes
+        it, and no step raises a RuntimeWarning (an error under this
+        suite)."""
         inst = self.wide_instance(y_hi)
         z, admitted = enum_mixed_projections(inst, 0.5)
         refuted = []
@@ -1618,9 +1671,9 @@ class TestEngineRefutation:
 
         def child(bc, node, j, lo_j, hi_j):
             c = make_child(bc, node, j, lo_j, hi_j)
-            assert not bc._bounded
+            assert bc._refute is not None
             if c.lp.x is not node.lp.x:  # not kept: refuted or solved
-                assert (c.lp is engine.REFUTED) == (bc.solver.refute(c.lo, c.hi) is not None)
+                assert (c.lp is engine.REFUTED) == self.check(bc, c.box)
             refuted.append(c.lp is engine.REFUTED)
             return c
 

@@ -1,9 +1,12 @@
-"""The package root: ``__all__`` is the documented API, and every name resolves."""
+"""The package root: ``__all__`` is the documented API, and every name resolves.
+The LP solver's public methods are pinned too."""
 
+import inspect
 import re
 from pathlib import Path
 
 import diversitree
+from diversitree.simplex import SimplexSolver
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,6 +31,14 @@ def test_star_import_resolves_every_exported_name():
 
 def test_all_is_the_exported_api():
     assert sorted(diversitree.__all__) == EXPORTED
+
+
+def test_the_solver_has_one_refutation_entry_point():
+    """Cold and warm solves, the kept child, and one refuter: a second
+    refutation path would show up here."""
+    public = [name for name, _ in inspect.getmembers(SimplexSolver, inspect.isfunction)
+              if not name.startswith("_")]
+    assert public == ["inherit", "refuter", "resolve", "solve"]
 
 
 def test_the_readme_library_section_names_the_exported_api():

@@ -22,7 +22,7 @@ from diversitree.generators import knapsack_instance
 from diversitree.model import FEAS_TOL
 from diversitree.simplex import BasisSnapshot, LpStatus, SimplexSolver
 
-from conftest import make_lp, oracle_dual_sum, oracle_wrong_sign, scipy_lp
+from conftest import make_lp, oracle_dual_sum, oracle_refutes, oracle_wrong_sign, scipy_lp
 
 
 def lp_instance(objective, rows, bounds, integers=()):
@@ -559,41 +559,50 @@ class TestSplitColumnStart:
             assert golden.lp_fingerprint(solver.resolve(snap, clo, chi, j)) == want
 
 
-class TestRefute:
-    """``refute`` proves a box infeasible when one row's activity misses its
-    rhs by more than FEAS_TOL * max(1 + sum |a|, max(1, max |b|))."""
+def refutes(solver, lo, hi, root=None):
+    """The verdict on the box [lo, hi] of the test ``solver.refuter`` builds
+    for the root box ``root`` (default: the box itself)."""
+    test = solver.refuter(*(root or (lo, hi)))
+    return test is not None and test(np.concatenate((lo, hi)))
+
+
+class TestRefuter:
+    """``refuter`` proves a box infeasible when one row's activity misses its
+    rhs by more than FEAS_TOL * max(1 + sum |a|, max(1, max |b|)); ``solve``
+    and ``resolve`` find every box it refutes infeasible."""
 
     # the row 2 x0 - 3 x1 over x0 in [1, 2], x1 in [0, 1]: activity in [-1, 4]
     BOX = (np.array([1.0, 0.0]), np.array([2.0, 1.0]))
     WIDE = (np.array([-5.0, -5.0]), np.array([5.0, 5.0]))  # where every tested row holds
 
     @staticmethod
-    def instance(sense, rhs, scale_rhs=None):
+    def instance(sense, rhs, scale_rhs=None, integers=()):
         """The tested row, and when ``scale_rhs`` is given a row x1 <= scale_rhs
         that always holds but raises max |b|."""
         rows = [({0: 2.0, 1: -3.0}, sense, rhs)]
         if scale_rhs is not None:
             rows.append(({1: 1.0}, LE, scale_rhs))
-        return lp_instance({0: 1.0, 1: 1.0}, rows, [(-5, 5), (-5, 5)])
+        return lp_instance({0: 1.0, 1: 1.0}, rows, [(-5, 5), (-5, 5)], integers)
 
+    @pytest.mark.parametrize("integers", [(), (0, 1)])
     @pytest.mark.parametrize("scale_rhs", [None, 1000.0])
     @pytest.mark.parametrize("sense,side", [(LE, "least"), (GE, "greatest"),
                                             (EQ, "least"), (EQ, "greatest")])
-    def test_a_miss_refutes_only_past_the_margin(self, sense, side, scale_rhs):
+    def test_a_miss_refutes_only_past_the_margin(self, sense, side, scale_rhs, integers):
         # margin: FEAS_TOL * (1 + |2| + |-3|), unless max |b| = 1000 is larger
         margin = FEAS_TOL * (6.0 if scale_rhs is None else scale_rhs)
+        # integer columns may be split, so BOX lies inside the root box WIDE;
+        # a continuous column keeps its root bounds, so BOX is its own root
+        root = self.WIDE if integers else None
         for k, refuted in ((0.9, False), (1.1, True)):
             rhs = -1.0 - k * margin if side == "least" else 4.0 + k * margin
-            inst = self.instance(sense, rhs, scale_rhs)
+            inst = self.instance(sense, rhs, scale_rhs, integers)
             solver = SimplexSolver(inst)
-            got = solver.refute(*self.BOX)
+            assert refutes(solver, *self.BOX, root) == refuted, k
             if not refuted:
-                assert got is None, k
                 continue
-            assert got.status == LpStatus.INFEASIBLE and got.iterations == 0
-            assert got.x is None and got.basis is None and got.objective is None
             wide = solver.solve(*self.WIDE)
-            assert wide.is_optimal and solver.refute(*self.WIDE) is None
+            assert wide.is_optimal and not refutes(solver, *self.WIDE)
             assert solver.resolve(wide.basis, *self.BOX).status == LpStatus.INFEASIBLE
             assert SimplexSolver(inst).solve(*self.BOX).status == LpStatus.INFEASIBLE
 
@@ -610,64 +619,69 @@ class TestRefute:
         inst = lp_instance({0: 1.0}, [row, ({1: 1.0}, GE, -1e3)], [(0, 2), y_bounds])
         solver = SimplexSolver(inst)
         lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
-        got = solver.refute(lo, hi)
-        assert (got is not None) == refuted
+        assert refutes(solver, lo, hi) == refuted
         want = LpStatus.INFEASIBLE if refuted else LpStatus.OPTIMAL
         assert solver.solve(lo, hi).status == want
 
-    def test_huge_finite_bounds_raise_no_warning(self):
+    def test_sides_past_the_float_range_are_dropped_without_a_warning(self):
         # activities past the float range: 1e308 + 1e308 overflows to inf,
-        # and inf - inf is NaN, which refutes nothing
+        # and inf - inf is NaN; neither side is kept
         lo, hi = np.full(4, 1e308), np.full(4, 1.5e308)
         over = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, 0.0)], [(0, 1)] * 4)
-        assert SimplexSolver(over).refute(lo, hi).status == LpStatus.INFEASIBLE
+        assert SimplexSolver(over).refuter(lo, hi) is None
         nan = lp_instance({}, [({0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}, GE, 0.0)], [(0, 1)] * 4)
-        assert SimplexSolver(nan).refute(lo, hi) is None
+        assert SimplexSolver(nan).refuter(lo, hi) is None
         # an rhs at the edge of the range puts that side's limit past it
         edge = lp_instance({}, [({0: 1.0}, GE, -np.finfo(float).max)], [(0, 1)])
-        assert SimplexSolver(edge).refute(np.zeros(1), np.ones(1)) is None
+        assert SimplexSolver(edge).refuter(np.zeros(1), np.ones(1)) is None
 
     def test_no_rows(self):
         solver = SimplexSolver(lp_instance({0: 1.0}, [], [(0, 1)]))
-        assert solver.refute(np.zeros(1), np.ones(1)) is None
-        assert solver.bounds_activity(np.zeros(1), np.ones(1))
-        assert not solver.misses(np.array([0.0, 1.0]))
+        assert solver.refuter(np.zeros(1), np.ones(1)) is None
 
 
-class TestBoundsActivity:
-    """``bounds_activity`` accepts a box when it is finite and no row's
-    sum of term magnitudes at its farthest corner passes ACTIVITY_CAP;
-    inside such a box ``misses`` is ``refute``'s verdict."""
+class TestRefuterSides:
+    """``refuter`` keeps a side when its sum of term magnitudes is at most
+    ACTIVITY_CAP, an integer column counting the larger magnitude of its
+    root bounds and any other column the root bound the side reads; inside
+    the root box its test is ``conftest.oracle_refutes``."""
 
-    # the rows 2 x0 - 3 x1 <= 0 and x0 + x1 >= 1
-    ROWS = [({0: 2.0, 1: -3.0}, LE, 0.0), ({0: 1.0, 1: 1.0}, GE, 1.0)]
+    TOP = 2.0 ** 999
 
-    def solver(self):
-        return SimplexSolver(lp_instance({0: 1.0}, self.ROWS, [(-5, 5), (-5, 5)]))
+    @pytest.mark.parametrize("x1_hi,integers,kept", [
+        (TOP, (), True),  # 2**999 + 2**999 = 2**1000
+        (2 * TOP, (), True),  # the least side reads x1's lower bound only
+        (2 * TOP, (1,), False),  # an integer x1 counts 2 * 2**999
+        (TOP, (0, 1), True),
+    ])
+    def test_the_cap_counts_the_bounds_a_box_inside_the_root_can_take(self, x1_hi, integers,
+                                                                      kept):
+        top = self.TOP
+        inst = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, -1.0)], [(top, top), (top, x1_hi)],
+                           integers)
+        lo, hi = np.array([top, top]), np.array([top, x1_hi])
+        assert (SimplexSolver(inst).refuter(lo, hi) is not None) == kept
+        assert refutes(SimplexSolver(inst), lo, hi) == kept  # least activity 2**1000 > -1
 
-    def test_the_cap_and_the_bounds_it_refuses(self):
-        solver = self.solver()
-        top = 2.0 ** 998
-        # row 0 at the corner: 2 * 2**998 + 3 * 2**997 = 3.5 * 2**997 <= 2**1000
-        assert solver.bounds_activity(np.array([-top, 0.0]), np.array([0.0, top / 2]))
-        # 2 * 2**998 + 3 * 2**998 = 5 * 2**998 > 2**1000
-        assert not solver.bounds_activity(np.array([-top, -top]), np.zeros(2))
-        assert not solver.bounds_activity(np.zeros(2), np.array([1e308, 1.0]))  # overflows
-        assert not solver.bounds_activity(np.array([-INF, 0.0]), np.ones(2))
-        assert not solver.bounds_activity(np.zeros(2), np.array([1.0, INF]))
-
-    def test_misses_is_refute_on_boxes_inside_an_accepted_box(self):
-        solver = self.solver()
-        root_lo, root_hi = np.full(2, -5.0), np.full(2, 5.0)
-        assert solver.bounds_activity(root_lo, root_hi)
+    def test_boxes_inside_the_root_are_the_oracles_verdict(self):
+        """Integer x0, x1 split anywhere in [-5, 5], empty boxes included;
+        the continuous x2 keeps its root bounds [-1, 2]."""
+        rows = [({0: 2.0, 1: -3.0, 2: 1.0}, LE, 0.0), ({0: 1.0, 1: 1.0, 2: -1.0}, GE, 1.0)]
+        inst = lp_instance({0: 1.0}, rows, [(-5, 5), (-5, 5), (-1, 2)], integers=(0, 1))
+        solver = SimplexSolver(inst)
+        root_lo, root_hi = np.array([-5.0, -5.0, -1.0]), np.array([5.0, 5.0, 2.0])
+        test = solver.refuter(root_lo, root_hi)
+        root = solver.solve(root_lo, root_hi)
+        assert root.is_optimal
         rng = np.random.default_rng(3)
         verdicts = set()
         for _ in range(500):
-            a, b = rng.uniform(-5.0, 5.0, size=(2, 2))
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            if rng.random() < 0.2:
-                lo, hi = hi, lo  # an empty box is inside too
-            got = solver.misses(np.concatenate((lo, hi)))
-            assert got == (solver.refute(lo, hi) is not None)
+            lo, hi = root_lo.copy(), root_hi.copy()
+            lo[:2], hi[:2] = rng.integers(-5, 6, size=(2, 2)).astype(float)
+            got = test(np.concatenate((lo, hi)))
+            assert got == oracle_refutes(inst, lo, hi, FEAS_TOL)
+            if got:
+                assert solver.resolve(root.basis, lo, hi).status == LpStatus.INFEASIBLE
+                assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.INFEASIBLE
             verdicts.add(got)
         assert verdicts == {False, True}
