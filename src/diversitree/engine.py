@@ -27,11 +27,11 @@ classifies each dequeued node:
   exists, otherwise on a partitioning disjunction over an unfixed integer
   variable so each solution is reachable through exactly one leaf.
 
-A split sets one integer column to values between its bounds in the
-parent's box, so every child box lies inside the root box (``_child``
-checks each split), which is where the refuter's test holds: refuting a
-child is one product and one comparison on the child's box, which a node
-stores as one stacked array ``[lo; hi]``.
+A split sets one integer column, whose root bounds are finite, to finite
+bounds, so every box keeps the root box's infinite bounds, which is where
+the refuter's test holds: refuting a child is one product and one
+comparison on the child's box, which a node stores as one stacked array
+``[lo; hi]``.
 
 A child whose LP stalls is dropped at creation. The open nodes live in a
 ``selectors.Selector``, which also picks the next one. The run stops when
@@ -339,8 +339,7 @@ class BranchAndCount:
         self._d = d = len(self.root_lo)
         self.root_box = np.concatenate((self.root_lo, self.root_hi))
         self.root_lo, self.root_hi = self.root_box[:d], self.root_box[d:]
-        # the test that refutes a child box without a solve; None when no row
-        # can miss, or once a split leaves the root box, where it does not hold
+        # the test that refutes a child box without a solve; None when no row can miss
         self._refute = self.solver.refuter(self.root_lo, self.root_hi)
         self.all_rows = range(len(instance.constraints))
         self.objective_terms = list(instance.objective.items())
@@ -398,23 +397,10 @@ class BranchAndCount:
         refuter's test), else warm-solved from the parent's basis, told the
         split column. A split narrows column j, so the box lies inside the
         parent's and inherits the parent's open rows.
-
-        ``partition_branch`` sets column j to values between its bounds in
-        the parent's box, and ``branch`` does too whenever the LP value of
-        column j lies in that box; so, split by split, every box lies inside
-        the root box, where the refuter's test holds. The check below makes
-        each step in O(1), both new bounds against both ends of the root
-        range: a split that left it turns refutation off for this child and
-        every later one of this engine, which are then warm-solved.
         """
         d = self._d
         box = node.box.copy()
         box[j], box[d + j] = lo_j, hi_j
-        refute = self._refute
-        if refute is not None:
-            first, last = self.root_box[j], self.root_box[d + j]
-            if not (first <= lo_j <= last and first <= hi_j <= last):
-                refute = self._refute = None
         path = node.path
         if lo_j == hi_j and j in self.binary_pos:
             path += (2 * self.binary_pos[j] + int(lo_j),)
@@ -423,7 +409,7 @@ class BranchAndCount:
         lo, hi = child.lo, child.hi
         lp = self.solver.inherit(node.lp, lo, hi, j)
         if lp is None:
-            refuted = refute is not None and refute(box)
+            refuted = self._refute is not None and self._refute(box)
             lp = REFUTED if refuted else self.solver.resolve(node.lp.basis, lo, hi, j)
         child.lp = lp
         return child
@@ -455,6 +441,10 @@ class BranchAndCount:
         """``MipInstance.objective_value``, bit for bit."""
         return _dot(self.objective_terms, x)
 
+    def _satisfied(self, x) -> bool:
+        """Every row holds at the point x, a list (``LinearConstraint.satisfied``)."""
+        return all(con.satisfied(x) for con in self.instance.constraints)
+
     def _complete(self, node: Node):
         """The solution at an integer-feasible leaf, whose box fixes every
         integer column: the LP point clipped into the box, or, when a row
@@ -462,12 +452,23 @@ class BranchAndCount:
         floats, or None when that solve is not optimal."""
         lo, hi = node.lo, node.hi
         x = np.clip(node.lp.x, lo, hi).tolist()
-        if all(con.satisfied(x) for con in self.instance.constraints):
+        if self._satisfied(x):
             return x
         res = self.solver.solve(lo, hi)
         if res.is_optimal:
             return np.clip(res.x, lo, hi).tolist()
         return None
+
+    def _integral_step(self, node: Node):
+        """The step at a node whose LP is integral, as (children, x): a
+        partition branch on the lowest unfixed integer column, or, when
+        every integer column is fixed, no children and the ``_complete``
+        solution (None when there is none)."""
+        ints = self._ints
+        free = np.flatnonzero(node.hi[ints] - node.lo[ints] > 0.5)
+        if not len(free):
+            return [], self._complete(node)
+        return self.partition_branch(node, int(ints[free[0]])), None
 
     def enumerate_unrestricted(self, node: Node, pool: SolutionPool, deadline: float = None):
         """Add every integer assignment of an unrestricted node's box to the
@@ -562,14 +563,9 @@ class BranchAndCount:
                         truncated_enum = True
                     continue
                 if cls == INTEGER_FEASIBLE:
-                    ints = self._ints
-                    free = np.flatnonzero(node.hi[ints] - node.lo[ints] > 0.5)
-                    if not len(free):
-                        x = self._complete(node)
-                        if x is not None:
-                            pool.add(x, self._objective(x))
-                        continue
-                    children = self.partition_branch(node, int(ints[free[0]]))
+                    children, x = self._integral_step(node)
+                    if x is not None:
+                        pool.add(x, self._objective(x))
                 else:
                     children = self.branch(node)
 
@@ -601,9 +597,13 @@ class BranchAndCount:
         """Optimal value by best-first branch and bound with incumbent pruning.
 
         Nodes leave a heap in (LP bound, node id) order; a node or child
-        whose bound is not below the incumbent by 1e-9 is pruned, and an
-        integral LP becomes the incumbent. Stops with status ``limit`` when
-        a node or time limit trips.
+        whose bound is not below the incumbent by 1e-9 is pruned. At a node
+        with an integral LP, the LP point with its integer columns rounded
+        is a candidate when it satisfies every row; otherwise the node takes
+        ``run``'s step (``_integral_step``), and its completed solution, if
+        any, is the candidate. A candidate below the incumbent's objective,
+        at its own point, replaces it. Stops with status ``limit`` when a
+        node or time limit trips.
         """
         check_limits(node_limit, time_limit)
         t0 = time.perf_counter()
@@ -635,11 +635,19 @@ class BranchAndCount:
             if bound >= inc_val - 1e-9:
                 continue
             nodes += 1
-            if not node.lp.fractional:
-                if node.lp.objective < inc_val:
-                    inc_val, inc_x = node.lp.objective, node.lp.x.copy()
-                continue
-            for child in self.branch(node):
+            if node.lp.fractional:
+                children = self.branch(node)
+            else:
+                point, children = node.lp.x.tolist(), []
+                for j in self.integer_index:
+                    point[j] = float(round(point[j]))  # round gives an int: no -0.0
+                if not self._satisfied(point):
+                    children, point = self._integral_step(node)
+                if point is not None:
+                    value = self._objective(point)
+                    if value < inc_val:
+                        inc_val, inc_x = value, np.array(point)
+            for child in children:
                 child.id = next_id
                 next_id += 1
                 if child.lp.status == LpStatus.INFEASIBLE:
@@ -654,6 +662,4 @@ class BranchAndCount:
 
         if inc_x is None:
             return result("limit" if status == "limit" else "infeasible")
-        for j in ints:
-            inc_x[j] = round(inc_x[j])
         return result(status, float(inc_val), inc_x)

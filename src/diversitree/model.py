@@ -3,6 +3,20 @@
 The core container is :class:`MipInstance`: minimize ``c @ x`` subject to
 linear constraints and variable bounds, with designated integer variables.
 Instances are treated as immutable; every transform returns a new instance.
+
+The numbers an instance may hold are those HiGHS accepts, checked here once,
+so no solver downstream carries its own overflow guard:
+
+* a bound of magnitude ``INFINITE_BOUND`` (1e20) or more reads as an
+  infinity of its sign; a lower bound that reads as +inf, an upper one that
+  reads as -inf, or a NaN bound is refused;
+* a right-hand side must have a magnitude below ``INFINITE_BOUND``;
+* a row or objective coefficient must have a magnitude below
+  ``LARGE_COEFF`` (1e15).
+
+So every product of a coefficient and a finite bound is below
+1e15 * 1e20, and no sum of fewer than 1e270 of them leaves the float range.
+
 :meth:`LinearConstraint.holds_over` is the one row test: over a box for the
 engine's classification, and over a point (``satisfied``) everywhere else.
 
@@ -25,6 +39,9 @@ INF = float("inf")
 # integral within INT_TOL of the nearest integer
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
+# the input contract of the module docstring
+INFINITE_BOUND = 1e20
+LARGE_COEFF = 1e15
 
 GE = ">="
 LE = "<="
@@ -52,7 +69,9 @@ def _dot(terms, x) -> float:
 class VariableDef:
     """One column: bounds plus integrality marker.
 
-    A variable is *binary* when it is integer with bounds exactly [0, 1].
+    A bound of magnitude ``INFINITE_BOUND`` or more is stored as an infinity
+    of its sign. A variable is *binary* when it is integer with bounds
+    exactly [0, 1].
     """
 
     index: int
@@ -64,12 +83,18 @@ class VariableDef:
     def __post_init__(self):
         if self.index < 0:
             raise ModelError(f"variable index must be >= 0, got {self.index}")
+        name = self.name or self.index
         if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ModelError(f"variable {self.name or self.index}: NaN bound")
+            raise ModelError(f"variable {name}: NaN bound")
+        if self.lower >= INFINITE_BOUND or self.upper <= -INFINITE_BOUND:
+            raise ModelError(f"variable {name}: bounds [{self.lower}, {self.upper}] hold no"
+                             f" value of magnitude below {INFINITE_BOUND:g}")
         if self.lower > self.upper:
-            raise ModelError(
-                f"variable {self.name or self.index}: lower {self.lower} > upper {self.upper}"
-            )
+            raise ModelError(f"variable {name}: lower {self.lower} > upper {self.upper}")
+        if self.lower <= -INFINITE_BOUND:
+            object.__setattr__(self, "lower", -INF)
+        if self.upper >= INFINITE_BOUND:
+            object.__setattr__(self, "upper", INF)
         if not self.name:
             object.__setattr__(self, "name", f"x{self.index}")
 
@@ -90,14 +115,16 @@ class LinearConstraint:
     def __post_init__(self):
         if self.sense not in SENSES:
             raise ModelError(f"constraint {self.name!r}: unknown sense {self.sense!r}")
-        if not math.isfinite(self.rhs):
-            raise ModelError(f"constraint {self.name!r}: right-hand side {self.rhs} is not finite")
+        # one comparison per value, which also fails an infinity or a NaN
+        if not abs(self.rhs) < INFINITE_BOUND:
+            raise ModelError(f"constraint {self.name!r}: right-hand side {self.rhs} is not"
+                             f" finite below {INFINITE_BOUND:g} in magnitude")
         for j, a in self.coeffs.items():
             if a == 0.0:
                 raise ModelError(f"constraint {self.name!r}: zero coefficient on column {j}")
-            if not math.isfinite(a):
+            if not abs(a) < LARGE_COEFF:
                 raise ModelError(f"constraint {self.name!r}: coefficient {a} on column {j}"
-                                 " is not finite")
+                                 f" is not finite below {LARGE_COEFF:g} in magnitude")
 
     def activity(self, x) -> float:
         return _dot(self.coeffs.items(), x)
@@ -135,9 +162,12 @@ class LinearConstraint:
 class MipInstance:
     """Minimization MIP over bounded variables.
 
-    ``objective`` maps column index to cost. ``objective_negated`` records
-    that the source model was a maximization negated at ingestion; report
-    layers un-negate values for display but all internals minimize.
+    ``objective`` maps column index to cost, each of magnitude below
+    ``LARGE_COEFF``: ``add_objective_cutoff`` copies the objective into a
+    row, so costs are held to the row limit, stricter than HiGHS's 1e20 on
+    costs. ``objective_negated`` records that the source model was a
+    maximization negated at ingestion; report layers un-negate values for
+    display but all internals minimize.
     """
 
     name: str
@@ -163,9 +193,10 @@ class MipInstance:
         for j, c in self.objective.items():
             if not 0 <= j < d:
                 raise ModelError(f"objective references unknown column {j}")
-            if not math.isfinite(c):
+            if not abs(c) < LARGE_COEFF:
                 raise ModelError(f"objective {self.objective_name!r}: coefficient {c} on"
-                                 f" column {self.variables[j].name} is not finite")
+                                 f" column {self.variables[j].name} is not finite below"
+                                 f" {LARGE_COEFF:g} in magnitude")
 
     @property
     def num_vars(self) -> int:

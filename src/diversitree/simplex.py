@@ -49,11 +49,10 @@ full-width test, as does every call without ``j``.
 
 Its mirror, ``refuter``, proves a box infeasible without solving when one
 row misses its rhs over the whole box by more than any solve would
-forgive. A caller that searches inside one root box builds it once: it
-keeps the sides of the sign-split row matrix that can miss over a box
-inside the root without meeting an infinity or leaving the float range,
-and its test is one product of those sides with the box's bounds and one
-comparison.
+forgive. A caller that searches boxes with one root box's infinite bounds
+builds it once: it keeps the sides of the sign-split row matrix that meet
+no infinity, and its test is one product of those sides with the box's
+bounds and one comparison.
 """
 
 import logging
@@ -71,10 +70,6 @@ DUAL_FEAS_TOL = 1e-7
 # most bytes of arrays one solver caches for warm solves; past it the whole
 # memo is dropped, so memory does not grow with the number of nodes
 MEMO_BYTES = 1 << 20
-# the largest sum of term magnitudes a side ``refuter`` keeps may have: rounding
-# grows a sum of k terms by at most (1 + 2**-53)**k, so no partial sum of
-# fewer than 10**15 terms can reach the end of the float range, 2**1024
-ACTIVITY_CAP = 2.0 ** 1000
 
 
 class LpStatus(str, Enum):
@@ -141,12 +136,9 @@ class LpResult:
         return self._dual
 
 
-class _Stalled(Exception):
-    pass
-
-
-class _Singular(Exception):
-    pass
+class _NoProgress(Exception):
+    """A solve that cannot go on: past its iteration cap, or a warm start
+    that does not fit the box (``resolve`` then solves cold)."""
 
 
 def _read_only(*arrays) -> int:
@@ -294,7 +286,7 @@ class SimplexSolver:
             return self._cold(full_lo, full_hi)
         try:
             return self._dual(snapshot, full_lo, full_hi, j)
-        except (_Stalled, _Singular, np.linalg.LinAlgError):
+        except (_NoProgress, np.linalg.LinAlgError):
             log.debug("warm start fell back to a cold solve")
             return self._cold(full_lo, full_hi)
 
@@ -367,10 +359,10 @@ class SimplexSolver:
         that ``solve`` and ``resolve`` find the box infeasible; None when no
         side can miss. The mirror of :meth:`inherit`: it spares a child the
         warm solve that would prove it empty. The test holds for every box
-        inside the root box [root_lo, root_hi], the root box included: each
-        bound of an integer column between that column's root bounds, every
-        other column at its root bounds (a branch and bound splits integer
-        columns only).
+        whose infinite bounds are those of the root box [root_lo, root_hi],
+        the root box included, as every box of a branch and bound is: it
+        splits integer columns only, whose root bounds are finite, and each
+        split is finite.
 
         ``[[A+, A-], [-A-, -A+]] @ [lo; hi]`` stacks each row's least
         activity over the box on minus its greatest. A row's activity is
@@ -388,32 +380,26 @@ class SimplexSolver:
           artificial sum of at most ``FEAS_TOL * max(1, max |b|)``, with
           every column in its bounds, so each row misses by no more.
 
-        A side is kept when its limit is finite, it reads no infinite root
-        bound, and its sum of term magnitudes is at most ``ACTIVITY_CAP``,
-        where an integer column counts the larger magnitude of its two root
-        bounds and any other column the root bound the side reads. No bound
-        of a box inside the root box is larger, so no partial sum of a kept
-        side's product leaves the float range: the test is the product,
-        over the columns with finite root bounds, and one comparison, with
-        no scan of the bounds and no floating-point state. A dropped side
-        never refutes. Neither ``solve`` nor ``resolve`` calls this, so
-        their results, iteration counts included, do not change.
+        A side is kept when its limit is finite and it reads no infinite
+        root bound. No product can overflow: the model holds every
+        coefficient below 1e15 and every finite root bound below 1e20, and a
+        split bound, the floor or ceiling of an LP value in the parent's
+        box, lies within 1 of the root range; so every term is below
+        1e15 * (1e20 + 1), and no sum of them nears the end of the float
+        range. The test is the product, over the columns with finite root
+        bounds, and one comparison. A dropped side never refutes. Neither
+        ``solve`` nor ``resolve`` calls this, so their results, iteration
+        counts included, do not change.
         """
         d = self.d
         S = self.A[:, :d]
         pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
         sides = np.block([[pos, neg], [-neg, -pos]])
-        # the largest magnitude each stacked bound takes in a box inside the root
-        reach = np.abs(np.concatenate((root_lo, root_hi)))
-        ints = self.integer_index
-        reach[ints] = reach[d + ints] = np.maximum(reach[ints], reach[d + ints])
-        finite = np.isfinite(reach)
-        with np.errstate(over="ignore"):  # an infinite limit or sum is dropped below
-            margin = FEAS_TOL * np.maximum(1.0 + np.abs(S).sum(axis=1), self._scale)
-            limits = np.concatenate([self.b - self._slack_lo + margin,
-                                     self._slack_hi - self.b + margin])
-            total = np.abs(sides) @ np.where(finite, reach, 0.0)
-        keep = np.isfinite(limits) & (total <= ACTIVITY_CAP) & ~((sides != 0.0) @ ~finite)
+        finite = np.isfinite(np.concatenate((root_lo, root_hi)))
+        margin = FEAS_TOL * np.maximum(1.0 + np.abs(S).sum(axis=1), self._scale)
+        limits = np.concatenate([self.b - self._slack_lo + margin,
+                                 self._slack_hi - self.b + margin])
+        keep = np.isfinite(limits) & ~((sides != 0.0) @ ~finite)
         if not keep.any():
             return None
         sides, limits = sides[keep], limits[keep]
@@ -490,7 +476,7 @@ class SimplexSolver:
         it = 0
         while True:
             if it > self._iter_cap:
-                raise _Stalled()
+                raise _NoProgress()
             it += 1
             state = _Basis(A, c, basis)
             x[basis] = np.linalg.solve(state.B, self.b - state.A_N @ x[state.nonbasic])
@@ -603,7 +589,7 @@ class SimplexSolver:
             c2 = np.zeros(n_cols)
             c2[: self.n] = self.c
             status, it2, state = self._primal(A, c2, lo_ext, hi_ext, basis, x)
-        except (_Stalled, np.linalg.LinAlgError):
+        except (_NoProgress, np.linalg.LinAlgError):
             return LpResult(status=LpStatus.STALLED)
         if status == LpStatus.UNBOUNDED:
             return LpResult(status=LpStatus.UNBOUNDED, iterations=it1 + it2)
@@ -661,12 +647,12 @@ class SimplexSolver:
     def _dual(self, snapshot: BasisSnapshot, lo, hi, j=None) -> LpResult:
         at_upper = snapshot.at_upper
         if np.shape(at_upper) != (self.n,):
-            raise _Singular()
+            raise _NoProgress()
         state = self._priced(snapshot)  # a basis priced here passed the guard below
         basis = np.array(snapshot.basis, dtype=np.intp)  # a copy: pivoted in place
         if state is None and (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
                               or len(set(basis.tolist())) != self.m):
-            raise _Singular()
+            raise _NoProgress()
         # the snapshot's verdict holds for the basis it was taken at, which is
         # the memoized one only while the snapshot shares its index array
         verdict = None if state is None or j is None else snapshot.wrong_sign
@@ -678,12 +664,12 @@ class SimplexSolver:
         x = np.where(at_upper, hi, np.where(finite_lo, lo, np.where(free, 0.0, hi)))
         x[basis] = 0.0
         if not np.isfinite(x).all():
-            raise _Singular()
+            raise _NoProgress()
 
         if state is None:
             state = self._basis(basis)
         if _start_fails(state, at_upper, finite_lo, movable, verdict, j):
-            raise _Singular()  # parent basis is not dual feasible here
+            raise _NoProgress()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst
         # (which starts at FEAS_TOL) or comes within PIVOT_TOL of it; each of
@@ -693,7 +679,7 @@ class SimplexSolver:
         it = 0
         while True:
             if it > self._iter_cap:
-                raise _Stalled()
+                raise _NoProgress()
             it += 1
             xb = self._memo_basic(state, x)
             x[basis] = xb

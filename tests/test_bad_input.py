@@ -1,6 +1,7 @@
 """Bad numbers in an instance end at the parse or model stage, or in a
 ``HarnessError`` that names its stage; never in a bare exception."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,12 +53,15 @@ def mutate(name, edits):
     return "\n".join(lines)
 
 
-def run_or_stage_error(instance):
-    """Run the pipeline; a failure must be a ``HarnessError`` naming its stage."""
+def run_or_stage_error(instance, spec=SPEC):
+    """Run the pipeline; a failure must be a ``HarnessError`` naming its
+    stage, and never a stalled LP: every number the model admits is one the
+    solver handles."""
     try:
-        return run_two_phase(instance, SPEC)
+        return run_two_phase(instance, spec)
     except HarnessError as exc:
         assert str(exc).startswith(STAGES), str(exc)
+        assert "stalled" not in str(exc), str(exc)
         return None
 
 
@@ -99,6 +103,27 @@ def test_every_single_non_finite_number_parses_or_fails_cleanly_and_runs_or_fail
             except (MpsParseError, ModelError):
                 continue
             run_or_stage_error(instance)
+
+
+# the least coefficient magnitude refused, the least bound magnitude read as
+# infinite (and rhs refused), and the end of the float range
+MAGNITUDES = ("1e15", "-1e15", "1e20", "-1e20", "1e308", "-1e308")
+# a bound of +-1e15 opens an integer box so wide that only the clock ends it
+SWEEP_SPEC = replace(SPEC, time_limit=0.2)
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_every_single_huge_number_parses_or_fails_cleanly_and_runs_or_fails_by_stage(name):
+    """No RuntimeWarning (an error under this suite), no stall and no bare
+    exception, whichever one number is set to a magnitude at a limit of the
+    model's input contract or past the float range."""
+    for spot in FIELDS[name]:
+        for text in MAGNITUDES:
+            try:
+                instance = parse_mps(mutate(name, {spot: text}))
+            except (MpsParseError, ModelError):
+                continue
+            run_or_stage_error(instance, SWEEP_SPEC)
 
 
 VALUES = st.one_of(

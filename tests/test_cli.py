@@ -12,10 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 import diversitree
-from conftest import enum_pure_integer
+from conftest import enum_pure_integer, scipy_lp, scipy_milp
 from diversitree.cli import main
 from diversitree.generators import knapsack_instance, random_binary_instance
-from diversitree.mps import write_mps
+from diversitree.mps import parse_mps, write_mps
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,54 @@ ENDATA
         doc = json.loads(res.output)
         assert doc["status"] == "infeasible"
         assert doc["zStar"] is None and doc["x"] is None
+
+
+class TestHugeBounds:
+    """x0, x1 binary and y in [-bound, bound], minimizing x0 + x1 + y under
+    -4 x0 - 4 x1 - 4 y >= 0 and -4 x1 = 0. The model reads a bound of 1e308
+    as an infinity, so the relaxation is unbounded, as scipy's ``linprog``
+    finds (``milp`` says "unbounded or infeasible"); 1e19 is a finite bound,
+    which y reaches."""
+
+    @staticmethod
+    def write(tmp_path, bound):
+        p = tmp_path / f"huge{bound}.mps"
+        p.write_text(f"""NAME huge
+ROWS
+ N OBJ
+ G R1
+ E R2
+COLUMNS
+    M0 'MARKER' 'INTORG'
+    x0 OBJ 1.0 R1 -4.0
+    x1 OBJ 1.0 R1 -4.0 R2 -4.0
+    M1 'MARKER' 'INTEND'
+    y OBJ 1.0 R1 -4.0
+BOUNDS
+ LO BND y -{bound}
+ UP BND y {bound}
+ENDATA
+""")
+        return str(p)
+
+    def test_a_bound_of_1e308_is_unbounded(self, runner, tmp_path):
+        path = self.write(tmp_path, "1e308")
+        assert scipy_lp(parse_mps(path))[0] == "unbounded"
+        res = invoke(runner, ["solve", "--instance", path])  # a RuntimeWarning raises here
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert (doc["status"], doc["zStar"], doc["x"]) == ("unbounded", None, None)
+        res = CliRunner().invoke(main, ["diverse", "--instance", path])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "optimize stage: instance is unbounded" in res.output
+
+    def test_a_bound_of_1e19_is_reached(self, runner, tmp_path):
+        path = self.write(tmp_path, "1e19")
+        assert scipy_milp(parse_mps(path)) == ("optimal", -1e19)
+        res = invoke(runner, ["solve", "--instance", path])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert (doc["status"], doc["zStar"], doc["x"]) == ("optimal", -1e19, [0.0, 0.0, -1e19])
 
 
 class TestEnumerate:

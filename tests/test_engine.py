@@ -52,9 +52,9 @@ from diversitree.generators import (
 )
 from diversitree import engine, simplex
 from diversitree.engine import Node, SolutionPool
-from diversitree.model import FEAS_TOL, INT_TOL
+from diversitree.model import FEAS_TOL, INFINITE_BOUND, INT_TOL
 from diversitree.selectors import Selector
-from diversitree.simplex import BasisSnapshot, LpResult, LpStatus, SimplexSolver, _Stalled
+from diversitree.simplex import BasisSnapshot, LpResult, LpStatus, SimplexSolver, _NoProgress
 
 
 def binary_inst(n, rows, objective, name="t"):
@@ -334,7 +334,7 @@ class TestClassification:
                         EQ: [least + FEAS_TOL, most - FEAS_TOL][int(rng.integers(0, 2))]}[sense]
                 rhs = [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf),
                        rng.uniform(-10, 10)][int(rng.integers(0, 4))]
-                if not math.isfinite(rhs):
+                if not abs(rhs) < INFINITE_BOUND:  # the model refuses such an rhs
                     rhs = rng.uniform(-10, 10)
                 rows.append(LinearConstraint(coeffs, sense, float(rhs), f"r{k}"))
             inst = MipInstance(
@@ -551,10 +551,11 @@ class TestEnumerateUnrestricted:
         assert pool.solutions.tolist() == [[x0, b1, b2] for b1 in (0.0, 1.0) for b2 in (0.0, 1.0)]
 
     def test_sums_run_left_to_right(self):
-        # left to right, 1e16 + 1.0 rounds back to 1e16 and the sum is 0.0;
-        # a compensated sum (builtin sum over floats, Python >= 3.12) gives 1.0
-        terms = {0: 1e16, 1: 1.0, 2: -1e16}
-        bc = BranchAndCount(binary_inst(3, [(terms, LE, 0.5)], terms))
+        # left to right, 1e14 + 0.005 rounds back to 1e14 (0.005 is under half
+        # an ulp of 1e14, 1/128) and the sum is 0.0; a compensated sum (builtin
+        # sum over floats, Python >= 3.12) gives 0.005
+        terms = {0: 1e14, 1: 0.005, 2: -1e14}
+        bc = BranchAndCount(binary_inst(3, [(terms, LE, 0.0025)], terms))
         con = bc.instance.constraints[0]
         assert not con.satisfied([0.0, 1.0, 0.0])
         assert con.satisfied([1.0, 1.0, 1.0])  # a compensated sum would reject it
@@ -1058,7 +1059,7 @@ class TestLpStalls:
 
         def dual(self, snapshot, lo, hi, j=None):
             if is_box(lo, hi):
-                raise _Stalled()
+                raise _NoProgress()
             return real_dual(self, snapshot, lo, hi, j)
 
         monkeypatch.setattr(SimplexSolver, "_cold", cold)
@@ -1566,13 +1567,20 @@ def boxes_inside(draw, bc):
 @st.composite
 def wide_roots(draw):
     """A mixed ``small_mips`` instance whose continuous column y has a bound
-    set to an infinity or to +-1e308."""
+    set to an infinity, to +-1e308 (which the model reads as an infinity) or
+    to +-9.9e19, the largest finite bound of the model; with a finite bound
+    that large, y's coefficients may be set to +-9.9e14, the largest
+    coefficient."""
     inst = draw(small_mips(kinds=("mixed",)))
     *xs, y = inst.variables
     lo, hi = draw(st.sampled_from([(-INF, 3.0), (-2.0, INF), (-1e308, 3.0), (-2.0, 1e308),
-                                   (-1e308, 1e308), (-INF, 1e308)]))
-    return MipInstance(inst.name, [*xs, replace(y, lower=lo, upper=hi)], inst.constraints,
-                       inst.objective)
+                                   (-1e308, 1e308), (-INF, 1e308), (-9.9e19, 3.0),
+                                   (-2.0, 9.9e19), (-9.9e19, 9.9e19), (-INF, 9.9e19)]))
+    rows = inst.constraints
+    if 9.9e19 in (-lo, hi) and draw(st.booleans()):
+        rows = [replace(con, coeffs={j: math.copysign(9.9e14, a) if j == y.index else a
+                                     for j, a in con.coeffs.items()}) for con in rows]
+    return MipInstance(inst.name, [*xs, replace(y, lower=lo, upper=hi)], rows, inst.objective)
 
 
 class TestEngineRefutation:
@@ -1582,18 +1590,14 @@ class TestEngineRefutation:
     infeasible."""
 
     @staticmethod
-    def check(bc, box):
+    def check(bc, box, solve=True):
         """The engine's verdict on ``box``, held to the oracle and, when it
-        refutes, to a cold solve. Both read a bound of magnitude 1e308 as an
-        infinity of its sign: the refuter drops every side that reads one,
-        as past the cap, and the oracle never refutes with a side that meets
-        an infinity. A box that is infeasible so widened is infeasible."""
+        refutes and ``solve`` is set, to a cold solve."""
         d = len(bc.root_lo)
         got = bc._refute is not None and bc._refute(box)
-        box = np.where(np.abs(box) < 1e308, box, np.copysign(INF, box))
         lo, hi = box[:d], box[d:]
         assert got == oracle_refutes(bc.instance, lo.tolist(), hi.tolist(), FEAS_TOL)
-        if got:
+        if got and solve:
             assert SimplexSolver(bc.instance).solve(lo, hi).status == LpStatus.INFEASIBLE
         return got
 
@@ -1606,11 +1610,14 @@ class TestEngineRefutation:
     @settings(max_examples=100)
     @given(wide_roots(), st.data())
     def test_roots_with_an_infinite_or_huge_continuous_bound(self, inst, data):
-        """A side that reads an infinite bound, or whose magnitudes pass the
-        cap, is dropped; any other is tested, with no RuntimeWarning (an
-        error under this suite)."""
+        """A side that reads an infinite bound is dropped; any other is
+        tested, with no RuntimeWarning (an error under this suite). A bound
+        of 9.9e19 next to O(1) data is past what the dense simplex solves
+        reliably, so those roots are held to the oracle only."""
         bc = BranchAndCount(inst)
-        self.check(bc, data.draw(boxes_inside(bc)))
+        y = inst.variables[-1]
+        in_reach = all(abs(b) < 1e6 or b in (-INF, INF) for b in (y.lower, y.upper))
+        self.check(bc, data.draw(boxes_inside(bc)), solve=in_reach)
 
     @pytest.mark.parametrize("make", [lambda: random_binary_instance(1, 30, 12),
                                       lambda: two_cluster_instance(14, 2)])
@@ -1629,19 +1636,23 @@ class TestEngineRefutation:
         assert verdicts == {False, True}
 
     @pytest.mark.parametrize("lo_0,hi_0", [(-1.0, 0.0), (0.0, -1.0), (1.0, 2.0), (2.0, 1.0)])
-    def test_a_split_outside_the_root_range_turns_refutation_off(self, lo_0, hi_0):
-        """Either bound of the split column below or above its root range.
-        The children that fix x0 and x1 at 1 miss x0 + x1 <= 1: refuted
-        while the refuter is on, warm-solved once a split turned it off."""
+    def test_a_split_outside_the_root_range_is_refuted_as_the_oracle_says(self, lo_0, hi_0):
+        """Either bound of the split column below or above its root range:
+        the test holds for any box with the root box's infinite bounds, so
+        such a child is refuted exactly when the oracle refutes it (only
+        x0 >= 2 misses x0 + x1 <= 1), and refutation stays on for later
+        children: those that fix x0 and x1 at 1 miss the same row."""
         bc = BranchAndCount(self.wide_instance(1.0))
         root = root_node(bc)
-        x0 = bc._child(root, 0, 1.0, 1.0)  # inside: the refuter stays on
-        assert bc._refute is not None
+        x0 = bc._child(root, 0, 1.0, 1.0)
         assert bc._child(x0, 1, 1.0, 1.0).lp is engine.REFUTED
         outside = bc._child(root, 0, lo_0, hi_0)
-        assert bc._refute is None and outside.lp is not engine.REFUTED
-        both = bc._child(x0, 1, 1.0, 1.0)
-        assert both.lp is not engine.REFUTED and both.lp.status == LpStatus.INFEASIBLE
+        assert outside.lp.x is not root.lp.x  # not kept, so refuted or solved
+        assert (outside.lp is engine.REFUTED) == self.check(bc, outside.box) == (lo_0 == 2.0)
+        if outside.lp is not engine.REFUTED:
+            want = SimplexSolver(bc.instance).solve(outside.lo, outside.hi).status
+            assert outside.lp.status == want
+        assert bc._child(x0, 1, 1.0, 1.0).lp is engine.REFUTED
 
     @staticmethod
     def wide_instance(y_hi):

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import enum_mixed_projections, enum_pure_integer
+from conftest import enum_mixed_projections, enum_pure_integer, scipy_milp
+from test_bad_input import FIELDS, TEXTS, mutate
 from diversitree import (
     ExperimentSpec,
     HarnessError,
+    ModelError,
+    MpsParseError,
     SelectorConfig,
     compare_selectors,
     find_optimum,
@@ -131,6 +134,40 @@ def golden_instance(name):
     if name == "random_binary_instance(3)":
         return random_binary_instance(3)
     return parse_mps(str(INSTANCES / name))
+
+
+class TestFindOptimumAgainstMilp:
+    """The optimum of each shipped instance with one number changed equals
+    scipy's ``milp``, and its point satisfies every row and has the
+    reported objective."""
+
+    def check(self, text):
+        inst = parse_mps(text)
+        res = find_optimum(inst)
+        status, z = scipy_milp(inst)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(z, rel=1e-9, abs=1e-6)
+            assert all(con.satisfied(res.x) for con in inst.constraints)
+            assert inst.objective_value(res.x) == res.objective
+        return res
+
+    def test_an_integral_lp_that_misses_a_row_once_rounded_is_no_incumbent(self):
+        """b0 at 1e-6 covers ``b0 + b1 + b2 + b3 >= 1`` with a cover entry of
+        1e6 and reads as integral at INT_TOL, but rounded to 0 it covers
+        nothing; the optimum is 1.0 at b0 = 1, not 1e-06 at zero."""
+        line = TEXTS["mixed4.mps"].split("\n").index("    b0  cover  1.0")
+        res = self.check(mutate("mixed4.mps", {(line, 2): "1000000.0"}))
+        assert (res.status, res.objective, res.x.tolist()) == ("optimal", 1.0, [1, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_every_single_number_at_a_large_or_tiny_magnitude(self, name):
+        for spot in FIELDS[name]:
+            for text in ("1e6", "-1e6", "1e-12", "-1e-12"):
+                try:
+                    self.check(mutate(name, {spot: text}))
+                except (MpsParseError, ModelError):
+                    continue
 
 
 class TestFindOptimumGolden:
@@ -258,12 +295,13 @@ class TestRunTwoPhase:
             run_phase_one(inst, ExperimentSpec(q=0.05, p1=10, p=2))
 
     def test_an_infinite_cutoff_fails_in_the_count_stage(self):
-        # z* = 1e308, so z* + q|z*| overflows: the cutoff row cannot be built
+        # z* = 1e14 * 5e5 = 5e19, so z* + q|z*| = 1e20 reads as infinite:
+        # the cutoff row cannot be built
         inst = MipInstance(
             name="huge",
-            variables=[VariableDef(0, 1.0, 2.0, True, "u")],
-            constraints=[LinearConstraint({0: 1.0}, GE, 1.0, "r0")],
-            objective={0: 1e308},
+            variables=[VariableDef(0, 5e5, 6e5, True, "u")],
+            constraints=[LinearConstraint({0: 1.0}, GE, 5e5, "r0")],
+            objective={0: 1e14},
         )
         with pytest.raises(HarnessError, match="count stage: .*__cutoff__.* not finite"):
             run_phase_one(inst, ExperimentSpec(q=1.0, p1=10, p=2))

@@ -58,6 +58,28 @@ class TestContainers:
         free = VariableDef(0, -INF, INF, False, "y")
         assert (free.lower, free.upper) == (-INF, INF)
 
+    def test_bounds_from_1e20_on_read_as_infinite(self):
+        for big in (1e20, 1e308, INF):
+            v = VariableDef(0, -big, big, False, "y")
+            assert (v.lower, v.upper) == (-INF, INF)
+        v = VariableDef(0, -9.9e19, 9.9e19, False, "y")
+        assert (v.lower, v.upper) == (-9.9e19, 9.9e19)
+        for lo, hi in ((1e20, INF), (-INF, -1e20), (1e20, 1e20), (INF, INF)):
+            with pytest.raises(ModelError, match="y: bounds .* hold no value"):
+                VariableDef(0, lo, hi, False, "y")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rhs_and_coefficients_stop_at_the_contract_limits(self, sign):
+        LinearConstraint({0: sign * 9.9e14}, LE, sign * 9.9e19, "r")
+        with pytest.raises(ModelError, match=r"'r': right-hand side .* below 1e\+20"):
+            LinearConstraint({0: 1.0}, LE, sign * 1e20, "r")
+        with pytest.raises(ModelError, match=r"'r': coefficient .* on column 1 .* below 1e\+15"):
+            LinearConstraint({0: 1.0, 1: sign * 1e15}, LE, 1.0, "r")
+        variables = [VariableDef(0, 0, 1, True, "a")]
+        MipInstance("x", variables, [], {0: sign * 9.9e14})
+        with pytest.raises(ModelError, match=r"objective 'OBJ': coefficient .* below 1e\+15"):
+            MipInstance("x", variables, [], {0: sign * 1e15})
+
     @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
     def test_non_finite_rows_are_rejected(self, bad):
         with pytest.raises(ModelError, match="'r': coefficient .* on column 1 is not finite"):
@@ -82,15 +104,16 @@ class TestContainers:
         assert not con.satisfied([1.0, 1.1])
 
     def test_sums_run_left_to_right(self):
-        # left to right, 0.6000000000000001 + 1e16 rounds to 1e16 and the sum
-        # is 0.7; a compensated sum (builtin sum over Python floats, from
-        # Python 3.12 on) gives 1.2999999999999998. Up to 3.11 the builtin sum
-        # also adds left to right, so only 3.12+ tells the two apart.
-        weights = [0.1, 0.2, 0.3, 1e16, -1e16, 0.7]
+        # left to right, 0.006 + 1e14 rounds to 1e14 (0.006 is under half an
+        # ulp of 1e14, 1/128) and the sum is 0.007; a compensated sum (builtin
+        # sum over Python floats, from Python 3.12 on) gives 0.013000000000000001.
+        # Up to 3.11 the builtin sum also adds left to right, so only 3.12+
+        # tells the two apart.
+        weights = [0.001, 0.002, 0.003, 1e14, -1e14, 0.007]
         want = 0.0
         for w in weights:
             want += w
-        assert repr(want) == "0.7"
+        assert repr(want) == "0.007"
         ones = [1.0] * len(weights)
         coeffs = dict(enumerate(weights))
         assert LinearConstraint(coeffs, LE, 1.0, "r").activity(ones) == want
@@ -313,6 +336,12 @@ class TestBinaryExpand:
                 after.add((int(round(entry.decode(x))), int(x[1])))
         assert after == before
 
+    def test_bit_weights_stop_at_the_coefficient_limit(self):
+        _, index_map = binary_expand(self.target(2 ** 50 - 1), [0])
+        assert max(index_map.entries[0].weights) == 2.0 ** 49
+        with pytest.raises(ModelError, match=r"u__link.* below 1e\+15"):
+            binary_expand(self.target(2 ** 50), [0])  # the weight 2**50 is past 1e15
+
     def test_errors(self):
         bad = MipInstance(
             name="bad",
@@ -391,6 +420,12 @@ class TestDiscretize:
         out, index_map = discretize_continuous(self.target(1.5, 1.5), [0], 2)
         assert out.num_vars == 1
         assert index_map.entries[0].decode(np.array([1.5])) == pytest.approx(1.5)
+
+    def test_grid_weights_stop_at_the_coefficient_limit(self):
+        _, index_map = discretize_continuous(self.target(0.0, 1.9e15), [0], 1)
+        assert max(index_map.entries[0].weights) == 9.5e14
+        with pytest.raises(ModelError, match=r"y__link.* below 1e\+15"):
+            discretize_continuous(self.target(0.0, 2e15), [0], 1)  # the weight 1e15
 
     def test_errors(self):
         unbounded = MipInstance(

@@ -623,17 +623,33 @@ class TestRefuter:
         want = LpStatus.INFEASIBLE if refuted else LpStatus.OPTIMAL
         assert solver.solve(lo, hi).status == want
 
-    def test_sides_past_the_float_range_are_dropped_without_a_warning(self):
-        # activities past the float range: 1e308 + 1e308 overflows to inf,
-        # and inf - inf is NaN; neither side is kept
-        lo, hi = np.full(4, 1e308), np.full(4, 1.5e308)
-        over = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, 0.0)], [(0, 1)] * 4)
-        assert SimplexSolver(over).refuter(lo, hi) is None
-        nan = lp_instance({}, [({0: 1.0, 1: 1.0, 2: -1.0, 3: -1.0}, GE, 0.0)], [(0, 1)] * 4)
-        assert SimplexSolver(nan).refuter(lo, hi) is None
-        # an rhs at the edge of the range puts that side's limit past it
-        edge = lp_instance({}, [({0: 1.0}, GE, -np.finfo(float).max)], [(0, 1)])
-        assert SimplexSolver(edge).refuter(np.zeros(1), np.ones(1)) is None
+    def test_bounds_past_the_contract_read_as_infinite_and_drop_their_sides(self):
+        # VariableDef stores a bound of magnitude 1e20 or more as an infinity,
+        # so a side that reads it is dropped, as one that reads an infinity is
+        inst = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, 0.0)], [(0, 1e308), (-1e20, 1)])
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        assert hi.tolist() == [INF, 1.0] and lo.tolist() == [0.0, -INF]
+        assert SimplexSolver(inst).refuter(lo, hi) is None  # the least side reads -inf
+        assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.OPTIMAL
+
+    @pytest.mark.parametrize("sign,sense,refuted", [
+        (1.0, LE, True), (1.0, GE, False), (1.0, EQ, True),
+        (-1.0, LE, False), (-1.0, GE, True), (-1.0, EQ, True),
+    ])
+    def test_the_largest_numbers_of_the_contract_refute_without_a_warning(self, sign, sense,
+                                                                          refuted):
+        """Bounds and rhs just below 1e20, coefficients just below 1e15: the
+        terms near 1e35 leave no sum past the float range (a RuntimeWarning is
+        an error under this suite). For sign 1 the activity lies in
+        [c * big, 3 * c * big] against the rhs -big, for sign -1 mirrored."""
+        big, c = 9.9e19, sign * 9.9e14
+        rows = [({0: c, 1: c, 2: -c}, sense, -sign * big)]
+        inst = lp_instance({}, rows, [(big, big), (0.0, big), (-big, 0.0)])
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        assert oracle_refutes(inst, lo, hi, FEAS_TOL) == refuted
+        assert refutes(SimplexSolver(inst), lo, hi) == refuted
+        if refuted:
+            assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.INFEASIBLE
 
     def test_no_rows(self):
         solver = SimplexSolver(lp_instance({0: 1.0}, [], [(0, 1)]))
@@ -641,27 +657,9 @@ class TestRefuter:
 
 
 class TestRefuterSides:
-    """``refuter`` keeps a side when its sum of term magnitudes is at most
-    ACTIVITY_CAP, an integer column counting the larger magnitude of its
-    root bounds and any other column the root bound the side reads; inside
-    the root box its test is ``conftest.oracle_refutes``."""
-
-    TOP = 2.0 ** 999
-
-    @pytest.mark.parametrize("x1_hi,integers,kept", [
-        (TOP, (), True),  # 2**999 + 2**999 = 2**1000
-        (2 * TOP, (), True),  # the least side reads x1's lower bound only
-        (2 * TOP, (1,), False),  # an integer x1 counts 2 * 2**999
-        (TOP, (0, 1), True),
-    ])
-    def test_the_cap_counts_the_bounds_a_box_inside_the_root_can_take(self, x1_hi, integers,
-                                                                      kept):
-        top = self.TOP
-        inst = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, -1.0)], [(top, top), (top, x1_hi)],
-                           integers)
-        lo, hi = np.array([top, top]), np.array([top, x1_hi])
-        assert (SimplexSolver(inst).refuter(lo, hi) is not None) == kept
-        assert refutes(SimplexSolver(inst), lo, hi) == kept  # least activity 2**1000 > -1
+    """``refuter`` keeps every side with a finite limit that reads no
+    infinite root bound; on a box with the root box's infinite bounds its
+    test is ``conftest.oracle_refutes``."""
 
     def test_boxes_inside_the_root_are_the_oracles_verdict(self):
         """Integer x0, x1 split anywhere in [-5, 5], empty boxes included;
