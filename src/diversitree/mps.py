@@ -9,7 +9,8 @@ Dialect notes:
 * The first N row is the objective; later N rows are free rows and are
   dropped with a warning.
 * An RHS entry on the objective row (an objective constant) is ignored
-  with a warning.
+  with a warning; one on a free row, and a RANGES entry on either, is
+  ignored.
 * Variables declared between integer markers default to bounds [0, 1]
   (classic MPSX convention); BOUNDS entries override either side.
 * A maximization OBJSENSE negates the objective and sets
@@ -204,9 +205,12 @@ def parse_mps(source) -> MipInstance:
             if not pairs:
                 raise MpsParseError("empty RANGES entry", line_no)
             for rname, vtok in zip(pairs[0::2], pairs[1::2]):
+                val = _num(vtok, line_no)
+                if rname == obj_name or rname in free_rows:
+                    continue
                 if rname not in row_sense:
                     raise MpsParseError(f"range for undeclared row {rname!r}", line_no)
-                ranges[rname] = _num(vtok, line_no)
+                ranges[rname] = val
 
         elif section == "BOUNDS":
             btype = toks[0].upper()

@@ -295,26 +295,21 @@ class Selector:
         if rule == Rule.BESTFS or gated:
             return scaled
         terms, plunge, literal = term_vector(pool), self.max_plunge, cfg.literal_score
-        a, b = cfg.alpha, cfg.beta
-
-        def diversity(node):  # one term at a time: ``sum`` compensates from Python 3.12
-            total = 0.0
-            for t in node.path:
-                total += terms[t]
-            return total / max(len(node.path), 1)
-        if rule in _BETA_RULES:
-            def score(node):
-                dval, hval = diversity(node), min(1.0, node.depth / plunge)
-                dterm, hterm = (dval, hval) if literal else (1.0 - dval, 1.0 - hval)
-                return (1.0 - a - b) * scaled(node) + a * dterm + b * hterm
-            return score
+        # dbfs-ab and diversitree weigh H by beta; the others give it no
+        # weight, which changes no bit but the sign of a zero score
+        a, b = cfg.alpha, (cfg.beta if rule in _BETA_RULES else 0.0)
         combine = {Rule.DBFS_MIN: min, Rule.DBFS_MAX: max, Rule.DBFS_PROD: operator.mul}.get(rule)
 
-        def score(node):  # dbfs-a/-as/-ad blend D alone, the others D combined with H
-            term = diversity(node)
+        def score(node):  # dbfs-a/-as/-ad blend D alone, dbfs-min/-max/-prod D combined with H
+            dval = 0.0
+            for t in node.path:  # one term at a time: ``sum`` compensates from Python 3.12
+                dval += terms[t]
+            dval /= max(len(node.path), 1)
+            hval = min(1.0, node.depth / plunge)
             if combine is not None:
-                term = combine(term, min(1.0, node.depth / plunge))
-            return (1.0 - a) * scaled(node) + a * (term if literal else 1.0 - term)
+                dval = combine(dval, hval)
+            dterm, hterm = (dval, hval) if literal else (1.0 - dval, 1.0 - hval)
+            return (1.0 - a - b) * scaled(node) + a * dterm + b * hterm
         return score
 
     # nothing in the package calls it; perfbench/tracer.py wraps it

@@ -30,22 +30,23 @@ makes, so it gives the same bits; a matrix is never factored once and
 reused, which would round differently. The memo is dropped whole past
 ``MEMO_BYTES``. Cold and warm solves end in one ``_result``, whose
 ``BasisSnapshot`` shares the final ``_Basis``'s index array. A warm solve's
-snapshot also carries the warm start's verdict: the columns that fail its
-dual-feasibility test in the box it was solved in. A nonbasic column always
-sits exactly at its lower bound, at its upper bound, or at 0 when free,
-which is what lets "parked at upper" be read as ``x == hi``.
+snapshot is flagged ``dual_feasible`` when every movable nonbasic column
+passes the warm start's dual-feasibility test in the box it was solved in.
+A nonbasic column always sits exactly at its lower bound, at its upper
+bound, or at 0 when free, which is what lets "parked at upper" be read as
+``x == hi``.
 
 A child box that changes one column and still holds the parent's warm
 optimum would have the warm solve re-derive that optimum with no pivot;
 ``inherit`` returns that result without solving, sharing the parent's
-read-only ``x``. It tests only the changed column: the parent's snapshot
-already holds the verdict on every other one. A warm solve that is told its
-split column (``resolve(snapshot, lo, hi, j)``) makes the same argument
-for its start: off column ``j`` the box is the one the snapshot's verdict
-was taken in, so the start's dual-feasibility test is that verdict plus
-column ``j``'s own test, and only column ``j`` can make the box empty. A
-snapshot without a verdict, or whose basis has left the memo, gets the
-full-width test, as does every call without ``j``.
+read-only ``x``. It keeps a child of a flagged snapshot only and tests only
+the changed column: the flag already covers every other one. A warm solve
+that is told its split column (``resolve(snapshot, lo, hi, j)``) makes the
+same argument for its start: off column ``j`` the box is the one the flag
+was set in, so the start's dual-feasibility test is column ``j``'s own
+test, and only column ``j`` can make the box empty. An unflagged snapshot,
+or one whose basis has left the memo, gets the full-width test, as does
+every call without ``j``.
 
 Its mirror, ``refuter``, proves a box infeasible without solving when one
 row misses its rhs over the whole box by more than any solve would
@@ -85,20 +86,16 @@ class BasisSnapshot:
     intp), and ``at_upper``, a read-only bool mask of the nonbasic columns
     parked at upper. Snapshots compare by identity.
 
-    ``wrong_sign`` is the warm start's verdict, taken once when a warm solve
-    makes the snapshot: the read-only intp indices of the movable nonbasic
-    columns that fail the warm start's dual-feasibility test in the box the
-    solve ran in (usually none). A snapshot from a cold solve, or one a
-    caller builds, carries None, and ``SimplexSolver.inherit`` keeps no
-    child of it."""
+    ``dual_feasible`` is True when a warm solve made the snapshot and every
+    movable nonbasic column passes the warm start's dual-feasibility test
+    with the columns parked as ``at_upper`` says, in the box the solve ran
+    in. A snapshot from a cold solve, or one a caller builds, is False:
+    ``SimplexSolver.inherit`` keeps no child of it, and a warm start from it
+    takes the full-width test."""
 
     basis: np.ndarray
     at_upper: np.ndarray
-    wrong_sign: np.ndarray = None
-
-
-_NONE_WRONG = np.empty(0, dtype=np.intp)  # the verdict naming no column, shared
-_NONE_WRONG.flags.writeable = False
+    dual_feasible: bool = False
 
 
 def _dual_sum(y, b, red, nonbasic, x, lo, hi) -> float:
@@ -184,25 +181,18 @@ def _wrong_sign(state: _Basis, at_upper, finite_lo):
                     np.where(finite_lo, state.red_neg, state.red_pos | state.red_neg))
 
 
-def _names_only(verdict, j) -> bool:
-    """The recorded verdict names no column but ``j``."""
-    return not len(verdict) or (len(verdict) == 1 and verdict[0] == j)
-
-
-def _start_fails(state: _Basis, at_upper, finite_lo, movable, verdict=None, j=None) -> bool:
+def _start_fails(state: _Basis, at_upper, finite_lo, movable, j=None) -> bool:
     """The warm start's dual-feasibility test: True when some movable
     nonbasic column fails ``_wrong_sign`` with the columns parked as
     ``at_upper`` says.
 
-    With ``verdict``, the test a warm solve recorded for this basis and
-    ``at_upper`` in a box that differs from this one in column ``j`` only:
-    every other column fails here exactly when it failed there, so the
-    verdict must name no column but ``j``, and ``j`` is tested alone.
+    With ``j``, this basis and ``at_upper`` come from a snapshot flagged
+    ``dual_feasible`` in a box that differs from this one in column ``j``
+    only: every other column passes here as it passed there, so ``j`` is
+    tested alone.
     """
-    if verdict is None:
+    if j is None:
         return bool((_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any())
-    if not _names_only(verdict, j):
-        return True
     if not (state.nonbasic[j] and movable[j]):
         return False
     if at_upper[j]:
@@ -271,9 +261,10 @@ class SimplexSolver:
         ``j``, when given, is the split column: ``lo`` and ``hi`` must be
         the structural box the snapshot's solve ran in (which passed the
         empty-box test) with only column ``j`` changed. Then only column
-        ``j`` is tested for an empty box, and the warm start reads the
-        snapshot's verdict in place of its full-width test (see
-        ``_start_fails``). The result is the one a call without ``j`` gives.
+        ``j`` is tested for an empty box, and the warm start from a flagged
+        snapshot whose basis is memoized tests column ``j`` alone in place of
+        its full-width test (see ``_start_fails``). The result is the one a
+        call without ``j`` gives.
         """
         full_lo, full_hi = self._bounds(lo, hi)
         if j is None:
@@ -299,10 +290,10 @@ class SimplexSolver:
         solve then ends in its first iteration, re-deriving the parent's
         ``x``, when:
 
-        * a warm solve priced the parent: its snapshot shares the index
-          array of the memoized ``_Basis`` and carries the warm start's
-          verdict (a cold parent's ``x`` comes from the matrix extended with
-          artificials, so its bits may differ);
+        * a warm solve priced the parent and flagged its snapshot
+          ``dual_feasible``: the snapshot shares the index array of the
+          memoized ``_Basis`` (a cold parent's ``x`` comes from the matrix
+          extended with artificials, so its bits may differ);
         * a basic ``j`` stays within FEAS_TOL of its new bounds, the warm
           scan's test;
         * a nonbasic ``j`` is fixed at ``x_j`` and its reduced cost prices
@@ -310,20 +301,16 @@ class SimplexSolver:
           value;
         * the warm start's dual-feasibility test passes in the new box. Off
           column ``j`` the new box is the one the parent was solved in, so
-          the test there is the verdict the parent's snapshot records: it
-          must name no column but ``j``. A nonbasic ``j`` is fixed, so not
-          tested, and a basic one never is.
+          the parent's flag covers the test there. A nonbasic ``j`` is
+          fixed, so not tested, and a basic one never is.
 
         The result shares the parent's read-only ``x``, index array and
-        dual objective; its ``at_upper`` drops ``j`` when the new box fixes
-        it, and its verdict names no column, since none fails in the new box.
-        When neither changes, it shares the parent's snapshot.
+        dual objective, and is flagged too, since no column fails in the new
+        box. It shares the parent's snapshot unless the new box fixes a
+        ``j`` parked at upper, which its ``at_upper`` then drops.
         """
         snap = parent.basis
-        if snap is None or snap.wrong_sign is None:
-            return None
-        wrong = snap.wrong_sign
-        if not _names_only(wrong, j):
+        if snap is None or not snap.dual_feasible:
             return None
         state = self._priced(snap)
         if state is None:
@@ -337,12 +324,11 @@ class SimplexSolver:
                 return None  # the reduced cost prices against the parked bound
         elif lo_j - x_j > FEAS_TOL or x_j - hi_j > FEAS_TOL or lo_j > hi_j + FEAS_TOL:
             return None  # the warm scan would pivot, or resolve finds the box empty
-        if at_upper[j] or len(wrong):
-            if at_upper[j]:  # fixed now, so parked at neither bound
-                at_upper = at_upper.copy()
-                at_upper[j] = False
-                _read_only(at_upper)
-            snap = BasisSnapshot(basis=snap.basis, at_upper=at_upper, wrong_sign=_NONE_WRONG)
+        if at_upper[j]:  # fixed now, so parked at neither bound
+            at_upper = at_upper.copy()
+            at_upper[j] = False
+            _read_only(at_upper)
+            snap = BasisSnapshot(basis=snap.basis, at_upper=at_upper, dual_feasible=True)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=parent.objective,
@@ -426,7 +412,11 @@ class SimplexSolver:
         The result keeps references to ``x``, ``lo`` and ``hi``, which the
         caller must no longer write, to sum its dual objective when read.
         A warm solve passes the box's ``movable`` and ``finite_lo`` masks it
-        already holds; its snapshot carries the warm start's verdict.
+        already holds; its snapshot is flagged when the warm start's test
+        passes in this box. One that made no pivot ends at its start, whose
+        test passed: parking at upper the columns with ``x == hi`` adds only
+        movable ones with no finite lower bound, where the start already
+        required ``|red| <= DUAL_FEAS_TOL``. So it is flagged untested.
         """
         xs = x[: self.d].copy()
         _read_only(xs)  # a kept child shares it with its parent
@@ -442,13 +432,11 @@ class SimplexSolver:
             if not warm:
                 movable = lo[:n] != hi[:n]
             up = nonbasic & (x[:n] == hi[:n]) & movable  # parked at upper
-            wrong = None
-            if warm:  # the warm start's test, as _dual makes it, in this box
-                wrong = _wrong_sign(state, up, finite_lo) & nonbasic & movable
-                wrong = np.flatnonzero(wrong) if wrong.any() else _NONE_WRONG
-                _read_only(wrong)
             _read_only(up)
-            snapshot = BasisSnapshot(basis=state.basis, at_upper=up, wrong_sign=wrong)
+            # the warm start's test, as _dual makes it, in this box
+            feasible = warm and (iterations == 1 or not (
+                _wrong_sign(state, up, finite_lo) & nonbasic & movable).any())
+            snapshot = BasisSnapshot(basis=state.basis, at_upper=up, dual_feasible=feasible)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
@@ -653,9 +641,9 @@ class SimplexSolver:
         if state is None and (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
                               or len(set(basis.tolist())) != self.m):
             raise _NoProgress()
-        # the snapshot's verdict holds for the basis it was taken at, which is
+        # the snapshot's flag holds for the basis it was set at, which is
         # the memoized one only while the snapshot shares its index array
-        verdict = None if state is None or j is None else snapshot.wrong_sign
+        trusted = j if state is not None and snapshot.dual_feasible else None
         finite_lo = np.isfinite(lo)
         movable = lo != hi
         free = ~finite_lo & ~np.isfinite(hi)
@@ -668,7 +656,7 @@ class SimplexSolver:
 
         if state is None:
             state = self._basis(basis)
-        if _start_fails(state, at_upper, finite_lo, movable, verdict, j):
+        if _start_fails(state, at_upper, finite_lo, movable, trusted):
             raise _NoProgress()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst

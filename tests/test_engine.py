@@ -245,6 +245,21 @@ class TestOptimize:
         assert opt.status == status == "optimal"
         assert opt.objective == pytest.approx(z, rel=1e-9, abs=1e-6)
 
+    @settings(max_examples=60)
+    @given(small_mips())
+    def test_optimum_is_the_least_objective_of_the_cutoff_pool(self, inst):
+        """Best-first branch and bound and a count run under the cutoff at
+        z* itself agree, with or without dedup: the pool holds the optimal
+        points, whose least objective is z*."""
+        opt = BranchAndCount(inst).optimize()
+        assert opt.status == "optimal"
+        cut = add_objective_cutoff(inst, opt.objective, 0.0)
+        for dedup in (True, False):
+            res = BranchAndCount(cut, dedup=dedup).run()
+            assert not res.truncated and len(res.pool) > 0
+            least = min(res.pool.objectives)
+            assert abs(least - opt.objective) <= FEAS_TOL * max(1.0, abs(opt.objective))
+
     @settings(max_examples=300)
     @given(mips_and_boxes())
     def test_the_refuter_is_the_plain_loop_verdict(self, case):
@@ -1282,9 +1297,10 @@ class TestKeptLp:
     and ``solve`` find infeasible; it matches ``resolve`` in status only,
     with 0 iterations. While the refuter is on, no child it passes to a
     solve is one the oracle refutes. Every warm and every kept result's
-    snapshot records the warm start's dual-feasibility test over its own
-    box (``conftest.oracle_wrong_sign``), which ``inherit``, and every warm
-    start told its split column, read in its place."""
+    snapshot is flagged ``dual_feasible`` exactly when the warm start's
+    dual-feasibility test passes over its own box
+    (``conftest.oracle_wrong_sign``); ``inherit``, and every warm start told
+    its split column, trust the flag in place of that test."""
 
     @staticmethod
     def lp_fields(res):
@@ -1302,14 +1318,13 @@ class TestKeptLp:
         """Hold every partition child's LP, every result ``inherit`` returns
         and every child the engine refutes to a second solver of the same
         instance, every engine verdict on refutation to the oracle, and
-        every recorded verdict and every warm start that read one to the
-        oracle. Returns the running counts of partition splits, kept LPs,
-        refuted children, checked verdicts and warm starts that read a
-        verdict."""
-        counts = {"splits": 0, "kept": 0, "refuted": 0, "verdicts": 0, "verdict_starts": 0}
+        every flag and every warm start that trusted one to the oracle.
+        Returns the running counts of partition splits, kept LPs, refuted
+        children, checked flags and warm starts that trusted a flag."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0, "flags": 0, "trusted_starts": 0}
         refs = {}
         cache = {"snapshot": None, "results": {}}
-        starts = []  # (read a verdict, failed) of each warm start in the current resolve
+        starts = []  # (trusted a flag, failed) of each warm start in the current resolve
         inherit, resolve = SimplexSolver.inherit, SimplexSolver.resolve
         start_fails = simplex._start_fails
         partition, make_child = BranchAndCount.partition_branch, BranchAndCount._child
@@ -1347,36 +1362,36 @@ class TestKeptLp:
                 cache["results"][key] = reference(solver).resolve(snapshot, lo, hi)
             return cache["results"][key]
 
-        def check_verdict(solver, res, lo, hi):
+        def check_flag(solver, res, lo, hi):
             snap = res.basis
             if snap is None:
                 return
-            if snap.wrong_sign is None:  # a cold solve or fallback made it
-                assert solver._priced(snap) is None
+            if solver._priced(snap) is None:  # a cold solve or fallback made it
+                assert snap.dual_feasible is False
                 return
-            counts["verdicts"] += 1
-            assert snap.wrong_sign.tolist() == oracle_wrong_sign(solver, snap, lo, hi)
+            counts["flags"] += 1
+            assert snap.dual_feasible == (oracle_wrong_sign(solver, snap, lo, hi) == [])
 
-        def recorded_start(state, at_upper, finite_lo, movable, verdict=None, j=None):
-            failed = start_fails(state, at_upper, finite_lo, movable, verdict, j)
-            starts.append((verdict is not None, failed))
+        def recorded_start(state, at_upper, finite_lo, movable, j=None):
+            failed = start_fails(state, at_upper, finite_lo, movable, j)
+            starts.append((j is not None, failed))
             return failed
 
         def checked_resolve(solver, snapshot, lo=None, hi=None, j=None):
             starts.clear()
             got = resolve(solver, snapshot, lo, hi, j)
-            for read, failed in starts:
-                if read:  # the start's full-width test in the child's box
-                    counts["verdict_starts"] += 1
+            for trusted, failed in starts:
+                if trusted:  # the start's full-width test in the child's box
+                    counts["trusted_starts"] += 1
                     assert failed == bool(oracle_wrong_sign(solver, snapshot, lo, hi))
-            check_verdict(solver, got, lo, hi)
+            check_flag(solver, got, lo, hi)
             return got
 
         def checked_inherit(solver, parent, lo, hi, j):
             got = inherit(solver, parent, lo, hi, j)
             if got is not None:
                 counts["kept"] += 1
-                check_verdict(solver, got, lo, hi)
+                check_flag(solver, got, lo, hi)
                 assert self.lp_fields(got) == self.lp_fields(wanted(solver, parent.basis, lo, hi))
             return got
 
@@ -1422,10 +1437,10 @@ class TestKeptLp:
         run_phase_one(factory(), spec)
         assert counts["splits"] > 0
         assert counts["kept"] > 0  # the shortcut fired
-        assert counts["verdicts"] > counts["kept"]
+        assert counts["flags"] > counts["kept"]
         if name.startswith(("random_binary_instance", "two_cluster_instance")):
             assert counts["refuted"] > 0
-            assert counts["verdict_starts"] > 0
+            assert counts["trusted_starts"] > 0
 
     @settings(max_examples=60)
     @given(small_mips(), st.sampled_from([0.0, 0.5, 2.0]))
@@ -1484,44 +1499,32 @@ class TestKeptLp:
         want = solver.resolve(parent.basis, clo, chi).dual_objective
         assert repr(kept.dual_objective) == repr(parent.dual_objective) == repr(want)
 
-    @staticmethod
-    def with_verdict(parent, wrong_sign):
-        """``parent`` with its snapshot's verdict replaced."""
-        verdict = np.array(wrong_sign, dtype=np.intp)
-        return replace(parent, basis=replace(parent.basis, wrong_sign=verdict))
-
-    def test_a_verdict_naming_only_the_split_column_keeps_the_child(self):
-        """``j`` is fixed in the child's box, so the warm start does not test
-        it, whatever the parent's box said; the kept child's own verdict
-        names no column."""
+    def test_a_kept_child_is_flagged_and_keeps_its_own_child(self):
+        """The kept child's flag is the full test over its own box, and a
+        grandchild is judged on it."""
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
-        kept = solver.inherit(self.with_verdict(parent, [j]), clo, chi, j)
-        assert kept is not None
-        assert kept.basis.wrong_sign.tolist() == [] == oracle_wrong_sign(solver, kept.basis,
-                                                                         clo, chi)
-        assert self.lp_fields(kept) == self.lp_fields(solver.resolve(parent.basis, clo, chi))
-        # a grandchild is judged on the kept child's own verdict
+        kept = solver.inherit(parent, clo, chi, j)
+        assert kept.basis.dual_feasible
+        assert oracle_wrong_sign(solver, kept.basis, clo, chi) == []
         glo, ghi, g = self.fix_nonbasic(solver, kept, clo, chi)
-        assert solver.inherit(kept, glo, ghi, g) is not None
+        grandchild = solver.inherit(kept, glo, ghi, g)
+        assert self.lp_fields(grandchild) == self.lp_fields(solver.resolve(kept.basis, glo, ghi))
 
     def test_a_kept_child_with_nothing_new_shares_its_parents_snapshot(self):
-        """Shared when the kept child's ``at_upper`` and empty verdict are
-        its parent's; its own snapshot when the split column was parked at
-        upper or the parent's verdict named it."""
+        """Shared when the kept child's ``at_upper`` is its parent's; its own
+        flagged snapshot when the split column was parked at upper."""
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
-        assert not parent.basis.at_upper[j] and parent.basis.wrong_sign.tolist() == []
+        assert not parent.basis.at_upper[j] and parent.basis.dual_feasible
         assert solver.inherit(parent, clo, chi, j).basis is parent.basis
-        named = self.with_verdict(parent, [j])
-        own = solver.inherit(named, clo, chi, j).basis
-        assert own is not named.basis and own.basis is named.basis.basis
         upper = replace(parent, basis=replace(parent.basis, at_upper=np.eye(solver.n, dtype=bool)[j]))
         own = solver.inherit(upper, clo, chi, j).basis
-        assert own is not upper.basis and not own.at_upper.any()
+        assert own is not upper.basis and own.basis is upper.basis.basis
+        assert own.dual_feasible and not own.at_upper.any()
 
-    def test_a_snapshot_without_a_verdict_is_not_kept(self):
+    def test_an_unflagged_snapshot_is_not_kept(self):
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
         bare = replace(parent, basis=BasisSnapshot(parent.basis.basis, parent.basis.at_upper))
-        assert solver._priced(bare.basis) is not None
+        assert solver._priced(bare.basis) is not None and not bare.basis.dual_feasible
         assert solver.inherit(bare, clo, chi, j) is None
 
     @pytest.mark.parametrize("column", ["branched", "other"])
@@ -1530,9 +1533,9 @@ class TestKeptLp:
         bound its column is parked at: a ratio-test tie within PIVOT_TOL
         moves it by up to PIVOT_TOL * |alpha|. Marked so in the memo, the
         branched column would change its dual-objective term. Any other
-        movable one fails the warm start's test, whose verdict the parent's
-        snapshot records when it is made, so it is marked there. Neither
-        child is kept."""
+        movable one fails the warm start's test, which the parent's snapshot
+        takes when it is made, so the snapshot is not flagged. Neither child
+        is kept."""
         solver, _, parent, (plo, phi), (clo, chi, j) = self.warm_family()
         state = solver._bases[parent.basis.basis.tobytes()]
         at_upper = parent.basis.at_upper
@@ -1543,9 +1546,7 @@ class TestKeptLp:
             wrong[j] = True
             setattr(state, name, wrong)
         else:
-            k = next(k for k in range(solver.n) if k != j and state.nonbasic[k]
-                     and solver._bounds(clo, chi)[0][k] != solver._bounds(clo, chi)[1][k])
-            parent = self.with_verdict(parent, [k])
+            parent = replace(parent, basis=replace(parent.basis, dual_feasible=False))
         assert solver.inherit(parent, clo, chi, j) is None
 
 @st.composite

@@ -247,6 +247,15 @@ ENDATA
         assert any("free row" in rec.message for rec in caplog.records)
         assert len(inst.constraints) == 1
 
+    @pytest.mark.parametrize("row", ["COST", "EXTRA"])
+    def test_a_range_on_a_free_row_is_ignored(self, row):
+        """The objective and an extra free row are declared, so a RANGES
+        entry on either is skipped as an RHS entry on them is."""
+        text = KNAP2.replace(" L  CAP", " L  CAP\n N  EXTRA").replace(
+            "BOUNDS", f"RANGES\n    RNG  {row}  2.0\nBOUNDS")
+        inst = parse_mps(text)
+        assert [(c.name, c.sense, c.rhs) for c in inst.constraints] == [("CAP", LE, 2.0)]
+
     def test_missing_endata_tolerated(self):
         inst = parse_mps(KNAP2.replace("ENDATA\n", ""))
         assert inst.num_vars == 2

@@ -435,27 +435,57 @@ class TestDualObjectiveOnRead:
 
 
 class TestWarmStartVerdict:
-    """A warm solve's snapshot records which columns fail the warm start's
-    dual-feasibility test in the box it was solved in; a cold one records
-    nothing."""
+    """A warm solve's snapshot is flagged ``dual_feasible`` exactly when no
+    column fails the warm start's dual-feasibility test in the box it was
+    solved in; a cold one is not flagged."""
 
-    def test_every_warm_result_records_the_full_test(self):
-        warm = 0
+    def test_every_warm_result_is_flagged_as_the_full_test_says(self):
+        warm = flagged = 0
         for solver, res, lo, hi in family_results():
             snap = res.basis
             if snap is None:
                 continue
-            if snap.wrong_sign is None:  # a cold solve or fallback made it
-                assert solver._priced(snap) is None
+            if solver._priced(snap) is None:  # a cold solve or fallback made it
+                assert snap.dual_feasible is False
                 continue
-            assert snap.wrong_sign.tolist() == oracle_wrong_sign(solver, snap, lo, hi)
-            assert not snap.wrong_sign.flags.writeable
+            assert snap.dual_feasible == (oracle_wrong_sign(solver, snap, lo, hi) == [])
             warm += 1
-        assert warm > 100
+            flagged += snap.dual_feasible
+        assert warm > 100 and flagged > 100
 
-    def test_a_cold_solve_records_nothing(self):
+    def test_a_cold_solve_is_not_flagged(self):
         solver = SimplexSolver(parse_mps(str(golden.INSTANCES / "rand0.mps")))
-        assert solver.solve().basis.wrong_sign is None
+        assert solver.solve().basis.dual_feasible is False
+
+    def test_a_warm_solve_without_a_pivot_is_flagged_untested(self, monkeypatch):
+        """A warm solve that ends in its first iteration ends at its start,
+        whose test passed, so ``_result`` flags it without calling
+        ``_wrong_sign``; one that pivots runs the test once."""
+        calls = []
+        wrong_sign, result = simplex._wrong_sign, SimplexSolver._result
+
+        def counted(*args):
+            calls.append(1)
+            return wrong_sign(*args)
+
+        def recorded(solver, *args, **kwargs):
+            calls.clear()
+            got = result(solver, *args, **kwargs)
+            if got.basis is not None and solver._priced(got.basis) is not None:
+                assert len(calls) == (got.iterations > 1)
+                seen.add(got.iterations > 1)
+            return got
+
+        seen = set()
+        monkeypatch.setattr(simplex, "_wrong_sign", counted)
+        monkeypatch.setattr(SimplexSolver, "_result", recorded)
+        zero_pivot = 0
+        for solver, res, lo, hi in family_results():
+            if res.basis is not None and solver._priced(res.basis) is not None:
+                assert res.basis.dual_feasible == (
+                    oracle_wrong_sign(solver, res.basis, lo, hi) == [])
+                zero_pivot += res.iterations == 1
+        assert seen == {False, True} and zero_pivot > 20
 
 
 def split_children(parent, lo, hi, j):
@@ -471,16 +501,17 @@ def split_children(parent, lo, hi, j):
 class TestSplitColumnStart:
     """``resolve(snapshot, lo, hi, j)`` is ``resolve(snapshot, lo, hi)`` for
     a box that changes column ``j`` of the snapshot's own box: it tests only
-    column ``j`` for an empty box and, for a warm snapshot whose basis is
-    memoized, reads the verdict in place of the start's full-width test."""
+    column ``j`` for an empty box and, for a flagged snapshot whose basis is
+    memoized, tests only column ``j`` in place of the start's full-width
+    test."""
 
     def test_it_returns_what_the_call_without_the_column_returns(self, monkeypatch):
         reads = []
         start_fails = simplex._start_fails
 
-        def recorded(state, at_upper, finite_lo, movable, verdict=None, j=None):
-            got = start_fails(state, at_upper, finite_lo, movable, verdict, j)
-            if verdict is not None:
+        def recorded(state, at_upper, finite_lo, movable, j=None):
+            got = start_fails(state, at_upper, finite_lo, movable, j)
+            if j is not None:
                 reads.append((got, start_fails(state, at_upper, finite_lo, movable)))
             return got
 
@@ -499,11 +530,11 @@ class TestSplitColumnStart:
         assert calls > 1000
         assert len(reads) > 500 and all(got == full for got, full in reads)
 
-    def test_a_true_verdict_and_column_j_are_the_full_test(self):
+    def test_a_flag_and_column_j_are_the_full_test(self):
         """With the columns parked as ``at_upper`` says, some masks drawn to
-        make column j or another column fail: the verdict of the parent's
-        box plus column j's own test is the full-width test of the child's
-        box, whichever way it goes."""
+        make column j or another column fail: where the parent's box passes
+        the full-width test, column j's own test is the full-width test of
+        the child's box, whichever way it goes."""
         rng = np.random.default_rng(4)
         seen = set()
         for solver, res, lo, hi in family_results(range(60)):
@@ -518,45 +549,51 @@ class TestSplitColumnStart:
                     k = int(rng.integers(solver.n))
                     at_upper[k] = not at_upper[k]
                 masked = replace(snap, at_upper=at_upper)
-                verdict = np.array(oracle_wrong_sign(solver, masked, lo, hi), dtype=np.intp)
+                parent_passes = oracle_wrong_sign(solver, masked, lo, hi) == []
                 for clo, chi in split_children(res, lo, hi, j):
                     full_lo, full_hi = solver._bounds(clo, chi)
                     args = (state, at_upper, np.isfinite(full_lo), full_lo != full_hi)
-                    got = simplex._start_fails(*args, verdict, j)
-                    assert got == bool(oracle_wrong_sign(solver, masked, clo, chi))
-                    assert got == simplex._start_fails(*args)
-                    seen.add((tuple(verdict.tolist()) == (j,), got))
-        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+                    full = simplex._start_fails(*args)
+                    assert full == bool(oracle_wrong_sign(solver, masked, clo, chi))
+                    if parent_passes:
+                        assert simplex._start_fails(*args, j) == full
+                        seen.add(full)
+        assert seen == {False, True}
 
     def warm_parent(self):
-        """A solver, a warm result of it with its box, and a nonbasic
-        movable column of that box."""
+        """A solver, a flagged warm result of it with its box, and a
+        nonbasic movable column of that box."""
         for solver, res, lo, hi in family_results(range(1, 150)):
             snap = res.basis
-            if snap is None or snap.wrong_sign is None or solver._priced(snap) is None:
+            if snap is None or not snap.dual_feasible or solver._priced(snap) is None:
                 continue
             full_lo, full_hi = solver._bounds(lo, hi)
             state = solver._priced(snap)
             cols = [k for k in range(solver.d) if state.nonbasic[k] and full_lo[k] < full_hi[k]]
-            if len(cols) > 1:
+            if cols:
                 return solver, res, lo, hi, cols
-        raise AssertionError("no warm parent with two movable nonbasic columns")
+        raise AssertionError("no flagged warm parent with a movable nonbasic column")
 
-    def test_a_verdict_naming_another_column_refuses_the_start(self):
-        solver, res, lo, hi, (j, k, *_) = self.warm_parent()
-        snap = replace(res.basis, wrong_sign=np.array([k], dtype=np.intp))
-        clo, chi = next(split_children(res, lo, hi, j))
-        cold = golden.lp_fingerprint(SimplexSolver(solver.instance).solve(clo, chi))
-        assert golden.lp_fingerprint(solver.resolve(snap, clo, chi, j)) == cold
-
-    def test_a_verdict_naming_the_split_column_tests_it_alone(self):
+    def test_an_unflagged_snapshot_takes_the_full_width_start(self, monkeypatch):
         solver, res, lo, hi, (j, *_) = self.warm_parent()
-        assert res.basis.wrong_sign.tolist() == []
-        snap = replace(res.basis, wrong_sign=np.array([j], dtype=np.intp))
+        bare = replace(res.basis, dual_feasible=False)
+        assert solver._priced(bare) is not None
+        tested = []
+        start_fails = simplex._start_fails
+
+        def recorded(state, at_upper, finite_lo, movable, j=None):
+            tested.append(j)
+            return start_fails(state, at_upper, finite_lo, movable, j)
+
         ref = SimplexSolver(solver.instance)
-        for clo, chi in split_children(res, lo, hi, j):
-            want = golden.lp_fingerprint(ref.resolve(res.basis, clo, chi))
-            assert golden.lp_fingerprint(solver.resolve(snap, clo, chi, j)) == want
+        children = [(clo, chi, golden.lp_fingerprint(ref.resolve(res.basis, clo, chi)))
+                    for clo, chi in split_children(res, lo, hi, j)]
+        monkeypatch.setattr(simplex, "_start_fails", recorded)
+        for clo, chi, want in children:
+            assert golden.lp_fingerprint(solver.resolve(bare, clo, chi, j)) == want
+            solver.resolve(res.basis, clo, chi, j)
+        # the empty child is refused before the start; the others start twice
+        assert tested == [None, j] * 3
 
 
 def refutes(solver, lo, hi, root=None):
