@@ -1,16 +1,11 @@
 """Branch and bound over one node representation, in two modes.
 
-Each node carries its box and its own LP relaxation, solved when the node
-is created (warm-started from the parent basis). A child whose box still
-holds its parent's optimum keeps the parent's LP (``SimplexSolver.inherit``),
-which is the result the warm solve would return. A child with a row that
-misses its rhs over the whole box, by more than any solve would forgive, is
-infeasible without a solve, by the test ``SimplexSolver.refuter`` builds
-once per engine for the root box. Any other child is warm-solved from its
-parent's basis, told its split column, so the solve tests only that column
-for an empty box and reads the rest of its start's test from the parent's
-snapshot. ``optimize`` finds the optimal value: best-first on the LP bound
-with incumbent pruning.
+Each node carries its box and its own LP relaxation, made when the node is
+created by one call, ``SimplexSolver.child``: the parent's LP when the box
+still holds the parent's optimum, ``simplex.REFUTED`` when a row misses its
+rhs over the whole box, else a warm solve from the parent's basis, told the
+split column. ``optimize`` finds the optimal value: best-first on the LP
+bound with incumbent pruning.
 ``run`` enumerates near-optimal solutions into a bounded pool and
 classifies each dequeued node:
 
@@ -29,9 +24,8 @@ classifies each dequeued node:
 
 A split sets one integer column, whose root bounds are finite, to finite
 bounds, so every box keeps the root box's infinite bounds, which is where
-the refuter's test holds: refuting a child is one product and one
-comparison on the child's box, which a node stores as one stacked array
-``[lo; hi]``.
+the solver's refutation test holds. A node stores its box as one stacked
+array ``[lo; hi]``, the form that test reads.
 
 A child whose LP stalls is dropped at creation. The open nodes live in a
 ``selectors.Selector``, which also picks the next one. The run stops when
@@ -65,9 +59,6 @@ STALLED = "stalled"
 # most points the wholesale walk hands the pool at once: walks as fast as 1,024,
 # with a lower peak RSS on a 65,536-point box
 WALK_CHUNK = 128
-
-# the LP of every child refuted without a solve; shared, so never written
-REFUTED = LpResult(status=LpStatus.INFEASIBLE)
 
 
 class EngineError(RuntimeError):
@@ -339,8 +330,6 @@ class BranchAndCount:
         self._d = d = len(self.root_lo)
         self.root_box = np.concatenate((self.root_lo, self.root_hi))
         self.root_lo, self.root_hi = self.root_box[:d], self.root_box[d:]
-        # the test that refutes a child box without a solve; None when no row can miss
-        self._refute = self.solver.refuter(self.root_lo, self.root_hi)
         self.all_rows = range(len(instance.constraints))
         self.objective_terms = list(instance.objective.items())
         # pool position of each binary column, for the term indices of Node.path
@@ -375,9 +364,10 @@ class BranchAndCount:
 
     def _estimate(self, lp: LpResult) -> float:
         est = lp.objective
+        costs = self.instance.objective
         for j in lp.fractional:
             f = lp.x[j] - math.floor(lp.x[j])
-            est += min(f, 1.0 - f) * abs(self.solver.c[j])
+            est += min(f, 1.0 - f) * abs(costs.get(j, 0.0))
         return est
 
     def _root(self) -> Node:
@@ -391,12 +381,10 @@ class BranchAndCount:
         """Child with column j in [lo_j, hi_j]; the caller sets its id.
 
         Its box copies the parent's, and its path gains a term when the split
-        fixes a binary column. Its LP is the parent's when the box still
-        holds the parent's optimum (``inherit``), ``REFUTED`` when a row
-        misses its rhs over the box by more than the solver's margin (the
-        refuter's test), else warm-solved from the parent's basis, told the
-        split column. A split narrows column j, so the box lies inside the
-        parent's and inherits the parent's open rows.
+        fixes a binary column. Its LP is ``SimplexSolver.child``'s: the
+        parent's kept, ``simplex.REFUTED`` or a warm solve. A split narrows
+        column j, so the box lies inside the parent's and inherits the
+        parent's open rows.
         """
         d = self._d
         box = node.box.copy()
@@ -404,15 +392,8 @@ class BranchAndCount:
         path = node.path
         if lo_j == hi_j and j in self.binary_pos:
             path += (2 * self.binary_pos[j] + int(lo_j),)
-        child = Node(id=-1, parent_id=node.id, depth=node.depth + 1, box=box, path=path,
-                     open_rows=node.open_rows)
-        lo, hi = child.lo, child.hi
-        lp = self.solver.inherit(node.lp, lo, hi, j)
-        if lp is None:
-            refuted = self._refute is not None and self._refute(box)
-            lp = REFUTED if refuted else self.solver.resolve(node.lp.basis, lo, hi, j)
-        child.lp = lp
-        return child
+        return Node(id=-1, parent_id=node.id, depth=node.depth + 1, box=box, path=path,
+                    lp=self.solver.child(node.lp, box, j), open_rows=node.open_rows)
 
     def branch(self, node: Node):
         """Two children on the most-fractional column: floor and ceil sides."""

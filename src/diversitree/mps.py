@@ -67,19 +67,30 @@ def _num(tok: str, line_no: int, finite: bool = True) -> float:
     return val
 
 
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 fails with its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MpsParseError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line_no) from None
+
+
 def parse_mps(source) -> MipInstance:
-    """Parse MPS text (str, bytes, file object, or path) into a MipInstance."""
+    """Parse MPS text (str, bytes, file object, or path) into a MipInstance.
+    Bytes, and a path's contents, are read as UTF-8."""
     if isinstance(source, os.PathLike):
         source = os.fspath(source)
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
+        text = _decode(source)
     elif isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("NAME"):
-        with open(source, "r") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            # the newlines a text-mode read translates: \r\n and \r
+            text = _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
     elif hasattr(source, "read"):
         text = source.read()
         if isinstance(text, bytes):
-            text = text.decode("utf-8")
+            text = _decode(text)
     else:
         text = source
 
@@ -223,6 +234,8 @@ def parse_mps(source) -> MipInstance:
                     raise MpsParseError(f"{btype} bound needs a column and a value", line_no)
                 val = _num(vtok, line_no, finite=False)  # an infinite bound is legal
             elif btype in _FLAG_BOUNDS:
+                if len(toks) < 2:
+                    raise MpsParseError(f"{btype} bound needs a column", line_no)
                 col = toks[2] if len(toks) >= 3 else toks[1]
                 val = None
             else:

@@ -36,24 +36,22 @@ A nonbasic column always sits exactly at its lower bound, at its upper
 bound, or at 0 when free, which is what lets "parked at upper" be read as
 ``x == hi``.
 
-A child box that changes one column and still holds the parent's warm
-optimum would have the warm solve re-derive that optimum with no pivot;
-``inherit`` returns that result without solving, sharing the parent's
-read-only ``x``. It keeps a child of a flagged snapshot only and tests only
-the changed column: the flag already covers every other one. A warm solve
-that is told its split column (``resolve(snapshot, lo, hi, j)``) makes the
-same argument for its start: off column ``j`` the box is the one the flag
-was set in, so the start's dual-feasibility test is column ``j``'s own
-test, and only column ``j`` can make the box empty. An unflagged snapshot,
-or one whose basis has left the memo, gets the full-width test, as does
-every call without ``j``.
-
-Its mirror, ``refuter``, proves a box infeasible without solving when one
-row misses its rhs over the whole box by more than any solve would
-forgive. A caller that searches boxes with one root box's infinite bounds
-builds it once: it keeps the sides of the sign-split row matrix that meet
-no infinity, and its test is one product of those sides with the box's
-bounds and one comparison.
+A branch-and-bound child gets its LP from one call, ``child``: its box is
+its parent's with one column ``j`` set to finite bounds. When the box still
+holds the parent's warm optimum, the warm solve would re-derive that optimum
+with no pivot, so ``child`` keeps the parent's result without solving
+(``_kept``), sharing its read-only ``x``. It keeps a child of a flagged
+snapshot only and tests only column ``j``: the flag already covers every
+other one. Otherwise, when one row misses its rhs over the whole box by more
+than any solve would forgive, the child is ``REFUTED`` without a solve by
+``_refutes``, built once per solver: one product of the row sides that meet
+no infinite bound with the box, and one comparison. Else it is warm-solved
+through ``resolve(snapshot, lo, hi, j)``, which makes the kept test's
+argument for its start: off column ``j`` the box is the one the flag was set
+in, so the start's dual-feasibility test is column ``j``'s own test, and
+only column ``j`` can make the box empty. An unflagged snapshot, or one
+whose basis has left the memo, gets the full-width test, as does every call
+without ``j``.
 """
 
 import logging
@@ -90,7 +88,7 @@ class BasisSnapshot:
     movable nonbasic column passes the warm start's dual-feasibility test
     with the columns parked as ``at_upper`` says, in the box the solve ran
     in. A snapshot from a cold solve, or one a caller builds, is False:
-    ``SimplexSolver.inherit`` keeps no child of it, and a warm start from it
+    ``SimplexSolver.child`` keeps no child of it, and a warm start from it
     takes the full-width test."""
 
     basis: np.ndarray
@@ -131,6 +129,10 @@ class LpResult:
         if isinstance(self._dual, tuple):
             self._dual = _dual_sum(*self._dual)
         return self._dual
+
+
+# the LP of every child refuted without a solve; shared, so never written
+REFUTED = LpResult(status=LpStatus.INFEASIBLE)
 
 
 class _NoProgress(Exception):
@@ -242,6 +244,8 @@ class SimplexSolver:
         self._scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self._bases = {}  # basis index bytes -> _Basis
         self._memo_bytes = 0
+        # the test that refutes a child box without a solve; None when no row can miss
+        self._refutes = self._refuter(self.base_lo[:d], self.base_hi[:d])
 
     # -- public API ---------------------------------------------------------
 
@@ -281,7 +285,30 @@ class SimplexSolver:
             log.debug("warm start fell back to a cold solve")
             return self._cold(full_lo, full_hi)
 
-    def inherit(self, parent: LpResult, lo, hi, j: int):
+    def child(self, parent: LpResult, box, j: int) -> LpResult:
+        """The LP of a branch-and-bound child of ``parent``. Its box
+        ``box``, stacked as ``[lo; hi]``, is the parent's with column ``j``
+        set to finite bounds, so in a search from the instance's box its
+        infinite bounds are the instance's, where ``_refutes`` holds. The
+        LP is the first of: the parent's, sharing its ``x``, when the box
+        still holds its warm optimum (``_kept``); ``REFUTED`` when
+        ``_refutes`` proves the box empty; ``self.resolve(parent.basis, lo,
+        hi, j)``.
+
+        No kept box is refuted: a kept result is the warm solve's optimum,
+        and ``_refutes`` refutes only boxes the warm solve finds infeasible.
+        So trying the kept LP first only saves time; it changes no result.
+        """
+        d = self.d
+        lo, hi = box[:d], box[d:]
+        lp = self._kept(parent, lo, hi, j)
+        if lp is not None:
+            return lp
+        if self._refutes is not None and self._refutes(box):
+            return REFUTED
+        return self.resolve(parent.basis, lo, hi, j)
+
+    def _kept(self, parent: LpResult, lo, hi, j: int):
         """The result of ``resolve(parent.basis, lo, hi)`` when it is the
         parent's own optimum, without solving; otherwise None.
 
@@ -339,16 +366,16 @@ class SimplexSolver:
             _dual=parent._dual,
         )
 
-    def refuter(self, root_lo, root_hi):
+    def _refuter(self, root_lo, root_hi):
         """A test ``box -> bool``, True when some row misses its rhs over a
         structural box stacked as ``[lo; hi]`` by more than its margin, so
         that ``solve`` and ``resolve`` find the box infeasible; None when no
-        side can miss. The mirror of :meth:`inherit`: it spares a child the
-        warm solve that would prove it empty. The test holds for every box
-        whose infinite bounds are those of the root box [root_lo, root_hi],
-        the root box included, as every box of a branch and bound is: it
-        splits integer columns only, whose root bounds are finite, and each
-        split is finite.
+        side can miss. The test holds for every box whose infinite bounds
+        are those of the root box [root_lo, root_hi], the root box included.
+        It reads only which root bounds are finite, so ``__init__`` builds
+        ``_refutes`` once from the solver's own bounds: a branch and bound
+        splits integer columns only, whose bounds are finite, to finite
+        bounds.
 
         ``[[A+, A-], [-A-, -A+]] @ [lo; hi]`` stacks each row's least
         activity over the box on minus its greatest. A row's activity is

@@ -86,6 +86,18 @@ ENDATA
         assert doc["zStar"] is None and doc["x"] is None
 
 
+    @pytest.mark.parametrize("line", [b" FR", b" BV", b"\xff"])
+    def test_a_malformed_file_is_a_clean_parse_failure(self, runner, tmp_path, line):
+        """A flag bound without a column, or a byte that is not UTF-8, names
+        its line; neither prints a traceback."""
+        p = tmp_path / "bad.mps"
+        p.write_bytes(b"NAME t\nROWS\n N obj\nCOLUMNS\n    x obj 1.0\nBOUNDS\n" + line
+                      + b"\nENDATA\n")
+        res = runner.invoke(main, ["solve", "--instance", str(p)])
+        assert res.exit_code == 1
+        assert f"cannot parse {p}: line 7:" in res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+
 class TestHugeBounds:
     """x0, x1 binary and y in [-bound, bound], minimizing x0 + x1 + y under
     -4 x0 - 4 x1 - 4 y >= 0 and -4 x1 = 0. The model reads a bound of 1e308

@@ -267,7 +267,7 @@ class TestOptimize:
         # The box is its own root; an integer column with an infinite bound
         # drops every side that reads it, which only the oracle then tests
         inst, lo, hi = case
-        test = SimplexSolver(inst).refuter(lo, hi)
+        test = SimplexSolver(inst)._refuter(lo, hi)
         got = test is not None and test(np.concatenate((lo, hi)))
         want = oracle_refutes(inst, lo, hi, FEAS_TOL)
         ints = inst.integer_index
@@ -1290,17 +1290,17 @@ class TestInheritedOpenRows:
 
 class TestKeptLp:
     """A child whose box still holds its parent's warm optimum keeps the
-    parent's LP (``SimplexSolver.inherit``), which must be the result
-    ``resolve`` returns from the parent's basis, field for field. A child
-    that the engine refutes (the test ``SimplexSolver.refuter`` builds) must
-    be one that ``conftest.oracle_refutes`` calls empty and that ``resolve``
-    and ``solve`` find infeasible; it matches ``resolve`` in status only,
-    with 0 iterations. While the refuter is on, no child it passes to a
-    solve is one the oracle refutes. Every warm and every kept result's
-    snapshot is flagged ``dual_feasible`` exactly when the warm start's
-    dual-feasibility test passes over its own box
-    (``conftest.oracle_wrong_sign``); ``inherit``, and every warm start told
-    its split column, trust the flag in place of that test."""
+    parent's LP (``SimplexSolver.child`` through ``_kept``), which must be
+    the result ``resolve`` returns from the parent's basis, field for field.
+    A child that the solver refutes (``simplex.REFUTED``, by ``_refutes``)
+    must be one that ``conftest.oracle_refutes`` calls empty and that
+    ``resolve`` and ``solve`` find infeasible; it matches ``resolve`` in
+    status only, with 0 iterations. No kept child's box is one ``_refutes``
+    refutes, and no child passed to a solve is one the oracle refutes.
+    Every warm and every kept result's snapshot is flagged ``dual_feasible``
+    exactly when the warm start's dual-feasibility test passes over its own
+    box (``conftest.oracle_wrong_sign``); a kept child, and every warm start
+    told its split column, trust the flag in place of that test."""
 
     @staticmethod
     def lp_fields(res):
@@ -1315,19 +1315,19 @@ class TestKeptLp:
         return {}
 
     def check_children(self, monkeypatch, per_box):
-        """Hold every partition child's LP, every result ``inherit`` returns
-        and every child the engine refutes to a second solver of the same
-        instance, every engine verdict on refutation to the oracle, and
-        every flag and every warm start that trusted one to the oracle.
-        Returns the running counts of partition splits, kept LPs, refuted
-        children, checked flags and warm starts that trusted a flag."""
+        """Hold every partition child's LP, every child LP ``child`` keeps
+        and every child it refutes to a second solver of the same instance,
+        every verdict on refutation to the oracle, and every flag of both
+        solvers and every warm start that trusted one to the oracle. Returns
+        the running counts of partition splits, kept LPs, refuted children,
+        checked flags and warm starts that trusted a flag."""
         counts = {"splits": 0, "kept": 0, "refuted": 0, "flags": 0, "trusted_starts": 0}
         refs = {}
         cache = {"snapshot": None, "results": {}}
-        starts = []  # (trusted a flag, failed) of each warm start in the current resolve
-        inherit, resolve = SimplexSolver.inherit, SimplexSolver.resolve
+        starts = []  # (trusted a flag, failed) of each warm start in the current child
+        make_child = SimplexSolver.child
         start_fails = simplex._start_fails
-        partition, make_child = BranchAndCount.partition_branch, BranchAndCount._child
+        partition = BranchAndCount.partition_branch
 
         def reference(solver):
             if solver not in refs:
@@ -1354,12 +1354,15 @@ class TestKeptLp:
 
         def wanted(solver, snapshot, lo, hi):
             """The second solver's ``resolve(snapshot, lo, hi)``, made once
-            per snapshot and box: a node's children share its snapshot."""
+            per snapshot and box (a node's children share its snapshot),
+            with its flag checked."""
             if cache["snapshot"] is not snapshot:
                 cache["snapshot"], cache["results"] = snapshot, {}
             key = lo.tobytes() + hi.tobytes()
             if key not in cache["results"]:
-                cache["results"][key] = reference(solver).resolve(snapshot, lo, hi)
+                ref = reference(solver)
+                cache["results"][key] = got = ref.resolve(snapshot, lo, hi)
+                check_flag(ref, got, lo, hi)
             return cache["results"][key]
 
         def check_flag(solver, res, lo, hi):
@@ -1377,38 +1380,31 @@ class TestKeptLp:
             starts.append((j is not None, failed))
             return failed
 
-        def checked_resolve(solver, snapshot, lo=None, hi=None, j=None):
+        def checked_child(solver, parent, box, j):
             starts.clear()
-            got = resolve(solver, snapshot, lo, hi, j)
+            lp = make_child(solver, parent, box, j)
+            lo, hi = box[:solver.d], box[solver.d:]
+            refutes = solver._refutes is not None and solver._refutes(box)
+            if lp.x is parent.x:  # kept
+                counts["kept"] += 1
+                assert not refutes  # so trying the kept LP first changes no result
+                check_flag(solver, lp, lo, hi)
+                assert self.lp_fields(lp) == self.lp_fields(wanted(solver, parent.basis, lo, hi))
+                return lp
+            refuted = lp is simplex.REFUTED
+            assert refuted == refutes == oracle_verdict(solver, lo, hi)
+            if refuted:
+                counts["refuted"] += 1
+                got = wanted(solver, parent.basis, lo, hi)
+                assert got.status == LpStatus.INFEASIBLE
+                assert cold_status(solver, lo, hi) == LpStatus.INFEASIBLE
+                return lp
             for trusted, failed in starts:
                 if trusted:  # the start's full-width test in the child's box
                     counts["trusted_starts"] += 1
-                    assert failed == bool(oracle_wrong_sign(solver, snapshot, lo, hi))
-            check_flag(solver, got, lo, hi)
-            return got
-
-        def checked_inherit(solver, parent, lo, hi, j):
-            got = inherit(solver, parent, lo, hi, j)
-            if got is not None:
-                counts["kept"] += 1
-                check_flag(solver, got, lo, hi)
-                assert self.lp_fields(got) == self.lp_fields(wanted(solver, parent.basis, lo, hi))
-            return got
-
-        def checked_child(bc, node, j, lo_j, hi_j):
-            kept = counts["kept"]
-            child = make_child(bc, node, j, lo_j, hi_j)
-            if counts["kept"] > kept:
-                return child
-            refuted = child.lp is engine.REFUTED
-            if bc._refute is not None:  # the refuter was on for this child
-                assert refuted == oracle_verdict(bc.solver, child.lo, child.hi)
-            if refuted:
-                counts["refuted"] += 1
-                got = wanted(bc.solver, node.lp.basis, child.lo, child.hi)
-                assert got.status == LpStatus.INFEASIBLE
-                assert cold_status(bc.solver, child.lo, child.hi) == LpStatus.INFEASIBLE
-            return child
+                    assert failed == bool(oracle_wrong_sign(solver, parent.basis, lo, hi))
+            check_flag(solver, lp, lo, hi)
+            return lp
 
         def checked_partition(bc, node, j):
             kept = counts["kept"]
@@ -1417,16 +1413,14 @@ class TestKeptLp:
             assert counts["kept"] - kept <= 1  # only one side holds round(x_j)
             for c in children:
                 want = wanted(bc.solver, node.lp.basis, c.lo, c.hi)
-                if c.lp is engine.REFUTED:
+                if c.lp is simplex.REFUTED:
                     assert c.lp.status == want.status and c.lp.iterations == 0
                 else:
                     assert self.lp_fields(c.lp) == self.lp_fields(want)
             return children
 
         monkeypatch.setattr(simplex, "_start_fails", recorded_start)
-        monkeypatch.setattr(SimplexSolver, "inherit", checked_inherit)
-        monkeypatch.setattr(SimplexSolver, "resolve", checked_resolve)
-        monkeypatch.setattr(BranchAndCount, "_child", checked_child)
+        monkeypatch.setattr(SimplexSolver, "child", checked_child)
         monkeypatch.setattr(BranchAndCount, "partition_branch", checked_partition)
         return counts
 
@@ -1479,7 +1473,7 @@ class TestKeptLp:
 
     def test_only_a_warm_parent_is_kept(self):
         solver, root, parent, _, (clo, chi, j) = self.warm_family()
-        kept = solver.inherit(parent, clo, chi, j)
+        kept = solver._kept(parent, clo, chi, j)
         assert self.lp_fields(kept) == self.lp_fields(solver.resolve(parent.basis, clo, chi))
         assert kept.x is parent.x and kept.iterations == 1
         # the root's basis, priced by a warm solve of the root's own box,
@@ -1488,13 +1482,13 @@ class TestKeptLp:
         solver.resolve(root.basis, lo, hi)
         assert root.basis.basis.tobytes() in solver._bases
         rlo, rhi, k = self.fix_nonbasic(solver, root, lo, hi)
-        assert solver.inherit(root, rlo, rhi, k) is None
+        assert solver._kept(root, rlo, rhi, k) is None
         solver._bases.clear()  # the priced basis is gone
-        assert solver.inherit(parent, clo, chi, j) is None
+        assert solver._kept(parent, clo, chi, j) is None
 
     def test_a_kept_child_reads_its_parents_dual_objective(self):
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
-        kept = solver.inherit(parent, clo, chi, j)
+        kept = solver._kept(parent, clo, chi, j)
         assert kept._dual is parent._dual  # nothing summed yet
         want = solver.resolve(parent.basis, clo, chi).dual_objective
         assert repr(kept.dual_objective) == repr(parent.dual_objective) == repr(want)
@@ -1503,11 +1497,11 @@ class TestKeptLp:
         """The kept child's flag is the full test over its own box, and a
         grandchild is judged on it."""
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
-        kept = solver.inherit(parent, clo, chi, j)
+        kept = solver._kept(parent, clo, chi, j)
         assert kept.basis.dual_feasible
         assert oracle_wrong_sign(solver, kept.basis, clo, chi) == []
         glo, ghi, g = self.fix_nonbasic(solver, kept, clo, chi)
-        grandchild = solver.inherit(kept, glo, ghi, g)
+        grandchild = solver._kept(kept, glo, ghi, g)
         assert self.lp_fields(grandchild) == self.lp_fields(solver.resolve(kept.basis, glo, ghi))
 
     def test_a_kept_child_with_nothing_new_shares_its_parents_snapshot(self):
@@ -1515,9 +1509,9 @@ class TestKeptLp:
         flagged snapshot when the split column was parked at upper."""
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
         assert not parent.basis.at_upper[j] and parent.basis.dual_feasible
-        assert solver.inherit(parent, clo, chi, j).basis is parent.basis
+        assert solver._kept(parent, clo, chi, j).basis is parent.basis
         upper = replace(parent, basis=replace(parent.basis, at_upper=np.eye(solver.n, dtype=bool)[j]))
-        own = solver.inherit(upper, clo, chi, j).basis
+        own = solver._kept(upper, clo, chi, j).basis
         assert own is not upper.basis and own.basis is upper.basis.basis
         assert own.dual_feasible and not own.at_upper.any()
 
@@ -1525,7 +1519,7 @@ class TestKeptLp:
         solver, _, parent, _, (clo, chi, j) = self.warm_family()
         bare = replace(parent, basis=BasisSnapshot(parent.basis.basis, parent.basis.at_upper))
         assert solver._priced(bare.basis) is not None and not bare.basis.dual_feasible
-        assert solver.inherit(bare, clo, chi, j) is None
+        assert solver._kept(bare, clo, chi, j) is None
 
     @pytest.mark.parametrize("column", ["branched", "other"])
     def test_a_reduced_cost_against_its_parked_bound_is_not_kept(self, column):
@@ -1539,7 +1533,7 @@ class TestKeptLp:
         solver, _, parent, (plo, phi), (clo, chi, j) = self.warm_family()
         state = solver._bases[parent.basis.basis.tobytes()]
         at_upper = parent.basis.at_upper
-        assert solver.inherit(parent, clo, chi, j) is not None  # unmarked, it is kept
+        assert solver._kept(parent, clo, chi, j) is not None  # unmarked, it is kept
         if column == "branched":
             name = "red_pos" if at_upper[j] else "red_neg"
             wrong = getattr(state, name).copy()
@@ -1547,7 +1541,7 @@ class TestKeptLp:
             setattr(state, name, wrong)
         else:
             parent = replace(parent, basis=replace(parent.basis, dual_feasible=False))
-        assert solver.inherit(parent, clo, chi, j) is None
+        assert solver._kept(parent, clo, chi, j) is None
 
 @st.composite
 def boxes_inside(draw, bc):
@@ -1585,17 +1579,17 @@ def wide_roots(draw):
 
 
 class TestEngineRefutation:
-    """The engine refutes a child with the test ``SimplexSolver.refuter``
-    builds once for its root box, which on this integer data is
-    ``conftest.oracle_refutes``; ``solve`` finds every box it refutes
-    infeasible."""
+    """The engine refutes a child with the test ``SimplexSolver._refutes``,
+    which the solver builds once from the instance's bounds and which on
+    this integer data is ``conftest.oracle_refutes``; ``solve`` finds every
+    box it refutes infeasible."""
 
     @staticmethod
     def check(bc, box, solve=True):
         """The engine's verdict on ``box``, held to the oracle and, when it
         refutes and ``solve`` is set, to a cold solve."""
         d = len(bc.root_lo)
-        got = bc._refute is not None and bc._refute(box)
+        got = bc.solver._refutes is not None and bc.solver._refutes(box)
         lo, hi = box[:d], box[d:]
         assert got == oracle_refutes(bc.instance, lo.tolist(), hi.tolist(), FEAS_TOL)
         if got and solve:
@@ -1624,7 +1618,7 @@ class TestEngineRefutation:
                                       lambda: two_cluster_instance(14, 2)])
     def test_random_boxes_of_the_benchmark_instances(self, make):
         bc = BranchAndCount(cut_at_optimum(make(), 0.1))
-        assert bc._refute is not None
+        assert bc.solver._refutes is not None
         rng = np.random.default_rng(5)
         d = len(bc.root_lo)
         verdicts = set()
@@ -1646,14 +1640,14 @@ class TestEngineRefutation:
         bc = BranchAndCount(self.wide_instance(1.0))
         root = root_node(bc)
         x0 = bc._child(root, 0, 1.0, 1.0)
-        assert bc._child(x0, 1, 1.0, 1.0).lp is engine.REFUTED
+        assert bc._child(x0, 1, 1.0, 1.0).lp is simplex.REFUTED
         outside = bc._child(root, 0, lo_0, hi_0)
         assert outside.lp.x is not root.lp.x  # not kept, so refuted or solved
-        assert (outside.lp is engine.REFUTED) == self.check(bc, outside.box) == (lo_0 == 2.0)
-        if outside.lp is not engine.REFUTED:
+        assert (outside.lp is simplex.REFUTED) == self.check(bc, outside.box) == (lo_0 == 2.0)
+        if outside.lp is not simplex.REFUTED:
             want = SimplexSolver(bc.instance).solve(outside.lo, outside.hi).status
             assert outside.lp.status == want
-        assert bc._child(x0, 1, 1.0, 1.0).lp is engine.REFUTED
+        assert bc._child(x0, 1, 1.0, 1.0).lp is simplex.REFUTED
 
     @staticmethod
     def wide_instance(y_hi):
@@ -1683,10 +1677,10 @@ class TestEngineRefutation:
 
         def child(bc, node, j, lo_j, hi_j):
             c = make_child(bc, node, j, lo_j, hi_j)
-            assert bc._refute is not None
+            assert bc.solver._refutes is not None
             if c.lp.x is not node.lp.x:  # not kept: refuted or solved
-                assert (c.lp is engine.REFUTED) == self.check(bc, c.box)
-            refuted.append(c.lp is engine.REFUTED)
+                assert (c.lp is simplex.REFUTED) == self.check(bc, c.box)
+            refuted.append(c.lp is simplex.REFUTED)
             return c
 
         monkeypatch.setattr(BranchAndCount, "_child", child)
@@ -1703,7 +1697,7 @@ class TestLpValuesAreReadOnly:
                                       lambda: random_binary_instance(1, 30, 12)])
     def test_count_and_optimize_never_write_lp_x(self, make, monkeypatch):
         made = []
-        for name in ("solve", "resolve", "inherit"):
+        for name in ("solve", "resolve", "_kept"):
             real = getattr(SimplexSolver, name)
 
             def recorded(self, *args, real=real):

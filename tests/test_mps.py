@@ -220,6 +220,29 @@ ENDATA
             parse_mps(ranged)
         assert err.value.line_no == lines.index("BOUNDS") + 2
 
+    @pytest.mark.parametrize("btype", ["FR", "MI", "PL", "BV"])
+    def test_a_flag_bound_without_a_column_fails_with_its_line(self, btype):
+        old = " UP BND  x2  1.0"
+        with pytest.raises(MpsParseError, match=f"{btype} bound needs a column") as err:
+            parse_mps(KNAP2.replace(old, f"{old}\n {btype}"))
+        assert err.value.line_no == KNAP2.splitlines().index(old) + 2
+
+    def test_bytes_that_are_not_utf8_fail_with_their_line(self, tmp_path):
+        data = KNAP2.encode().replace(b"    RHS  CAP  2.0", b"    RHS  CAP\xff  2.0")
+        line = KNAP2.splitlines().index("    RHS  CAP  2.0") + 1
+        path = tmp_path / "bad.mps"
+        path.write_bytes(data)
+        for source in (data, path, str(path), io.BytesIO(data)):
+            with pytest.raises(MpsParseError, match="byte 0xff is not UTF-8") as err:
+                parse_mps(source)
+            assert err.value.line_no == line
+
+    def test_a_path_reads_crlf_and_cr_line_ends(self, tmp_path):
+        path = tmp_path / "k.mps"
+        for end in ("\r\n", "\r"):
+            path.write_bytes(KNAP2.replace("\n", end).encode())
+            assert parse_mps(path) == parse_mps(KNAP2)
+
     def test_infinite_bounds_stay_legal(self):
         text = KNAP2.replace("    M2  'MARKER'  'INTEND'\n",
                              "    M2  'MARKER'  'INTEND'\n    y  COST  1.0  CAP  1.0\n")

@@ -33,12 +33,12 @@ def test_all_is_the_exported_api():
     assert sorted(diversitree.__all__) == EXPORTED
 
 
-def test_the_solver_has_one_refutation_entry_point():
-    """Cold and warm solves, the kept child, and one refuter: a second
-    refutation path would show up here."""
+def test_the_solvers_public_methods_are_child_resolve_and_solve():
+    """Cold and warm solves, and one child step that keeps, refutes or
+    warm-solves: a second way to make a child's LP would show up here."""
     public = [name for name, _ in inspect.getmembers(SimplexSolver, inspect.isfunction)
               if not name.startswith("_")]
-    assert public == ["inherit", "refuter", "resolve", "solve"]
+    assert public == ["child", "resolve", "solve"]
 
 
 def test_the_readme_library_section_names_the_exported_api():

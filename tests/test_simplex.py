@@ -597,14 +597,14 @@ class TestSplitColumnStart:
 
 
 def refutes(solver, lo, hi, root=None):
-    """The verdict on the box [lo, hi] of the test ``solver.refuter`` builds
+    """The verdict on the box [lo, hi] of the test ``solver._refuter`` builds
     for the root box ``root`` (default: the box itself)."""
-    test = solver.refuter(*(root or (lo, hi)))
+    test = solver._refuter(*(root or (lo, hi)))
     return test is not None and test(np.concatenate((lo, hi)))
 
 
 class TestRefuter:
-    """``refuter`` proves a box infeasible when one row's activity misses its
+    """``_refuter`` proves a box infeasible when one row's activity misses its
     rhs by more than FEAS_TOL * max(1 + sum |a|, max(1, max |b|)); ``solve``
     and ``resolve`` find every box it refutes infeasible."""
 
@@ -666,7 +666,7 @@ class TestRefuter:
         inst = lp_instance({}, [({0: 1.0, 1: 1.0}, LE, 0.0)], [(0, 1e308), (-1e20, 1)])
         lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
         assert hi.tolist() == [INF, 1.0] and lo.tolist() == [0.0, -INF]
-        assert SimplexSolver(inst).refuter(lo, hi) is None  # the least side reads -inf
+        assert SimplexSolver(inst)._refuter(lo, hi) is None  # the least side reads -inf
         assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.OPTIMAL
 
     @pytest.mark.parametrize("sign,sense,refuted", [
@@ -690,11 +690,11 @@ class TestRefuter:
 
     def test_no_rows(self):
         solver = SimplexSolver(lp_instance({0: 1.0}, [], [(0, 1)]))
-        assert solver.refuter(np.zeros(1), np.ones(1)) is None
+        assert solver._refuter(np.zeros(1), np.ones(1)) is None
 
 
 class TestRefuterSides:
-    """``refuter`` keeps every side with a finite limit that reads no
+    """``_refuter`` keeps every side with a finite limit that reads no
     infinite root bound; on a box with the root box's infinite bounds its
     test is ``conftest.oracle_refutes``."""
 
@@ -705,7 +705,7 @@ class TestRefuterSides:
         inst = lp_instance({0: 1.0}, rows, [(-5, 5), (-5, 5), (-1, 2)], integers=(0, 1))
         solver = SimplexSolver(inst)
         root_lo, root_hi = np.array([-5.0, -5.0, -1.0]), np.array([5.0, 5.0, 2.0])
-        test = solver.refuter(root_lo, root_hi)
+        test = solver._refuter(root_lo, root_hi)
         root = solver.solve(root_lo, root_hi)
         assert root.is_optimal
         rng = np.random.default_rng(3)
