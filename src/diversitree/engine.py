@@ -85,6 +85,8 @@ class Node:
     ``binary_index`` (see ``selectors.term_vector``). ``open_rows`` are the
     rows not yet proved to hold over the whole box (None: every row): the
     parent's open rows until ``classify`` tests them, then the node's own.
+    ``lp_bound`` is ``lp.objective``, stored when the node is made with its
+    LP (None without one); a node's LP is not replaced.
     """
 
     id: int
@@ -95,17 +97,16 @@ class Node:
     lp: LpResult = None
     estimate: float = math.nan  # bound plus fractionality repair
     open_rows: range = None
+    lp_bound: float = field(default=None, init=False)
     lo: np.ndarray = field(default=None, init=False, repr=False)
     hi: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.lp is not None:
+            self.lp_bound = self.lp.objective
         if self.box is not None:
             d = len(self.box) // 2
             self.lo, self.hi = self.box[:d], self.box[d:]
-
-    @property
-    def lp_bound(self) -> float:
-        return self.lp.objective
 
 
 class SolutionPool:
@@ -256,8 +257,10 @@ def most_fractional(lp: LpResult) -> int:
         raise EngineError("branch requested but no integer variable is fractional")
     best = None
     best_gap = math.inf
+    x = lp.x
     for j in lp.fractional:
-        f = lp.x[j] - math.floor(lp.x[j])
+        v = x.item(j)
+        f = v - math.floor(v)
         gap = abs(f - 0.5)
         if gap < best_gap:
             best, best_gap = j, gap
@@ -338,7 +341,7 @@ class BranchAndCount:
     # -- node geometry --------------------------------------------------------
 
     def classify(self, node: Node) -> str:
-        if node.lp.status != LpStatus.OPTIMAL:
+        if node.lp.status is not LpStatus.OPTIMAL:
             return INFEASIBLE
         node.open_rows = self.open_rows(node.lo, node.hi, node.open_rows)
         if not node.open_rows:
@@ -365,15 +368,17 @@ class BranchAndCount:
     def _estimate(self, lp: LpResult) -> float:
         est = lp.objective
         costs = self.instance.objective
+        x = lp.x
         for j in lp.fractional:
-            f = lp.x[j] - math.floor(lp.x[j])
+            v = x.item(j)
+            f = v - math.floor(v)
             est += min(f, 1.0 - f) * abs(costs.get(j, 0.0))
         return est
 
     def _root(self) -> Node:
-        root = Node(id=0, parent_id=None, depth=0, box=self.root_box)
-        root.lp = self.solver.solve(root.lo, root.hi)
-        if root.lp.status == LpStatus.STALLED:
+        root = Node(id=0, parent_id=None, depth=0, box=self.root_box,
+                    lp=self.solver.solve(self.root_lo, self.root_hi))
+        if root.lp.status is LpStatus.STALLED:
             raise EngineError("root relaxation stalled")
         return root
 
@@ -398,9 +403,9 @@ class BranchAndCount:
     def branch(self, node: Node):
         """Two children on the most-fractional column: floor and ceil sides."""
         j = most_fractional(node.lp)
-        v = node.lp.x[j]
-        down = self._child(node, j, node.lo[j], math.floor(v))
-        up = self._child(node, j, math.ceil(v), node.hi[j])
+        v = node.lp.x.item(j)
+        down = self._child(node, j, node.lo.item(j), math.floor(v))
+        up = self._child(node, j, math.ceil(v), node.hi.item(j))
         return [down, up]
 
     def partition_branch(self, node: Node, j: int):
@@ -409,12 +414,12 @@ class BranchAndCount:
         Children [lo, v] / [v+1, hi] partition the box, so the solution at
         this node is counted by exactly one descendant leaf.
         """
-        lo, hi = node.lo, node.hi
-        v = float(round(node.lp.x[j]))
-        v = min(max(v, lo[j]), hi[j])
-        if v >= hi[j]:
-            return [self._child(node, j, lo[j], v - 1.0), self._child(node, j, v, v)]
-        return [self._child(node, j, lo[j], v), self._child(node, j, v + 1.0, hi[j])]
+        lo_j, hi_j = node.lo.item(j), node.hi.item(j)  # Python floats
+        v = float(round(node.lp.x.item(j)))
+        v = min(max(v, lo_j), hi_j)
+        if v >= hi_j:
+            return [self._child(node, j, lo_j, v - 1.0), self._child(node, j, v, v)]
+        return [self._child(node, j, lo_j, v), self._child(node, j, v + 1.0, hi_j)]
 
     # -- solution extraction ---------------------------------------------------
 
@@ -446,10 +451,12 @@ class BranchAndCount:
         every integer column is fixed, no children and the ``_complete``
         solution (None when there is none)."""
         ints = self._ints
-        free = np.flatnonzero(node.hi[ints] - node.lo[ints] > 0.5)
-        if not len(free):
-            return [], self._complete(node)
-        return self.partition_branch(node, int(ints[free[0]])), None
+        if len(ints):  # argmax refuses an instance with no integer column
+            free = node.hi[ints] - node.lo[ints] > 0.5
+            k = int(free.argmax())  # the first free column, or 0 when none is
+            if free[k]:
+                return self.partition_branch(node, int(ints[k])), None
+        return [], self._complete(node)
 
     def enumerate_unrestricted(self, node: Node, pool: SolutionPool, deadline: float = None):
         """Add every integer assignment of an unrestricted node's box to the
@@ -502,17 +509,16 @@ class BranchAndCount:
         next_id = 1
 
         def emit(node_id: int, depth: int, bound: float, classification: str):
-            line = trace_line(node_id, depth, bound, classification, len(pool))
+            line = trace_line(node_id, depth, bound, classification, len(pool)) + "\n"
             hasher.update(line.encode())
-            hasher.update(b"\n")
             if trace_fh:
-                trace_fh.write(line + "\n")
+                trace_fh.write(line)
 
         try:
             root = self._root()
-            if root.lp.status == LpStatus.UNBOUNDED:
+            if root.lp.status is LpStatus.UNBOUNDED:
                 raise EngineError("root relaxation is unbounded; add bounds or a cutoff")
-            if root.lp.status == LpStatus.INFEASIBLE:
+            if root.lp.status is LpStatus.INFEASIBLE:
                 if _limit_reached(deadline, 0, node_limit):
                     result.truncated = True
                     return result
@@ -553,15 +559,18 @@ class BranchAndCount:
                 for child in children:
                     child.id = next_id
                     next_id += 1
-                    if child.lp.status == LpStatus.INFEASIBLE:
+                    child_status = child.lp.status
+                    if child_status is LpStatus.INFEASIBLE:
                         emit(child.id, child.depth, None, INFEASIBLE)
                         continue
-                    if child.lp.status == LpStatus.STALLED:
+                    if child_status is LpStatus.STALLED:
                         result.stalled_dropped += 1
                         log.warning("node %d dropped: its LP stalled", child.id)
                         emit(child.id, child.depth, None, STALLED)
                         continue
-                    child.estimate = self._estimate(child.lp)
+                    # a kept LP is the parent's, and so is its estimate
+                    child.estimate = (node.estimate if child.lp.x is node.lp.x
+                                      else self._estimate(child.lp))
                     selector.push(child)
 
             result.exhausted = len(selector) == 0 and not result.truncated and not truncated_enum
@@ -598,7 +607,7 @@ class BranchAndCount:
         if np.any(self.root_lo[ints] > self.root_hi[ints]):
             return result("infeasible")  # integer bounds rounded to an empty box
         root = self._root()
-        if root.lp.status != LpStatus.OPTIMAL:
+        if root.lp.status is not LpStatus.OPTIMAL:
             if _limit_reached(deadline, 0, node_limit):
                 return result("limit")
             nodes = 1
@@ -631,11 +640,12 @@ class BranchAndCount:
             for child in children:
                 child.id = next_id
                 next_id += 1
-                if child.lp.status == LpStatus.INFEASIBLE:
+                child_status = child.lp.status
+                if child_status is LpStatus.INFEASIBLE:
                     continue
-                if child.lp.status == LpStatus.STALLED:
+                if child_status is LpStatus.STALLED:
                     raise EngineError("LP stalled during optimization")
-                if child.lp.status == LpStatus.UNBOUNDED:
+                if child_status is LpStatus.UNBOUNDED:
                     return result("unbounded")
                 if child.lp_bound >= inc_val - 1e-9:
                     continue

@@ -112,6 +112,7 @@ def parse_mps(source) -> MipInstance:
     expect_objsense_value = False
     in_integer_block = False
 
+    line_no = 1  # the line an error names when the input ends early; 1 when it is empty
     for line_no, raw in enumerate(io.StringIO(text), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("*"):
@@ -247,6 +248,8 @@ def parse_mps(source) -> MipInstance:
         elif section in ("NAME", "ENDATA"):
             raise MpsParseError("unexpected data line", line_no)
 
+    if not col_order:
+        raise MpsParseError("no COLUMNS entry declares a column", line_no)
     if obj_name is None:
         obj_name = "OBJ"
 

@@ -180,6 +180,13 @@ class Selector:
     lowest id on ties. Both drop popped nodes lazily at their fronts, and
     both are rebuilt from the open set when either outgrows it by more than
     twice, so their size follows the open set, not the nodes made.
+
+    Under the visit-ratio rule, ``parents`` and ``visits`` hold entries for
+    the open nodes and their ancestors only. ``_holds`` counts what keeps a
+    node's entries: the node while it is open, and each child that has
+    entries. A popped node with no open child yet is released at the next
+    ``select`` if it still has none, so the children made right after a pop
+    read their parent's visits.
     """
 
     def __init__(self, config: SelectorConfig, num_integer_vars: int = 0):
@@ -188,6 +195,8 @@ class Selector:
         self.max_plunge = max(1, num_integer_vars)
         self.visits = {}  # node id -> dequeues within its subtree
         self.parents = {}  # node id -> parent id, kept for the visit-ratio rule
+        self._holds = {}  # node id -> 1 while open + its children with entries
+        self._released = []  # popped ids to release at the next select if nothing holds them
         self.depth_gate_open = config.depth_cutoff == 0
         self.nodes = {}  # id -> open node
         self._min_heap = []  # (bound, id)
@@ -209,6 +218,9 @@ class Selector:
         self._pushed.append(node)
         if self.config.rule == Rule.UCT:
             self.parents[node.id] = node.parent_id
+            self._holds[node.id] = 1
+            if node.parent_id in self._holds:
+                self._holds[node.parent_id] += 1
         if max(len(self._min_heap), len(self._max_heap)) > 2 * len(self.nodes) + HEAP_SLACK:
             self._min_heap = [(n.lp_bound, nid) for nid, n in self.nodes.items()]
             self._max_heap = [(-bound, nid) for bound, nid in self._min_heap]
@@ -223,9 +235,24 @@ class Selector:
             while nid is not None:
                 self.visits[nid] = self.visits.get(nid, 0) + 1
                 nid = self.parents.get(nid)
+            self._holds[node.id] -= 1
+            self._released.append(node.id)
         if node.depth >= self.config.depth_cutoff:
             self.depth_gate_open = True
         return node
+
+    def _release(self):
+        """Drop the entries of every popped node that nothing holds, and of
+        each ancestor that they alone held."""
+        holds = self._holds
+        for nid in self._released:
+            while nid is not None and holds.get(nid) == 0:
+                del holds[nid]
+                self.visits.pop(nid, None)
+                nid = self.parents.pop(nid)
+                if nid in holds:
+                    holds[nid] -= 1
+        self._released.clear()
 
     def _front(self, heap) -> tuple:
         """The heap's least entry of an open node, or None when none is open."""
@@ -347,6 +374,8 @@ class Selector:
         """
         if not self.nodes:
             raise ValueError("select called with no open nodes")
+        if self._released:
+            self._release()
         lo, hi, gated = self.min_bound(), self.max_bound(), self.gated(pool)
         pushed, self._pushed = self._pushed, []
         if self._bound_order(lo, hi, gated):

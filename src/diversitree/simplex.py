@@ -16,8 +16,10 @@ arrays it is summed from and sums it the first time it is read.
 Pricing and ratio tests run over numpy masks: one vectorized pass marks the
 eligible columns or rows and computes their scores, ratios or step limits,
 and only the few survivors go through the sequential tie loop (ties within
-PIVOT_TOL go to the lowest column). Every comparison and every value is the
-one a plain loop over all columns would make, so pivots, iteration counts and
+PIVOT_TOL go to the lowest column). The dual method's leaving-row scan, over
+as few rows as there are constraints, runs over Python floats instead, whose
+``-`` and ``>`` are numpy's. Every comparison and every value is the one a
+plain loop over all columns would make, so pivots, iteration counts and
 result bits do not depend on the vectorization.
 
 Each basis is priced in one place, ``_Basis``: ``B``, the duals ``y``, the
@@ -52,9 +54,19 @@ in, so the start's dual-feasibility test is column ``j``'s own test, and
 only column ``j`` can make the box empty. An unflagged snapshot, or one
 whose basis has left the memo, gets the full-width test, as does every call
 without ``j``.
+
+The warm start's masks, which columns have a finite lower bound and which
+are free, are built once per solver from its own bounds, slacks included.
+They are every child box's masks: a split sets one integer column, whose
+bounds are finite, to finite bounds, so a box in a search from the
+instance's box keeps the instance's infinite bounds, the fact ``_refutes``
+rests on too. A start told ``j`` from a flagged snapshot takes them; its
+start vector is the bound each column is parked at, derived from the box,
+never copied from the parent's ``x``, whose zeros may differ in sign.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -194,7 +206,8 @@ def _start_fails(state: _Basis, at_upper, finite_lo, movable, j=None) -> bool:
     tested alone.
     """
     if j is None:
-        return bool((_wrong_sign(state, at_upper, finite_lo) & state.nonbasic & movable).any())
+        return np.count_nonzero(_wrong_sign(state, at_upper, finite_lo) & state.nonbasic
+                                & movable) > 0
     if not (state.nonbasic[j] and movable[j]):
         return False
     if at_upper[j]:
@@ -236,10 +249,19 @@ class SimplexSolver:
         self.base_lo = np.concatenate([np.asarray(lo_s, dtype=float), slack_lo])
         self.base_hi = np.concatenate([np.asarray(hi_s, dtype=float), slack_hi])
         self._slack_lo, self._slack_hi = self.base_lo[d:], self.base_hi[d:]
+        self._base_box = np.concatenate((self.base_lo, self.base_hi))
+        # the warm start's masks of every box that keeps these infinite bounds
+        self._finite_lo = np.isfinite(self.base_lo)
+        free = ~self._finite_lo & ~np.isfinite(self.base_hi)
+        _read_only(self._finite_lo, free)
+        self._free = free if free.any() else None  # None: no column is free
+        self._free_cols = np.flatnonzero(free)
         self.c = np.zeros(self.n)
         for j, v in instance.objective.items():
             self.c[j] = v
+        self._c_d = self.c[:d]
         self.integer_index = np.asarray(instance.integer_index, dtype=int)
+        self._int_list = self.integer_index.tolist()
         # the cold solve's feasibility scale: phase 1 may leave FEAS_TOL times this
         self._scale = max(1.0, float(np.max(np.abs(self.b))) if m else 1.0)
         self._bases = {}  # basis index bytes -> _Basis
@@ -264,17 +286,20 @@ class SimplexSolver:
 
         ``j``, when given, is the split column: ``lo`` and ``hi`` must be
         the structural box the snapshot's solve ran in (which passed the
-        empty-box test) with only column ``j`` changed. Then only column
-        ``j`` is tested for an empty box, and the warm start from a flagged
-        snapshot whose basis is memoized tests column ``j`` alone in place of
-        its full-width test (see ``_start_fails``). The result is the one a
-        call without ``j`` gives.
+        empty-box test) with only column ``j`` changed, to finite bounds,
+        and must keep the instance's infinite bounds, as every box of a
+        search from the instance's box does. Then only column ``j`` is
+        tested for an empty box, and the warm start from a flagged snapshot
+        whose basis is memoized tests column ``j`` alone in place of its
+        full-width test (see ``_start_fails``) and takes the solver's own
+        masks of finite and free columns. The result is the one a call
+        without ``j`` gives.
         """
         full_lo, full_hi = self._bounds(lo, hi)
         if j is None:
-            empty = (full_lo > full_hi + FEAS_TOL).any()
+            empty = np.count_nonzero(full_lo > full_hi + FEAS_TOL) > 0
         else:
-            empty = full_lo[j] > full_hi[j] + FEAS_TOL
+            empty = full_lo.item(j) > full_hi.item(j) + FEAS_TOL
         if empty:
             return LpResult(status=LpStatus.INFEASIBLE)
         if snapshot is None:
@@ -342,7 +367,7 @@ class SimplexSolver:
         state = self._priced(snap)
         if state is None:
             return None
-        x_j, lo_j, hi_j = parent.x[j], lo[j], hi[j]
+        x_j, lo_j, hi_j = parent.x.item(j), lo.item(j), hi.item(j)
         at_upper = snap.at_upper
         if state.nonbasic[j]:
             if not lo_j == hi_j == x_j:
@@ -427,10 +452,14 @@ class SimplexSolver:
 
     def _bounds(self, lo, hi):
         """The full bound vectors: the structural box, else the instance's
-        bounds, followed by the slacks' bounds."""
-        full_lo = self.base_lo.copy() if lo is None else np.concatenate((lo, self._slack_lo))
-        full_hi = self.base_hi.copy() if hi is None else np.concatenate((hi, self._slack_hi))
-        return full_lo, full_hi
+        bounds, followed by the slacks' bounds; two halves of one array."""
+        n, d = self.n, self.d
+        full = self._base_box.copy()
+        if lo is not None:
+            full[:d] = lo
+        if hi is not None:
+            full[n:n + d] = hi
+        return full[:n], full[n:]
 
     def _result(self, state: _Basis, x, lo, hi, iterations, movable=None,
                 finite_lo=None) -> LpResult:
@@ -446,33 +475,42 @@ class SimplexSolver:
         required ``|red| <= DUAL_FEAS_TOL``. So it is flagged untested.
         """
         xs = x[: self.d].copy()
-        _read_only(xs)  # a kept child shares it with its parent
-        obj = float(self.c[: self.d] @ xs)
-        ints = self.integer_index
-        vals = xs[ints]
-        frac = ints[np.abs(vals - np.rint(vals)) > INT_TOL].tolist()
+        xs.flags.writeable = False  # a kept child shares it with its parent
+        obj = float(self._c_d @ xs)
         snapshot = None
         warm = movable is not None
-        if warm or (state.basis < self.n).all():  # no artificial left in the basis
+        # no artificial left in the basis
+        if warm or np.count_nonzero(state.basis >= self.n) == 0:
             n = self.n
             nonbasic = state.nonbasic[:n]
             if not warm:
                 movable = lo[:n] != hi[:n]
             up = nonbasic & (x[:n] == hi[:n]) & movable  # parked at upper
-            _read_only(up)
+            up.flags.writeable = False
             # the warm start's test, as _dual makes it, in this box
-            feasible = warm and (iterations == 1 or not (
-                _wrong_sign(state, up, finite_lo) & nonbasic & movable).any())
+            feasible = warm and (iterations == 1 or not np.count_nonzero(
+                _wrong_sign(state, up, finite_lo) & nonbasic & movable))
             snapshot = BasisSnapshot(basis=state.basis, at_upper=up, dual_feasible=feasible)
         return LpResult(
             status=LpStatus.OPTIMAL,
             objective=obj,
             x=xs,
-            fractional=frac,
+            fractional=self._fractional(xs),
             basis=snapshot,
             iterations=iterations,
             _dual=(state.y, self.b, state.red, state.nonbasic, x, lo, hi),
         )
+
+    def _fractional(self, xs) -> list:
+        """The integer columns of ``xs`` more than INT_TOL off the nearest
+        integer, in column order: numpy's ``|x - rint(x)| > INT_TOL`` over
+        Python floats. ``round`` rounds half to even, as ``np.rint`` does;
+        an integral value, the common case, needs no rounding, and a NaN or
+        an infinity, which ``round`` refuses, fails numpy's test."""
+        vals = xs.tolist()
+        return [j for j in self._int_list
+                if not vals[j].is_integer() and math.isfinite(vals[j])
+                and abs(vals[j] - round(vals[j])) > INT_TOL]
 
     # -- primal simplex -----------------------------------------------------
 
@@ -668,22 +706,33 @@ class SimplexSolver:
         if state is None and (basis.shape != (self.m,) or ((basis < 0) | (basis >= self.n)).any()
                               or len(set(basis.tolist())) != self.m):
             raise _NoProgress()
-        # the snapshot's flag holds for the basis it was set at, which is
-        # the memoized one only while the snapshot shares its index array
-        trusted = j if state is not None and snapshot.dual_feasible else None
-        finite_lo = np.isfinite(lo)
         movable = lo != hi
-        free = ~finite_lo & ~np.isfinite(hi)
         # nonbasic columns park at upper when the snapshot says so, else at a
         # finite bound, else at 0
-        x = np.where(at_upper, hi, np.where(finite_lo, lo, np.where(free, 0.0, hi)))
-        x[basis] = 0.0
-        if not np.isfinite(x).all():
-            raise _NoProgress()
-
-        if state is None:
-            state = self._basis(basis)
-        if _start_fails(state, at_upper, finite_lo, movable, trusted):
+        if j is not None and state is not None and snapshot.dual_feasible:
+            # The flag holds for the basis it was set at, which is the
+            # memoized one only while the snapshot shares its index array.
+            # The box keeps the instance's infinite bounds (see resolve), so
+            # its masks are the solver's. A warm solve parks a nonbasic
+            # column with only an upper bound there, so the snapshot marks
+            # it at upper, as it marks every column whose finite upper bound
+            # the parent sat at and the child keeps: every start is finite.
+            finite_lo, free = self._finite_lo, self._free
+            x = np.where(at_upper, hi, lo)
+            if free is not None:
+                x[self._free_cols] = 0.0
+            x[basis] = 0.0
+        else:
+            j = None  # the start takes the full-width test
+            finite_lo = np.isfinite(lo)
+            free = ~finite_lo & ~np.isfinite(hi)
+            x = np.where(at_upper, hi, np.where(finite_lo, lo, np.where(free, 0.0, hi)))
+            x[basis] = 0.0
+            if not np.isfinite(x).all():
+                raise _NoProgress()
+            if state is None:
+                state = self._basis(basis)
+        if _start_fails(state, at_upper, finite_lo, movable, j):
             raise _NoProgress()  # parent basis is not dual feasible here
 
         # A position is chosen only if its violation beats the running worst
@@ -691,6 +740,8 @@ class SimplexSolver:
         # at most 2m choices lowers the worst by under PIVOT_TOL, so no chosen
         # violation is at or below this floor.
         floor = FEAS_TOL - 2 * self.m * PIVOT_TOL
+        # the scan runs over Python floats, whose - and > are numpy's
+        lo_l, hi_l, order = lo.tolist(), hi.tolist(), basis.tolist()
         it = 0
         while True:
             if it > self._iter_cap:
@@ -699,22 +750,24 @@ class SimplexSolver:
             xb = self._memo_basic(state, x)
             x[basis] = xb
 
-            under = lo[basis] - xb
-            over = xb - hi[basis]
             leave_pos = -1
             worst = FEAS_TOL
             below = False
-            for k in ((under > floor) | (over > floor)).nonzero()[0].tolist():
-                bk = basis[k]
-                if under[k] > worst or (
-                    under[k] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
+            for k, v in enumerate(xb.tolist()):
+                bk = order[k]
+                under = lo_l[bk] - v
+                over = v - hi_l[bk]
+                if not (under > floor or over > floor):
+                    continue
+                if under > worst or (
+                    under > worst - PIVOT_TOL and leave_pos >= 0 and bk < order[leave_pos]
                 ):
-                    worst = under[k]
+                    worst = under
                     leave_pos, below = k, True
-                if over[k] > worst or (
-                    over[k] > worst - PIVOT_TOL and leave_pos >= 0 and bk < basis[leave_pos]
+                if over > worst or (
+                    over > worst - PIVOT_TOL and leave_pos >= 0 and bk < order[leave_pos]
                 ):
-                    worst = over[k]
+                    worst = over
                     leave_pos, below = k, False
             if leave_pos < 0:
                 return self._result(state, x, lo, hi, it, movable, finite_lo)
@@ -724,23 +777,27 @@ class SimplexSolver:
             # columns whose move pushes the leaving value back toward its bound
             at_up = x == hi
             if below:  # basic value must rise
-                ok = np.where(at_up, pos, neg) | (free & pos)
+                ok = np.where(at_up, pos, neg)
+                if free is not None:
+                    ok |= free & pos
             else:  # basic value must fall
-                ok = np.where(at_up, neg, pos) | (free & neg)
+                ok = np.where(at_up, neg, pos)
+                if free is not None:
+                    ok |= free & neg
             cols = (ok & state.nonbasic & movable).nonzero()[0]
             ratios = state.abs_red[cols] / abs_alpha[cols]
             # sequential pass in column order: a ratio must undercut the best
             # by more than PIVOT_TOL, so near-ties keep the lower column
             enter = -1
             best = np.inf
-            for j, ratio in zip(cols.tolist(), ratios.tolist()):
+            for c, ratio in zip(cols.tolist(), ratios.tolist()):
                 if ratio < best - PIVOT_TOL:
                     best = ratio
-                    enter = j
+                    enter = c
             if enter < 0:
                 return LpResult(status=LpStatus.INFEASIBLE, iterations=it)
 
-            leaving = basis[leave_pos]
-            x[leaving] = lo[leaving] if below else hi[leaving]
-            basis[leave_pos] = enter
+            leaving = order[leave_pos]
+            x[leaving] = lo_l[leaving] if below else hi_l[leaving]
+            basis[leave_pos] = order[leave_pos] = enter
             state = self._basis(basis)

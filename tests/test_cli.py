@@ -98,6 +98,18 @@ ENDATA
         assert f"cannot parse {p}: line 7:" in res.output
         assert isinstance(res.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize("text", ["", "NAME t\n", "NAME t\nROWS\n N obj\n L c1\nENDATA\n"])
+    def test_a_file_with_no_column_is_a_clean_parse_failure(self, runner, tmp_path, text):
+        """An empty file, or one that declares no column, is not solved as
+        an instance with no variables."""
+        p = tmp_path / "none.mps"
+        p.write_text(text)
+        res = runner.invoke(main, ["solve", "--instance", str(p)])
+        assert res.exit_code == 1
+        assert f"cannot parse {p}: line " in res.output
+        assert "no COLUMNS entry declares a column" in res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+
 class TestHugeBounds:
     """x0, x1 binary and y in [-bound, bound], minimizing x0 + x1 + y under
     -4 x0 - 4 x1 - 4 y >= 0 and -4 x1 = 0. The model reads a bound of 1e308

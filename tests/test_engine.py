@@ -72,9 +72,8 @@ def optimal_lp(bound):
 
 def root_node(bc):
     """The root box of ``bc`` as a node, its LP cold-solved whatever the status."""
-    root = Node(id=0, parent_id=None, depth=0, box=bc.root_box.copy())
-    root.lp = bc.solver.solve(root.lo, root.hi)
-    return root
+    return Node(id=0, parent_id=None, depth=0, box=bc.root_box.copy(),
+                lp=bc.solver.solve(bc.root_lo, bc.root_hi))
 
 
 def pool_tuples(result):
@@ -276,6 +275,33 @@ class TestOptimize:
             assert got == want
         if got:
             assert SimplexSolver(inst).solve(lo, hi).status == LpStatus.INFEASIBLE
+
+
+class TestNoIntegerColumn:
+    """An instance with only continuous columns: every node with an open row
+    is integer feasible, and its step completes the LP point."""
+
+    def instance(self):
+        return MipInstance(
+            name="c",
+            variables=[VariableDef(0, 0.0, 4.0, False, "x"), VariableDef(1, 0.0, 4.0, False, "y")],
+            constraints=[LinearConstraint({0: 1.0, 1: 1.0}, ">=", 1.0, "r")],
+            objective={0: 1.0, 1: 2.0},
+        )
+
+    def test_the_step_completes_the_lp_point(self):
+        bc = BranchAndCount(self.instance())
+        node = root_node(bc)
+        assert bc.classify(node) == engine.INTEGER_FEASIBLE
+        assert bc._integral_step(node) == ([], [1.0, 0.0])
+
+    def test_run_and_optimize(self):
+        bc = BranchAndCount(self.instance())
+        res = bc.run()
+        assert res.exhausted and res.nodes_processed == 1
+        assert res.pool.solutions.tolist() == [[1.0, 0.0]]
+        opt = bc.optimize()
+        assert (opt.status, opt.objective, opt.x.tolist()) == ("optimal", 1.0, [1.0, 0.0])
 
 
 class TestClassification:
@@ -578,7 +604,7 @@ class TestEnumerateUnrestricted:
         lo, hi = np.array([1.0, 0.0, 1.0]), np.ones(3)
         assert con.holds_over(lo.tolist(), hi.tolist()) and not bc.open_rows(lo, hi)
         node = Node(id=0, parent_id=None, depth=0, box=np.concatenate((lo, hi)),
-                    lp=SimpleNamespace(x=np.ones(3)))
+                    lp=SimpleNamespace(x=np.ones(3), objective=None))
         pool = SolutionPool(bc.instance)
         assert bc.enumerate_unrestricted(node, pool) == (2, True)
         assert pool.solutions.tolist() == [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
@@ -1114,17 +1140,21 @@ class TestDeterminismAndTrace:
         assert a.nodes_processed == b.nodes_processed
 
     def test_trace_file_fields_and_hash(self, tmp_path):
+        """The file holds every line hashed, whether the run ends on its own
+        or on a limit."""
         inst = random_binary_instance(4)
         z, _ = enum_pure_integer(inst, 0.03)
         cut = add_objective_cutoff(inst, z, 0.03)
         path = tmp_path / "trace.jsonl"
-        res = BranchAndCount(cut).run(trace_path=str(path))
-        raw = path.read_bytes()
-        assert hashlib.sha256(raw).hexdigest() == res.trace_hash
-        for line in raw.decode().splitlines():
-            rec = json.loads(line)
-            assert set(rec) == {"id", "depth", "lpBound", "classification", "poolSize"}
-            assert rec["lpBound"] is None or isinstance(rec["lpBound"], float)
+        for node_limit in (None, 9):
+            res = BranchAndCount(cut).run(node_limit=node_limit, trace_path=str(path))
+            assert res.truncated == (node_limit is not None)
+            raw = path.read_bytes()
+            assert hashlib.sha256(raw).hexdigest() == res.trace_hash
+            for line in raw.decode().splitlines():
+                rec = json.loads(line)
+                assert set(rec) == {"id", "depth", "lpBound", "classification", "poolSize"}
+                assert rec["lpBound"] is None or isinstance(rec["lpBound"], float)
 
     @pytest.mark.parametrize("cls", [engine.INFEASIBLE, engine.UNRESTRICTED,
                                      engine.INTEGER_FEASIBLE, engine.BRANCHABLE,
@@ -1315,13 +1345,17 @@ class TestKeptLp:
         return {}
 
     def check_children(self, monkeypatch, per_box):
-        """Hold every partition child's LP, every child LP ``child`` keeps
-        and every child it refutes to a second solver of the same instance,
-        every verdict on refutation to the oracle, and every flag of both
-        solvers and every warm start that trusted one to the oracle. Returns
-        the running counts of partition splits, kept LPs, refuted children,
-        checked flags and warm starts that trusted a flag."""
-        counts = {"splits": 0, "kept": 0, "refuted": 0, "flags": 0, "trusted_starts": 0}
+        """Hold every partition child's LP, every child LP ``child`` keeps,
+        every child it refutes and every child it warm-solves, the
+        ``branch`` ones included, to a second solver of the same instance
+        (its ``resolve`` called without the split column: the general
+        path), every verdict on refutation to the oracle, and every flag of
+        both solvers and every warm start that trusted one to the oracle.
+        Returns the running counts of partition splits, kept LPs, refuted
+        children, warm-solved children, checked flags and warm starts that
+        trusted a flag."""
+        counts = {"splits": 0, "kept": 0, "refuted": 0, "warm": 0, "flags": 0,
+                  "trusted_starts": 0}
         refs = {}
         cache = {"snapshot": None, "results": {}}
         starts = []  # (trusted a flag, failed) of each warm start in the current child
@@ -1403,6 +1437,10 @@ class TestKeptLp:
                 if trusted:  # the start's full-width test in the child's box
                     counts["trusted_starts"] += 1
                     assert failed == bool(oracle_wrong_sign(solver, parent.basis, lo, hi))
+            counts["warm"] += 1
+            want = wanted(solver, parent.basis, lo, hi)
+            assert self.lp_fields(lp) == self.lp_fields(want)  # the snapshot's basis included
+            assert lp.basis is None or lp.basis.dual_feasible == want.basis.dual_feasible
             check_flag(solver, lp, lo, hi)
             return lp
 
@@ -1434,6 +1472,7 @@ class TestKeptLp:
         assert counts["flags"] > counts["kept"]
         if name.startswith(("random_binary_instance", "two_cluster_instance")):
             assert counts["refuted"] > 0
+            assert counts["warm"] > 0
             assert counts["trusted_starts"] > 0
 
     @settings(max_examples=60)

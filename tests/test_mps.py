@@ -283,6 +283,22 @@ ENDATA
         inst = parse_mps(KNAP2.replace("ENDATA\n", ""))
         assert inst.num_vars == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("NAME t\n", 1),
+        ("NAME t\nROWS\n N obj\n L c1\nRHS\n    RHS c1 1.0\nENDATA\n", 7),
+        ("NAME t\nROWS\n N obj\nCOLUMNS\nENDATA\n", 5),
+    ])
+    def test_an_input_that_declares_no_column_fails_with_a_line(self, text, line, tmp_path):
+        """Empty, NAME only, ROWS without COLUMNS, and an empty COLUMNS
+        section: no instance, and the line where the input ended."""
+        path = tmp_path / "none.mps"
+        path.write_text(text)
+        for source in (text.encode(), path, io.StringIO(text)):
+            with pytest.raises(MpsParseError, match="no COLUMNS entry declares a column") as err:
+                parse_mps(source)
+            assert err.value.line_no == line
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("build", [

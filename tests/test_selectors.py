@@ -423,6 +423,42 @@ class TestOpenSet:
         for min_entries, max_entries, open_nodes in sizes:
             assert max(min_entries, max_entries) <= 2 * open_nodes + HEAP_SLACK
 
+    def test_visit_entries_follow_the_open_nodes_and_their_ancestors(self, monkeypatch):
+        """Under the visit-ratio rule, after every select ``parents`` holds
+        the open nodes and their ancestors, and ``visits`` no other node;
+        the run's trace is the one of a selector that releases nothing."""
+        inst = two_cluster_instance(14, 2)
+        cut = add_objective_cutoff(inst, BranchAndCount(inst).optimize().objective, 0.05)
+        cfg = SelectorConfig(rule="uct")
+        made = {}  # id -> parent id of every node pushed
+        held = []
+        push, select = Selector.push, Selector.select
+
+        def recorded_push(sel, node):
+            made[node.id] = node.parent_id
+            push(sel, node)
+
+        def checked_select(sel, pool):
+            got = select(sel, pool)
+            keep = set()
+            for nid in sel.nodes:
+                while nid is not None and nid not in keep:
+                    keep.add(nid)
+                    nid = made[nid]
+            assert set(sel.parents) == keep and set(sel._holds) == keep
+            assert set(sel.visits) <= keep
+            held.append(len(keep))
+            return got
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Selector, "push", recorded_push)
+            mp.setattr(Selector, "select", checked_select)
+            res = BranchAndCount(cut, selector=cfg).run(p1=None)
+        assert res.exhausted and len(made) > 1000
+        assert max(held) < len(made) // 10
+        monkeypatch.setattr(Selector, "_release", lambda sel: sel._released.clear())
+        assert BranchAndCount(cut, selector=cfg).run(p1=None).trace_hash == res.trace_hash
+
 
 class TestBoundOrderDequeue:
     """Where every score is the scaled bound, the (bound, id) heap front is the

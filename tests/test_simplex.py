@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import test_golden as golden
 from diversitree import (
@@ -23,6 +25,7 @@ from diversitree.model import FEAS_TOL
 from diversitree.simplex import BasisSnapshot, LpStatus, SimplexSolver
 
 from conftest import make_lp, oracle_dual_sum, oracle_refutes, oracle_wrong_sign, scipy_lp
+from test_engine import small_mips
 
 
 def lp_instance(objective, rows, bounds, integers=()):
@@ -398,6 +401,23 @@ def family_results(seeds=range(150)):
             yield solver, solver.resolve(parent.basis, clo, chi), clo, chi
 
 
+class TestFractional:
+    def test_python_floats_give_numpys_verdict(self):
+        """``_fractional`` is ``|x - rint(x)| > INT_TOL`` over the integer
+        columns, on halves, values at the tolerance, huge values and
+        non-finite ones."""
+        solver = SimplexSolver(make_lp(3, n=8, integers=True))
+        ints = solver.integer_index
+        levels = [0.5, 1.5, 2.5, -0.5, -0.0, 3.0, 1e-7, 1 - 1e-6, 1 - 2e-6, 2.000001,
+                  2.0000010000000003, 4.5e15 + 0.5, 1e16 + 2, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            xs = rng.choice(levels, size=solver.d) + rng.choice([0.0, 1e-7, -1e-7], size=solver.d)
+            with np.errstate(invalid="ignore"):
+                want = ints[np.abs(xs[ints] - np.rint(xs[ints])) > simplex.INT_TOL].tolist()
+            assert solver._fractional(xs) == want
+
+
 class TestDualObjectiveOnRead:
     """An optimal result sums its dual objective the first time it is read,
     from references to the arrays of its solve, with the bits of the eager
@@ -594,6 +614,40 @@ class TestSplitColumnStart:
             solver.resolve(res.basis, clo, chi, j)
         # the empty child is refused before the start; the others start twice
         assert tested == [None, j] * 3
+
+    @settings(max_examples=80)
+    @given(inst=small_mips(kinds=("mixed",)),
+           y_box=st.sampled_from([(-INF, INF), (-INF, 3.0), (0.0, INF)]),
+           y_cost=st.sampled_from([0.0, -2.0]))
+    def test_a_trusted_start_keeps_free_and_upper_only_columns(self, inst, y_box, y_cost):
+        """A trusted start takes the solver's masks of finite and free
+        columns. On a continuous column y that is free, has only an upper
+        bound, or only a lower one, and on the slacks of ``>=`` rows, which
+        have only an upper bound, ``resolve(..., j)`` gives every field of
+        the general path's ``resolve(...)``."""
+        *xs, y = inst.variables
+        objective = {k: c for k, c in inst.objective.items() if k != y.index}
+        if y_cost and math.isfinite(y_box[1]):  # min -2y with y <= 3 stays bounded
+            objective[y.index] = y_cost
+        inst = MipInstance(inst.name, [*xs, replace(y, lower=y_box[0], upper=y_box[1])],
+                           inst.constraints, objective)
+        solver, ref = SimplexSolver(inst), SimplexSolver(inst)
+        lo, hi = (np.asarray(b, dtype=float) for b in inst.bounds())
+        root = solver.solve(lo, hi)
+        assume(root.basis is not None)
+        warm = solver.resolve(root.basis, lo, hi)  # a warm solve of the same box
+        assume(warm.basis is not None and warm.basis.dual_feasible
+               and solver._priced(warm.basis) is not None)
+
+        def fields(res):
+            snap = res.basis
+            return (golden.lp_fingerprint(res), None if res.x is None else res.x.tobytes(),
+                    None if snap is None else snap.dual_feasible)
+
+        for j in inst.integer_index:
+            for clo, chi in split_children(warm, lo, hi, j):
+                assert fields(solver.resolve(warm.basis, clo, chi, j)) == fields(
+                    ref.resolve(warm.basis, clo, chi))
 
 
 def refutes(solver, lo, hi, root=None):
