@@ -13,7 +13,11 @@ slow drift of the machine falls on both trees alike.
 It prints the two workers' output digests, which must match (else it exits
 with status 1 before timing), then the ratio of tree B's batch time to tree
 A's: the median with its quartiles over the batches, and how many batches
-tree B won. Nothing under either tree is written.
+tree B won; and beside it each worker's peak resident set (``ru_maxrss``)
+after its last batch. The digest reads a pool's objectives as Python
+floats, so a tree that stores them as a list and one that stores them as
+an array give the same digest for the same values. Nothing under either
+tree is written.
 """
 
 import argparse
@@ -26,12 +30,24 @@ import sys
 PASSES = 3  # passes per timed batch
 
 WORKER = r"""
-import gc, hashlib, json, os, sys, time
+import gc, hashlib, json, os, resource, sys, time
 tree, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
-import run as bench
 import workloads as wl
 ops = [op for op in wl.build_ops(workload, seed) if not op.time_limited]
+
+def digest(op, out):
+    # perfbench's digest of an operation's output, with the objectives as floats
+    if op.command == "diverse":
+        return hashlib.sha256(out.result.to_json().encode()).hexdigest()
+    opt, count = out.result
+    h = hashlib.sha256()
+    h.update(json.dumps([opt.objective, count.trace_hash, count.nodes_processed,
+                         count.exhausted, count.truncated, out.pool_dbin]).encode())
+    for x, v in zip(count.pool.solutions, count.pool.objectives):
+        h.update(x.tobytes())
+        h.update(repr(float(v)).encode())
+    return h.hexdigest()
 
 def one_pass(h=None):
     # as perfbench/run.py times a pass: the operations only, then a collection
@@ -41,7 +57,7 @@ def one_pass(h=None):
         out = wl.run_op(op)
         elapsed += time.perf_counter() - t
         if h is not None:
-            h.update(bench.digest(op, out).encode())
+            h.update(digest(op, out).encode())
         del out
     gc.collect()
     return elapsed
@@ -50,7 +66,9 @@ h = hashlib.sha256()
 one_pass(h)
 print(json.dumps({"digest": h.hexdigest()}), flush=True)
 for line in sys.stdin:
-    print(json.dumps({"seconds": sum(one_pass() for _ in range(int(line)))}), flush=True)
+    seconds = sum(one_pass() for _ in range(int(line)))
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({"seconds": seconds, "maxrss_kb": maxrss_kb}), flush=True)
 """
 
 
@@ -95,10 +113,12 @@ def main(argv=None):
             print("the trees' outputs differ; no timing", file=sys.stderr)
             return 1
         ratios = []
+        maxrss_kb = [0, 0]
         for batch in range(args.batches):
             seconds = [0.0, 0.0]
             for k in ((0, 1) if batch % 2 == 0 else (1, 0)):
-                seconds[k] = ask(workers[k], PASSES)["seconds"]
+                reply = ask(workers[k], PASSES)
+                seconds[k], maxrss_kb[k] = reply["seconds"], reply["maxrss_kb"]
             ratios.append(seconds[1] / seconds[0])
     finally:
         for w in workers:
@@ -107,7 +127,8 @@ def main(argv=None):
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     wins = sum(r < 1.0 for r in ratios)
     print(f"ratio B/A {median:.3f} (quartiles {q1:.3f}-{q3:.3f}); "
-          f"B faster in {wins} of {len(ratios)} batches")
+          f"B faster in {wins} of {len(ratios)} batches; "
+          f"ru_maxrss A {maxrss_kb[0]} KB, B {maxrss_kb[1]} KB")
     return 0
 
 

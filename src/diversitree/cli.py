@@ -187,7 +187,7 @@ def enumerate_cmd(instance_path, trace_path, timings, out, **flags):
         "truncated": count.truncated,
         "nodesProcessed": count.nodes_processed,
         "dbinPool": harness.pool_dbin(pool),
-        "objectives": [instance.reported_objective(v) for v in pool.objectives],
+        "objectives": [instance.reported_objective(v) for v in pool.objectives.tolist()],
         "solutions": [[float(v) for v in row] for row in pool.solutions],
         "traceHash": count.trace_hash,
         "wallTimeMs": round(count.wall_time_s * 1000.0, 3) if timings else None,

@@ -15,18 +15,19 @@ from .model import INT_TOL
 def project_binary(x, binary_index):
     """0/1 vector of x restricted to the binary columns, in index order.
 
-    Values are rounded to the nearest integer first; LP noise up to INT_TOL
-    is expected, larger deviations raise.
+    Each value is rounded to the nearer of 0 and 1; LP noise up to INT_TOL
+    is expected, larger deviations (a fraction, or a value such as 2 or -1)
+    raise.
     """
     vals = np.asarray(x, dtype=float)[np.asarray(binary_index, dtype=np.intp)]
-    bits = np.rint(vals)
+    bits = (vals > 0.5).astype(np.int8)
     dev = np.abs(vals - bits)
     if (dev > INT_TOL).any():
         worst = int(np.argmax(dev))
         raise ValueError(
-            f"binary column {binary_index[worst]} has non-integral value {vals[worst]!r}"
+            f"binary column {binary_index[worst]} has non-binary value {vals[worst]!r}"
         )
-    return bits.astype(np.int8)
+    return bits
 
 
 def ham(a, b) -> float:

@@ -112,14 +112,23 @@ class Node:
 class SolutionPool:
     """Capacity-bounded solution store with binary-projection dedup.
 
-    Solutions and their int8 binary projections are rows of two matrices
-    that double when full; ``solutions`` and ``projections`` are read-only
-    views of the rows filled so far, in insertion order. The dedup key is
-    the projection row's bytes; instances without binary variables fall
-    back to the rounded integer columns as int64, so distinct solutions are
-    not collapsed. ``add_rows`` inserts a batch as ``add`` would one row at
-    a time, with one projection and one write per batch; ``add`` is its
-    one-row case.
+    Each pooled row lives in three columns that double together when full:
+    the solution (``num_vars`` float64), its binary projection
+    (``num_binaries`` int8, each binary rounded to the nearer of 0 and 1)
+    and its objective (one float64). ``solutions``, ``projections`` and
+    ``objectives`` are read-only views of the rows filled so far, in
+    insertion order; ``objectives`` holds each objective's float bits.
+
+    The dedup key of a row is one Python int,
+    ``int.from_bytes(np.packbits(projection).tobytes(), "big")``, so n
+    binaries take about n/8 bytes. Instances without binary variables key
+    on the rounded integer columns instead, by the same rule over their
+    big-endian int64 bytes, so distinct solutions are not collapsed. A row
+    of 16 binaries and one more column thus holds 136 + 16 + 8 bytes of
+    columns, a 28-byte int and its set slot: about 220 traced bytes per row
+    in a pool of 65,536. ``add_rows`` inserts a batch as ``add`` would one
+    row at a time, with one projection and one write per batch; ``add`` is
+    its one-row case.
     """
 
     def __init__(self, instance: MipInstance, capacity: int = None, dedup: bool = True):
@@ -128,12 +137,12 @@ class SolutionPool:
         self.binary_index = instance.binary_index
         self._bin = np.asarray(self.binary_index, dtype=np.intp)
         self._int = np.asarray(instance.integer_index, dtype=np.intp)
-        self.objectives = []
         self.ones = np.zeros(len(self.binary_index))
         self._keys = set()
         self._n = 0
         self._x = np.empty((16, instance.num_vars))
         self._proj = np.empty((16, len(self._bin)), dtype=np.int8)
+        self._obj = np.empty(16)
 
     def __len__(self) -> int:
         return self._n
@@ -156,9 +165,10 @@ class SolutionPool:
 
         A row is refused when its key is pooled already, including by an
         earlier row of the same batch, and the batch stops once the pool is
-        full. A non-integral binary raises ``project_binary``'s
-        ``ValueError`` after the rows before it are stored, unless the row's
-        rounded key is taken, which refuses it.
+        full. A binary further than ``INT_TOL`` from 0 and 1 raises
+        ``project_binary``'s ``ValueError`` after the rows before it are
+        stored, unless the row's key, from its rounded binaries, is taken,
+        which refuses it.
         """
         room = min(len(xs), self.room)
         if not room:
@@ -167,46 +177,43 @@ class SolutionPool:
         self._reserve(n + room)  # before the batch's temporaries, to keep the peak low
         xs = np.asarray(xs, dtype=float)
         vals = xs[:, self._bin]
-        bits = np.rint(vals)
-        bad = (np.abs(vals - bits) > INT_TOL).any(axis=1).tolist()
-        proj = bits.astype(np.int8)
-        keyed = proj if len(self._bin) else np.rint(xs[:, self._int]).astype(np.int64)
-        width = keyed.shape[1] * keyed.itemsize
-        buf = keyed.tobytes()
-        keys = self._keys
+        proj = (vals > 0.5).astype(np.int8)  # the nearer of 0 and 1
+        bad = (np.abs(vals - proj) > INT_TOL).any(axis=1).tolist()
+        if self.dedup:
+            keys = _row_keys(_packed_words(proj) if len(self._bin) else
+                             np.rint(xs[:, self._int]).astype(">i8").view(">u8"))
+        pooled = self._keys
         take = []
         try:
             for i in range(len(xs)):
                 if len(take) == room:
                     break
-                if self.dedup:
-                    key = buf[i * width:(i + 1) * width]
-                    if key in keys:
-                        continue
+                if self.dedup and keys[i] in pooled:
+                    continue
                 if bad[i]:
                     project_binary(xs[i], self._bin)  # raises, naming the column
                 if self.dedup:
-                    keys.add(key)
+                    pooled.add(keys[i])
                 take.append(i)
         finally:
             k = len(take)
             self._x[n:n + k] = xs[take]
             accepted = proj[take]
             self._proj[n:n + k] = accepted
-            self.objectives.extend([float(objectives[i]) for i in take])
+            self._obj[n:n + k] = [objectives[i] for i in take]
             self.ones += accepted.sum(axis=0, dtype=float)
             self._n = n + k
         return k
 
     def _reserve(self, rows: int):
-        """Double both matrices until they hold ``rows`` rows."""
+        """Double the three columns until they hold ``rows`` rows."""
         size = len(self._x)
         while size < rows:
             size *= 2
         if size > len(self._x):
-            for name in ("_x", "_proj"):
+            for name in ("_x", "_proj", "_obj"):
                 col = getattr(self, name)
-                grown = np.empty((size, col.shape[1]), dtype=col.dtype)
+                grown = np.empty((size,) + col.shape[1:], dtype=col.dtype)
                 grown[:self._n] = col[:self._n]
                 setattr(self, name, grown)
 
@@ -225,9 +232,36 @@ class SolutionPool:
         """Read-only (len, num_binaries) int8 view of their binary projections."""
         return self._filled(self._proj)
 
+    @property
+    def objectives(self) -> np.ndarray:
+        """Read-only (len,) float64 view of their objectives."""
+        return self._filled(self._obj)
+
     # nothing in the package calls it; perfbench/workloads.py reads the pool through it
     def projection_matrix(self) -> np.ndarray:
         return self.projections
+
+
+def _packed_words(proj) -> np.ndarray:
+    """The rows of a 0/1 matrix packed by ``np.packbits``, zero-padded on
+    the left to whole 8-byte words: a (rows, words) big-endian uint64 view."""
+    packed = np.packbits(proj, axis=1)
+    rows, width = packed.shape
+    words = np.zeros((rows, width + -width % 8), dtype=np.uint8)
+    words[:, words.shape[1] - width:] = packed
+    return words.view(">u8")
+
+
+def _row_keys(words) -> list:
+    """Each row of a (rows, words) uint64 matrix as one int, the first word
+    most significant: ``int.from_bytes`` of the row's big-endian bytes."""
+    cols = words.T.tolist()
+    if not cols:
+        return [0] * len(words)
+    keys = cols[0]
+    for col in cols[1:]:
+        keys = [key << 64 | word for key, word in zip(keys, col)]
+    return keys
 
 
 @dataclass
@@ -434,15 +468,19 @@ class BranchAndCount:
     def _complete(self, node: Node):
         """The solution at an integer-feasible leaf, whose box fixes every
         integer column: the LP point clipped into the box, or, when a row
-        fails there, the box's cold LP solve, clipped. Returns a list of
-        floats, or None when that solve is not optimal."""
+        fails there, the box's cold LP solve, clipped. Either point is
+        returned, as a list of floats, only when every row holds there;
+        otherwise None. The cold solve's feasibility test is relative to
+        the largest rhs, so on a big-M row its point can miss another row."""
         lo, hi = node.lo, node.hi
         x = np.clip(node.lp.x, lo, hi).tolist()
         if self._satisfied(x):
             return x
         res = self.solver.solve(lo, hi)
         if res.is_optimal:
-            return np.clip(res.x, lo, hi).tolist()
+            x = np.clip(res.x, lo, hi).tolist()
+            if self._satisfied(x):
+                return x
         return None
 
     def _integral_step(self, node: Node):

@@ -8,6 +8,7 @@ internal randomness: the recorded seed only labels runs, and repeated runs
 with one config produce byte-identical result files.
 """
 
+import copy
 import csv
 import json
 import time
@@ -222,7 +223,7 @@ def _count_and_subset(instance: MipInstance, spec: ExperimentSpec, opt: OptimumR
         dbin_subset=dbin_subset,
         dall_subset=dall_subset,
         subset_indices=list(idx),
-        subset_objectives=[instance.reported_objective(pool.objectives[i]) for i in idx],
+        subset_objectives=[instance.reported_objective(v) for v in pool.objectives[idx].tolist()],
         trace_hash=count.trace_hash,
         wall_time_ms=opt.wall_time_s * 1000.0 + (t2 - t0) * 1000.0,
         optimize_ms=opt.wall_time_s * 1000.0,
@@ -301,6 +302,15 @@ COMPARE_FIELDS = ("rule", "dbinSubset", "improvementPct", "dbinPool", "poolSize"
                   "exhausted", "nodesProcessed", "traceHash", "error")
 
 
+def _with_rule(config: SelectorConfig, name: str) -> SelectorConfig:
+    """A copy of ``config`` under another rule, not validated again: its
+    weights were checked, and an alpha + beta above 1 warned about, when
+    ``config`` was made, so a sweep warns once, not once per rule."""
+    config = copy.copy(config)
+    config.rule = Rule(name)
+    return config
+
+
 def compare_selectors(instance: MipInstance, spec: ExperimentSpec = None,
                       rules=DEFAULT_COMPARE_RULES, baseline: str = "bestfs",
                       csv_path: str = None) -> list:
@@ -315,7 +325,7 @@ def compare_selectors(instance: MipInstance, spec: ExperimentSpec = None,
     if base_rule not in names:
         names.insert(0, base_rule)
 
-    results = _sweep(instance, [replace(spec, selector=replace(spec.selector, rule=name))
+    results = _sweep(instance, [replace(spec, selector=_with_rule(spec.selector, name))
                                 for name in names])
     rows = [{"rule": name, "improvementPct": None,
              "traceHash": "" if isinstance(res, HarnessError) else res.trace_hash,

@@ -13,8 +13,12 @@ Dialect notes:
   ignored.
 * Variables declared between integer markers default to bounds [0, 1]
   (classic MPSX convention); BOUNDS entries override either side.
-* A maximization OBJSENSE negates the objective and sets
+* OBJSENSE takes MIN, MINIMIZE, MAX or MAXIMIZE, in any case, inline or
+  on the next line; any other value is refused, since a typo would change
+  the problem. A maximization negates the objective and sets
   ``objective_negated`` on the instance so reports can un-negate.
+* A (column, row) pair may have one COLUMNS entry; a repeated one, on the
+  objective row too, is refused rather than summed.
 
 The writer emits one row per constraint (RANGES are expanded on ingestion)
 with explicit bounds for every variable, so parse(write(instance)) returns
@@ -42,6 +46,7 @@ _SECTIONS = {"NAME", "OBJSENSE", "OBJSENSE:", "ROWS", "COLUMNS", "RHS", "RANGES"
 _ROW_SENSE = {"G": GE, "L": LE, "E": EQ}
 _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
 _FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
+_OBJSENSE = {"MIN": False, "MINIMIZE": False, "MAX": True, "MAXIMIZE": True}
 
 
 class MpsParseError(ValueError):
@@ -65,6 +70,14 @@ def _num(tok: str, line_no: int, finite: bool = True) -> float:
     if math.isnan(val) or (finite and math.isinf(val)):
         raise MpsParseError(f"expected a finite number, got {tok!r}", line_no)
     return val
+
+
+def _maximize(tok: str, line_no: int) -> bool:
+    """Whether the OBJSENSE value ``tok`` asks for a maximization."""
+    try:
+        return _OBJSENSE[tok.upper()]
+    except KeyError:
+        raise MpsParseError(f"unknown OBJSENSE {tok!r}; use MIN or MAX", line_no) from None
 
 
 def _decode(data: bytes) -> str:
@@ -131,7 +144,7 @@ def parse_mps(source) -> MipInstance:
             elif key.startswith("OBJSENSE"):
                 section = "OBJSENSE"
                 if len(toks) > 1:
-                    obj_sense_max = toks[1].upper().startswith("MAX")
+                    obj_sense_max = _maximize(toks[1], line_no)
                 else:
                     expect_objsense_value = True
             elif key == "ENDATA":
@@ -145,7 +158,7 @@ def parse_mps(source) -> MipInstance:
 
         toks = _tokens(line)
         if section == "OBJSENSE" and expect_objsense_value:
-            obj_sense_max = toks[0].upper().startswith("MAX")
+            obj_sense_max = _maximize(toks[0], line_no)
             expect_objsense_value = False
             continue
         if section is None:
@@ -189,13 +202,17 @@ def parse_mps(source) -> MipInstance:
             for rname, vtok in zip(toks[1::2], toks[2::2]):
                 val = _num(vtok, line_no)
                 if rname == obj_name:
-                    obj_coeffs[col] = obj_coeffs.get(col, 0.0) + val
+                    entries, key = obj_coeffs, col
                 elif rname in free_rows:
                     continue
                 elif rname in row_sense:
-                    col_entries[col][rname] = col_entries[col].get(rname, 0.0) + val
+                    entries, key = col_entries[col], rname
                 else:
                     raise MpsParseError(f"entry for undeclared row {rname!r}", line_no)
+                if key in entries:
+                    raise MpsParseError(f"repeated entry for column {col!r} in row {rname!r}",
+                                        line_no)
+                entries[key] = val
 
         elif section == "RHS":
             pairs = toks if len(toks) % 2 == 0 else toks[1:]
@@ -245,7 +262,7 @@ def parse_mps(source) -> MipInstance:
                 raise MpsParseError(f"bound on undeclared column {col!r}", line_no)
             bounds.append((btype, col, val, line_no))
 
-        elif section in ("NAME", "ENDATA"):
+        elif section in ("NAME", "OBJSENSE", "ENDATA"):
             raise MpsParseError("unexpected data line", line_no)
 
     if not col_order:

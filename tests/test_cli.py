@@ -98,6 +98,21 @@ ENDATA
         assert f"cannot parse {p}: line 7:" in res.output
         assert isinstance(res.exception, SystemExit)  # no traceback
 
+    @pytest.mark.parametrize("head, line, message", [
+        ("OBJSENSE\n    MAXX\n", 3, "unknown OBJSENSE 'MAXX'"),  # once a maximization
+        ("OBJSENSE FOO\n", 2, "unknown OBJSENSE 'FOO'"),  # once a minimization
+        ("", 7, "repeated entry for column 'x' in row 'c1'"),  # once summed
+    ])
+    def test_a_typo_is_a_clean_parse_failure_not_another_problem(self, runner, tmp_path, head,
+                                                                 line, message):
+        p = tmp_path / "typo.mps"
+        p.write_text("NAME t\n" + head + "ROWS\n N obj\n L c1\nCOLUMNS\n    x obj 1.0 c1 5.0\n"
+                     + ("    x c1 7.0\n" if not head else "") + "RHS\n    RHS c1 9.0\nENDATA\n")
+        res = runner.invoke(main, ["solve", "--instance", str(p)])
+        assert res.exit_code == 1
+        assert f"cannot parse {p}: line {line}: {message}" in res.output
+        assert isinstance(res.exception, SystemExit)  # no traceback
+
     @pytest.mark.parametrize("text", ["", "NAME t\n", "NAME t\nROWS\n N obj\n L c1\nENDATA\n"])
     def test_a_file_with_no_column_is_a_clean_parse_failure(self, runner, tmp_path, text):
         """An empty file, or one that declares no column, is not solved as
@@ -256,7 +271,6 @@ ROWS
  L CAP
 COLUMNS
     Y OBJ 1.0 CAP 1e308
-    Y CAP 1e308
 RHS
     RHS CAP 5.0
 ENDATA
@@ -289,6 +303,16 @@ class TestCompare:
             rows = list(csv.DictReader(fh))
         assert [r["rule"] for r in rows] == ["bestfs", "diversitree"]
         assert rows[0]["improvementPct"] not in ("", None)
+
+    def test_a_weight_sum_above_one_warns_once(self, runner, caplog):
+        knap3 = Path(__file__).resolve().parents[1] / "instances" / "knap3.mps"
+        with caplog.at_level("WARNING", logger="diversitree.selectors"):
+            res = invoke(runner, ["compare", "--instance", str(knap3),
+                                  "--alpha", "0.95", "--beta", "0.06"])
+        assert res.exit_code == 0
+        assert len(res.output.splitlines()) == 1 + 6  # the header and one row per rule
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "alpha + beta = 1.0100 > 1; the bound weight goes negative"]
 
     def test_unknown_rule_is_a_usage_error(self, runner, paths):
         res = runner.invoke(main, ["compare", "--instance", paths["knap"],

@@ -1,5 +1,6 @@
 """Branch-and-count engine: completeness, classification, walk, pool, limits, determinism."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ import test_golden as golden
 from conftest import (
     enum_mixed_projections,
     enum_pure_integer,
+    oracle_row_holds,
     oracle_is_unrestricted,
     oracle_least,
     oracle_materialize,
@@ -39,6 +41,7 @@ from diversitree import (
     SelectorConfig,
     VariableDef,
     add_objective_cutoff,
+    find_optimum,
     run_phase_one,
 )
 from diversitree.engine import most_fractional
@@ -81,11 +84,12 @@ def pool_tuples(result):
 
 
 @st.composite
-def small_mips(draw, kinds=("binary", "general", "mixed")):
+def small_mips(draw, kinds=("binary", "general", "mixed"), big_m=False):
     """A feasible MIP on two to five integer columns, of one of ``kinds``:
     pure binary, general integer, or mixed with one more, continuous column
     whose box may be unbounded (it then costs nothing, so every LP stays
-    bounded). Rows of every sense hold at an integer reference point."""
+    bounded). Rows of every sense hold at an integer reference point. With
+    ``big_m`` one coefficient of each row is ±10^k, k from 3 to 12."""
     kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 5))
     variables, ref = [], []
@@ -108,6 +112,9 @@ def small_mips(draw, kinds=("binary", "general", "mixed")):
     for k in range(draw(st.integers(1, 3))):
         cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         coeffs = {j: float(draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))) for j in cols}
+        if big_m:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            coeffs[draw(st.sampled_from(cols))] = sign * 10.0 ** draw(st.integers(3, 12))
         act = sum(a * ref[j] for j, a in coeffs.items())
         sense = draw(st.sampled_from([GE, LE, EQ]))
         margin = 0 if sense == EQ else draw(st.integers(0, 2))
@@ -115,6 +122,11 @@ def small_mips(draw, kinds=("binary", "general", "mixed")):
                                      f"r{k}"))
     return MipInstance(name=f"hyp-{kind}", variables=variables, constraints=rows,
                        objective=objective)
+
+
+def big_m_mips(kinds=("binary", "general")):
+    """``small_mips`` with one coefficient of each row at ±10^k, k from 3 to 12."""
+    return small_mips(kinds=kinds, big_m=True)
 
 
 @st.composite
@@ -233,6 +245,34 @@ class TestCompleteness:
         for x in res.pool.solutions:
             assert np.all(bc.root_lo <= x) and np.all(x <= bc.root_hi)
             assert all(con.satisfied(x) for con in cut.constraints)
+
+    @settings(max_examples=150)
+    @given(big_m_mips(), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_every_point_the_engine_returns_holds_its_big_m_rows(self, inst, q):
+        # the cold solve at a completed leaf calls a box feasible relative to
+        # the largest rhs, so its point may miss a row by far more than
+        # FEAS_TOL. A relaxation that stalls raises, and so returns no point
+        z, _ = brute_force_near_optimal(inst, q)
+        cut = add_objective_cutoff(inst, z, q)
+        points = []
+        with contextlib.suppress(EngineError):
+            x = find_optimum(inst).x
+            points += [] if x is None else [(inst, x.tolist())]
+        with contextlib.suppress(EngineError):
+            points += [(cut, x) for x in BranchAndCount(cut).run().pool.solutions.tolist()]
+        for model, x in points:
+            assert all(oracle_row_holds(con, x, FEAS_TOL) for con in model.constraints)
+
+    def test_a_completed_leaf_pools_no_point_that_misses_a_row(self):
+        # the 1e6 row holds everywhere but sets the cold solve's phase-1
+        # scale to 1e6, so at the leaves with x0 = 1 that solve calls the
+        # box feasible although the cutoff row x0 <= 0 misses by 1
+        inst = binary_inst(4, [({1: -1000.0}, EQ, -1000.0), ({1: -1e6}, GE, -1e6),
+                               ({1: -1000.0}, EQ, -1000.0)], {0: 1.0})
+        z, members = brute_force_near_optimal(inst, 0.0)
+        res = BranchAndCount(add_objective_cutoff(inst, z, 0.0)).run()
+        assert res.exhausted
+        assert sorted(tuple(int(v) for v in x) for x in res.pool.solutions) == members
 
 
 class TestOptimize:
@@ -541,7 +581,8 @@ class TestEnumerateUnrestricted:
                 pool = SolutionPool(bc.instance, dedup=False)
                 assert bc.enumerate_unrestricted(node, pool) == (len(want), True)
                 assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
-                assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+                got = pool.objectives.tolist()
+                assert [repr(v) for v in got] == [repr(float(v)) for _, v in want]
                 walked += 1
                 wide += len(want) > 1
         assert walked >= 30 and wide >= 10
@@ -565,7 +606,8 @@ class TestEnumerateUnrestricted:
                     pool = SolutionPool(walker.instance, capacity=capacity, dedup=False)
                     assert walker.enumerate_unrestricted(node, pool) == (len(want), want_done)
                     assert pool.solutions.tobytes() == b"".join(x.tobytes() for x, _ in want)
-                    assert [repr(v) for v in pool.objectives] == [repr(float(v)) for _, v in want]
+                    got = pool.objectives.tolist()
+                    assert [repr(v) for v in got] == [repr(float(v)) for _, v in want]
                     capped += not want_done
                 walked += 1
         assert walked >= 20 and capped > walked
@@ -608,7 +650,7 @@ class TestEnumerateUnrestricted:
         pool = SolutionPool(bc.instance)
         assert bc.enumerate_unrestricted(node, pool) == (2, True)
         assert pool.solutions.tolist() == [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
-        assert [repr(v) for v in pool.objectives] == ["0.0", "0.0"]
+        assert [repr(v) for v in pool.objectives.tolist()] == ["0.0", "0.0"]
 
     def test_box_points_match_the_product_order(self):
         rng = np.random.default_rng(5)
@@ -661,13 +703,29 @@ class ListPool:
     def __init__(self, instance, capacity=None, dedup=True):
         self.capacity, self.dedup = capacity, dedup
         self.binary_index = instance.binary_index
-        self.key_cols = self.binary_index or instance.integer_index
+        self.integer_index = instance.integer_index
         self.solutions, self.objectives, self.projections = [], [], []
         self.ones = np.zeros(len(self.binary_index))
         self.keys = set()
 
+    def bits(self, x):
+        """Each binary rounded to the nearer of 0 and 1."""
+        return [1 if float(x[j]) > 0.5 else 0 for j in self.binary_index]
+
     def key(self, x):
-        return tuple(round(float(x[j])) for j in self.key_cols)
+        if self.binary_index:
+            return tuple(self.bits(x))
+        return tuple(round(float(x[j])) for j in self.integer_index)
+
+    def int_key(self, key):
+        """The pool's int form of a key: binaries packed eight to a byte,
+        first bit most significant, the last byte padded with zero bits;
+        else each integer as a 64-bit two's complement word, first word
+        most significant."""
+        if self.binary_index:
+            text = "".join(map(str, key))
+            return int(text + "0" * (-len(text) % 8), 2)
+        return sum(v % 2 ** 64 << 64 * k for k, v in enumerate(reversed(key)))
 
     def add(self, x, objective):
         if self.capacity is not None and len(self.solutions) >= self.capacity:
@@ -676,11 +734,11 @@ class ListPool:
         key = self.key(x)
         if self.dedup and key in self.keys:
             return False
-        bits = [round(float(x[j])) for j in self.binary_index]
+        bits = self.bits(x)
         gaps = [abs(x[j] - b) for j, b in zip(self.binary_index, bits)]
         if gaps and max(gaps) > INT_TOL:
             j = self.binary_index[gaps.index(max(gaps))]
-            raise ValueError(f"binary column {j} has non-integral value {x[j]!r}")
+            raise ValueError(f"binary column {j} has non-binary value {x[j]!r}")
         self.keys.add(key)
         self.solutions.append(x)
         self.objectives.append(float(objective))
@@ -708,9 +766,12 @@ class TestSolutionPool:
     def random_add_sequences(cls, rng):
         """300 (instance, capacity, dedup, [(x, objective), ...]) trials over
         small banks of points, so that keys repeat and some binaries are
-        non-integral."""
+        non-integral. One trial in ten has 60 to 140 binaries, so that a key
+        spans more than one 64-bit word."""
         for trial in range(300):
             nb, ni, nc = (int(v) for v in rng.integers(0, 4, size=3))
+            if trial % 10 == 9:
+                nb = int(rng.integers(60, 141))
             inst = cls.instance(nb, ni, nc)
             d = inst.num_vars
             capacity = None if trial % 3 else int(rng.integers(1, 30))
@@ -736,7 +797,7 @@ class TestSolutionPool:
         assert pool.solutions.tobytes() == b"".join(x.tobytes() for x in ref.solutions)
         assert pool.projections.tolist() == ref.projections
         assert pool.projection_matrix().tolist() == ref.projections
-        assert [repr(v) for v in pool.objectives] == [repr(v) for v in ref.objectives]
+        assert [repr(v) for v in pool.objectives.tolist()] == [repr(v) for v in ref.objectives]
         assert pool.ones.tobytes() == ref.ones.tobytes()
 
     def test_matches_the_list_pool_on_random_add_sequences(self):
@@ -758,7 +819,7 @@ class TestSolutionPool:
         # one row at a time and, like the batch, drops the rows after a raise
         rng = np.random.default_rng(6)
         seen = dict.fromkeys(("raised", "refused_bad", "dup_in_batch", "full_mid_batch",
-                              "no_dedup", "int_keys"), 0)
+                              "no_dedup", "int_keys", "negative_int_keys", "wide_keys"), 0)
         for inst, capacity, dedup, adds in self.random_add_sequences(np.random.default_rng(5)):
             pool = SolutionPool(inst, capacity=capacity, dedup=dedup)
             ref = ListPool(inst, capacity=capacity, dedup=dedup)
@@ -792,15 +853,17 @@ class TestSolutionPool:
                 assert len(pool) == len(ref.solutions)
             self.assert_same_pool(pool, ref, inst)
             if dedup:
-                dtype = np.int8 if nb else np.int64
-                assert {tuple(np.frombuffer(k, dtype).tolist()) for k in pool._keys} == ref.keys
+                assert pool._keys == {ref.int_key(key) for key in ref.keys}
             seen["no_dedup"] += not dedup
             seen["int_keys"] += not nb and len(pool) > 1
+            negative = any(v < 0 for key in ref.keys for v in key)
+            seen["negative_int_keys"] += dedup and not nb and negative
+            seen["wide_keys"] += dedup and nb > 64 and len(pool) > 1
         assert all(seen.values()), seen
 
     def test_non_integral_binary_raises_unless_its_key_is_taken(self):
         pool = SolutionPool(self.instance(2, 0, 1))
-        with pytest.raises(ValueError, match=r"binary column 1 has non-integral value .*0\.4"):
+        with pytest.raises(ValueError, match=r"binary column 1 has non-binary value .*0\.4"):
             pool.add([0.0, 0.4, 1.0], 0.0)
         assert len(pool) == 0 and pool.solutions.shape == (0, 3)
         assert pool.add([0.0, 0.0, 1.0], 0.0)
@@ -815,10 +878,10 @@ class TestSolutionPool:
                 [1.0, 1.0, 1.0],
                 [0.0, 1.4, 1.0],  # non-integral with a free key: raises
                 [0.0, 1.0, 1.0]]
-        with pytest.raises(ValueError, match=r"binary column 1 has non-integral value .*1\.4"):
+        with pytest.raises(ValueError, match=r"binary column 1 has non-binary value .*1\.4"):
             pool.add_rows(rows, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert pool.solutions.tolist() == [rows[0], rows[1], rows[4]]
-        assert pool.objectives == [0.0, 1.0, 4.0]
+        assert pool.objectives.tolist() == [0.0, 1.0, 4.0]
         assert pool.ones.tolist() == [2.0, 1.0]
         assert pool.add_rows(rows[6:], [6.0]) == 1
 
@@ -836,29 +899,65 @@ class TestSolutionPool:
         assert not pool.add([1.0, -1.0, 2.5], 2.0)  # differs in y only
         assert pool.add([1.0, 0.0, 0.5], 3.0)
         assert pool.projections.shape == (2, 0) and pool.ones.shape == (0,)
-        assert pool.objectives == [1.0, 3.0]
+        assert pool.objectives.tolist() == [1.0, 3.0]
 
     def test_empty_shapes_and_read_only_views(self):
         pool = SolutionPool(self.instance(5, 0, 1))
         assert pool.solutions.shape == (0, 6)
         assert pool.projections.shape == pool.projection_matrix().shape == (0, 5)
+        assert pool.objectives.shape == (0,) and pool.objectives.dtype == np.float64
         for k in range(40):  # 32 distinct keys: past the first doubling
-            pool.add([k >> b & 1 for b in range(5)] + [0.5], float(k))
+            pool.add([k >> b & 1 for b in range(5)] + [0.5], k / 3)
         assert len(pool) == 32
+        assert [repr(v) for v in pool.objectives.tolist()] == [repr(k / 3) for k in range(32)]
         for view in (pool.solutions, pool.projections, pool.projection_matrix()):
             assert len(view) == 32
             with pytest.raises(ValueError):
                 view[0, 0] = 1
+        with pytest.raises(ValueError):
+            pool.objectives[0] = 1.0
+
+    def test_a_key_is_the_int_of_the_packed_projection(self):
+        pool = SolutionPool(self.instance(10, 0, 0))
+        bits = [1, 0, 1, 1, 0, 0, 0, 0, 0, 1]
+        assert pool.add(bits, 0.0)
+        assert pool._keys == {int.from_bytes(np.packbits(bits).tobytes(), "big")}
+        assert pool._keys == {0b10110000_01000000}  # the last byte padded with zero bits
+        ints = SolutionPool(self.instance(0, 2, 0))
+        assert ints.add([-1.0, 2.0], 0.0)
+        assert ints._keys == {(2 ** 64 - 1) << 64 | 2}
+
+    @staticmethod
+    def box_engine(nb):
+        """``nb`` free binaries and a fixed shift column, no rows: the root is
+        unrestricted and its walk pools all 2**nb points."""
+        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(nb)]
+        variables.append(VariableDef(nb, 1.0, 1.0, False, "shift"))
+        objective = {j: 1.0 for j in range(nb)}
+        objective[nb] = -320.0
+        return BranchAndCount(MipInstance(name=f"box{nb}", variables=variables, constraints=[],
+                                          objective=objective))
+
+    def test_bytes_per_row_beside_the_solution_and_projection(self):
+        # a row holds its objective (8 bytes), its int key (at most 32) and
+        # about two 16-byte set slots; a Python float in a list and a bytes
+        # key in their place took about 110
+        bc = self.box_engine(12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = bc.run()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pool = res.pool
+        assert len(pool) == 2 ** 12
+        rest = (held - pool._x.nbytes - pool._proj.nbytes) / len(pool)
+        assert rest <= 80, f"{rest:.0f} bytes per solution beside its two rows"
 
     def test_memory_per_pooled_solution(self):
-        # 14 free binaries and a fixed shift column, no rows: the root is
-        # unrestricted and its walk pools all 2**14 points
-        variables = [VariableDef(j, 0.0, 1.0, True, f"b{j}") for j in range(14)]
-        variables.append(VariableDef(14, 1.0, 1.0, False, "shift"))
-        objective = {j: 1.0 for j in range(14)}
-        objective[14] = -320.0
-        bc = BranchAndCount(MipInstance(name="box14", variables=variables, constraints=[],
-                                        objective=objective))
+        bc = self.box_engine(14)
         gc.collect()
         tracemalloc.start()
         try:
@@ -1016,7 +1115,7 @@ class TestLimitsAndTruncation:
         assert full.exhausted and len(full.pool) == 2 ** 16
         n = len(res.pool)
         assert res.pool.solutions.tobytes() == full.pool.solutions[:n].tobytes()
-        assert res.pool.objectives == full.pool.objectives[:n]
+        assert res.pool.objectives.tobytes() == full.pool.objectives[:n].tobytes()
 
     @pytest.mark.parametrize("chunk, k", [(1024, 2500), (7, 20), (7, 5)])
     def test_the_deadline_keeps_every_walked_point_and_no_more(self, monkeypatch, chunk, k):
@@ -1042,7 +1141,7 @@ class TestLimitsAndTruncation:
         assert res.truncated and not res.exhausted
         assert len(res.pool) == k
         assert res.pool.solutions.tobytes() == full.pool.solutions[:k].tobytes()
-        assert res.pool.objectives == full.pool.objectives[:k]
+        assert res.pool.objectives.tobytes() == full.pool.objectives[:k].tobytes()
 
 
 class TestTimeLimitsHold:

@@ -84,7 +84,7 @@ def count_fingerprint(name):
     """(trace hash, pool size, sha256 of repr(pool objectives)) of one run."""
     factory, spec = count_cases()[name]
     _, count = run_phase_one(factory(), spec)
-    objectives = repr(count.pool.objectives).encode()
+    objectives = repr(count.pool.objectives.tolist()).encode()
     return count.trace_hash, len(count.pool), hashlib.sha256(objectives).hexdigest()
 
 

@@ -418,6 +418,16 @@ class TestCompareSelectors:
         assert all(r["dbinSubset"] is None for r in rows)
         assert all(r["improvementPct"] is None for r in rows)
 
+    def test_a_weight_sum_above_one_warns_once_per_sweep(self, caplog):
+        with caplog.at_level("WARNING", logger="diversitree.selectors"):
+            spec = ExperimentSpec(q=0.5, p1=8, p=3, selector=SelectorConfig(alpha=0.95, beta=0.06))
+            rows = compare_selectors(knapsack_instance(), spec)
+        assert len(rows) == len(harness.DEFAULT_COMPARE_RULES)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "alpha + beta = 1.0100 > 1; the bound weight goes negative"]
+        assert all(r["error"] == "" for r in rows)
+        assert spec.selector.rule.value == "bestfs"  # the spec's own config is not changed
+
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "cmp.csv"
         compare_selectors(knapsack_instance(), ExperimentSpec(q=0.5, p1=8, p=3),

@@ -10,7 +10,6 @@ from diversitree import (
     GE,
     INF,
     LE,
-    ModelError,
     MpsParseError,
     parse_mps,
     two_cluster_instance,
@@ -250,11 +249,43 @@ ENDATA
         y = parse_mps(text).variables[2]
         assert (y.is_integer, y.lower, y.upper) == (False, -INF, INF)
 
-    def test_an_overflowing_sum_of_entries_is_a_model_error(self):
-        text = KNAP2.replace("    x2  COST  -2.0   CAP  1.0",
-                             "    x2  COST  -2.0   CAP  1e308\n    x2  CAP  1e308")
-        with pytest.raises(ModelError, match="'CAP': coefficient inf on column 1"):
+    @pytest.mark.parametrize("entries, line", [
+        ("    x2  COST  -2.0   CAP  1.0\n    x2  CAP  1.0", 9),  # once summed to 2
+        ("    x2  COST  -2.0   CAP  1e308\n    x2  CAP  1e308", 9),  # once summed to inf
+        ("    x2  COST  -2.0   CAP  5.0   CAP  7.0", 8),  # once summed to 12
+        ("    x2  COST  -2.0   CAP  1.0\n    x2  COST  0.0", 9),  # the objective row
+    ])
+    def test_a_repeated_entry_fails_with_its_line(self, entries, line):
+        text = KNAP2.replace("    x2  COST  -2.0   CAP  1.0", entries)
+        with pytest.raises(MpsParseError, match="repeated entry for column 'x2'") as err:
             parse_mps(text)
+        assert err.value.line_no == line
+
+    def test_entries_of_one_column_may_span_lines(self):
+        text = KNAP2.replace("    x2  COST  -2.0   CAP  1.0", "    x2  COST  -2.0\n    x2  CAP  1.0")
+        assert parse_mps(text) == parse_mps(KNAP2)
+
+    @pytest.mark.parametrize("value, negated", [
+        ("MIN", False), ("min", False), ("Minimize", False),
+        ("MAX", True), ("max", True), ("MAXIMIZE", True),
+    ])
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_objsense_takes_min_or_max_in_any_case(self, value, negated, inline):
+        sense = f"OBJSENSE {value}" if inline else f"OBJSENSE\n    {value}"
+        inst = parse_mps(KNAP2.replace("ROWS", sense + "\nROWS"))
+        assert inst.objective_negated is negated
+        assert inst.objective == ({0: 3.0, 1: 2.0} if negated else {0: -3.0, 1: -2.0})
+
+    @pytest.mark.parametrize("sense, line", [
+        ("OBJSENSE\n    MAXX", 3),  # once read as a maximization
+        ("OBJSENSE\n    FOO", 3),  # once read as a minimization
+        ("OBJSENSE MINIMUM", 2),
+        ("OBJSENSE\n    MAX\n    MIN", 4),  # a second value, once ignored
+    ])
+    def test_any_other_objsense_fails_with_its_line(self, sense, line):
+        with pytest.raises(MpsParseError) as err:
+            parse_mps(KNAP2.replace("ROWS", sense + "\nROWS"))
+        assert err.value.line_no == line
 
     def test_objective_rhs_warning(self, caplog):
         text = KNAP2.replace("    RHS  CAP  2.0", "    RHS  COST  7.0\n    RHS  CAP  2.0")
