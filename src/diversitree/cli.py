@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import click
 
@@ -20,7 +19,7 @@ from .engine import EngineError, check_limits
 from .harness import ExperimentSpec, HarnessError, SCHEMA_VERSION
 from .model import ModelError
 from .mps import MpsParseError, parse_mps
-from .selectors import PRESETS, Rule, SelectorConfig, preset as preset_config
+from .selectors import PRESETS, Rule, SelectorConfig
 from .subset import METHODS
 
 
@@ -115,9 +114,11 @@ def _spec(q, p1, dedup, seed, node_limit, time_limit, preset_name=None, p=1,
           method="greedy_swap", **selector):
     """The ExperimentSpec of a command's flags; a selector flag left unset keeps
     the preset's value, or else SelectorConfig's default."""
+    # one SelectorConfig, so that its warnings are logged once
+    fields = {"rule": Rule.DIVERSITREE, **PRESETS[preset_name.upper()]} if preset_name else {}
+    fields.update((k, v) for k, v in selector.items() if v not in (None, ""))
     try:
-        base = preset_config(preset_name) if preset_name else SelectorConfig()
-        cfg = replace(base, **{k: v for k, v in selector.items() if v not in (None, "")})
+        cfg = SelectorConfig(**fields)
         return ExperimentSpec(q=q, p1=_p1(p1), p=p, selector=cfg, subset_method=method,
                               dedup=dedup, seed=seed, node_limit=node_limit,
                               time_limit=time_limit)

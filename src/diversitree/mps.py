@@ -6,6 +6,8 @@ COLUMNS with INTORG/INTEND markers, RHS, RANGES, BOUNDS and ENDATA.
 
 Dialect notes:
 
+* Lines may end in ``\\n``, ``\\r\\n`` or ``\\r``, whatever the input kind;
+  a str that holds a line end is MPS text, never a path.
 * The first N row is the objective; later N rows are free rows and are
   dropped with a warning.
 * An RHS entry on the objective row (an objective constant) is ignored
@@ -19,10 +21,17 @@ Dialect notes:
   ``objective_negated`` on the instance so reports can un-negate.
 * A (column, row) pair may have one COLUMNS entry; a repeated one, on the
   objective row too, is refused rather than summed.
+* The file is read in one pass and fails at its first fault in file order,
+  naming the line. A BOUNDS entry that leaves a column's lower bound above
+  its upper is that entry's fault.
 
 The writer emits one row per constraint (RANGES are expanded on ingestion)
 with explicit bounds for every variable, so parse(write(instance)) returns
-a structurally equal instance.
+an equal instance (``==``) when the objective holds no zero. It raises a
+ValueError, naming the name, for an instance whose names MPS cannot carry:
+an empty row or objective name, whitespace in any name, a row or column
+name that starts with ``*`` or reads as ``MARKER``, and a row name used
+twice (the objective's included).
 """
 
 import io
@@ -44,9 +53,20 @@ log = logging.getLogger("diversitree.mps")
 
 _SECTIONS = {"NAME", "OBJSENSE", "OBJSENSE:", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"}
 _ROW_SENSE = {"G": GE, "L": LE, "E": EQ}
-_VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
-_FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
 _OBJSENSE = {"MIN": False, "MINIMIZE": False, "MAX": True, "MAXIMIZE": True}
+_VALUE = object()  # stands for a BOUNDS entry's value in _BOUNDS
+# each bound type's effect on a column's record; the fields it leaves out keep their values
+_BOUNDS = {
+    "UP": {"upper": _VALUE},
+    "LO": {"lower": _VALUE},
+    "FX": {"lower": _VALUE, "upper": _VALUE},
+    "UI": {"upper": _VALUE, "is_integer": True},
+    "LI": {"lower": _VALUE, "is_integer": True},
+    "FR": {"lower": -INF, "upper": INF},
+    "MI": {"lower": -INF},
+    "PL": {"upper": INF},
+    "BV": {"lower": 0.0, "upper": 1.0, "is_integer": True},
+}
 
 
 class MpsParseError(ValueError):
@@ -55,10 +75,6 @@ class MpsParseError(ValueError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def _tokens(line: str):
-    return line.split()
 
 
 def _num(tok: str, line_no: int, finite: bool = True) -> float:
@@ -85,8 +101,17 @@ def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no = len(data[:exc.start + 1].splitlines())  # \n, \r\n and \r end a line
         raise MpsParseError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line_no) from None
+
+
+def _row_values(toks: list, section: str, line_no: int):
+    """The (row, value) pairs of an RHS or RANGES line, after an optional set name."""
+    pairs = toks if len(toks) % 2 == 0 else toks[1:]
+    if not pairs:
+        raise MpsParseError(f"empty {section} entry", line_no)
+    for rname, vtok in zip(pairs[0::2], pairs[1::2]):
+        yield rname, _num(vtok, line_no)
 
 
 def parse_mps(source) -> MipInstance:
@@ -94,18 +119,13 @@ def parse_mps(source) -> MipInstance:
     Bytes, and a path's contents, are read as UTF-8."""
     if isinstance(source, os.PathLike):
         source = os.fspath(source)
-    if isinstance(source, bytes):
-        text = _decode(source)
-    elif isinstance(source, str) and "\n" not in source and not source.lstrip().startswith("NAME"):
+    if (isinstance(source, str) and "\n" not in source and "\r" not in source
+            and not source.lstrip().startswith("NAME")):
         with open(source, "rb") as fh:
-            # the newlines a text-mode read translates: \r\n and \r
-            text = _decode(fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+            source = fh.read()
     elif hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = _decode(text)
-    else:
-        text = source
+        source = source.read()
+    text = _decode(source) if isinstance(source, bytes) else source
 
     name = ""
     obj_name = None
@@ -113,51 +133,38 @@ def parse_mps(source) -> MipInstance:
     row_order = []  # constraint row names in declaration order
     row_sense = {}
     free_rows = set()
-    col_order = []
-    col_integer = {}
-    col_entries = {}  # name -> {row: coeff}
-    obj_coeffs = {}
-    rhs = {}
-    ranges = {}
-    bounds = []  # (type, col, value, line_no)
+    columns = {}  # name -> VariableDef fields and "entries", {row: coeff}
+    obj_coeffs = {}  # column index -> coeff, in file order
+    row_values = {"RHS": {}, "RANGES": {}}  # section -> {row: value}
 
     section = None
     expect_objsense_value = False
     in_integer_block = False
 
     line_no = 1  # the line an error names when the input ends early; 1 when it is empty
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("*"):
+    # newline=None reads \r\n and \r as \n
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        toks = line.split()
+        if not toks or toks[0].startswith("*"):
             continue
-        is_header = not line[0].isspace()
 
-        if is_header:
-            toks = _tokens(line)
+        if not line[0].isspace():  # a section header
             key = toks[0].upper()
             if key not in _SECTIONS:
                 raise MpsParseError(f"malformed section header {toks[0]!r}", line_no)
-            expect_objsense_value = False
+            if key == "ENDATA":
+                break
+            section = "OBJSENSE" if key.startswith("OBJSENSE") else key
+            expect_objsense_value = section == "OBJSENSE" and len(toks) == 1
             if key == "NAME":
                 name = toks[1] if len(toks) > 1 else ""
-                section = "NAME"
-            elif key.startswith("OBJSENSE"):
-                section = "OBJSENSE"
-                if len(toks) > 1:
-                    obj_sense_max = _maximize(toks[1], line_no)
-                else:
-                    expect_objsense_value = True
-            elif key == "ENDATA":
-                section = "ENDATA"
-                break
-            else:
-                section = key
-                if key == "COLUMNS":
-                    in_integer_block = False
+            elif section == "OBJSENSE" and len(toks) > 1:
+                obj_sense_max = _maximize(toks[1], line_no)
+            elif key == "COLUMNS":
+                in_integer_block = False
             continue
 
-        toks = _tokens(line)
-        if section == "OBJSENSE" and expect_objsense_value:
+        if expect_objsense_value:
             obj_sense_max = _maximize(toks[0], line_no)
             expect_objsense_value = False
             continue
@@ -195,18 +202,23 @@ def parse_mps(source) -> MipInstance:
             if len(toks) < 3 or len(toks) % 2 == 0:
                 raise MpsParseError("COLUMNS entries need a column then row/value pairs", line_no)
             col = toks[0]
-            if col not in col_entries:
-                col_entries[col] = {}
-                col_order.append(col)
-                col_integer[col] = in_integer_block
+            if col not in columns:
+                columns[col] = {
+                    "index": len(columns),
+                    "lower": 0.0,
+                    "upper": 1.0 if in_integer_block else INF,  # classic integer-marker default
+                    "is_integer": in_integer_block,
+                    "entries": {},
+                }
+            record = columns[col]
             for rname, vtok in zip(toks[1::2], toks[2::2]):
                 val = _num(vtok, line_no)
                 if rname == obj_name:
-                    entries, key = obj_coeffs, col
+                    entries, key = obj_coeffs, record["index"]
                 elif rname in free_rows:
                     continue
                 elif rname in row_sense:
-                    entries, key = col_entries[col], rname
+                    entries, key = record["entries"], rname
                 else:
                     raise MpsParseError(f"entry for undeclared row {rname!r}", line_no)
                 if key in entries:
@@ -214,148 +226,102 @@ def parse_mps(source) -> MipInstance:
                                         line_no)
                 entries[key] = val
 
-        elif section == "RHS":
-            pairs = toks if len(toks) % 2 == 0 else toks[1:]
-            if not pairs:
-                raise MpsParseError("empty RHS entry", line_no)
-            for rname, vtok in zip(pairs[0::2], pairs[1::2]):
-                val = _num(vtok, line_no)
-                if rname == obj_name:
+        elif section in row_values:
+            for rname, val in _row_values(toks, section, line_no):
+                if rname in row_sense:
+                    row_values[section][rname] = val
+                elif rname == obj_name and section == "RHS":
                     log.warning("line %d: RHS on the objective row (constant %g) ignored", line_no, val)
-                    continue
-                if rname in free_rows:
-                    continue
-                if rname not in row_sense:
-                    raise MpsParseError(f"RHS for undeclared row {rname!r}", line_no)
-                rhs[rname] = val
-
-        elif section == "RANGES":
-            pairs = toks if len(toks) % 2 == 0 else toks[1:]
-            if not pairs:
-                raise MpsParseError("empty RANGES entry", line_no)
-            for rname, vtok in zip(pairs[0::2], pairs[1::2]):
-                val = _num(vtok, line_no)
-                if rname == obj_name or rname in free_rows:
-                    continue
-                if rname not in row_sense:
-                    raise MpsParseError(f"range for undeclared row {rname!r}", line_no)
-                ranges[rname] = val
+                elif rname != obj_name and rname not in free_rows:
+                    what = "RHS" if section == "RHS" else "range"
+                    raise MpsParseError(f"{what} for undeclared row {rname!r}", line_no)
 
         elif section == "BOUNDS":
             btype = toks[0].upper()
-            if btype in _VALUE_BOUNDS:
-                if len(toks) == 4:
-                    col, vtok = toks[2], toks[3]
-                elif len(toks) == 3:
-                    col, vtok = toks[1], toks[2]
-                else:
-                    raise MpsParseError(f"{btype} bound needs a column and a value", line_no)
-                val = _num(vtok, line_no, finite=False)  # an infinite bound is legal
-            elif btype in _FLAG_BOUNDS:
-                if len(toks) < 2:
-                    raise MpsParseError(f"{btype} bound needs a column", line_no)
-                col = toks[2] if len(toks) >= 3 else toks[1]
-                val = None
-            else:
+            if btype not in _BOUNDS:
                 raise MpsParseError(f"unknown bound type {btype!r}", line_no)
-            if col not in col_entries:
+            effect = _BOUNDS[btype]
+            if _VALUE in effect.values():
+                if len(toks) not in (3, 4):
+                    raise MpsParseError(f"{btype} bound needs a column and a value", line_no)
+                col, val = toks[-2], _num(toks[-1], line_no, finite=False)  # an infinite bound is legal
+            elif len(toks) < 2:
+                raise MpsParseError(f"{btype} bound needs a column", line_no)
+            else:
+                col = toks[2] if len(toks) >= 3 else toks[1]
+            if col not in columns:
                 raise MpsParseError(f"bound on undeclared column {col!r}", line_no)
-            bounds.append((btype, col, val, line_no))
+            record = columns[col]
+            record.update((field, val if to is _VALUE else to) for field, to in effect.items())
+            if record["lower"] > record["upper"]:
+                raise MpsParseError(f"bounds for column {col!r} cross (lower > upper)", line_no)
 
-        elif section in ("NAME", "OBJSENSE", "ENDATA"):
+        else:  # NAME or OBJSENSE
             raise MpsParseError("unexpected data line", line_no)
 
-    if not col_order:
+    if not columns:
         raise MpsParseError("no COLUMNS entry declares a column", line_no)
-    if obj_name is None:
-        obj_name = "OBJ"
-
-    # Assemble variables with defaults, then apply bounds in file order.
-    lower = {}
-    upper = {}
-    for col in col_order:
-        if col_integer[col]:
-            lower[col], upper[col] = 0.0, 1.0  # classic integer-marker default
-        else:
-            lower[col], upper[col] = 0.0, INF
-    for btype, col, val, line_no in bounds:
-        if btype == "UP":
-            upper[col] = val
-        elif btype == "LO":
-            lower[col] = val
-        elif btype == "FX":
-            lower[col] = upper[col] = val
-        elif btype == "FR":
-            lower[col], upper[col] = -INF, INF
-        elif btype == "MI":
-            lower[col] = -INF
-        elif btype == "PL":
-            upper[col] = INF
-        elif btype == "BV":
-            lower[col], upper[col] = 0.0, 1.0
-            col_integer[col] = True
-        elif btype == "UI":
-            upper[col] = val
-            col_integer[col] = True
-        elif btype == "LI":
-            lower[col] = val
-            col_integer[col] = True
-        if lower[col] > upper[col]:
-            raise MpsParseError(f"bounds for column {col!r} cross (lower > upper)", line_no)
-
-    variables = [
-        VariableDef(
-            index=i,
-            lower=lower[col],
-            upper=upper[col],
-            is_integer=col_integer[col],
-            name=col,
-        )
-        for i, col in enumerate(col_order)
-    ]
-    col_pos = {col: i for i, col in enumerate(col_order)}
 
     # one pass over the columns, in index order, so each row's dict is in column order
+    variables = []
     row_coeffs = {rname: {} for rname in row_order}
-    for j, col in enumerate(col_order):
-        for rname, val in col_entries[col].items():
+    for col, record in columns.items():
+        for rname, val in record.pop("entries").items():
             if val != 0.0:
-                row_coeffs[rname][j] = val
+                row_coeffs[rname][record["index"]] = val
+        variables.append(VariableDef(name=col, **record))
 
+    rhs, ranges = row_values["RHS"], row_values["RANGES"]
     constraints = []
     for rname in row_order:
-        coeffs = row_coeffs[rname]
-        b = rhs.get(rname, 0.0)
-        sense = row_sense[rname]
-        constraints.append(LinearConstraint(coeffs=coeffs, sense=sense, rhs=b, name=rname))
-        if rname in ranges:
-            r = ranges[rname]
-            if sense == LE:
-                other = LinearConstraint(coeffs=coeffs, sense=GE, rhs=b - abs(r), name=f"{rname}__rng")
-            elif sense == GE:
-                other = LinearConstraint(coeffs=coeffs, sense=LE, rhs=b + abs(r), name=f"{rname}__rng")
-            else:  # equality: sign of r picks the side that opens up
-                lo, hi = (b, b + r) if r >= 0 else (b + r, b)
-                constraints[-1] = LinearConstraint(coeffs=coeffs, sense=GE, rhs=lo, name=rname)
-                other = LinearConstraint(coeffs=coeffs, sense=LE, rhs=hi, name=f"{rname}__rng")
-            constraints.append(other)
-
-    objective = {col_pos[c]: v for c, v in obj_coeffs.items() if v != 0.0}
-    if obj_sense_max:
-        objective = {j: -v for j, v in objective.items()}
+        b, r = rhs.get(rname, 0.0), ranges.get(rname)
+        if r is None:
+            sides = [(row_sense[rname], b)]
+        elif row_sense[rname] == LE:
+            sides = [(LE, b), (GE, b - abs(r))]
+        elif row_sense[rname] == GE:
+            sides = [(GE, b), (LE, b + abs(r))]
+        else:  # equality: the sign of the range picks the side that opens up
+            sides = [(GE, b), (LE, b + r)] if r >= 0 else [(GE, b + r), (LE, b)]
+        # a ranged row's second side is a row of its own
+        for (sense, side), cname in zip(sides, (rname, f"{rname}__rng")):
+            constraints.append(LinearConstraint(row_coeffs[rname], sense, side, cname))
 
     return MipInstance(
         name=name,
         variables=variables,
         constraints=constraints,
-        objective=objective,
-        objective_name=obj_name,
+        objective={j: -v if obj_sense_max else v for j, v in obj_coeffs.items() if v != 0.0},
+        objective_name="OBJ" if obj_name is None else obj_name,
         objective_negated=obj_sense_max,
     )
 
 
+def _check_names(instance: MipInstance):
+    """Raise a ValueError naming the first name of ``instance`` that MPS cannot carry."""
+    if instance.name.split() not in ([], [instance.name]):
+        raise ValueError(f"MPS cannot carry the instance name {instance.name!r}: it holds whitespace")
+    rows = [instance.objective_name] + [con.name for con in instance.constraints]
+    seen = set()
+    for kind, names in (("row", rows), ("column", [v.name for v in instance.variables])):
+        for name in names:
+            if name.split() != [name]:
+                fault = "it is empty or holds whitespace"
+            elif name.startswith("*"):
+                fault = "its line would read as a comment"
+            elif name.strip("'\"") == "MARKER":
+                fault = "its line would read as an integer marker"
+            elif kind == "row" and name in seen:
+                fault = "an earlier row has it"
+            else:
+                seen.add(name)
+                continue
+            raise ValueError(f"MPS cannot carry the {kind} name {name!r}: {fault}")
+
+
 def write_mps(instance: MipInstance) -> str:
     """Serialize an instance as MPS text; inverse of parse_mps up to layout."""
+    _check_names(instance)
     sense_char = {GE: "G", LE: "L", EQ: "E"}
     out = [f"NAME          {instance.name}"]
     if instance.objective_negated:
@@ -366,35 +332,25 @@ def write_mps(instance: MipInstance) -> str:
     for con in instance.constraints:
         out.append(f" {sense_char[con.sense]}  {con.name}")
 
+    # column -> [(row name, coefficient)], the objective's first, then in constraint order
     sign = -1.0 if instance.objective_negated else 1.0
-    entries = {}  # column -> [(row name, coefficient)] in constraint order
+    entries = {j: [(instance.objective_name, sign * c)] for j, c in instance.objective.items()}
     for con in instance.constraints:
         for j, a in con.coeffs.items():
             entries.setdefault(j, []).append((con.name, a))
     out.append("COLUMNS")
-    marker_count = 0
+    markers = 0
     in_int = False
     for v in instance.variables:
-        if v.is_integer and not in_int:
-            out.append(f"    MARKER{marker_count}  'MARKER'  'INTORG'")
-            marker_count += 1
-            in_int = True
-        elif not v.is_integer and in_int:
-            out.append(f"    MARKER{marker_count}  'MARKER'  'INTEND'")
-            marker_count += 1
-            in_int = False
-        wrote = False
-        if v.index in instance.objective:
-            out.append(f"    {v.name}  {instance.objective_name}  {sign * instance.objective[v.index]!r}")
-            wrote = True
-        for rname, a in entries.get(v.index, ()):
+        if v.is_integer != in_int:
+            in_int = v.is_integer
+            out.append(f"    MARKER{markers}  'MARKER'  '{'INTORG' if in_int else 'INTEND'}'")
+            markers += 1
+        # keep empty columns alive: a zero objective entry declares them
+        for rname, a in entries.get(v.index, [(instance.objective_name, 0.0)]):
             out.append(f"    {v.name}  {rname}  {a!r}")
-            wrote = True
-        if not wrote:
-            # keep empty columns alive: a zero objective entry declares them
-            out.append(f"    {v.name}  {instance.objective_name}  0.0")
     if in_int:
-        out.append(f"    MARKER{marker_count}  'MARKER'  'INTEND'")
+        out.append(f"    MARKER{markers}  'MARKER'  'INTEND'")
 
     out.append("RHS")
     for con in instance.constraints:
@@ -405,16 +361,17 @@ def write_mps(instance: MipInstance) -> str:
     for v in instance.variables:
         if math.isinf(v.lower) and math.isinf(v.upper):
             out.append(f" FR  BND  {v.name}")
-            continue
-        if math.isinf(v.lower):
-            out.append(f" MI  BND  {v.name}")
         elif v.lower == v.upper:
             out.append(f" FX  BND  {v.name}  {v.lower!r}")
-            continue
         else:
-            out.append(f" LO  BND  {v.name}  {v.lower!r}")
-        if not math.isinf(v.upper):
-            out.append(f" UP  BND  {v.name}  {v.upper!r}")
+            # an integer column starts at [0, 1], so an infinite upper bound takes
+            # a PL entry, and a lower bound above 1 comes after the upper one
+            lower = [f" MI  BND  {v.name}" if math.isinf(v.lower) else f" LO  BND  {v.name}  {v.lower!r}"]
+            if not math.isinf(v.upper):
+                upper = [f" UP  BND  {v.name}  {v.upper!r}"]
+            else:
+                upper = [f" PL  BND  {v.name}"] if v.is_integer else []
+            out.extend(upper + lower if v.is_integer and v.lower > 1 else lower + upper)
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"

@@ -402,6 +402,22 @@ class TestFlagValidation:
         assert res.exit_code == 2
         assert "rho must be a finite number >= 0" in res.output
 
+    @pytest.mark.parametrize("command", ["diverse", "enumerate"])
+    def test_a_preset_weight_sum_above_one_warns_once(self, runner, caplog, command):
+        knap3 = str(Path(__file__).resolve().parents[1] / "instances" / "knap3.mps")
+        with caplog.at_level("WARNING", logger="diversitree.selectors"):
+            res = invoke(runner, [command, "--instance", knap3, "--preset", "hll"])
+            assert res.exit_code == 0
+            assert [rec.getMessage() for rec in caplog.records] == [
+                "alpha + beta = 1.0100 > 1; the bound weight goes negative"]
+            caplog.clear()
+            # flags take the place of the preset's values, its rule included
+            res = invoke(runner, [command, "--instance", knap3, "--preset", "hll",
+                                  "--alpha", "0.5", "--rule", "bestfs"])
+        assert res.exit_code == 0 and caplog.records == []
+        doc = json.loads(res.output)
+        assert (doc["rule"], doc["alpha"], doc["beta"], doc["solCutoff"]) == ("bestfs", 0.5, 0.06, 0.2)
+
     def test_subset_bigger_than_pool_capacity(self, runner, paths):
         res = runner.invoke(main, ["diverse", "--instance", paths["knap"],
                                    "--p1", "5", "--p", "6"])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import test_golden as golden
 from conftest import (
+    big_m_mips,
     enum_mixed_projections,
     enum_pure_integer,
     oracle_row_holds,
@@ -27,6 +28,7 @@ from conftest import (
     oracle_row_holds_over,
     oracle_wrong_sign,
     scipy_milp,
+    small_mips,
 )
 from diversitree import (
     EQ,
@@ -81,52 +83,6 @@ def root_node(bc):
 
 def pool_tuples(result):
     return {tuple(int(v) for v in row) for row in result.pool.projection_matrix()}
-
-
-@st.composite
-def small_mips(draw, kinds=("binary", "general", "mixed"), big_m=False):
-    """A feasible MIP on two to five integer columns, of one of ``kinds``:
-    pure binary, general integer, or mixed with one more, continuous column
-    whose box may be unbounded (it then costs nothing, so every LP stays
-    bounded). Rows of every sense hold at an integer reference point. With
-    ``big_m`` one coefficient of each row is ±10^k, k from 3 to 12."""
-    kind = draw(st.sampled_from(kinds))
-    n = draw(st.integers(2, 5))
-    variables, ref = [], []
-    for j in range(n):
-        lo = 0 if kind == "binary" else draw(st.integers(-2, 0))
-        hi = lo + (1 if kind == "binary" else draw(st.integers(1, 3)))
-        variables.append(VariableDef(j, float(lo), float(hi), True, f"x{j}"))
-        ref.append(draw(st.integers(lo, hi)))
-    costs = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    costs[0] = costs[0] or 1  # a cutoff needs an objective
-    objective = {j: float(c) for j, c in enumerate(costs) if c}
-    if kind == "mixed":
-        lo, hi = draw(st.sampled_from([(-2.0, 3.0), (0.0, INF), (-INF, INF)]))
-        variables.append(VariableDef(n, lo, hi, False, "y"))
-        ref.append(0)
-        if math.isfinite(hi):
-            objective[n] = float(draw(st.sampled_from([-2, 1, 3])))
-        n += 1
-    rows = []
-    for k in range(draw(st.integers(1, 3))):
-        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-        coeffs = {j: float(draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))) for j in cols}
-        if big_m:
-            sign = draw(st.sampled_from([-1.0, 1.0]))
-            coeffs[draw(st.sampled_from(cols))] = sign * 10.0 ** draw(st.integers(3, 12))
-        act = sum(a * ref[j] for j, a in coeffs.items())
-        sense = draw(st.sampled_from([GE, LE, EQ]))
-        margin = 0 if sense == EQ else draw(st.integers(0, 2))
-        rows.append(LinearConstraint(coeffs, sense, act - margin if sense == GE else act + margin,
-                                     f"r{k}"))
-    return MipInstance(name=f"hyp-{kind}", variables=variables, constraints=rows,
-                       objective=objective)
-
-
-def big_m_mips(kinds=("binary", "general")):
-    """``small_mips`` with one coefficient of each row at ±10^k, k from 3 to 12."""
-    return small_mips(kinds=kinds, big_m=True)
 
 
 @st.composite
@@ -926,6 +882,15 @@ class TestSolutionPool:
         ints = SolutionPool(self.instance(0, 2, 0))
         assert ints.add([-1.0, 2.0], 0.0)
         assert ints._keys == {(2 ** 64 - 1) << 64 | 2}
+
+    def test_keys_are_the_ints_of_each_rows_packed_bits_at_every_width(self):
+        rng = np.random.default_rng(7)
+        for width in range(1, 141):
+            proj = rng.integers(0, 2, size=(5, width)).astype(np.int8)
+            words = engine._packed_words(proj)
+            assert words.shape == (5, -(-width // 64)) and words.dtype == np.dtype(">u8")
+            assert engine._row_keys(words) == [
+                int.from_bytes(np.packbits(row).tobytes(), "big") for row in proj]
 
     @staticmethod
     def box_engine(nb):

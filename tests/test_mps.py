@@ -1,16 +1,26 @@
 """MPS reading and writing."""
 
 import io
+import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import big_m_mips, small_mips
 from diversitree import (
     EQ,
     GE,
     INF,
     LE,
+    LinearConstraint,
+    MipInstance,
+    ModelError,
     MpsParseError,
+    VariableDef,
     parse_mps,
     two_cluster_instance,
     write_mps,
@@ -20,6 +30,7 @@ from diversitree.generators import (
     knapsack_instance,
     mixed_small_instance,
 )
+from diversitree.model import INFINITE_BOUND
 
 KNAP2 = """\
 NAME          knap2
@@ -38,6 +49,165 @@ BOUNDS
  UP BND  x2  1.0
 ENDATA
 """
+
+
+# -- an MPS grammar: text in a layout that varies, and the instance it declares --
+
+FIXED_COLUMNS = (1, 4, 14, 24, 39, 49)  # where fixed MPS starts fields 1 to 6
+SEPARATORS = (" ", "  ", "\t", " \t  ")
+COEFFICIENTS = ("1", "-2", "3.5", "0", "-0.25", "1e3", "4.0")
+BOUND_VALUES = ("-2", "0", "1", "2.5", "3", "inf", "-inf", "1e30")
+RANGE_VALUES = ("2", "-1.5", "0", "3")
+
+
+def oracle_bound(btype, value, lower, upper, integer):
+    """A column's (lower, upper, integer) after the BOUNDS entry ``btype``."""
+    return {
+        "UP": (lower, value, integer),
+        "LO": (value, upper, integer),
+        "FX": (value, value, integer),
+        "FR": (-INF, INF, integer),
+        "MI": (-INF, upper, integer),
+        "PL": (lower, INF, integer),
+        "BV": (0.0, 1.0, True),
+        "UI": (lower, value, True),
+        "LI": (value, upper, True),
+    }[btype]
+
+
+def oracle_rows(name, sense, coeffs, b, r):
+    """The rows of a ``sense`` row with right-hand side ``b`` and RANGES
+    value ``r`` (None for none): the range makes it lo <= ax <= hi, an L row
+    keeps its name on the upper side and any other row on the lower side."""
+    if r is None:
+        return [LinearConstraint(coeffs, sense, b, name)]
+    lo, hi = {LE: (b - abs(r), b), GE: (b, b + abs(r)), EQ: (b + min(r, 0.0), b + max(r, 0.0))}[sense]
+    first, second = ((LE, hi), (GE, lo)) if sense == LE else ((GE, lo), (LE, hi))
+    return [LinearConstraint(coeffs, *first, name), LinearConstraint(coeffs, *second, f"{name}__rng")]
+
+
+@st.composite
+def mps_texts(draw):
+    """MPS text and the MipInstance it declares. The text varies fixed and
+    free spacing, tabs, comments, blank lines, line ends, the case of
+    keywords, integer markers, OBJSENSE on its own line and inline, RANGES
+    of both signs on every row sense, every bound type, one or two
+    (row, value) pairs per RHS and RANGES line, and extra free rows."""
+    fixed = draw(st.booleans())
+    word = str.lower if draw(st.booleans()) else str  # keywords in either case
+    lines = []
+
+    def header(*fields):
+        lines.append(" ".join(fields))
+
+    def data(*fields):  # an empty field leaves its columns blank
+        if fixed:
+            line = ""
+            for col, field in zip(FIXED_COLUMNS, fields):
+                line = line.ljust(col) + field
+        else:
+            sep = draw(st.sampled_from(SEPARATORS))
+            line = sep + sep.join(f for f in fields if f)
+        lines.append(line)
+
+    def pair_lines(pairs, leads):
+        """``pairs`` one or two to a line, each line after one of ``leads``."""
+        while pairs:
+            k = draw(st.integers(1, 2))
+            data("", draw(st.sampled_from(leads)), *itertools.chain(*pairs[:k]))
+            pairs = pairs[k:]
+
+    name = draw(st.sampled_from(["", "t", "knap-2"]))
+    header(word("NAME"), name)
+    maximize = None
+    objsense = draw(st.sampled_from([None, "MIN", "max", "Maximize", "minimize"]))
+    if objsense is not None:
+        maximize = objsense.upper().startswith("MAX")
+        if draw(st.booleans()):
+            header(word("OBJSENSE"), objsense)
+        else:
+            header(word("OBJSENSE"))
+            data(objsense)
+
+    obj = draw(st.sampled_from(["obj", "COST"]))
+    senses = draw(st.permutations([LE, GE, EQ, EQ]))[:draw(st.integers(0, 4))]
+    cons = [f"r{k}" for k in range(len(senses))]
+    frees = [f"f{k}" for k in range(draw(st.integers(0, 2)))]
+    order = list(draw(st.permutations(cons + frees)))
+    first_free = min([order.index(f) for f in frees], default=len(order))
+    order.insert(draw(st.integers(0, first_free)), obj)  # the first N row
+    letter = {obj: "N", **{f: "N" for f in frees},
+              **{c: {LE: "L", GE: "G", EQ: "E"}[s] for c, s in zip(cons, senses)}}
+    header(word("ROWS"))
+    for row in order:
+        data(word(letter[row]), row)
+
+    n = draw(st.integers(1, 4))
+    integer = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    entries = [[(row, draw(st.sampled_from(COEFFICIENTS))) for row in order if draw(st.booleans())]
+               for _ in range(n)]
+    header(word("COLUMNS"))
+    in_block = False
+    for j in range(n):
+        if integer[j] != in_block:
+            in_block = integer[j]
+            quote = draw(st.sampled_from(["'", '"', ""]))
+            data("", draw(st.sampled_from(["M1", "MARKER"])), f"{quote}MARKER{quote}",
+                 f"{quote}{'INTORG' if in_block else 'INTEND'}{quote}")
+        # a zero objective entry declares a bare column
+        pair_lines(entries[j] or [(obj, "0")], [f"c{j}"])
+    if in_block and draw(st.booleans()):
+        data("", "M9", "'MARKER'", "'INTEND'")
+
+    rhs = {row: draw(st.sampled_from(COEFFICIENTS)) for row in order if draw(st.booleans())}
+    ranges = {row: draw(st.sampled_from(RANGE_VALUES)) for row in order if draw(st.booleans())}
+    sections = [("RHS", rhs), ("RANGES", ranges)]
+    for section, values in draw(st.permutations(sections)):
+        if values or draw(st.booleans()):
+            header(word(section))
+            pair_lines(list(values.items()), ["SET1", ""])
+
+    bounds = [[0.0, 1.0 if integer[j] else INF, integer[j]] for j in range(n)]
+    bound_lines = []
+    # every bound type at most once, in any order, each on any column
+    btypes = draw(st.permutations(["UP", "LO", "FX", "FR", "MI", "PL", "BV", "UI", "LI"]))
+    for btype in btypes[:draw(st.integers(0, 9))]:
+        j = draw(st.integers(0, n - 1))
+        value = draw(st.sampled_from(BOUND_VALUES))
+        lower, upper, is_int = oracle_bound(btype, float(value), *bounds[j])
+        if lower > upper or lower >= INFINITE_BOUND or upper <= -INFINITE_BOUND:
+            continue  # a fault, left to the mutation property
+        bounds[j] = [lower, upper, is_int]
+        takes_value = btype in ("UP", "LO", "FX", "UI", "LI")
+        bound_lines.append((word(btype), draw(st.sampled_from(["BND", ""])), f"c{j}",
+                            value if takes_value else ""))
+    if bound_lines or draw(st.booleans()):
+        header(word("BOUNDS"))
+        for fields in bound_lines:
+            data(*fields)
+    if draw(st.booleans()):
+        header(word("ENDATA"))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "* a comment", "\t* one more"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    objective = {j: float(v) for j in range(n) for row, v in entries[j] if row == obj}
+    constraints = []
+    for row in order:
+        if row in cons:
+            coeffs = {j: float(v) for j in range(n) for r, v in entries[j] if r == row and float(v)}
+            constraints += oracle_rows(row, senses[cons.index(row)], coeffs, float(rhs.get(row, 0.0)),
+                                       float(ranges[row]) if row in ranges else None)
+    expected = MipInstance(
+        name=name,
+        variables=[VariableDef(j, lo, up, is_int, f"c{j}") for j, (lo, up, is_int) in enumerate(bounds)],
+        constraints=constraints,
+        objective={j: -c if maximize else c for j, c in objective.items() if c != 0.0},
+        objective_name=obj,
+        objective_negated=bool(maximize),
+    )
+    return end.join(lines) + end, expected
 
 
 class TestParse:
@@ -242,6 +412,25 @@ ENDATA
             path.write_bytes(KNAP2.replace("\n", end).encode())
             assert parse_mps(path) == parse_mps(KNAP2)
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_str_bytes_and_file_objects_read_crlf_and_cr_line_ends(self, end):
+        text = KNAP2.replace("\n", end)
+        commented = f"* no NAME first{end}{text}"  # text all the same, not a path
+        for source in (text, commented, text.encode(), io.StringIO(text), io.BytesIO(text.encode())):
+            assert parse_mps(source) == parse_mps(KNAP2)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_an_error_names_the_same_line_whatever_the_line_end(self, end):
+        old = "    RHS  CAP  2.0"
+        line = KNAP2.splitlines().index(old) + 1
+        text = KNAP2.replace(old, "    RHS  CAP  nan").replace("\n", end)
+        data = KNAP2.replace("\n", end).encode().replace(b"RHS  CAP  2.0", b"RHS  CAP\xff  2.0")
+        for source, message in ((text, "expected a finite number"), (text.encode(), "expected a finite"),
+                                (data, "byte 0xff is not UTF-8"), (io.BytesIO(data), "byte 0xff")):
+            with pytest.raises(MpsParseError, match=message) as err:
+                parse_mps(source)
+            assert err.value.line_no == line
+
     def test_infinite_bounds_stay_legal(self):
         text = KNAP2.replace("    M2  'MARKER'  'INTEND'\n",
                              "    M2  'MARKER'  'INTEND'\n    y  COST  1.0  CAP  1.0\n")
@@ -370,3 +559,88 @@ ENDATA
         inst = parse_mps(text)
         back = parse_mps(io.StringIO(write_mps(inst)))
         assert back == inst
+
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, INF), (3.0, INF), (3.0, 5.0), (1.5, 4.0), (-5.0, -3.0), (-INF, 2.0), (-INF, INF),
+    ])
+    def test_integer_bounds_round_trip(self, lower, upper):
+        """An integer column starts at [0, 1]: an infinite upper bound needs a
+        PL entry, and a lower bound above 1 must follow the upper one."""
+        inst = MipInstance("t", [VariableDef(0, lower, upper, True, "x")], [], {0: 1.0})
+        text = write_mps(inst)
+        assert parse_mps(text) == inst
+        assert (" PL  BND  x" in text.splitlines()) == (upper == INF and lower > -INF)
+
+
+def named_instance(name="t", objective="obj", rows=("r0",), columns=("x",)):
+    return MipInstance(
+        name=name,
+        variables=[VariableDef(j, 0.0, 1.0, True, col) for j, col in enumerate(columns)],
+        constraints=[LinearConstraint({0: 1.0}, LE, 1.0, row) for row in rows],
+        objective={0: 1.0},
+        objective_name=objective,
+    )
+
+
+class TestWriterNames:
+    def test_names_mps_can_carry_are_written(self):
+        inst = named_instance(name="", rows=("r0", "MARKERS", "x*"), columns=("x", "INTORG"))
+        assert parse_mps(write_mps(inst)) == inst
+
+    @pytest.mark.parametrize("kwargs, kind, name", [
+        ({"objective": ""}, "row", ""),
+        ({"rows": ("",)}, "row", ""),
+        ({"rows": ("r 0",)}, "row", "r 0"),
+        ({"objective": "o\tbj"}, "row", "o\tbj"),
+        ({"columns": ("x y",)}, "column", "x y"),
+        ({"name": "two words"}, "instance", "two words"),
+        ({"rows": ("*r",)}, "row", "*r"),
+        ({"columns": ("*x",)}, "column", "*x"),
+        ({"rows": ("MARKER",)}, "row", "MARKER"),
+        ({"columns": ("'MARKER'",)}, "column", "'MARKER'"),
+        ({"rows": ("r0", "r1", "r0")}, "row", "r0"),
+        ({"rows": ("obj",)}, "row", "obj"),
+    ])
+    def test_a_name_mps_cannot_carry_is_refused(self, kwargs, kind, name):
+        with pytest.raises(ValueError, match=f"^MPS cannot carry the {kind} name {re.escape(repr(name))}"):
+            write_mps(named_instance(**kwargs))
+
+
+# -- grammar properties ------------------------------------------------------
+
+# tokens an edit may insert or substitute, besides the text's own
+EDIT_TOKENS = ["NAME", "OBJSENSE", "MAX", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA",
+               "N", "E", "UP", "FR", "BV", "LI", "'MARKER'", "'INTORG'", "'INTEND'", "*", "0",
+               "-1", "1e30", "1e400", "-inf", "nan", "x"]
+
+
+class TestGrammar:
+    @settings(max_examples=120)
+    @given(mps_texts(), st.sampled_from(["str", "bytes", "text file", "binary file"]))
+    def test_parse_gives_the_declared_instance(self, case, kind):
+        text, expected = case
+        source = {"str": text, "bytes": text.encode(), "text file": io.StringIO(text),
+                  "binary file": io.BytesIO(text.encode())}[kind]
+        assert parse_mps(source) == expected
+        # the writer holds every bound the grammar reaches, integer columns' included
+        assert parse_mps(write_mps(expected)) == expected
+
+    @settings(max_examples=150)
+    @given(st.one_of(small_mips(), big_m_mips(), mps_texts().map(lambda case: case[1])))
+    def test_write_then_parse_gives_the_instance(self, inst):
+        assert parse_mps(write_mps(inst)) == inst
+
+    @settings(max_examples=150)
+    @given(mps_texts(), st.data())
+    def test_a_one_token_edit_gives_an_instance_or_a_parse_or_model_error(self, case, data):
+        parts = re.split(r"(\s+)", case[0])
+        tokens = [k for k, part in enumerate(parts) if part and not part.isspace()]
+        at = data.draw(st.sampled_from(tokens))
+        token = data.draw(st.sampled_from(sorted({parts[k] for k in tokens}) + EDIT_TOKENS))
+        edit = data.draw(st.sampled_from(["insert before", "insert after", "delete", "substitute"]))
+        parts[at] = {"insert before": f"{token} {parts[at]}", "insert after": f"{parts[at]} {token}",
+                     "delete": "", "substitute": token}[edit]
+        try:
+            assert isinstance(parse_mps("".join(parts)), MipInstance)
+        except (MpsParseError, ModelError):
+            pass

@@ -24,8 +24,7 @@ from diversitree.generators import knapsack_instance
 from diversitree.model import FEAS_TOL
 from diversitree.simplex import BasisSnapshot, LpStatus, SimplexSolver
 
-from conftest import make_lp, oracle_dual_sum, oracle_refutes, oracle_wrong_sign, scipy_lp
-from test_engine import small_mips
+from conftest import make_lp, oracle_dual_sum, oracle_refutes, oracle_wrong_sign, scipy_lp, small_mips
 
 
 def lp_instance(objective, rows, bounds, integers=()):
