@@ -19,7 +19,7 @@ from .engine import EngineError, check_limits
 from .harness import ExperimentSpec, HarnessError, SCHEMA_VERSION
 from .model import ModelError
 from .mps import MpsParseError, parse_mps
-from .selectors import PRESETS, Rule, SelectorConfig
+from .selectors import PRESETS, Rule, SelectorConfig, preset
 from .subset import METHODS
 
 
@@ -114,11 +114,9 @@ def _spec(q, p1, dedup, seed, node_limit, time_limit, preset_name=None, p=1,
           method="greedy_swap", **selector):
     """The ExperimentSpec of a command's flags; a selector flag left unset keeps
     the preset's value, or else SelectorConfig's default."""
-    # one SelectorConfig, so that its warnings are logged once
-    fields = {"rule": Rule.DIVERSITREE, **PRESETS[preset_name.upper()]} if preset_name else {}
-    fields.update((k, v) for k, v in selector.items() if v not in (None, ""))
+    fields = {k: v for k, v in selector.items() if v not in (None, "")}
     try:
-        cfg = SelectorConfig(**fields)
+        cfg = preset(preset_name, **fields) if preset_name else SelectorConfig(**fields)
         return ExperimentSpec(q=q, p1=_p1(p1), p=p, selector=cfg, subset_method=method,
                               dedup=dedup, seed=seed, node_limit=node_limit,
                               time_limit=time_limit)

@@ -244,16 +244,12 @@ class SolutionPool:
 
 def _packed_words(proj) -> np.ndarray:
     """The rows of a 0/1 matrix packed by ``np.packbits``, zero-padded on
-    the left to whole 8-byte words: a (rows, words) big-endian uint64 view.
-    One flat ``np.packbits`` packs the bits placed in a zeroed matrix of
-    whole words, which costs less than packing along ``axis=1``."""
-    rows, bits = proj.shape
-    nbytes = -(-bits // 8)  # a row's packed bytes, its last byte padded on the right
-    words = -(-nbytes // 8)
-    padded = np.zeros((rows, 64 * words), dtype=np.uint8)
-    start = 8 * (8 * words - nbytes)
-    padded[:, start:start + bits] = proj
-    return np.packbits(padded).reshape(rows, 8 * words).view(">u8")
+    the left to whole 8-byte words: a (rows, words) big-endian uint64 view."""
+    packed = np.packbits(proj, axis=1)
+    rows, width = packed.shape
+    words = np.zeros((rows, width + -width % 8), dtype=np.uint8)
+    words[:, words.shape[1] - width:] = packed
+    return words.view(">u8")
 
 
 def _row_keys(words) -> list:

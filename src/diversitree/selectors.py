@@ -145,12 +145,14 @@ PRESETS = {
 }
 
 
-def preset(name: str) -> SelectorConfig:
+def preset(name: str, **overrides) -> SelectorConfig:
+    """The blended rule with a preset's weights, any field replaced by
+    ``overrides``; one SelectorConfig is built, so it warns once."""
     try:
         values = PRESETS[name.upper()]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}") from None
-    return SelectorConfig(rule=Rule.DIVERSITREE, **values)
+    return SelectorConfig(**{"rule": Rule.DIVERSITREE, **values, **overrides})
 
 
 def term_vector(pool) -> list:

@@ -622,8 +622,6 @@ class TestGrammar:
         source = {"str": text, "bytes": text.encode(), "text file": io.StringIO(text),
                   "binary file": io.BytesIO(text.encode())}[kind]
         assert parse_mps(source) == expected
-        # the writer holds every bound the grammar reaches, integer columns' included
-        assert parse_mps(write_mps(expected)) == expected
 
     @settings(max_examples=150)
     @given(st.one_of(small_mips(), big_m_mips(), mps_texts().map(lambda case: case[1])))
